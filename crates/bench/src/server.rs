@@ -18,7 +18,7 @@
 
 use crate::table::Table;
 use pythia_analysis::{SliceContext, VulnerabilityReport};
-use pythia_core::instrument_certified;
+use pythia_core::{instrument_certified, Certifier};
 use pythia_ir::{verify, Module, PythiaError};
 use pythia_passes::{prune_obligations, Scheme};
 use pythia_vm::{DecodedModule, Engine};
@@ -102,10 +102,11 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
     let ctx = SliceContext::new(&module);
     let report = VulnerabilityReport::analyze(&ctx);
     let pruned = prune_obligations(&ctx, &report);
+    let cert = Certifier::new(&module, &ctx);
     let variants: Vec<(Scheme, Module, usize)> = Scheme::ALL
         .iter()
         .map(|&s| {
-            let (m, checks) = instrument_certified(&module, &ctx, &pruned, s)?;
+            let (m, checks) = instrument_certified(&module, &ctx, &pruned, &cert, s)?;
             Ok((s, m, checks))
         })
         .collect::<Result<_, PythiaError>>()?;

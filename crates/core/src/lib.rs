@@ -41,6 +41,7 @@ pub use pipeline::{
     SchemeResult, Timings,
 };
 pub use pythia_ir::{DetectionKind, ErrorContext, PythiaError};
+pub use pythia_lint::Certifier;
 pub use pythia_passes::{instrument, instrument_with, InstrumentationStats, Scheme};
 pub use pythia_vm::{
     DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan, Profile, RunMetrics, Vm,

@@ -4,7 +4,7 @@
 
 use pythia_analysis::{InputChannels, SliceContext, VulnerabilityReport};
 use pythia_ir::{verify, IcCategory, Module, PythiaError};
-use pythia_lint::lint_instrumented;
+use pythia_lint::Certifier;
 use pythia_passes::{instrument_with, prune_obligations, InstrumentationStats, Scheme};
 use pythia_vm::{DecodedModule, Engine, ExitReason, InputPlan, Profile, RunMetrics, Vm, VmConfig};
 use std::collections::BTreeMap;
@@ -182,12 +182,13 @@ impl Phase {
 }
 
 /// One timed span of an evaluation: which phase, for which scheme
-/// (`None` for the shared analysis), and how long it took.
+/// (`None` for work shared by every variant), and how long it took.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseSpan {
     /// Which pipeline phase.
     pub phase: Phase,
-    /// The scheme variant the span belongs to (`None` = shared analysis).
+    /// The scheme variant the span belongs to (`None` = shared work: the
+    /// analysis, and the lint certifier's scheme-independent baseline).
     pub scheme: Option<Scheme>,
     /// Wall-clock duration.
     pub secs: f64,
@@ -198,9 +199,10 @@ pub struct PhaseSpan {
 /// runs stay byte-identical in report text.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timings {
-    /// Every timed span: one `Analysis` span, then an `Instrument`,
-    /// `Lint`, `Decode` and `Execute` span per scheme variant, in scheme
-    /// order.
+    /// Every timed span: one `Analysis` span, one scheme-less `Lint`
+    /// span for the certifier's baseline (absent when only vanilla is
+    /// evaluated), then an `Instrument`, `Lint`, `Decode` and `Execute`
+    /// span per scheme variant, in scheme order.
     pub spans: Vec<PhaseSpan>,
 }
 
@@ -352,11 +354,12 @@ fn serial_schemes() -> bool {
 }
 
 /// Instrument `module` with `scheme` from a shared analysis
-/// context/report and statically certify the result with `pythia-lint` —
+/// context/report and statically certify the result against `cert` —
 /// the same instrument→lint gate [`evaluate`] applies per variant, as a
 /// standalone step for scenario drivers (the event-loop server
 /// instruments once and then retires ~10⁶ requests per variant, so the
-/// full per-run `evaluate` path is the wrong shape for it).
+/// full per-run `evaluate` path is the wrong shape for it). Build `cert`
+/// once per module from the same `ctx` and pass it to every variant.
 ///
 /// Returns the certified module and the number of protection obligations
 /// the lint checked.
@@ -369,10 +372,11 @@ pub fn instrument_certified(
     module: &Module,
     ctx: &SliceContext<'_>,
     report: &VulnerabilityReport,
+    cert: &Certifier<'_>,
     scheme: Scheme,
 ) -> Result<(Module, usize), PythiaError> {
     let inst = instrument_with(module, ctx, report, scheme);
-    let lint = lint_instrumented(module, ctx, report, &inst.module, scheme);
+    let lint = cert.check(report, &inst.module, scheme);
     if !lint.is_clean() {
         return Err(lint.into_setup_error());
     }
@@ -383,8 +387,9 @@ pub fn instrument_certified(
 ///
 /// The module is verified first; each scheme variant is then instrumented
 /// from the shared context/report, statically certified by `pythia-lint`
-/// (any protection-invariant violation aborts that variant with a setup
-/// error before it executes), and executed on its own worker thread
+/// against one shared [`Certifier`] (any protection-invariant violation
+/// aborts that variant with a setup error before it executes), and
+/// executed on its own worker thread
 /// (the same benign input plan/seed per variant, so results are
 /// deterministic and ordered regardless of scheduling). Workers are
 /// panic-isolated: a panicking variant becomes a typed error instead of
@@ -456,6 +461,14 @@ pub fn evaluate(
         }
     }
 
+    // The certification baseline is scheme-independent: derive it once,
+    // timed as its own scheme-less lint span so the per-variant lint
+    // spans below measure only their own checks. Vanilla promises
+    // nothing, so a vanilla-only evaluation certifies nothing.
+    let t_cert = Instant::now();
+    let certifier = (all.len() > 1).then(|| Certifier::new(module, &ctx));
+    let cert_secs = t_cert.elapsed().as_secs_f64();
+
     // Instrument + execute every variant concurrently; the analysis
     // context and report are shared read-only. Joining in spawn order
     // keeps `results` deterministic. Each worker body runs under
@@ -467,6 +480,7 @@ pub fn evaluate(
             let ctx = &ctx;
             let report = &report;
             let pruned = &pruned;
+            let certifier = certifier.as_ref();
             {
                     let t_inst = Instant::now();
                     // Dry run against the unpruned report: its stats are the
@@ -483,11 +497,14 @@ pub fn evaluate(
                     // folding it into instrumentation under-reported where
                     // evaluation time goes.
                     let t_lint = Instant::now();
-                    let lint = lint_instrumented(module, ctx, pruned, &inst.module, scheme);
-                    if !lint.is_clean() {
-                        return Err(lint.into_setup_error());
+                    let mut lint_checks = 0;
+                    if let Some(cert) = certifier {
+                        let lint = cert.check(pruned, &inst.module, scheme);
+                        if !lint.is_clean() {
+                            return Err(lint.into_setup_error());
+                        }
+                        lint_checks = lint.checks;
                     }
-                    let lint_checks = lint.checks;
                     let lint_secs = t_lint.elapsed().as_secs_f64();
                     // Decode phase: lower the instrumented module into the
                     // VM's block-cached form. Under the block engine every
@@ -592,6 +609,13 @@ pub fn evaluate(
         scheme: None,
         secs: analysis_secs,
     }];
+    if certifier.is_some() {
+        spans.push(PhaseSpan {
+            phase: Phase::Lint,
+            scheme: None,
+            secs: cert_secs,
+        });
+    }
     spans.append(&mut scheme_spans);
 
     // Snapshot the memo counters once every consumer is done. The memo
@@ -702,9 +726,17 @@ mod tests {
             &VmConfig::default(),
         )
         .unwrap();
-        // One analysis span plus instrument/lint/decode/execute per
-        // variant.
-        assert_eq!(ev.timings.spans.len(), 1 + 4 * ev.results.len());
+        // One analysis span, one certifier-baseline lint span, plus
+        // instrument/lint/decode/execute per variant.
+        assert_eq!(ev.timings.spans.len(), 2 + 4 * ev.results.len());
+        let shared: Vec<Phase> = ev
+            .timings
+            .spans
+            .iter()
+            .filter(|s| s.scheme.is_none())
+            .map(|s| s.phase)
+            .collect();
+        assert_eq!(shared, [Phase::Analysis, Phase::Lint]);
         for phase in Phase::ALL {
             assert!(
                 ev.timings.phase_secs(phase) > 0.0,
@@ -780,6 +812,9 @@ mod tests {
     fn analysis_summary_is_sane() {
         let m = generate(profile_by_name("gcc").unwrap());
         let ev = evaluate(&m, &[], 1, &VmConfig::default()).unwrap();
+        // Vanilla-only: no certifier, so no scheme-less lint span.
+        assert_eq!(ev.timings.spans.len(), 1 + 4);
+        assert_eq!(ev.timings.spans[0].phase, Phase::Analysis);
         let a = &ev.analysis;
         assert!(a.branches > 50);
         let total = a.unaffected + a.direct + a.indirect;

