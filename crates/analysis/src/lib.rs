@@ -15,6 +15,8 @@
 //! - [`alias`] — module-wide Andersen-style points-to analysis with
 //!   field-sensitive abstract objects (and a field-insensitive mode
 //!   modeling DFI's coarser view);
+//! - [`summary`] — the summary-based k-CFA context layer over that
+//!   relation, with flow-sensitive strong updates;
 //! - [`interval`] — value-range dataflow proving variable-index accesses
 //!   in-bounds along all paths;
 //! - [`reach`] — overflow-reachability: which objects an attacker-driven
@@ -73,9 +75,7 @@ pub mod slicing;
 pub mod summary;
 pub mod vulnerability;
 
-pub use alias::{
-    CtxPointsTo, CtxStats, MemObjectKind, ObjId, ObjSet, PointsTo, Precision, CTX_NODE_BUDGET,
-};
+pub use alias::{MemObjectKind, ObjId, ObjSet, PointsTo, Precision};
 pub use callgraph::CallGraph;
 pub use cfg::{
     back_edges, control_dependence, loop_depths, reverse_postorder, Dominators, PostDominators,
@@ -87,7 +87,7 @@ pub use interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval,
 pub use liveness::{Liveness, ReachingStores};
 pub use reach::OverflowReach;
 pub use slicing::{BackwardSlice, ForwardSlice, SliceContext, SliceMode};
-pub use summary::{opt02_equivalence, CtxPolicy, CtxSolve, SummaryPointsTo};
+pub use summary::{opt02_equivalence, CtxPolicy, CtxSolve, CtxStats, CTX_NODE_BUDGET};
 pub use vulnerability::{
     BranchInfo, HeapVuln, IcEffect, PrunedObligations, StackVuln, VulnerabilityReport,
 };

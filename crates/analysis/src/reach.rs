@@ -83,7 +83,7 @@ pub struct OverflowReach {
     /// requested).
     pub policy: &'static str,
     /// Distinct per-function summaries the summary solver gathered (0
-    /// for the clone/insensitive engines).
+    /// under the insensitive relation).
     pub summaries: usize,
     /// Call-edge instantiations served by an already-instantiated
     /// summary instead of a fresh constraint-graph clone.
@@ -310,7 +310,7 @@ impl<'a, 'm> Builder<'a, 'm> {
     /// proven in-bounds for **every** object its base may point at, in
     /// **every** calling context?
     ///
-    /// The 1-CFA layer makes this strictly stronger than one insensitive
+    /// The context layer makes this strictly stronger than one insensitive
     /// check: each context sees only the objects that flow in through its
     /// own callsite (often a single heap cell instead of every caller's),
     /// and its value ranges are seeded with the callsite's constant
@@ -391,7 +391,7 @@ impl<'a, 'm> Builder<'a, 'm> {
             let chain = self.ctx.ctx_points_to().ctx_chain(fid, ci);
             let mut seeds: Vec<(ValueId, Interval)> = Vec::new();
             for i in 0..f.params.len() {
-                if let Some(c) = resolve_const_arg(m, &chain, 0, fid, i as u32) {
+                if let Some(c) = resolve_const_arg(m, chain, 0, fid, i as u32) {
                     seeds.push((f.arg(i), Interval::exact(c)));
                 }
             }

@@ -13,8 +13,8 @@
 //!   and hence the branch — unprotected.
 
 use crate::alias::{ObjId, PointsTo, Precision};
-use crate::summary::CtxSolve;
 use crate::channels::{IcSite, InputChannels};
+use crate::summary::{CtxPolicy, CtxSolve};
 use pythia_ir::{BlockId, Callee, FuncId, Inst, Intrinsic, Module, ValueId, ValueKind};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,10 +199,11 @@ pub struct SliceContext<'m> {
     memo_hits: AtomicU64,
     /// Memo-table misses (full traversals performed).
     memo_misses: AtomicU64,
+    /// The context policy [`Self::ctx_points_to`] solves under.
+    policy: CtxPolicy,
     /// Lazily computed context-sensitive points-to layer over
-    /// [`Self::points_to`] (policy-selectable: clone 1-CFA, summary
-    /// k-CFA, or object sensitivity). Only the overflow-reachability
-    /// pruner pays for it, on first use.
+    /// [`Self::points_to`]. Only the overflow-reachability pruner (and
+    /// the lint's OPT-02 rule) pays for it, on first use.
     ctx1: OnceLock<CtxSolve>,
 }
 
@@ -213,15 +214,25 @@ const _: () = {
 };
 
 impl<'m> SliceContext<'m> {
-    /// Build the context (runs points-to analysis at both precisions).
+    /// Build the context (runs points-to analysis at both precisions)
+    /// under the default context policy, summary-based 2-CFA.
     pub fn new(module: &'m Module) -> Self {
-        Self::with_memo_capacity(module, SLICE_MEMO_CAPACITY)
+        Self::with_policy(module, CtxPolicy::default())
+    }
+
+    /// [`Self::new`] under an explicit context policy.
+    pub fn with_policy(module: &'m Module, policy: CtxPolicy) -> Self {
+        Self::build(module, policy, SLICE_MEMO_CAPACITY)
     }
 
     /// [`Self::new`] with an explicit slice-memo bound. Mostly for tests:
     /// a tiny capacity exercises the compute-without-insert path that a
     /// real suite never reaches.
     pub fn with_memo_capacity(module: &'m Module, memo_capacity: usize) -> Self {
+        Self::build(module, CtxPolicy::default(), memo_capacity)
+    }
+
+    fn build(module: &'m Module, policy: CtxPolicy, memo_capacity: usize) -> Self {
         let points_to = PointsTo::analyze(module);
         let points_to_fi = PointsTo::analyze_with(module, Precision::FieldInsensitive);
         let channels = InputChannels::find(module);
@@ -259,32 +270,24 @@ impl<'m> SliceContext<'m> {
             memo_capacity,
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
+            policy,
             ctx1: OnceLock::new(),
         }
     }
 
-    /// The context-sensitive points-to layer over the field-sensitive
-    /// relation, computed once per context on first use (and shared by
-    /// concurrent readers). The engine is selected by
-    /// `PYTHIA_CTX_POLICY` (default: summary-based 2-CFA) within the
-    /// `PYTHIA_CTX_BUDGET` node budget (`0` forces the insensitive
-    /// relation — `scripts/bench.sh` uses it for the per-policy trend
-    /// line). On fallback its queries return `None` and callers use
-    /// [`Self::points_to`] — always a sound superset.
-    pub fn ctx_points_to(&self) -> &CtxSolve {
-        self.ctx1
-            .get_or_init(|| CtxSolve::from_env(self.module, &self.points_to))
+    /// The context policy this context was built with.
+    pub fn ctx_policy(&self) -> CtxPolicy {
+        self.policy
     }
 
-    /// Pre-seed the context-sensitive layer with an explicit policy and
-    /// budget, bypassing the environment knobs. A no-op if the layer was
-    /// already initialised (first writer wins). Policy-comparison
-    /// experiments use this to solve the same module under several
-    /// policies without mutating process-global state.
-    pub fn set_ctx_policy(&self, policy: crate::summary::CtxPolicy, budget: usize) {
-        let _ = self
-            .ctx1
-            .set(CtxSolve::analyze(self.module, &self.points_to, policy, budget));
+    /// The context-sensitive points-to layer over the field-sensitive
+    /// relation under [`Self::ctx_policy`], computed once per context on
+    /// first use (and shared by concurrent readers). On fallback its
+    /// queries return `None` and callers use [`Self::points_to`] —
+    /// always a sound superset.
+    pub fn ctx_points_to(&self) -> &CtxSolve {
+        self.ctx1
+            .get_or_init(|| CtxSolve::analyze(self.module, &self.points_to, self.policy))
     }
 
     /// Def-use chains of `fid`, computed once per context and shared by

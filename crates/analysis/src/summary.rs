@@ -1,40 +1,32 @@
 //! Summary-based k-CFA points-to solving with flow-sensitive strong
-//! updates — the precision tier above the clone-based 1-CFA in
-//! [`crate::alias`].
+//! updates — the context-sensitive layer over the insensitive relation
+//! in [`crate::alias`].
 //!
 //! # Why summaries
 //!
-//! The clone-based [`CtxPointsTo`] materializes one full Andersen node
-//! space per `(function, context)` pair and solves the whole clone set
-//! with a global round-robin pass. That is simple and sound, but the
-//! cost is `cloned_nodes` — every extra context re-pays the entire
-//! constraint graph, which is what makes k=2 unaffordable on bigger
-//! modules. The summary solver instead gathers each function's
-//! context-agnostic constraint list **once** (`LocalConstraint` in
-//! `alias.rs` — shared verbatim with the clone builder, so the
-//! per-instruction semantics are identical by construction) and
-//! *instantiates* it per context on demand: a callsite composes the
-//! caller's facts with the callee's parameterized summary instead of
-//! cloning the callee's constraint graph. Bottom-up SCC order (from
-//! [`CallGraph::sccs`]) seeds the worklist so most summaries converge
-//! in one pass; re-enqueue registries (object readers, return watchers)
-//! make the fixpoint demand-driven rather than global.
+//! The solver gathers each function's context-agnostic constraint list
+//! **once** (`LocalConstraint` in `alias.rs` — shared verbatim with the
+//! insensitive builder, so the per-instruction semantics are identical
+//! by construction) and *instantiates* it per context on demand: a
+//! callsite composes the caller's facts with the callee's parameterized
+//! summary instead of cloning the callee's constraint graph. Bottom-up
+//! SCC order (from [`CallGraph::sccs`]) seeds the worklist so most
+//! summaries converge in one pass; re-enqueue registries (object
+//! readers, return watchers) make the fixpoint demand-driven rather than
+//! global.
 //!
 //! # Context policies
 //!
 //! [`CtxPolicy`] selects the context abstraction:
 //!
 //! - `KCfa(k)`: call-string suffixes of length ≤ k, with callgraph-SCC
-//!   collapse (an intra-SCC call inherits its caller's chain — the same
-//!   collapse that keeps the clone-based 1-CFA finite).
-//! - `ObjSensitive`: depth-1 object sensitivity — the context of a call
-//!   is the abstract object its first pointer argument points to,
-//!   falling back to the callsite when no argument has pointees.
-//! - `OneCfaClone` / `Insensitive`: the existing engines, selectable so
-//!   trend lines can compare policies on identical plumbing.
+//!   collapse (an intra-SCC call inherits its caller's chain, which keeps
+//!   the context set finite under recursion).
+//! - `Insensitive`: no contexts; every query falls through to the base
+//!   relation.
 //!
-//! All policies share the sound fall-back contract: if the planned node
-//! space exceeds the budget, queries return `None` and callers use the
+//! Both share the sound fall-back contract: if the planned node space
+//! exceeds [`CTX_NODE_BUDGET`], queries return `None` and callers use the
 //! insensitive base relation (always a superset).
 //!
 //! # Strong updates
@@ -56,56 +48,45 @@
 //! solving strategies, not the kill heuristic.
 
 use crate::alias::{
-    collect_address_taken, gather_function, CtxPointsTo, CtxStats, LocalConstraint, MemObjectKind,
-    ObjId, ObjSet, PointsTo, CTX_NODE_BUDGET,
+    collect_address_taken, gather_function, LocalConstraint, MemObjectKind, ObjId, ObjSet,
+    PointsTo,
 };
 use crate::callgraph::CallGraph;
 use crate::liveness::ReachingStores;
 use pythia_ir::{Callee, FuncId, Inst, Module, Ty, ValueId, ValueKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::str::FromStr;
+
+/// Hard ceiling on the number of instantiated value nodes a context solve
+/// may allocate. Past it, [`CtxSolve::analyze`] degrades to the
+/// insensitive relation (always a sound superset), recorded in
+/// [`CtxStats::fallback`].
+pub const CTX_NODE_BUDGET: usize = 2_000_000;
 
 /// Context abstraction of the layered points-to solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CtxPolicy {
     /// No contexts: the insensitive base relation only.
     Insensitive,
-    /// The clone-based 1-CFA engine from `alias.rs` (one context per
-    /// inter-SCC callsite, whole-graph clones).
-    OneCfaClone,
     /// Summary-based k-CFA: call-string suffixes of length ≤ k.
     KCfa(usize),
-    /// Summary-based depth-1 object sensitivity.
-    ObjSensitive,
+}
+
+impl Default for CtxPolicy {
+    /// Summary-based 2-CFA.
+    fn default() -> Self {
+        CtxPolicy::KCfa(2)
+    }
 }
 
 impl CtxPolicy {
-    /// Resolve the policy and node budget from the environment:
-    /// `PYTHIA_CTX_POLICY` ∈ {`insensitive`, `1cfa`, `1cfa-summary`,
-    /// `2cfa` (default), `3cfa`, `4cfa`, `objsens`} and
-    /// `PYTHIA_CTX_BUDGET` (defaults to [`CTX_NODE_BUDGET`]).
-    /// `PYTHIA_CTX_BUDGET=0` forces the insensitive relation regardless
-    /// of the requested policy — and reporting surfaces must then label
-    /// the run `insensitive`, not the requested name.
-    pub fn from_env() -> (CtxPolicy, usize) {
-        let budget = match std::env::var("PYTHIA_CTX_BUDGET") {
-            Ok(s) => s.trim().parse::<usize>().unwrap_or(CTX_NODE_BUDGET),
-            Err(_) => CTX_NODE_BUDGET,
-        };
-        if budget == 0 {
-            return (CtxPolicy::Insensitive, 0);
-        }
-        let policy = match std::env::var("PYTHIA_CTX_POLICY").as_deref().map(str::trim) {
-            Ok("insensitive") => CtxPolicy::Insensitive,
-            Ok("1cfa") => CtxPolicy::OneCfaClone,
-            Ok("1cfa-summary") | Ok("summary-1cfa") => CtxPolicy::KCfa(1),
-            Ok("2cfa") | Ok("summary-2cfa") => CtxPolicy::KCfa(2),
-            Ok("3cfa") => CtxPolicy::KCfa(3),
-            Ok("4cfa") => CtxPolicy::KCfa(4),
-            Ok("objsens") => CtxPolicy::ObjSensitive,
-            _ => CtxPolicy::KCfa(2),
-        };
-        (policy, budget)
-    }
+    /// The policies a run can select by name, in refinement order (each
+    /// one's relation refines the one before it).
+    pub const ALL: [CtxPolicy; 3] = [
+        CtxPolicy::Insensitive,
+        CtxPolicy::KCfa(1),
+        CtxPolicy::KCfa(2),
+    ];
 
     /// Canonical reporting name of the *requested* policy. Callers that
     /// fell back must report `"insensitive"` instead (see
@@ -113,29 +94,35 @@ impl CtxPolicy {
     pub fn name(&self) -> &'static str {
         match self {
             CtxPolicy::Insensitive => "insensitive",
-            CtxPolicy::OneCfaClone => "1cfa",
             CtxPolicy::KCfa(1) => "summary-1cfa",
             CtxPolicy::KCfa(2) => "summary-2cfa",
-            CtxPolicy::KCfa(3) => "summary-3cfa",
-            CtxPolicy::KCfa(4) => "summary-4cfa",
             CtxPolicy::KCfa(_) => "summary-kcfa",
-            CtxPolicy::ObjSensitive => "objsens",
         }
     }
 }
 
-/// One element of a calling-context chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum CtxElem {
-    /// An inter-SCC callsite `(caller, call value)`.
-    Site(FuncId, ValueId),
-    /// A receiver-object context (object sensitivity).
-    Obj(ObjId),
+impl FromStr for CtxPolicy {
+    type Err = String;
+
+    /// Parse one of the names in [`CtxPolicy::ALL`]; the error names the
+    /// valid values.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        CtxPolicy::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| {
+                let valid: Vec<&str> = CtxPolicy::ALL.iter().map(CtxPolicy::name).collect();
+                format!(
+                    "unknown context policy `{s}` (expected {})",
+                    valid.join("|")
+                )
+            })
+    }
 }
 
-/// A context chain, innermost callsite first. The empty chain is the
-/// root (entry) context.
-type Chain = Vec<CtxElem>;
+/// A context chain of inter-SCC callsites `(caller, call value)`,
+/// innermost first. The empty chain is the root (entry) context.
+type Chain = Vec<(FuncId, ValueId)>;
 
 /// The instantiation plan of a summary solve: which context chains each
 /// function runs under, and where each `(function, chain)` instance
@@ -144,7 +131,6 @@ type Chain = Vec<CtxElem>;
 /// caller's context index directly.
 #[derive(Debug, Clone)]
 struct KPlan {
-    policy: CtxPolicy,
     k: usize,
     scc_of: Vec<usize>,
     /// Sorted context chains per function (shared across its SCC).
@@ -156,59 +142,32 @@ struct KPlan {
 }
 
 /// Context chain created by following the call edge `(caller, site)`
-/// from `caller_chain`. Must be a pure function of the module and the
-/// base relation — both the plan build and the solver call it and their
-/// answers have to agree.
+/// from `caller_chain`: the site, then the caller's chain, cut at `k`.
 fn extend_chain(
-    m: &Module,
-    base: &PointsTo,
-    policy: CtxPolicy,
     k: usize,
     caller: FuncId,
     site: ValueId,
-    caller_chain: &[CtxElem],
+    caller_chain: &[(FuncId, ValueId)],
 ) -> Chain {
-    if policy == CtxPolicy::ObjSensitive {
-        return vec![obj_elem(m, base, caller, site)];
-    }
     let mut c = Vec::with_capacity(k);
-    c.push(CtxElem::Site(caller, site));
-    for e in caller_chain {
-        if c.len() >= k {
-            break;
-        }
-        c.push(*e);
-    }
+    c.push((caller, site));
+    c.extend(caller_chain.iter().take(k - 1).copied());
     c
 }
 
-/// Object-sensitive context element of a callsite: the smallest abstract
-/// object the first pointee-carrying argument points to, falling back to
-/// the callsite itself when no argument has pointees.
-fn obj_elem(m: &Module, base: &PointsTo, caller: FuncId, site: ValueId) -> CtxElem {
-    if let ValueKind::Inst(Inst::Call { args, .. }) = &m.func(caller).value(site).kind {
-        for &a in args {
-            if let Some(&o) = base.points_to(caller, a).objects.iter().next() {
-                return CtxElem::Obj(o);
-            }
-        }
-    }
-    CtxElem::Site(caller, site)
-}
-
 impl KPlan {
-    /// Build the plan, or `None` if the instantiated node space would
-    /// exceed `budget` (the caller then falls back to the insensitive
-    /// relation). Chains propagate callers-first over the condensation
-    /// DAG: [`CallGraph::sccs`] returns components callees-first
-    /// (reverse topological), so iterating the list backwards visits
-    /// every caller SCC before any of its callees, and each SCC's chain
-    /// set is complete by the time it propagates outward.
-    fn build(m: &Module, base: &PointsTo, policy: CtxPolicy, budget: usize) -> Option<KPlan> {
+    /// Build the plan, or `None` for the insensitive policy or when the
+    /// instantiated node space would exceed `budget` (the caller then
+    /// falls back to the insensitive relation). Chains propagate
+    /// callers-first over the condensation DAG: [`CallGraph::sccs`]
+    /// returns components callees-first (reverse topological), so
+    /// iterating the list backwards visits every caller SCC before any
+    /// of its callees, and each SCC's chain set is complete by the time
+    /// it propagates outward.
+    fn build(m: &Module, policy: CtxPolicy, budget: usize) -> Option<KPlan> {
         let k = match policy {
             CtxPolicy::KCfa(k) => k.max(1),
-            CtxPolicy::ObjSensitive => 1,
-            _ => return None,
+            CtxPolicy::Insensitive => return None,
         };
         let cg = CallGraph::build(m);
         let sccs = cg.sccs();
@@ -266,7 +225,7 @@ impl KPlan {
             for &(caller, site, ts) in &out_edges[si] {
                 debug_assert!(ts < si, "SCC order is not callees-first");
                 for cc in &caller_chains {
-                    let ext = extend_chain(m, base, policy, k, caller, site, cc);
+                    let ext = extend_chain(k, caller, site, cc);
                     chains_of_scc[ts].insert(ext);
                 }
             }
@@ -289,7 +248,6 @@ impl KPlan {
             bases[fid.0 as usize] = b;
         }
         Some(KPlan {
-            policy,
             k,
             scc_of,
             chains,
@@ -304,6 +262,17 @@ impl KPlan {
 
     fn node(&self, f: FuncId, ctx: usize, v: ValueId) -> usize {
         (self.bases[f.0 as usize][ctx] + v.0) as usize
+    }
+
+    /// Context index `target` runs under when context `ctx` of `f` calls
+    /// it at `site`: the caller's own index for an intra-SCC (recursive)
+    /// call — the shared chain list — and the extended chain's otherwise.
+    fn callee_ctx(&self, f: FuncId, ctx: usize, site: ValueId, target: FuncId) -> usize {
+        if self.scc_of[target.0 as usize] == self.scc_of[f.0 as usize] {
+            return ctx;
+        }
+        let ext = extend_chain(self.k, f, site, &self.chains[f.0 as usize][ctx]);
+        self.chain_index(target, &ext)
     }
 
     /// Index of `chain` in `f`'s sorted chain list. By construction
@@ -500,7 +469,7 @@ struct SolveState<'a> {
     /// base relation's object ids.
     value_pts: Vec<ObjSet>,
     /// Memory pointee sets per base object (context-insensitive heap
-    /// abstraction, like the clone engine's).
+    /// abstraction).
     mem: Vec<ObjSet>,
     /// Flat instance index → `(function, ctx)`.
     inst_of: Vec<(FuncId, usize)>,
@@ -671,22 +640,7 @@ impl<'a> SolveState<'a> {
                         }
                     }
                     LocalConstraint::Call { site, target, args } => {
-                        let tctx = if plan.scc_of[target.0 as usize]
-                            == plan.scc_of[fid.0 as usize]
-                        {
-                            ctx // intra-SCC: inherit (shared chain list)
-                        } else {
-                            let ext = extend_chain(
-                                m,
-                                base,
-                                plan.policy,
-                                plan.k,
-                                fid,
-                                *site,
-                                &plan.chains[fid.0 as usize][ctx],
-                            );
-                            plan.chain_index(*target, &ext)
-                        };
+                        let tctx = plan.callee_ctx(fid, ctx, *site, *target);
                         let ti = self.instance(*target, tctx);
                         let tf = m.func(*target);
                         for (i, &a) in args.iter().enumerate() {
@@ -813,39 +767,65 @@ struct SummaryData {
     value_pts: Vec<ObjSet>,
 }
 
+/// Headline counters of a [`CtxSolve`], surfaced per benchmark in
+/// BENCH_suite.json / profile.md.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CtxStats {
+    /// Total calling contexts across all functions (one per function when
+    /// the solve fell back).
+    pub contexts: usize,
+    /// Total instantiated value nodes the contexts cost (0 on fallback).
+    pub cloned_nodes: usize,
+    /// Whether the solve used the insensitive relation: requested, or
+    /// forced by the node budget.
+    pub fallback: bool,
+}
+
 /// Summary-based context-sensitive points-to relation layered over the
 /// insensitive base [`PointsTo`]. Speaks the base relation's [`ObjId`]s
-/// directly (no remapping — object identities come from the base via
+/// directly (object identities come from the base via
 /// `obj_id`/`resolve_field`), so clients can mix per-context value sets
-/// with base object metadata exactly like with [`CtxPointsTo`]. On
-/// fallback the queries return `None` and callers must use the base
-/// relation, which is always a sound superset.
+/// with base object metadata. On fallback the queries return `None` and
+/// callers must use the base relation, which is always a sound superset;
+/// a fallen-back solve labels itself `"insensitive"` whatever was
+/// requested.
 #[derive(Debug, Clone)]
-pub struct SummaryPointsTo {
+pub struct CtxSolve {
     data: Option<SummaryData>,
+    requested: CtxPolicy,
     stats: CtxStats,
     summaries: usize,
     summary_reuse: usize,
     strong_updates: usize,
 }
 
-impl SummaryPointsTo {
-    /// Run the summary solve for `policy` within `budget` value nodes.
+impl CtxSolve {
+    /// Solve `m` under `policy` within [`CTX_NODE_BUDGET`] value nodes.
     /// `base` must be the field-sensitive relation of the same module.
-    pub fn analyze(m: &Module, base: &PointsTo, policy: CtxPolicy, budget: usize) -> Self {
-        let fallback = || SummaryPointsTo {
-            data: None,
-            stats: CtxStats {
-                contexts: m.functions().len(),
-                cloned_nodes: 0,
-                fallback: true,
-            },
-            summaries: 0,
-            summary_reuse: 0,
-            strong_updates: 0,
-        };
-        let Some(plan) = KPlan::build(m, base, policy, budget) else {
-            return fallback();
+    pub fn analyze(m: &Module, base: &PointsTo, policy: CtxPolicy) -> Self {
+        Self::analyze_with_budget(m, base, policy, CTX_NODE_BUDGET)
+    }
+
+    /// [`Self::analyze`] within an explicit node budget.
+    pub(crate) fn analyze_with_budget(
+        m: &Module,
+        base: &PointsTo,
+        policy: CtxPolicy,
+        budget: usize,
+    ) -> Self {
+        let Some(plan) = KPlan::build(m, policy, budget) else {
+            return CtxSolve {
+                data: None,
+                requested: policy,
+                stats: CtxStats {
+                    contexts: m.functions().len(),
+                    cloned_nodes: 0,
+                    fallback: true,
+                },
+                summaries: 0,
+                summary_reuse: 0,
+                strong_updates: 0,
+            };
         };
         let locals = gather_all(m, base);
         let killed: BTreeSet<(FuncId, ValueId)> =
@@ -853,57 +833,48 @@ impl SummaryPointsTo {
         let strong_updates = killed.len();
         let mut st = SolveState::new(m, base, &plan, &locals, killed);
         st.run_worklist();
-        let value_pts = std::mem::take(&mut st.value_pts);
-        drop(st);
         // Composition-reuse accounting: every call-edge instantiation
         // binds a target summary instance; each binding beyond an
-        // instance's first is a summary the clone engine would have
+        // instance's first is a summary a cloning solver would have
         // re-cloned.
         let mut edges = 0usize;
         let mut bound: BTreeSet<u32> = BTreeSet::new();
-        let mut inst_base = vec![0u32; m.functions().len()];
-        let mut acc = 0u32;
-        for fid in m.func_ids() {
-            inst_base[fid.0 as usize] = acc;
-            acc += plan.nctx(fid) as u32;
-        }
         for fid in m.func_ids() {
             for ctx in 0..plan.nctx(fid) {
                 for lc in &locals[fid.0 as usize] {
-                    let LocalConstraint::Call { site, target, .. } = lc else {
-                        continue;
-                    };
-                    let tctx = if plan.scc_of[target.0 as usize] == plan.scc_of[fid.0 as usize] {
-                        ctx
-                    } else {
-                        let ext = extend_chain(
-                            m,
-                            base,
-                            plan.policy,
-                            plan.k,
-                            fid,
-                            *site,
-                            &plan.chains[fid.0 as usize][ctx],
-                        );
-                        plan.chain_index(*target, &ext)
-                    };
-                    edges += 1;
-                    bound.insert(inst_base[target.0 as usize] + tctx as u32);
+                    if let LocalConstraint::Call { site, target, .. } = lc {
+                        edges += 1;
+                        let tctx = plan.callee_ctx(fid, ctx, *site, *target);
+                        bound.insert(st.instance(*target, tctx));
+                    }
                 }
             }
         }
+        let value_pts = std::mem::take(&mut st.value_pts);
+        drop(st);
         let stats = CtxStats {
             contexts: plan.chains.iter().map(Vec::len).sum(),
             cloned_nodes: plan.total,
             fallback: false,
         };
-        SummaryPointsTo {
+        CtxSolve {
             summaries: m.functions().len(),
             summary_reuse: edges.saturating_sub(bound.len()),
             strong_updates,
             data: Some(SummaryData { plan, value_pts }),
+            requested: policy,
             stats,
         }
+    }
+
+    /// The reporting label of this solve: the requested policy's name,
+    /// except a fallen-back run always reports `"insensitive"` so trend
+    /// lines never compare mislabeled rows.
+    pub fn policy_name(&self) -> &'static str {
+        if self.is_fallback() {
+            return "insensitive";
+        }
+        self.requested.name()
     }
 
     /// Whether the solve degraded to the insensitive relation.
@@ -944,29 +915,12 @@ impl SummaryPointsTo {
         Some(&d.value_pts[d.plan.node(f, ctx, v)])
     }
 
-    /// The innermost callsite `(caller, call value)` of context `ctx` of
-    /// `f`; `None` for the root context, an object context, or fallback.
-    pub fn ctx_callsite(&self, f: FuncId, ctx: usize) -> Option<(FuncId, ValueId)> {
-        match self.data.as_ref()?.plan.chains[f.0 as usize][ctx].first() {
-            Some(CtxElem::Site(c, s)) => Some((*c, *s)),
-            _ => None,
-        }
-    }
-
-    /// The callsite chain of context `ctx` of `f`, innermost first,
-    /// truncated at the first non-callsite element. Empty for the root
-    /// context or on fallback.
-    pub fn ctx_chain(&self, f: FuncId, ctx: usize) -> Vec<(FuncId, ValueId)> {
-        let Some(d) = self.data.as_ref() else {
-            return Vec::new();
-        };
-        d.plan.chains[f.0 as usize][ctx]
-            .iter()
-            .map_while(|e| match e {
-                CtxElem::Site(c, s) => Some((*c, *s)),
-                CtxElem::Obj(_) => None,
-            })
-            .collect()
+    /// The callsite chain `(caller, call value)` of context `ctx` of `f`,
+    /// innermost first. Empty for the root context or on fallback.
+    pub fn ctx_chain(&self, f: FuncId, ctx: usize) -> &[(FuncId, ValueId)] {
+        self.data
+            .as_ref()
+            .map_or(&[], |d| &d.plan.chains[f.0 as usize][ctx])
     }
 
     /// Union of `v`'s sets over every context of `f` — the context-
@@ -986,7 +940,7 @@ impl SummaryPointsTo {
 /// per-context round-robin reference — and compare every value node and
 /// memory cell. `Some(true)` means the composed summaries equal the
 /// direct solve; `None` means the module is not summary-solvable at
-/// this policy/budget (non-summary policy, or the plan exceeds the
+/// this policy/budget (the insensitive policy, or the plan exceeds the
 /// budget) and the check does not apply.
 ///
 /// `mutation` seeds a deliberate fault for meta-testing the check
@@ -1000,7 +954,7 @@ pub fn opt02_equivalence(
     budget: usize,
     mutation: Option<usize>,
 ) -> Option<bool> {
-    let plan = KPlan::build(m, base, policy, budget)?;
+    let plan = KPlan::build(m, policy, budget)?;
     let locals = gather_all(m, base);
     let killed = strong_update_kills(m, base);
     let full: BTreeSet<(FuncId, ValueId)> = killed.iter().copied().collect();
@@ -1015,146 +969,6 @@ pub fn opt02_equivalence(
     let mut rr = SolveState::new(m, base, &plan, &locals, full);
     rr.run_round_robin();
     Some(wl.value_pts == rr.value_pts && wl.mem == rr.mem)
-}
-
-#[derive(Debug, Clone)]
-enum Engine {
-    Clone(CtxPointsTo),
-    Summary(SummaryPointsTo),
-}
-
-/// Policy-selectable context-sensitive points-to facade: one type the
-/// rest of the pipeline queries, backed by either the clone-based 1-CFA
-/// engine or the summary-based k-CFA/object-sensitive solver. All
-/// engines share the fall-back contract (queries return `None`, callers
-/// use the insensitive base) and the reporting rule that a fallen-back
-/// run labels itself `"insensitive"` whatever was requested.
-#[derive(Debug, Clone)]
-pub struct CtxSolve {
-    engine: Engine,
-    requested: CtxPolicy,
-}
-
-impl CtxSolve {
-    /// Solve `m` under `policy` within `budget` value nodes.
-    pub fn analyze(m: &Module, base: &PointsTo, policy: CtxPolicy, budget: usize) -> Self {
-        let engine = match policy {
-            CtxPolicy::Insensitive => Engine::Clone(CtxPointsTo::insensitive(m)),
-            CtxPolicy::OneCfaClone => {
-                Engine::Clone(CtxPointsTo::analyze_with_budget(m, base, budget))
-            }
-            CtxPolicy::KCfa(_) | CtxPolicy::ObjSensitive => {
-                Engine::Summary(SummaryPointsTo::analyze(m, base, policy, budget))
-            }
-        };
-        CtxSolve {
-            engine,
-            requested: policy,
-        }
-    }
-
-    /// Solve under the environment-selected policy and budget
-    /// ([`CtxPolicy::from_env`]).
-    pub fn from_env(m: &Module, base: &PointsTo) -> Self {
-        let (policy, budget) = CtxPolicy::from_env();
-        Self::analyze(m, base, policy, budget)
-    }
-
-    /// The reporting label of this solve: the requested policy's name,
-    /// except a fallen-back run always reports `"insensitive"` so trend
-    /// lines never compare mislabeled rows.
-    pub fn policy_name(&self) -> &'static str {
-        if self.is_fallback() {
-            return "insensitive";
-        }
-        self.requested.name()
-    }
-
-    /// Whether the solve degraded to the insensitive relation.
-    pub fn is_fallback(&self) -> bool {
-        match &self.engine {
-            Engine::Clone(c) => c.is_fallback(),
-            Engine::Summary(s) => s.is_fallback(),
-        }
-    }
-
-    /// Solver counters for profiling surfaces.
-    pub fn stats(&self) -> CtxStats {
-        match &self.engine {
-            Engine::Clone(c) => c.stats(),
-            Engine::Summary(s) => s.stats(),
-        }
-    }
-
-    /// Distinct per-function summaries gathered (0 for clone engines).
-    pub fn summaries(&self) -> usize {
-        match &self.engine {
-            Engine::Clone(_) => 0,
-            Engine::Summary(s) => s.summaries(),
-        }
-    }
-
-    /// Call-edge instantiations served by an existing summary instance
-    /// (0 for clone engines).
-    pub fn summary_reuse(&self) -> usize {
-        match &self.engine {
-            Engine::Clone(_) => 0,
-            Engine::Summary(s) => s.summary_reuse(),
-        }
-    }
-
-    /// Stores dropped by flow-sensitive strong updates (0 for clone
-    /// engines — only the summary solver kills).
-    pub fn strong_updates(&self) -> usize {
-        match &self.engine {
-            Engine::Clone(_) => 0,
-            Engine::Summary(s) => s.strong_updates(),
-        }
-    }
-
-    /// Number of calling contexts of `f` (1 on fallback).
-    pub fn num_contexts_of(&self, f: FuncId) -> usize {
-        match &self.engine {
-            Engine::Clone(c) => c.num_contexts_of(f),
-            Engine::Summary(s) => s.num_contexts_of(f),
-        }
-    }
-
-    /// Points-to set of `v` in context `ctx` of `f`, in base object ids;
-    /// `None` on fallback.
-    pub fn points_to_in(&self, f: FuncId, ctx: usize, v: ValueId) -> Option<&ObjSet> {
-        match &self.engine {
-            Engine::Clone(c) => c.points_to_in(f, ctx, v),
-            Engine::Summary(s) => s.points_to_in(f, ctx, v),
-        }
-    }
-
-    /// The innermost callsite selecting context `ctx` of `f`; `None` for
-    /// root/object contexts or on fallback.
-    pub fn ctx_callsite(&self, f: FuncId, ctx: usize) -> Option<(FuncId, ValueId)> {
-        match &self.engine {
-            Engine::Clone(c) => c.ctx_callsite(f, ctx),
-            Engine::Summary(s) => s.ctx_callsite(f, ctx),
-        }
-    }
-
-    /// The callsite chain of context `ctx` of `f`, innermost first (at
-    /// most one element for the clone engine).
-    pub fn ctx_chain(&self, f: FuncId, ctx: usize) -> Vec<(FuncId, ValueId)> {
-        match &self.engine {
-            Engine::Clone(c) => c.ctx_callsite(f, ctx).into_iter().collect(),
-            Engine::Summary(s) => s.ctx_chain(f, ctx),
-        }
-    }
-
-    /// Context-insensitive projection of `v`'s per-context sets; `None`
-    /// on fallback.
-    pub fn projected(&self, f: FuncId, v: ValueId) -> Option<ObjSet> {
-        match &self.engine {
-            Engine::Clone(c) => c.projected(f, v),
-            Engine::Summary(s) => s.projected(f, v),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1207,15 +1021,15 @@ mod tests {
         let o2 = *base.points_to(f2, a2).objects.iter().next().unwrap();
         assert_ne!(o1, o2);
 
-        // The clone-based 1-CFA conflates: h has one context, so the
-        // return value mixes both allocas.
-        let c1 = CtxPointsTo::analyze(&m, &base);
+        // 1-CFA conflates: h has one context, so the return value mixes
+        // both allocas.
+        let c1 = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(1));
         assert!(!c1.is_fallback());
         let p1 = c1.projected(f1, r1).unwrap();
         assert!(p1.objects.contains(&o1) && p1.objects.contains(&o2));
 
         // Summary k=2 keeps the chains apart.
-        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
+        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2));
         assert!(!s.is_fallback());
         let p1 = s.projected(f1, r1).unwrap();
         assert_eq!(
@@ -1231,9 +1045,9 @@ mod tests {
 
     #[test]
     fn per_context_subsets_projection_subsets_base() {
-        let (m, f1, _, _, r1, _, _) = nested_helper_module();
+        let (m, ..) = nested_helper_module();
         let base = PointsTo::analyze(&m);
-        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
+        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2));
         for fid in m.func_ids() {
             for v in m.func(fid).value_ids() {
                 let proj = s.projected(fid, v).unwrap();
@@ -1248,7 +1062,6 @@ mod tests {
                 }
             }
         }
-        let _ = (f1, r1);
     }
 
     #[test]
@@ -1269,7 +1082,7 @@ mod tests {
         assert_eq!(m.add_function(top.finish()), top_fid);
 
         let base = PointsTo::analyze(&m);
-        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(3), CTX_NODE_BUDGET);
+        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(3));
         assert!(!s.is_fallback());
         // The self-recursive SCC collapses: one context per caller chain,
         // not one per unrolling depth.
@@ -1310,7 +1123,7 @@ mod tests {
         let kills = strong_update_kills(&m, &base);
         assert_eq!(kills.len(), 1, "exactly the first store is dead");
 
-        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
+        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2));
         assert_eq!(s.strong_updates(), 1);
         let sq = s.projected(fid, q).unwrap();
         assert!(
@@ -1378,9 +1191,9 @@ mod tests {
             Some(false),
             "a skipped summary kill must be caught"
         );
-        // Non-summary policies: the check does not apply.
+        // The insensitive policy has no contexts: the check does not apply.
         assert_eq!(
-            opt02_equivalence(&m, &base, CtxPolicy::OneCfaClone, CTX_NODE_BUDGET, None),
+            opt02_equivalence(&m, &base, CtxPolicy::Insensitive, CTX_NODE_BUDGET, None),
             None
         );
     }
@@ -1389,43 +1202,33 @@ mod tests {
     fn opt02_equal_on_nested_helper() {
         let (m, ..) = nested_helper_module();
         let base = PointsTo::analyze(&m);
-        assert_eq!(
-            opt02_equivalence(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET, None),
-            Some(true)
-        );
-        assert_eq!(
-            opt02_equivalence(&m, &base, CtxPolicy::ObjSensitive, CTX_NODE_BUDGET, None),
-            Some(true)
-        );
+        for k in [1, 2] {
+            assert_eq!(
+                opt02_equivalence(&m, &base, CtxPolicy::KCfa(k), CTX_NODE_BUDGET, None),
+                Some(true)
+            );
+        }
     }
 
     #[test]
     fn budget_exhaustion_reports_insensitive() {
         let (m, ..) = nested_helper_module();
         let base = PointsTo::analyze(&m);
-        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2), 1);
-        assert!(s.is_fallback());
-        assert_eq!(s.policy_name(), "insensitive");
-        assert!(s.points_to_in(FuncId(0), 0, ValueId(0)).is_none());
+        for k in [1, 2] {
+            let s = CtxSolve::analyze_with_budget(&m, &base, CtxPolicy::KCfa(k), 1);
+            assert!(s.is_fallback() && s.stats().fallback);
+            assert_eq!(s.policy_name(), "insensitive");
+            let h = FuncId(0);
+            let hp = m.func(h).arg(0);
+            assert_eq!(s.num_contexts_of(h), 1);
+            assert!(s.points_to_in(h, 0, hp).is_none());
+            assert!(s.projected(h, hp).is_none());
+            assert!(s.ctx_chain(h, 0).is_empty());
+        }
         // At full budget the same request reports its own name.
-        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
+        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2));
         assert_eq!(s.policy_name(), "summary-2cfa");
         assert!(!s.is_fallback());
-    }
-
-    #[test]
-    fn objsens_is_sound_vs_base() {
-        let (m, ..) = nested_helper_module();
-        let base = PointsTo::analyze(&m);
-        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::ObjSensitive, CTX_NODE_BUDGET);
-        assert!(!s.is_fallback());
-        for fid in m.func_ids() {
-            for v in m.func(fid).value_ids() {
-                let proj = s.projected(fid, v).unwrap();
-                let b = base.points_to(fid, v);
-                assert!(proj.objects.is_subset(&b.objects) && (!proj.unknown || b.unknown));
-            }
-        }
     }
 
     #[test]
@@ -1436,21 +1239,113 @@ mod tests {
         // two w→h instantiations collapse onto one.
         let (m, ..) = nested_helper_module();
         let base = PointsTo::analyze(&m);
-        let s1 = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(1), CTX_NODE_BUDGET);
+        let s1 = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(1));
         assert!(s1.summary_reuse() >= 1, "w→h composes one shared summary");
     }
 
     #[test]
     fn ctx_chain_reports_nested_sites() {
-        let (m, f1, _, _, _, _, _) = nested_helper_module();
+        let (m, ..) = nested_helper_module();
         let base = PointsTo::analyze(&m);
-        let s = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
+        let s = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2));
         let h = FuncId(0);
         let n = s.num_contexts_of(h);
         assert_eq!(n, 2, "two k=2 chains into h");
         let mut sites: Vec<usize> = (0..n).map(|c| s.ctx_chain(h, c).len()).collect();
         sites.sort_unstable();
         assert_eq!(sites, vec![2, 2], "each chain carries both callsites");
-        let _ = f1;
+    }
+
+    #[test]
+    fn policy_names_round_trip() {
+        for p in CtxPolicy::ALL {
+            assert_eq!(p.name().parse::<CtxPolicy>(), Ok(p));
+        }
+        for bad in ["objsens", "1cfa", "2cfa", "bogus", ""] {
+            let err = bad.parse::<CtxPolicy>().unwrap_err();
+            assert!(err.contains("insensitive|summary-1cfa|summary-2cfa"), "{err}");
+        }
+    }
+
+    /// callee `id(p) = p` called from two sites with distinct allocas.
+    fn two_caller_module() -> (Module, FuncId, FuncId, ValueId, ValueId, ValueId, ValueId) {
+        let mut m = Module::new("m");
+        let mut cb = FunctionBuilder::new("id", vec![Ty::ptr(Ty::I64)], Ty::ptr(Ty::I64));
+        let p = cb.func().arg(0);
+        cb.ret(Some(p));
+        let id = m.add_function(cb.finish());
+        let mut b = FunctionBuilder::new("caller", vec![], Ty::Void);
+        let x = b.alloca(Ty::I64);
+        let y = b.alloca(Ty::I64);
+        let rx = b.call(id, vec![x], Ty::ptr(Ty::I64));
+        let ry = b.call(id, vec![y], Ty::ptr(Ty::I64));
+        b.ret(None);
+        let caller = m.add_function(b.finish());
+        (m, id, caller, x, y, rx, ry)
+    }
+
+    #[test]
+    fn one_cfa_splits_params_per_callsite() {
+        let (m, id, caller, x, y, rx, ry) = two_caller_module();
+        let base = PointsTo::analyze(&m);
+        let ctx = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(1));
+        assert!(!ctx.is_fallback());
+        let pf = m.func(id).arg(0);
+        // Insensitive: one summary conflates both callers' allocas.
+        assert_eq!(base.points_to(id, pf).objects.len(), 2);
+        assert_eq!(base.points_to(caller, rx).objects.len(), 2);
+        // 1-CFA: one context per callsite, each seeing only its argument.
+        assert_eq!(ctx.num_contexts_of(id), 2);
+        let xo = *base.points_to(caller, x).objects.iter().next().unwrap();
+        let yo = *base.points_to(caller, y).objects.iter().next().unwrap();
+        for ci in 0..2 {
+            let &[(cf, site)] = ctx.ctx_chain(id, ci) else {
+                panic!("1-CFA context must carry exactly one callsite");
+            };
+            assert_eq!(cf, caller);
+            assert!(site == rx || site == ry);
+            let pts = ctx.points_to_in(id, ci, pf).unwrap();
+            let want = if site == rx { xo } else { yo };
+            assert_eq!(pts.objects.iter().copied().collect::<Vec<_>>(), vec![want]);
+        }
+        // The call results in the caller's (root) context also split.
+        assert_eq!(ctx.num_contexts_of(caller), 1);
+        assert!(ctx.ctx_chain(caller, 0).is_empty());
+        let prx = ctx.points_to_in(caller, 0, rx).unwrap();
+        assert_eq!(prx.objects.iter().copied().collect::<Vec<_>>(), vec![xo]);
+        // Projection over all contexts refines the insensitive relation.
+        let proj = ctx.projected(id, pf).unwrap();
+        assert!(proj.objects.is_subset(&base.points_to(id, pf).objects));
+    }
+
+    #[test]
+    fn one_cfa_recursive_scc_keeps_one_context_per_external_site() {
+        let mut m = Module::new("m");
+        // rec(p) { rec(p); return p; } — a one-function SCC.
+        let rec_id = FuncId(0);
+        let mut cb = FunctionBuilder::new("rec", vec![Ty::ptr(Ty::I64)], Ty::ptr(Ty::I64));
+        let p = cb.func().arg(0);
+        let _inner = cb.call(rec_id, vec![p], Ty::ptr(Ty::I64));
+        cb.ret(Some(p));
+        assert_eq!(m.add_function(cb.finish()), rec_id);
+        let mut b = FunctionBuilder::new("caller", vec![], Ty::Void);
+        let x = b.alloca(Ty::I64);
+        let y = b.alloca(Ty::I64);
+        let rx = b.call(rec_id, vec![x], Ty::ptr(Ty::I64));
+        let _ry = b.call(rec_id, vec![y], Ty::ptr(Ty::I64));
+        b.ret(None);
+        let caller = m.add_function(b.finish());
+        let base = PointsTo::analyze(&m);
+        let ctx = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(1));
+        // The recursive self-call inherits its caller's context instead of
+        // spawning new ones: exactly the two external sites remain.
+        assert!(!ctx.is_fallback());
+        assert_eq!(ctx.num_contexts_of(rec_id), 2);
+        // Still sound (⊆ insensitive) and still precise per context.
+        let proj = ctx.projected(rec_id, p).unwrap();
+        assert!(proj.objects.is_subset(&base.points_to(rec_id, p).objects));
+        let xo = *base.points_to(caller, x).objects.iter().next().unwrap();
+        let prx = ctx.points_to_in(caller, 0, rx).unwrap();
+        assert_eq!(prx.objects.iter().copied().collect::<Vec<_>>(), vec![xo]);
     }
 }

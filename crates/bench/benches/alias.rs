@@ -1,9 +1,9 @@
-//! Context-policy solver benchmarks: the insensitive base, the cloning
-//! 1-CFA layer, and the summary-based 2-CFA solver over the gcc profile
-//! and a short nginx event-loop module.
+//! Context-policy solver benchmarks: every selectable policy
+//! (insensitive, summary-based 1-CFA and 2-CFA) over the gcc profile and
+//! a short nginx event-loop module.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pythia_analysis::{CtxPolicy, CtxSolve, PointsTo, CTX_NODE_BUDGET};
+use pythia_analysis::{CtxPolicy, CtxSolve, PointsTo};
 use pythia_workloads::{generate, nginx_module, profile_by_name};
 
 fn bench_alias(c: &mut Criterion) {
@@ -11,19 +11,11 @@ fn bench_alias(c: &mut Criterion) {
         ("gcc", generate(profile_by_name("gcc").unwrap())),
         ("nginx", nginx_module(20)),
     ];
-    let policies = [
-        ("insensitive", CtxPolicy::Insensitive),
-        ("1cfa_clone", CtxPolicy::OneCfaClone),
-        ("summary_2cfa", CtxPolicy::KCfa(2)),
-    ];
-
     for (mname, m) in &modules {
         let base = PointsTo::analyze(m);
-        for (pname, policy) in policies {
-            c.bench_function(&format!("alias/{pname}_{mname}"), |b| {
-                b.iter(|| {
-                    std::hint::black_box(CtxSolve::analyze(m, &base, policy, CTX_NODE_BUDGET))
-                })
+        for policy in CtxPolicy::ALL {
+            c.bench_function(&format!("alias/{}_{mname}", policy.name()), |b| {
+                b.iter(|| std::hint::black_box(CtxSolve::analyze(m, &base, policy)))
             });
         }
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 const NAMES: [&str; 3] = ["519.lbm_r", "505.mcf_r", "525.x264_r"];
 
-/// A config pinned to `engine`, independent of `PYTHIA_ENGINE`.
+/// The default config pinned to `engine`.
 fn cfg_for(engine: Engine) -> VmConfig {
     VmConfig {
         engine,

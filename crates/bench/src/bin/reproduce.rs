@@ -34,8 +34,7 @@
 //! `--out` directory when given, else the working directory) with the
 //! suite's total and per-phase wall-clock timings, the worker count, and
 //! a per-benchmark `status` field (`ok` or the error variant), so harness
-//! speed and health are comparable across changes. Worker count comes
-//! from `PYTHIA_THREADS` (default: available parallelism).
+//! speed and health are comparable across changes.
 //!
 //! `--lint` (implies `--bench-json`) additionally records each
 //! benchmark's static-certification status: `"lint": "certified"` plus
@@ -58,11 +57,23 @@
 //! check, used by `scripts/check.sh`.
 //!
 //! `--engine <legacy|block>` selects the VM execution engine (default:
-//! the block-cached engine, or whatever `PYTHIA_ENGINE` says). Both
-//! engines are observation-equivalent — `report.md` is byte-identical
-//! either way; only the wall-clock numbers in `BENCH_suite.json` and
-//! `profile.md` move. `scripts/check.sh` and `scripts/bench.sh` use
-//! this to diff the engines against each other.
+//! the block-cached engine). Both engines are observation-equivalent —
+//! `report.md` is byte-identical either way; only the wall-clock numbers
+//! in `BENCH_suite.json` and `profile.md` move. `scripts/check.sh` and
+//! `scripts/bench.sh` use this to diff the engines against each other.
+//!
+//! Two environment variables complete the run's configuration, read once
+//! here and passed down as a [`RunConfig`]:
+//!
+//! - `PYTHIA_CTX_POLICY` ∈ {`insensitive`, `summary-1cfa`,
+//!   `summary-2cfa`} selects the context policy of every analysis the
+//!   run makes (default `summary-2cfa`; DESIGN.md §5j).
+//! - `PYTHIA_THREADS` (a positive integer) sets the worker count
+//!   (default: available parallelism). At 1, each benchmark's scheme
+//!   variants also run serially.
+//!
+//! An invalid `--engine`, policy or thread count exits 2 and names the
+//! valid values.
 //!
 //! A benchmark that fails to evaluate does not abort the run: it shows up
 //! in the report's error section (and in `BENCH_suite.json` as its error
@@ -70,27 +81,77 @@
 //! exits with status 1.
 
 use pythia_bench::experiments as exp;
+use pythia_core::{CtxPolicy, Engine, RunConfig, VmConfig};
 
-/// Pop `flag <value>` from the argument list; exits with usage errors on
-/// a missing/bad value or when the flag appears without `--scenario`.
-fn take_value(args: &mut Vec<String>, flag: &str, scenario_active: bool) -> Option<u64> {
+/// Print `msg` and exit with the usage status.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The run's configuration: `engine` from `--engine`, the context policy
+/// and worker count from the environment. Exits 2 on an invalid value.
+fn run_config(engine: Engine) -> RunConfig {
+    let ctx_policy = match std::env::var("PYTHIA_CTX_POLICY") {
+        Err(std::env::VarError::NotPresent) => CtxPolicy::default(),
+        Ok(s) => s
+            .parse()
+            .unwrap_or_else(|e| usage_error(&format!("PYTHIA_CTX_POLICY: {e}"))),
+        Err(e) => usage_error(&format!("PYTHIA_CTX_POLICY: {e}")),
+    };
+    let threads = match std::env::var("PYTHIA_THREADS") {
+        Err(std::env::VarError::NotPresent) => {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        }
+        Ok(s) => match s.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => usage_error(&format!(
+                "PYTHIA_THREADS: bad value `{s}` (expected a positive integer)"
+            )),
+        },
+        Err(e) => usage_error(&format!("PYTHIA_THREADS: {e}")),
+    };
+    RunConfig {
+        vm: VmConfig {
+            engine,
+            ..VmConfig::default()
+        },
+        ctx_policy,
+        threads,
+    }
+}
+
+/// Pop `flag <value>` from the argument list; exits 2 with `missing`
+/// when the value is absent.
+fn take_flag(args: &mut Vec<String>, flag: &str, missing: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
     if i + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
+        usage_error(missing);
     }
     let v = args.remove(i + 1);
     args.remove(i);
+    Some(v)
+}
+
+/// Pop a bare `flag` from the argument list; whether it was present.
+fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return false;
+    };
+    args.remove(i);
+    true
+}
+
+/// Pop a server-scenario `flag <positive integer>`; exits 2 on a
+/// missing/bad value or when the flag appears without `--scenario`.
+fn take_value(args: &mut Vec<String>, flag: &str, scenario_active: bool) -> Option<u64> {
+    let v = take_flag(args, flag, &format!("{flag} needs a value"))?;
     if !scenario_active {
-        eprintln!("{flag} only applies with --scenario server");
-        std::process::exit(2);
+        usage_error(&format!("{flag} only applies with --scenario server"));
     }
     match v.parse::<u64>() {
         Ok(n) if n > 0 => Some(n),
-        _ => {
-            eprintln!("{flag}: bad value `{v}` (expected a positive integer)");
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("{flag}: bad value `{v}` (expected a positive integer)")),
     }
 }
 
@@ -111,10 +172,7 @@ fn run_server(spec: &pythia_bench::ServerScenarioSpec, out_dir: Option<&str>) ->
     let path = std::path::Path::new(dir).join("BENCH_server.json");
     std::fs::write(&path, &run.json).expect("write BENCH_server.json");
     println!("{}", run.table);
-    let engine = match spec.engine {
-        pythia_vm::Engine::Legacy => "legacy",
-        pythia_vm::Engine::Block => "block",
-    };
+    let engine = spec.engine.name();
     for r in &run.runs {
         eprintln!(
             "server[{engine}] {}: {:.0} wall req/s ({} requests, {:.2}s)",
@@ -143,89 +201,43 @@ fn run_server(spec: &pythia_bench::ServerScenarioSpec, out_dir: Option<&str>) ->
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--out <dir>` writes the report to <dir>/report.md instead of stdout.
-    let mut out_dir: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        if i + 1 >= args.len() {
-            eprintln!("--out needs a directory");
-            std::process::exit(2);
-        }
-        out_dir = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    // `--engine` steers every VmConfig::default() the harness builds
-    // (campaigns, adjudications, non-suite sections) via PYTHIA_ENGINE,
-    // set before any evaluation starts (main is single-threaded here) —
-    // and is *also* routed explicitly through the suite runner's
-    // `VmConfig` so the smoke/suite path no longer depends on the
-    // environment round-trip it used to silently bypass.
-    let mut engine_override: Option<pythia_vm::Engine> = None;
-    if let Some(i) = args.iter().position(|a| a == "--engine") {
-        if i + 1 >= args.len() {
-            eprintln!("--engine needs a value (legacy|block)");
-            std::process::exit(2);
-        }
-        let engine = args.remove(i + 1);
-        args.remove(i);
-        match engine.as_str() {
-            "legacy" => engine_override = Some(pythia_vm::Engine::Legacy),
-            "block" => engine_override = Some(pythia_vm::Engine::Block),
-            other => {
-                eprintln!("unknown engine `{other}` (expected legacy|block)");
-                std::process::exit(2);
-            }
-        }
-        std::env::set_var("PYTHIA_ENGINE", &engine);
-    }
-    let mut tier = pythia_workloads::SizeTier::Standard;
-    if let Some(i) = args.iter().position(|a| a == "--tier") {
-        if i + 1 >= args.len() {
-            eprintln!("--tier needs a value (smoke|standard|ref)");
-            std::process::exit(2);
-        }
-        let t = args.remove(i + 1);
-        args.remove(i);
-        match pythia_workloads::SizeTier::parse(&t) {
-            Some(x) => tier = x,
-            None => {
-                eprintln!("unknown tier `{t}` (expected smoke|standard|ref)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut only: Option<Vec<String>> = None;
-    if let Some(i) = args.iter().position(|a| a == "--only") {
-        if i + 1 >= args.len() {
-            eprintln!("--only needs a comma-separated benchmark list");
-            std::process::exit(2);
-        }
-        let names = args.remove(i + 1);
-        args.remove(i);
-        let names: Vec<String> = names.split(',').map(str::to_owned).collect();
-        // Reject unknown names up front, before any benchmark runs —
-        // a typo'd --only must not burn a whole suite pass to report
-        // one "unknown profile" row.
-        if let Err(bad) = exp::validate_only_names(&names) {
-            eprintln!(
-                "unknown benchmark `{bad}` for --only (partial SPEC names match); valid names: {}",
-                exp::valid_only_names().join(", ")
-            );
-            std::process::exit(2);
-        }
-        only = Some(names);
-    }
+    let out_dir = take_flag(&mut args, "--out", "--out needs a directory");
+    let engine = match take_flag(&mut args, "--engine", "--engine needs a value (legacy|block)") {
+        None => Engine::Block,
+        Some(name) => match name.as_str() {
+            "legacy" => Engine::Legacy,
+            "block" => Engine::Block,
+            other => usage_error(&format!("unknown engine `{other}` (expected legacy|block)")),
+        },
+    };
+    let run = run_config(engine);
+    let tier = match take_flag(&mut args, "--tier", "--tier needs a value (smoke|standard|ref)") {
+        None => pythia_workloads::SizeTier::Standard,
+        Some(t) => pythia_workloads::SizeTier::parse(&t).unwrap_or_else(|| {
+            usage_error(&format!("unknown tier `{t}` (expected smoke|standard|ref)"))
+        }),
+    };
+    let only: Option<Vec<String>> =
+        take_flag(&mut args, "--only", "--only needs a comma-separated benchmark list").map(
+            |names| {
+                let names: Vec<String> = names.split(',').map(str::to_owned).collect();
+                // Reject unknown names up front, before any benchmark runs —
+                // a typo'd --only must not burn a whole suite pass to report
+                // one "unknown profile" row.
+                if let Err(bad) = exp::validate_only_names(&names) {
+                    usage_error(&format!(
+                        "unknown benchmark `{bad}` for --only (partial SPEC names match); valid names: {}",
+                        exp::valid_only_names().join(", ")
+                    ));
+                }
+                names
+            },
+        );
     // `--scenario server [--connections N] [--requests M] [--seed S]`
     // runs the event-loop server scenario (DESIGN.md §5i) instead of the
     // suite: writes BENCH_server.json, prints the detection-vs-offset
     // table to stdout and per-engine wall throughput to stderr.
-    let mut scenario: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--scenario") {
-        if i + 1 >= args.len() {
-            eprintln!("--scenario needs a name (server)");
-            std::process::exit(2);
-        }
-        scenario = Some(args.remove(i + 1));
-        args.remove(i);
-    }
+    let scenario = take_flag(&mut args, "--scenario", "--scenario needs a name (server)");
     let mut spec = pythia_bench::ServerScenarioSpec::default();
     if let Some(v) = take_value(&mut args, "--connections", scenario.is_some()) {
         spec.connections = v as usize;
@@ -238,36 +250,18 @@ fn main() {
     }
     if let Some(name) = &scenario {
         if name != "server" {
-            eprintln!("unknown scenario `{name}` (expected: server)");
-            std::process::exit(2);
+            usage_error(&format!("unknown scenario `{name}` (expected: server)"));
         }
-        if let Some(e) = engine_override {
-            spec.engine = e;
-        }
+        spec.engine = run.vm.engine;
+        spec.ctx_policy = run.ctx_policy;
         std::process::exit(run_server(&spec, out_dir.as_deref()));
     }
-    let mut bench_json = false;
-    if let Some(i) = args.iter().position(|a| a == "--bench-json") {
-        bench_json = true;
-        args.remove(i);
-    }
-    let mut lint = false;
-    if let Some(i) = args.iter().position(|a| a == "--lint") {
-        lint = true;
-        bench_json = true; // lint status lands in BENCH_suite.json
-        args.remove(i);
-    }
-    let mut profile = false;
-    if let Some(i) = args.iter().position(|a| a == "--profile") {
-        profile = true;
-        bench_json = true; // the profile schema lands in BENCH_suite.json
-        args.remove(i);
-    }
-    let mut smoke = false;
-    if let Some(i) = args.iter().position(|a| a == "--smoke") {
-        smoke = true;
-        args.remove(i);
-    }
+    let bench_json = take_switch(&mut args, "--bench-json");
+    // Lint status and the profile schema both land in BENCH_suite.json.
+    let lint = take_switch(&mut args, "--lint");
+    let profile = take_switch(&mut args, "--profile");
+    let bench_json = bench_json || lint || profile;
+    let smoke = take_switch(&mut args, "--smoke");
 
     // Experiments that need the evaluated suite share one run.
     let needs_suite = [
@@ -276,7 +270,7 @@ fn main() {
     ];
     let run_suite_now =
         args.is_empty() || bench_json || args.iter().any(|a| needs_suite.contains(&a.as_str()));
-    let run = if run_suite_now {
+    let suite_run = if run_suite_now {
         // Streaming bounded-memory runner: each benchmark's JSON row and
         // profile sums are extracted as it completes; the entries kept
         // for the figures are slim digests.
@@ -284,7 +278,7 @@ fn main() {
             smoke,
             tier,
             only: only.clone(),
-            engine: engine_override,
+            run: run.clone(),
             lint,
             profile,
         };
@@ -306,7 +300,7 @@ fn main() {
     } else {
         None
     };
-    let suite = run.as_ref().map(|r| r.entries.clone());
+    let suite = suite_run.as_ref().map(|r| r.entries.clone());
 
     // One failed benchmark must not hide the others, but it must not
     // look like success either: report every failure on stderr and exit 1.
@@ -334,14 +328,14 @@ fn main() {
             r.push_str(&exp::fig4a(&evals));
             r
         } else {
-            exp::render_all(entries)
+            exp::render_all(entries, &run)
         };
         // The profile section never joins report.md: report bytes are the
         // determinism surface that scripts/bench.sh diffs serial vs
         // parallel, and wall-clock seconds would break it. It was
         // accumulated during the streamed run — the stripped digest
         // entries no longer carry the profiles it renders from.
-        let profile_report = profile.then(|| run.as_ref().unwrap().profile_md.clone());
+        let profile_report = profile.then(|| suite_run.as_ref().unwrap().profile_md.clone());
         match out_dir {
             Some(dir) => {
                 std::fs::create_dir_all(&dir).expect("create out dir");
@@ -380,16 +374,13 @@ fn main() {
             "dynpa" => exp::dynpa(evals.as_ref().unwrap()),
             "heap" => exp::heap(evals.as_ref().unwrap()),
             "models" => exp::models(evals.as_ref().unwrap()),
-            "profile" => run.as_ref().unwrap().profile_md.clone(),
-            "nginx" => exp::nginx(),
-            "motiv" => exp::motiv(),
-            "campaign" => exp::campaign(),
+            "profile" => suite_run.as_ref().unwrap().profile_md.clone(),
+            "nginx" => exp::nginx(&run),
+            "motiv" => exp::motiv(&run),
+            "campaign" => exp::campaign(&run),
             "eq6" => exp::eq6(),
-            "ablations" => exp::ablations(),
-            other => {
-                eprintln!("unknown section `{other}`");
-                std::process::exit(2);
-            }
+            "ablations" => exp::ablations(&run),
+            other => usage_error(&format!("unknown section `{other}`")),
         };
         println!("{section}");
     }

@@ -1,11 +1,13 @@
 //! One function per paper table/figure (see DESIGN.md §4 for the index).
 //!
-//! Every experiment renders a text section; [`run_all`] stitches them into
-//! the report that EXPERIMENTS.md records. Numbers are *measured* — the
+//! Every experiment renders a text section; [`render_all`] stitches them
+//! into the report that EXPERIMENTS.md records. Numbers are *measured* — the
 //! suite is analyzed, instrumented and executed on the spot.
 
 use crate::table::{frac, pct, Table};
-use pythia_core::{adjudicate, evaluate, BenchEvaluation, PythiaError, Scheme, VmConfig};
+use pythia_core::{
+    adjudicate, evaluate_with, BenchEvaluation, Engine, PythiaError, RunConfig, Scheme,
+};
 use pythia_ir::{IcCategory, Module};
 use pythia_pa::{brute_force_probability, expected_tries, PaContext, PacConfig};
 use pythia_workloads::{
@@ -101,6 +103,17 @@ enum SuiteJob {
 }
 
 impl SuiteJob {
+    /// The SPEC-like profile `name` (partial names match) at `tier`, or a
+    /// setup-error job when no profile matches.
+    fn profile(name: &str, tier: SizeTier) -> SuiteJob {
+        match profile_by_name(name) {
+            Some(p) => SuiteJob::Profile(p.at_tier(tier)),
+            None => SuiteJob::Missing {
+                name: name.to_owned(),
+            },
+        }
+    }
+
     fn name(&self) -> String {
         match self {
             SuiteJob::Profile(p) => p.name.to_owned(),
@@ -109,17 +122,17 @@ impl SuiteJob {
         }
     }
 
-    fn run(&self, cfg: &VmConfig) -> Result<BenchEvaluation, PythiaError> {
+    fn run(&self, run: &RunConfig) -> Result<BenchEvaluation, PythiaError> {
         match self {
             SuiteJob::Profile(p) => {
                 let m = generate(p);
-                evaluate(&m, &SCHEMES, p.seed, cfg)
+                evaluate_with(&m, &SCHEMES, p.seed, run)
             }
             SuiteJob::Nginx { requests, seed } => {
                 let m = nginx_module(*requests);
-                evaluate(&m, &SCHEMES, *seed, cfg)
+                evaluate_with(&m, &SCHEMES, *seed, run)
             }
-            SuiteJob::Module { module, seed, .. } => evaluate(module, &SCHEMES, *seed, cfg),
+            SuiteJob::Module { module, seed, .. } => evaluate_with(module, &SCHEMES, *seed, run),
             SuiteJob::Missing { name } => {
                 Err(PythiaError::setup(format!("unknown profile `{name}`")))
             }
@@ -147,12 +160,7 @@ fn suite_jobs(tier: SizeTier) -> Vec<SuiteJob> {
 fn smoke_jobs(tier: SizeTier) -> Vec<SuiteJob> {
     let mut jobs: Vec<SuiteJob> = ["519.lbm_r", "505.mcf_r"]
         .iter()
-        .map(|n| match profile_by_name(n) {
-            Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-            None => SuiteJob::Missing {
-                name: (*n).to_owned(),
-            },
-        })
+        .map(|n| SuiteJob::profile(n, tier))
         .collect();
     jobs.push(SuiteJob::Nginx {
         requests: tier.scale_volume(10),
@@ -188,28 +196,13 @@ pub fn validate_only_names(names: &[String]) -> Result<(), String> {
     }
 }
 
-/// The [`VmConfig`] a tiered suite run executes under: the default config
-/// (which honours `PYTHIA_ENGINE`) with the instruction budget scaled by
-/// the tier's factor — the ref tier's ~36× dynamic size would exhaust the
-/// standard 50 M budget on the larger profiles.
-pub fn tier_vm_config(tier: SizeTier) -> VmConfig {
-    let mut cfg = VmConfig::default();
-    cfg.max_insts = cfg.max_insts.saturating_mul(tier.inst_budget_factor());
-    cfg
-}
-
-/// Number of suite workers: `PYTHIA_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism.
-pub fn worker_count() -> usize {
-    match std::env::var("PYTHIA_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+/// `run` with its VM instruction budget scaled by `tier`'s factor — the
+/// ref tier's ~36× dynamic size would exhaust the standard 50 M budget
+/// on the larger profiles.
+fn at_tier(run: &RunConfig, tier: SizeTier) -> RunConfig {
+    let mut run = run.clone();
+    run.vm.max_insts = run.vm.max_insts.saturating_mul(tier.inst_budget_factor());
+    run
 }
 
 /// Peak number of completed-but-unconsumed evaluations the streaming
@@ -225,7 +218,7 @@ pub struct StreamStats {
     pub window: usize,
 }
 
-/// Run `jobs` on a bounded worker pool, delivering each [`SuiteEntry`] to
+/// Run `jobs` on a pool of `run.threads` workers, delivering each [`SuiteEntry`] to
 /// `sink` **in input order** the moment it is available, then dropping it
 /// — suite memory no longer scales with suite size, only with the worker
 /// window. Every job is deterministic (fixed generator and VM seeds), so
@@ -253,12 +246,11 @@ pub struct StreamStats {
 /// positions.
 fn run_jobs_streamed(
     jobs: &[SuiteJob],
-    threads: usize,
-    cfg: &VmConfig,
+    run: &RunConfig,
     mut sink: impl FnMut(SuiteEntry),
 ) -> StreamStats {
     type Outcome = Result<BenchEvaluation, PythiaError>;
-    let threads = threads.clamp(1, jobs.len().max(1));
+    let threads = run.threads.clamp(1, jobs.len().max(1));
     let window = threads * 2;
     let next = AtomicUsize::new(0);
     // Consumed-prefix gate: workers wait here until the sink catches up.
@@ -281,7 +273,7 @@ fn run_jobs_streamed(
                         done = cv.wait(done).unwrap();
                     }
                 }
-                let outcome = catch_unwind(AssertUnwindSafe(|| jobs[i].run(cfg)))
+                let outcome = catch_unwind(AssertUnwindSafe(|| jobs[i].run(run)))
                     .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())));
                 if tx.send((i, outcome)).is_err() {
                     break;
@@ -327,99 +319,29 @@ fn run_jobs_streamed(
 
 /// Collecting wrapper over [`run_jobs_streamed`] for callers that want
 /// the whole suite in memory (tests, figure subsets).
-fn run_jobs(jobs: &[SuiteJob], threads: usize, cfg: &VmConfig) -> Vec<SuiteEntry> {
+fn run_jobs(jobs: &[SuiteJob], run: &RunConfig) -> Vec<SuiteEntry> {
     let mut out = Vec::with_capacity(jobs.len());
-    run_jobs_streamed(jobs, threads, cfg, |e| out.push(e));
+    run_jobs_streamed(jobs, run, |e| out.push(e));
     out
 }
 
-/// Evaluate the full suite: all 16 SPEC-like benchmarks plus nginx,
-/// concurrently across [`worker_count`] workers.
-pub fn run_suite() -> Vec<SuiteEntry> {
-    run_suite_with(worker_count())
-}
-
-/// [`run_suite`] with an explicit worker count (1 = fully serial).
-pub fn run_suite_with(threads: usize) -> Vec<SuiteEntry> {
-    run_jobs(
-        &suite_jobs(SizeTier::Standard),
-        threads,
-        &VmConfig::default(),
-    )
-}
-
-/// Evaluate a subset of the suite by (possibly partial) profile name,
-/// with an explicit worker count. A name matching no profile yields a
-/// setup-error entry in its slot instead of a panic.
-pub fn run_profiles(names: &[&str], threads: usize) -> Vec<SuiteEntry> {
-    run_profiles_cfg(names, threads, &VmConfig::default())
-}
-
-/// [`run_profiles`] with an explicit [`VmConfig`] — the hook the engine
-/// differential tests use to pin `cfg.engine` without touching the
-/// `PYTHIA_ENGINE` environment variable (tests run concurrently; env
-/// mutation races).
-pub fn run_profiles_cfg(names: &[&str], threads: usize, cfg: &VmConfig) -> Vec<SuiteEntry> {
-    run_profiles_tier_cfg(names, SizeTier::Standard, threads, cfg)
-}
-
-/// [`run_profiles_cfg`] at an explicit [`SizeTier`] — the hook the tier
-/// determinism and bounded-memory tests use.
-pub fn run_profiles_tier_cfg(
-    names: &[&str],
-    tier: SizeTier,
-    threads: usize,
-    cfg: &VmConfig,
-) -> Vec<SuiteEntry> {
-    let jobs: Vec<SuiteJob> = names
-        .iter()
-        .map(|n| match profile_by_name(n) {
-            Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-            None => SuiteJob::Missing {
-                name: (*n).to_owned(),
-            },
-        })
-        .collect();
-    run_jobs(&jobs, threads, cfg)
+/// Evaluate a subset of the suite at `tier` by (possibly partial)
+/// profile name, on `run.threads` workers. A name matching no profile
+/// yields a setup-error entry in its slot instead of a panic.
+pub fn run_profiles(names: &[&str], tier: SizeTier, run: &RunConfig) -> Vec<SuiteEntry> {
+    let jobs: Vec<SuiteJob> = names.iter().map(|n| SuiteJob::profile(n, tier)).collect();
+    run_jobs(&jobs, &at_tier(run, tier))
 }
 
 /// Evaluate caller-supplied `(name, module, seed)` triples on the suite
 /// worker pool. The injection point for robustness tests and ad-hoc
 /// suites: entries come back in input order, failures as error entries.
-pub fn evaluate_modules(modules: Vec<(String, Module, u64)>, threads: usize) -> Vec<SuiteEntry> {
-    evaluate_modules_cfg(modules, threads, &VmConfig::default())
-}
-
-/// [`evaluate_modules`] with an explicit [`VmConfig`]. The default-config
-/// wrapper used to hardcode `VmConfig::default()` with no override path,
-/// silently pinning injected modules to the environment-selected engine;
-/// this is the plumbing `reproduce --engine` and the engine regression
-/// tests go through.
-pub fn evaluate_modules_cfg(
-    modules: Vec<(String, Module, u64)>,
-    threads: usize,
-    cfg: &VmConfig,
-) -> Vec<SuiteEntry> {
+pub fn evaluate_modules(modules: Vec<(String, Module, u64)>, run: &RunConfig) -> Vec<SuiteEntry> {
     let jobs: Vec<SuiteJob> = modules
         .into_iter()
         .map(|(name, module, seed)| SuiteJob::Module { name, module, seed })
         .collect();
-    run_jobs(&jobs, threads, cfg)
-}
-
-/// The reduced smoke suite behind `reproduce --smoke`: two fast SPEC-like
-/// profiles plus a short nginx run — enough to cross every pipeline layer
-/// (generate → analyze → instrument → execute → aggregate) in seconds.
-pub fn run_smoke_with(threads: usize) -> Vec<SuiteEntry> {
-    run_smoke_with_cfg(threads, &VmConfig::default())
-}
-
-/// [`run_smoke_with`] with an explicit [`VmConfig`]. Fixes the smoke
-/// path's engine-selection bypass: the old implementation hardcoded
-/// `VmConfig::default()`, so a caller that had already resolved an engine
-/// or budget override had no way to apply it to smoke runs.
-pub fn run_smoke_with_cfg(threads: usize, cfg: &VmConfig) -> Vec<SuiteEntry> {
-    run_jobs(&smoke_jobs(SizeTier::Standard), threads, cfg)
+    run_jobs(&jobs, run)
 }
 
 /// Timing envelope of one suite run (for `BENCH_suite.json`).
@@ -429,30 +351,6 @@ pub struct SuiteTiming {
     pub threads: usize,
     /// End-to-end wall-clock of the suite run.
     pub total_secs: f64,
-}
-
-/// [`run_suite`] plus its wall-clock envelope.
-pub fn run_suite_timed() -> (Vec<SuiteEntry>, SuiteTiming) {
-    let threads = worker_count();
-    let start = Instant::now();
-    let suite = run_suite_with(threads);
-    let timing = SuiteTiming {
-        threads,
-        total_secs: start.elapsed().as_secs_f64(),
-    };
-    (suite, timing)
-}
-
-/// [`run_smoke_with`] plus its wall-clock envelope.
-pub fn run_smoke_timed() -> (Vec<SuiteEntry>, SuiteTiming) {
-    let threads = worker_count();
-    let start = Instant::now();
-    let suite = run_smoke_with(threads);
-    let timing = SuiteTiming {
-        threads,
-        total_secs: start.elapsed().as_secs_f64(),
-    };
-    (suite, timing)
 }
 
 /// What to run and how, for [`run_suite_streamed`] (the `reproduce`
@@ -466,11 +364,9 @@ pub struct SuiteSpec {
     /// Restrict to these (possibly partial) benchmark names; `"nginx"`
     /// selects the server workload. Overrides `smoke`.
     pub only: Option<Vec<String>>,
-    /// Engine override (`reproduce --engine`); `None` keeps the
-    /// environment-driven default. Routed through the per-job `VmConfig`
-    /// — the smoke path used to hardcode `VmConfig::default()` and lose
-    /// this.
-    pub engine: Option<pythia_vm::Engine>,
+    /// Engine, context policy and worker count. The VM instruction
+    /// budget is scaled by `tier`.
+    pub run: RunConfig,
     /// Record certification status per benchmark in the JSON.
     pub lint: bool,
     /// Embed the per-scheme profile block in the JSON.
@@ -505,37 +401,27 @@ pub struct SuiteRun {
 /// the next job. Peak memory is bounded by the worker window instead of
 /// the suite size — the property the ref tier depends on.
 pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
-    let threads = worker_count();
     let tier = spec.tier;
-    let mut cfg = tier_vm_config(tier);
-    if let Some(engine) = spec.engine {
-        cfg.engine = engine;
-    }
+    let run = at_tier(&spec.run, tier);
     let jobs: Vec<SuiteJob> = match &spec.only {
         Some(names) => names
             .iter()
-            .map(|n| {
-                if n == "nginx" {
-                    SuiteJob::Nginx {
-                        requests: tier.scale_volume(60),
-                        seed: NGINX_SEED,
-                    }
-                } else {
-                    match profile_by_name(n) {
-                        Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-                        None => SuiteJob::Missing { name: n.clone() },
-                    }
-                }
+            .map(|n| match n.as_str() {
+                "nginx" => SuiteJob::Nginx {
+                    requests: tier.scale_volume(60),
+                    seed: NGINX_SEED,
+                },
+                _ => SuiteJob::profile(n, tier),
             })
             .collect(),
         None if spec.smoke => smoke_jobs(tier),
         None => suite_jobs(tier),
     };
-    let mut acc = ProfileAcc::new(cfg.engine.name());
+    let mut acc = ProfileAcc::new(run.vm.engine.name());
     let mut rows = Vec::with_capacity(jobs.len());
     let mut entries: Vec<SuiteEntry> = Vec::with_capacity(jobs.len());
     let start = Instant::now();
-    let stream = run_jobs_streamed(&jobs, threads, &cfg, |mut e| {
+    let stream = run_jobs_streamed(&jobs, &run, |mut e| {
         rows.push(bench_json_row(&e, spec.lint, spec.profile));
         if let Ok(ev) = &mut e.outcome {
             acc.add(ev);
@@ -549,7 +435,7 @@ pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
         entries.push(e);
     });
     let timing = SuiteTiming {
-        threads,
+        threads: run.threads,
         total_secs: start.elapsed().as_secs_f64(),
     };
     let json = bench_json_assemble(
@@ -557,7 +443,7 @@ pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
         &timing,
         tier,
         "streaming",
-        cfg.engine.name(),
+        run.vm.engine.name(),
         Some(stream),
         &rows,
     );
@@ -811,21 +697,26 @@ fn bench_json_assemble(
 /// — the workspace is offline and carries no serde.
 ///
 /// This collect-mode wrapper renders from in-memory entries at the
-/// standard tier; `reproduce` goes through [`run_suite_streamed`], which
-/// renders each row as its benchmark completes.
-pub fn bench_json(suite: &[SuiteEntry], timing: &SuiteTiming, lint: bool, profile: bool) -> String {
+/// standard tier, labelled with the `engine` the suite ran under;
+/// `reproduce` goes through [`run_suite_streamed`], which renders each
+/// row as its benchmark completes.
+pub fn bench_json(
+    suite: &[SuiteEntry],
+    timing: &SuiteTiming,
+    engine: Engine,
+    lint: bool,
+    profile: bool,
+) -> String {
     let rows: Vec<String> = suite
         .iter()
         .map(|e| bench_json_row(e, lint, profile))
         .collect();
-    // The engine the suite executed under: `VmConfig::default()` reads
-    // `PYTHIA_ENGINE`, the same path the default-config runners take.
     bench_json_assemble(
         suite,
         timing,
         SizeTier::Standard,
         "collect",
-        VmConfig::default().engine.name(),
+        engine.name(),
         None,
         &rows,
     )
@@ -1159,11 +1050,12 @@ impl ProfileAcc {
 /// (wall-clock seconds are not deterministic) — `reproduce --profile`
 /// writes it to `profile.md` or appends it after the report on stdout.
 ///
-/// Collect-mode wrapper over [`ProfileAcc`]; requires entries whose
-/// execution profiles are still attached (the streamed path accumulates
-/// before stripping instead).
-pub fn profile_section(suite: &[SuiteEntry]) -> String {
-    let mut acc = ProfileAcc::new(VmConfig::default().engine.name());
+/// Collect-mode wrapper over [`ProfileAcc`], labelled with the `engine`
+/// the suite ran under; requires entries whose execution profiles are
+/// still attached (the streamed path accumulates before stripping
+/// instead).
+pub fn profile_section(suite: &[SuiteEntry], engine: Engine) -> String {
+    let mut acc = ProfileAcc::new(engine.name());
     for ev in suite.iter().filter_map(|e| e.evaluation()) {
         acc.add(ev);
     }
@@ -1474,18 +1366,17 @@ pub fn dist(suite: &[BenchEvaluation]) -> String {
 }
 
 /// §6.3 nginx throughput degradation over three run lengths.
-pub fn nginx() -> String {
-    let cfg = VmConfig::default();
+pub fn nginx(run: &RunConfig) -> String {
     let mut t = Table::new(vec!["requests", "scheme", "throughput", "degradation"]);
     for requests in [60u64, 600, 6000] {
         let m = nginx_module(requests);
-        let ctx = pythia_analysis::SliceContext::new(&m);
+        let ctx = pythia_analysis::SliceContext::with_policy(&m, run.ctx_policy);
         let report = pythia_analysis::VulnerabilityReport::analyze(&ctx);
         let mut base = 0.0f64;
         for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia] {
             let inst = pythia_core::instrument_with(&m, &ctx, &report, scheme);
-            let run = match run_workers(&inst.module, 12, 0x9e) {
-                Ok(run) => run,
+            let workers = match run_workers(&inst.module, 12, 0x9e, &run.vm) {
+                Ok(w) => w,
                 Err(e) => {
                     t.row(vec![
                         requests.to_string(),
@@ -1496,7 +1387,7 @@ pub fn nginx() -> String {
                     continue;
                 }
             };
-            let tp = run.throughput();
+            let tp = workers.throughput();
             if scheme == Scheme::Vanilla {
                 base = tp;
             }
@@ -1508,7 +1399,6 @@ pub fn nginx() -> String {
                 frac(deg),
             ]);
         }
-        let _ = cfg.clone();
     }
     format!(
         "## nginx — 12-worker throughput degradation (paper: CPA 49.13%, Pythia 20.15%)\n\n{}",
@@ -1517,12 +1407,11 @@ pub fn nginx() -> String {
 }
 
 /// §6.3 motivating examples: detection matrix.
-pub fn motiv() -> String {
-    let cfg = VmConfig::default();
+pub fn motiv(run: &RunConfig) -> String {
     let mut t = Table::new(vec!["scenario", "scheme", "benign", "attack-result"]);
     for s in all_scenarios() {
         for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia, Scheme::Dfi] {
-            let o = match adjudicate(&s, scheme, &cfg) {
+            let o = match adjudicate(&s, scheme, run) {
                 Ok(o) => o,
                 Err(e) => {
                     t.row(vec![
@@ -1733,21 +1622,19 @@ pub fn precision(suite: &[BenchEvaluation]) -> String {
 /// context policy (no paper counterpart — the paper's analysis is
 /// context-insensitive). Per benchmark and policy it re-runs only the
 /// analysis pipeline (base points-to → vulnerability report → overflow
-/// reach → obligation pruning), injecting the policy directly via
-/// [`pythia_analysis::SliceContext::set_ctx_policy`] so the comparison never mutates
-/// process-global environment state. Columns are the total obligations
-/// pruned under each policy; the refinement contract requires each column
-/// to be ≥ the one to its left, and strong updates plus k=2 chains give
-/// the summary column its edge on nested-helper shapes.
+/// reach → obligation pruning) over a [`pythia_analysis::SliceContext`]
+/// built with that policy. Columns are the total obligations pruned under
+/// each policy; the refinement contract requires each column to be ≥ the
+/// one to its left, and strong updates plus k=2 chains give the
+/// summary-2cfa column its edge on nested-helper shapes.
 pub fn policies() -> String {
-    use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport, CTX_NODE_BUDGET};
+    use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
     use pythia_passes::prune_obligations;
 
-    const POLICIES: [(CtxPolicy, &str); 4] = [
+    const POLICIES: [(CtxPolicy, &str); 3] = [
         (CtxPolicy::Insensitive, "insens"),
-        (CtxPolicy::OneCfaClone, "1cfa"),
+        (CtxPolicy::KCfa(1), "summary-1cfa"),
         (CtxPolicy::KCfa(2), "summary-2cfa"),
-        (CtxPolicy::ObjSensitive, "objsens"),
     ];
     let mut cols = vec!["benchmark".to_owned()];
     for (_, label) in POLICIES {
@@ -1764,8 +1651,7 @@ pub fn policies() -> String {
     for (name, m) in &modules {
         let mut row = vec![name.clone()];
         for (i, (policy, _)) in POLICIES.iter().enumerate() {
-            let ctx = SliceContext::new(m);
-            ctx.set_ctx_policy(*policy, CTX_NODE_BUDGET);
+            let ctx = SliceContext::with_policy(m, *policy);
             let report = VulnerabilityReport::analyze(&ctx);
             let pruned = prune_obligations(&ctx, &report);
             totals[i] += pruned.pruned.total();
@@ -1781,7 +1667,7 @@ pub fn policies() -> String {
     }
     t.row(total_row);
     format!(
-        "## policies — obligations pruned per context policy (refinement chain: insens ≤ 1cfa ≤ summary-2cfa per row; objsens is an alternative context dimension, sound but not comparable; `summary-2cfa` is the default `PYTHIA_CTX_POLICY`; per-policy wall-clock lives in `scripts/bench.sh`'s trend line, keeping this table deterministic)\n\n{}",
+        "## policies — obligations pruned per context policy (refinement chain: insens ≤ summary-1cfa ≤ summary-2cfa per row; `summary-2cfa` is the default `PYTHIA_CTX_POLICY`; per-policy wall-clock lives in `scripts/bench.sh`'s trend line, keeping this table deterministic)\n\n{}",
         t.render()
     )
 }
@@ -1850,16 +1736,16 @@ pub fn heap(suite: &[BenchEvaluation]) -> String {
 }
 
 /// Ablations (DESIGN.md §4): remove each Pythia ingredient and show the
-/// security regression, using the config-driven pass.
-pub fn ablations() -> String {
+/// security regression, using the config-driven pass. The passes
+/// instrument from unpruned reports, so only `run.vm` matters here.
+pub fn ablations(run: &RunConfig) -> String {
     use pythia_passes::{instrument_pythia_ablated, PythiaConfig};
     use pythia_vm::Vm;
 
-    let cfg = VmConfig::default();
     let mut t = Table::new(vec!["ablation", "scenario", "attack result"]);
 
     let run_attack = |m: &pythia_ir::Module, s: &pythia_workloads::Scenario| {
-        let mut vm = Vm::new(m, cfg.clone(), s.attack.clone());
+        let mut vm = Vm::new(m, run.vm.clone(), s.attack.clone());
         let r = match vm.run("main", &[]) {
             Ok(r) => r,
             Err(e) => return format!("ERROR: {e}"),
@@ -1940,10 +1826,12 @@ pub fn ablations() -> String {
 }
 
 /// Dynamic attack campaign (threat model §2.5): smash a sample of channel
-/// executions on three representative benchmarks under every scheme.
-pub fn campaign() -> String {
-    use pythia_core::run_campaign;
-    let cfg = VmConfig::default();
+/// executions on three representative benchmarks under every scheme,
+/// each module analyzed once under `run.ctx_policy`.
+pub fn campaign(run: &RunConfig) -> String {
+    use pythia_analysis::{SliceContext, VulnerabilityReport};
+    use pythia_core::run_campaign_with;
+    use pythia_passes::prune_obligations;
     let mut t = Table::new(vec![
         "benchmark",
         "scheme",
@@ -1957,8 +1845,10 @@ pub fn campaign() -> String {
     for name in ["505.mcf_r", "502.gcc_r", "510.parest_r"] {
         let p = pythia_workloads::profile_by_name(name).expect("profile");
         let m = generate(p);
+        let ctx = SliceContext::with_policy(&m, run.ctx_policy);
+        let pruned = prune_obligations(&ctx, &VulnerabilityReport::analyze(&ctx));
         for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia, Scheme::Dfi] {
-            let r = match run_campaign(&m, scheme, p.seed, 64, 32, &cfg) {
+            let r = match run_campaign_with(&m, &ctx, &pruned, scheme, p.seed, 64, 32, &run.vm) {
                 Ok(r) => r,
                 Err(e) => {
                     t.row(vec![
@@ -1994,16 +1884,12 @@ pub fn campaign() -> String {
     )
 }
 
-/// Run every experiment and return the full report.
-pub fn run_all() -> String {
-    render_all(&run_suite())
-}
-
 /// Render the full report from an already-evaluated suite (lets callers
-/// reuse one suite run for both the report and `BENCH_suite.json`).
+/// reuse one suite run for both the report and `BENCH_suite.json`); the
+/// sections that analyze or run modules of their own do so under `run`.
 /// Benchmarks that failed appear in a leading error section; every figure
 /// is rendered from the survivors.
-pub fn render_all(entries: &[SuiteEntry]) -> String {
+pub fn render_all(entries: &[SuiteEntry], run: &RunConfig) -> String {
     let suite = ok_evaluations(entries);
     let mut out = String::new();
     let errors = errors_section(entries);
@@ -2039,14 +1925,14 @@ pub fn render_all(entries: &[SuiteEntry]) -> String {
     out.push('\n');
     out.push_str(&models(&suite));
     out.push('\n');
-    out.push_str(&nginx());
+    out.push_str(&nginx(run));
     out.push('\n');
-    out.push_str(&motiv());
+    out.push_str(&motiv(run));
     out.push('\n');
-    out.push_str(&campaign());
+    out.push_str(&campaign(run));
     out.push('\n');
     out.push_str(&eq6());
     out.push('\n');
-    out.push_str(&ablations());
+    out.push_str(&ablations(run));
     out
 }

@@ -17,7 +17,7 @@
 //! only; `scripts/bench.sh` compares it legacy-vs-block.
 
 use crate::table::Table;
-use pythia_analysis::{SliceContext, VulnerabilityReport};
+use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
 use pythia_core::{instrument_certified, Certifier};
 use pythia_ir::{verify, Module, PythiaError};
 use pythia_passes::{prune_obligations, Scheme};
@@ -40,6 +40,8 @@ pub struct ServerScenarioSpec {
     pub seed: u64,
     /// VM engine.
     pub engine: Engine,
+    /// Context policy of the server module's analysis.
+    pub ctx_policy: CtxPolicy,
 }
 
 impl Default for ServerScenarioSpec {
@@ -50,7 +52,8 @@ impl Default for ServerScenarioSpec {
             connections: 64,
             requests: 250_000,
             seed: 0x5EB0_517E,
-            engine: Engine::from_env(),
+            engine: Engine::Block,
+            ctx_policy: CtxPolicy::default(),
         }
     }
 }
@@ -99,7 +102,7 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
     let t0 = Instant::now();
     let module = server_module();
     verify::verify_module(&module)?;
-    let ctx = SliceContext::new(&module);
+    let ctx = SliceContext::with_policy(&module, spec.ctx_policy);
     let report = VulnerabilityReport::analyze(&ctx);
     let pruned = prune_obligations(&ctx, &report);
     let cert = Certifier::new(&module, &ctx);

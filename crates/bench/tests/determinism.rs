@@ -2,13 +2,29 @@
 //! workers produce identical evaluations and byte-identical report text.
 
 use pythia_bench::experiments as exp;
+use pythia_core::{RunConfig, VmConfig};
+use pythia_workloads::SizeTier;
 
 const NAMES: [&str; 2] = ["519.lbm_r", "505.mcf_r"];
 
+/// `names` at the standard tier on `threads` workers under `vm`.
+fn run_profiles_on(names: &[&str], threads: usize, vm: VmConfig) -> Vec<exp::SuiteEntry> {
+    let run = RunConfig {
+        vm,
+        threads,
+        ..RunConfig::default()
+    };
+    exp::run_profiles(names, SizeTier::Standard, &run)
+}
+
+fn run_profiles(names: &[&str], threads: usize) -> Vec<exp::SuiteEntry> {
+    run_profiles_on(names, threads, VmConfig::default())
+}
+
 #[test]
 fn serial_and_parallel_evaluations_are_identical() {
-    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, 1));
-    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, 4));
+    let serial = exp::ok_evaluations(&run_profiles(&NAMES, 1));
+    let parallel = exp::ok_evaluations(&run_profiles(&NAMES, 4));
     assert_eq!(serial.len(), NAMES.len(), "every benchmark must evaluate");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -30,7 +46,7 @@ fn profiling_toggle_never_changes_results() {
     // The profiler is observational: turning it off must leave metrics,
     // exits, entry ordering, and report bytes untouched — at 1 worker
     // and at 4.
-    use pythia_core::{evaluate, VmConfig};
+    use pythia_core::evaluate;
     use pythia_workloads::{generate, profile_by_name};
 
     let render = |suite: &[exp::SuiteEntry]| {
@@ -38,7 +54,7 @@ fn profiling_toggle_never_changes_results() {
         exp::fig4a(&evals) + &exp::fig4b(&evals)
     };
     for threads in [1, 4] {
-        let on = exp::run_profiles(&NAMES, threads);
+        let on = run_profiles(&NAMES, threads);
         assert_eq!(
             on.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
             NAMES.to_vec(),
@@ -65,7 +81,7 @@ fn profiling_toggle_never_changes_results() {
         let report_on = render(&on);
         assert_eq!(
             report_on,
-            render(&exp::run_profiles(&NAMES, threads)),
+            render(&run_profiles(&NAMES, threads)),
             "report bytes must be reproducible with profiling enabled"
         );
     }
@@ -73,8 +89,8 @@ fn profiling_toggle_never_changes_results() {
 
 #[test]
 fn serial_and_parallel_report_text_is_byte_identical() {
-    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, 1));
-    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, 4));
+    let serial = exp::ok_evaluations(&run_profiles(&NAMES, 1));
+    let parallel = exp::ok_evaluations(&run_profiles(&NAMES, 4));
     let render = |suite: &[pythia_core::BenchEvaluation]| {
         let mut out = String::new();
         out.push_str(&exp::fig4a(suite));
@@ -96,9 +112,7 @@ fn legacy_and_block_engines_are_observationally_identical() {
     // metered metrics, profile counters, and the report text rendered
     // from them — must be byte-for-byte what the legacy per-instruction
     // interpreter produces, at 1 and 4 workers, profiling on and off.
-    // Engines are pinned via cfg.engine, never PYTHIA_ENGINE: tests run
-    // concurrently and env mutation races.
-    use pythia_core::{Engine, VmConfig};
+    use pythia_core::Engine;
 
     let render = |suite: &[pythia_core::BenchEvaluation]| {
         let mut out = String::new();
@@ -120,7 +134,7 @@ fn legacy_and_block_engines_are_observationally_identical() {
                     profile,
                     ..VmConfig::default()
                 };
-                exp::ok_evaluations(&exp::run_profiles_cfg(&NAMES, threads, &cfg))
+                exp::ok_evaluations(&run_profiles_on(&NAMES, threads, cfg))
             };
             let legacy = run(Engine::Legacy);
             let block = run(Engine::Block);
@@ -151,8 +165,8 @@ fn legacy_and_block_engines_are_observationally_identical() {
 #[test]
 fn rerunning_the_same_profile_is_reproducible() {
     // Same seed, same machine state → same evaluation, run to run.
-    let a = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], 2));
-    let b = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], 2));
+    let a = exp::ok_evaluations(&run_profiles(&["519.lbm_r"], 2));
+    let b = exp::ok_evaluations(&run_profiles(&["519.lbm_r"], 2));
     assert_eq!(a[0].analysis, b[0].analysis);
     assert_eq!(exp::fig4a(&a), exp::fig4a(&b));
 }

@@ -15,6 +15,7 @@ fn small_spec(engine: Engine) -> ServerScenarioSpec {
         requests: 1536,
         seed: 0x5EB0_517E,
         engine,
+        ..ServerScenarioSpec::default()
     }
 }
 

@@ -7,6 +7,7 @@
 //! the same results, as a clean run.
 
 use pythia_bench::experiments as exp;
+use pythia_core::{Engine, RunConfig};
 use pythia_ir::{FunctionBuilder, Module, Ty};
 use pythia_workloads::{generate_scaled, SPEC_PROFILES};
 
@@ -17,6 +18,14 @@ fn unverifiable(name: &str) -> Module {
     let b = FunctionBuilder::new("main", vec![], Ty::I64);
     m.add_function(b.finish());
     m
+}
+
+/// The default run configuration on `threads` workers.
+fn on(threads: usize) -> RunConfig {
+    RunConfig {
+        threads,
+        ..RunConfig::default()
+    }
 }
 
 /// The full SPEC-like suite, scaled down for test speed, with the module
@@ -39,7 +48,7 @@ fn suite_modules(poison: Option<usize>) -> Vec<(String, Module, u64)> {
 #[test]
 fn suite_survives_one_bad_benchmark() {
     let poison = SPEC_PROFILES.len() / 2;
-    let suite = exp::evaluate_modules(suite_modules(Some(poison)), 4);
+    let suite = exp::evaluate_modules(suite_modules(Some(poison)), &on(4));
     assert_eq!(suite.len(), SPEC_PROFILES.len(), "no slot may vanish");
 
     // Slot order is byte-identical to the profile table, failure or not.
@@ -69,8 +78,8 @@ fn suite_survives_one_bad_benchmark() {
 #[test]
 fn failure_slots_are_deterministic_across_worker_counts() {
     let poison = 2;
-    let serial = exp::evaluate_modules(suite_modules(Some(poison)), 1);
-    let parallel = exp::evaluate_modules(suite_modules(Some(poison)), 4);
+    let serial = exp::evaluate_modules(suite_modules(Some(poison)), &on(1));
+    let parallel = exp::evaluate_modules(suite_modules(Some(poison)), &on(4));
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.name, b.name, "slot order must not depend on workers");
@@ -92,7 +101,7 @@ fn failure_slots_are_deterministic_across_worker_counts() {
 
 #[test]
 fn report_renders_around_the_failure() {
-    let suite = exp::evaluate_modules(suite_modules(Some(0)), 4);
+    let suite = exp::evaluate_modules(suite_modules(Some(0)), &on(4));
     let errors = exp::errors_section(&suite);
     assert!(
         errors.contains("1 of") && errors.contains(SPEC_PROFILES[0].name),
@@ -105,18 +114,18 @@ fn report_renders_around_the_failure() {
     assert!(fig.contains(SPEC_PROFILES[1].name));
 
     // A clean suite renders no error section at all.
-    let clean = exp::evaluate_modules(suite_modules(None), 4);
+    let clean = exp::evaluate_modules(suite_modules(None), &on(4));
     assert!(exp::errors_section(&clean).is_empty());
 }
 
 #[test]
 fn bench_json_carries_per_benchmark_status() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2);
+    let suite = exp::evaluate_modules(suite_modules(Some(1)), &on(2));
     let timing = exp::SuiteTiming {
         threads: 2,
         total_secs: 0.0,
     };
-    let json = exp::bench_json(&suite, &timing, false, false);
+    let json = exp::bench_json(&suite, &timing, Engine::Block, false, false);
     assert!(json.contains("\"status\": \"ok\""));
     assert!(json.contains("\"status\": \"setup\""));
     assert!(!json.contains("\"status\": \"internal\""));
@@ -131,12 +140,12 @@ fn bench_json_carries_per_benchmark_status() {
 
 #[test]
 fn bench_json_profile_mode_embeds_scheme_profiles() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2);
+    let suite = exp::evaluate_modules(suite_modules(Some(1)), &on(2));
     let timing = exp::SuiteTiming {
         threads: 2,
         total_secs: 0.0,
     };
-    let json = exp::bench_json(&suite, &timing, false, true);
+    let json = exp::bench_json(&suite, &timing, Engine::Block, false, true);
     // Every ok benchmark carries the profile block with one line per
     // scheme, and the dynamic-vs-static PA cross-check holds everywhere.
     assert!(json.contains("\"profile\": {"));
@@ -152,7 +161,7 @@ fn bench_json_profile_mode_embeds_scheme_profiles() {
     // The lint phase is part of the per-phase rollup now.
     assert!(json.contains("\"lint\": "));
     // The human renderer agrees with the JSON and covers all 4 phases.
-    let section = exp::profile_section(&suite);
+    let section = exp::profile_section(&suite, Engine::Block);
     for phase in ["analysis", "instrument", "lint", "execute"] {
         assert!(section.contains(phase), "profile section lacks `{phase}`");
     }
@@ -161,12 +170,12 @@ fn bench_json_profile_mode_embeds_scheme_profiles() {
 
 #[test]
 fn bench_json_lint_mode_records_certification_status() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), 2);
+    let suite = exp::evaluate_modules(suite_modules(Some(1)), &on(2));
     let timing = exp::SuiteTiming {
         threads: 2,
         total_secs: 0.0,
     };
-    let json = exp::bench_json(&suite, &timing, true, false);
+    let json = exp::bench_json(&suite, &timing, Engine::Block, true, false);
     // Healthy benchmarks carry their certified obligation counts; the
     // sabotaged one never reached instrumentation.
     assert!(json.contains("\"lint\": \"certified\""));

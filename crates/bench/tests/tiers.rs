@@ -4,10 +4,18 @@
 //! window, and the interval-analysis proof path actually exercised.
 
 use pythia_bench::experiments as exp;
-use pythia_core::{Engine, VmConfig};
+use pythia_core::{Engine, RunConfig, VmConfig};
 use pythia_workloads::SizeTier;
 
 const NAMES: [&str; 2] = ["519.lbm_r", "505.mcf_r"];
+
+/// The default run configuration on `threads` workers.
+fn on(threads: usize) -> RunConfig {
+    RunConfig {
+        threads,
+        ..RunConfig::default()
+    }
+}
 
 fn render(suite: &[pythia_core::BenchEvaluation]) -> String {
     let mut out = String::new();
@@ -24,9 +32,8 @@ fn render(suite: &[pythia_core::BenchEvaluation]) -> String {
 
 #[test]
 fn ref_tier_report_is_byte_identical_across_worker_counts() {
-    let cfg = exp::tier_vm_config(SizeTier::Ref);
-    let serial = exp::ok_evaluations(&exp::run_profiles_tier_cfg(&NAMES, SizeTier::Ref, 1, &cfg));
-    let parallel = exp::ok_evaluations(&exp::run_profiles_tier_cfg(&NAMES, SizeTier::Ref, 4, &cfg));
+    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Ref, &on(1)));
+    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Ref, &on(4)));
     assert_eq!(serial.len(), NAMES.len(), "every benchmark must evaluate");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -57,13 +64,7 @@ fn ref_tier_peak_resident_memory_is_bounded() {
     // 17-benchmark suite size, not by 8.
     const K: u64 = 8;
     let peak = |tier: SizeTier| -> u64 {
-        let cfg = exp::tier_vm_config(tier);
-        let evs = exp::ok_evaluations(&exp::run_profiles_tier_cfg(
-            &["519.lbm_r"],
-            tier,
-            1,
-            &cfg,
-        ));
+        let evs = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], tier, &on(1)));
         evs[0]
             .results
             .iter()
@@ -87,13 +88,7 @@ fn ref_tier_proves_geps_and_prunes_obligations() {
     // whose bounds check the analysis can discharge. At the standard tier
     // lbm has no such site; at ref it must prove at least one and the
     // instrumenter must prune the corresponding PA obligation.
-    let cfg = exp::tier_vm_config(SizeTier::Ref);
-    let evs = exp::ok_evaluations(&exp::run_profiles_tier_cfg(
-        &["519.lbm_r"],
-        SizeTier::Ref,
-        1,
-        &cfg,
-    ));
+    let evs = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], SizeTier::Ref, &on(1)));
     let a = &evs[0].analysis;
     assert!(
         a.proven_gep_stores >= 1,
@@ -107,17 +102,20 @@ fn ref_tier_proves_geps_and_prunes_obligations() {
 
 #[test]
 fn suite_spec_engine_override_reaches_the_smoke_path() {
-    // Regression: run_smoke_with/evaluate_modules used to hardcode
-    // VmConfig::default(), so `reproduce --smoke --engine legacy` silently
-    // ran whatever PYTHIA_ENGINE said. The override is pinned via
-    // SuiteSpec/cfg.engine, never the environment (tests run
-    // concurrently; env mutation races) — the default engine is Block,
-    // so a Legacy override reaching BENCH_suite.json proves the plumbing.
+    // `reproduce --smoke --engine legacy` must run and label the legacy
+    // engine: the default engine is Block, so a Legacy override reaching
+    // BENCH_suite.json proves the SuiteSpec plumbing.
     assert_eq!(VmConfig::default().engine, Engine::Block);
     let spec = exp::SuiteSpec {
         smoke: true,
         only: Some(vec!["519.lbm_r".to_owned()]),
-        engine: Some(Engine::Legacy),
+        run: RunConfig {
+            vm: VmConfig {
+                engine: Engine::Legacy,
+                ..VmConfig::default()
+            },
+            ..RunConfig::default()
+        },
         ..Default::default()
     };
     let run = exp::run_suite_streamed(&spec);

@@ -37,9 +37,10 @@ pub mod security;
 
 pub use campaign::{run_campaign, run_campaign_with, AttackOutcome, CampaignResult};
 pub use pipeline::{
-    evaluate, instrument_certified, AnalysisSummary, BenchEvaluation, Phase, PhaseSpan,
-    SchemeResult, Timings,
+    evaluate, evaluate_with, instrument_certified, AnalysisSummary, BenchEvaluation, Phase,
+    PhaseSpan, RunConfig, SchemeResult, Timings,
 };
+pub use pythia_analysis::CtxPolicy;
 pub use pythia_ir::{DetectionKind, ErrorContext, PythiaError};
 pub use pythia_lint::Certifier;
 pub use pythia_passes::{instrument, instrument_with, InstrumentationStats, Scheme};

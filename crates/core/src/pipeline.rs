@@ -2,7 +2,7 @@
 //! protection scheme from the same analysis, execute each variant, and
 //! aggregate the numbers the paper's figures report.
 
-use pythia_analysis::{InputChannels, SliceContext, VulnerabilityReport};
+use pythia_analysis::{CtxPolicy, InputChannels, SliceContext, VulnerabilityReport};
 use pythia_ir::{verify, IcCategory, Module, PythiaError};
 use pythia_lint::Certifier;
 use pythia_passes::{instrument_with, prune_obligations, InstrumentationStats, Scheme};
@@ -104,12 +104,12 @@ pub struct AnalysisSummary {
     /// Obligations dropped by `prune_obligations` across all schemes'
     /// sets (CPA slots + CPA sign values + Pythia heap + DFI objects).
     pub obligations_pruned: usize,
-    /// Calling contexts the 1-CFA points-to solver explored (0 when the
-    /// solver fell back before cloning anything).
+    /// Calling contexts the context-sensitive points-to solver explored
+    /// (one per function when it fell back).
     pub contexts: usize,
-    /// The 1-CFA solver abandoned context sensitivity (node budget
-    /// exhausted or object remap divergence) and the analysis ran on the
-    /// insensitive relation alone.
+    /// The context solver ran on the insensitive relation alone: the
+    /// insensitive policy was requested, or the node budget was
+    /// exhausted.
     pub ctx_fallback: bool,
     /// Pythia heap-section objects whose obligations were pruned (heap
     /// vulnerables provably out of overflow reach).
@@ -118,10 +118,10 @@ pub struct AnalysisSummary {
     pub dfi_pruned: usize,
     /// Reporting label of the context policy that actually ran
     /// (`"insensitive"` whenever the context solve fell back, whatever
-    /// `PYTHIA_CTX_POLICY` requested).
+    /// policy was requested).
     pub policy: &'static str,
     /// Distinct per-function summaries the summary solver gathered (0
-    /// for the clone/insensitive engines).
+    /// under the insensitive relation).
     pub summaries: usize,
     /// Call-edge instantiations served by an already-instantiated
     /// summary instead of a fresh constraint-graph clone.
@@ -343,14 +343,30 @@ impl BenchEvaluation {
     }
 }
 
-/// Whether [`evaluate`] should run its per-scheme workers serially:
-/// `PYTHIA_THREADS=1` pins the whole harness to one lane, and on one
-/// lane concurrency only distorts per-phase wall-clock attribution.
-fn serial_schemes() -> bool {
-    std::env::var("PYTHIA_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        == Some(1)
+/// Every knob a run is configured by. A binary resolves it once from
+/// its flags and environment and passes it down; library code never
+/// reads the environment.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// VM configuration, engine included.
+    pub vm: VmConfig,
+    /// Context policy every analysis of the run is built with.
+    pub ctx_policy: CtxPolicy,
+    /// Worker threads. Suites run this many benchmarks at once, and
+    /// [`evaluate_with`] runs its scheme variants concurrently unless
+    /// it is 1.
+    pub threads: usize,
+}
+
+impl Default for RunConfig {
+    /// The block engine, summary-based 2-CFA and one thread.
+    fn default() -> Self {
+        RunConfig {
+            vm: VmConfig::default(),
+            ctx_policy: CtxPolicy::default(),
+            threads: 1,
+        }
+    }
 }
 
 /// Instrument `module` with `scheme` from a shared analysis
@@ -383,13 +399,33 @@ pub fn instrument_certified(
     Ok((inst.module, lint.checks))
 }
 
+/// [`evaluate_with`] under `cfg` and the defaults of [`RunConfig`]: the
+/// default context policy, scheme variants run serially.
+///
+/// # Errors
+///
+/// As [`evaluate_with`].
+pub fn evaluate(
+    module: &Module,
+    schemes: &[Scheme],
+    seed: u64,
+    cfg: &VmConfig,
+) -> Result<BenchEvaluation, PythiaError> {
+    let run = RunConfig {
+        vm: cfg.clone(),
+        ..RunConfig::default()
+    };
+    evaluate_with(module, schemes, seed, &run)
+}
+
 /// Evaluate one module under the given schemes (vanilla is always added).
 ///
-/// The module is verified first; each scheme variant is then instrumented
+/// The module is verified first and analyzed under `run.ctx_policy`;
+/// each scheme variant is then instrumented
 /// from the shared context/report, statically certified by `pythia-lint`
 /// against one shared [`Certifier`] (any protection-invariant violation
 /// aborts that variant with a setup error before it executes), and
-/// executed on its own worker thread
+/// executed on its own worker thread, or serially when `run.threads` is 1
 /// (the same benign input plan/seed per variant, so results are
 /// deterministic and ordered regardless of scheduling). Workers are
 /// panic-isolated: a panicking variant becomes a typed error instead of
@@ -401,15 +437,16 @@ pub fn instrument_certified(
 /// instrumented variant that fails static certification, or a run
 /// rejected by the VM; [`PythiaError::Internal`] if a scheme worker
 /// panicked.
-pub fn evaluate(
+pub fn evaluate_with(
     module: &Module,
     schemes: &[Scheme],
     seed: u64,
-    cfg: &VmConfig,
+    run: &RunConfig,
 ) -> Result<BenchEvaluation, PythiaError> {
+    let cfg = &run.vm;
     let t_analysis = Instant::now();
     verify::verify_module(module)?;
-    let ctx = SliceContext::new(module);
+    let ctx = SliceContext::with_policy(module, run.ctx_policy);
     let report = VulnerabilityReport::analyze(&ctx);
     // Precision stage: drop obligations on provably uncorruptible objects.
     // Every variant below instruments (and is linted) from the pruned
@@ -476,74 +513,70 @@ pub fn evaluate(
     // the join below always succeeds and the panic payload is converted
     // into a typed error.
     let worker = |scheme: Scheme| -> Result<(SchemeResult, [f64; 4]), PythiaError> {
-        {
-            let ctx = &ctx;
-            let report = &report;
-            let pruned = &pruned;
-            let certifier = certifier.as_ref();
-            {
-                    let t_inst = Instant::now();
-                    // Dry run against the unpruned report: its stats are the
-                    // "pa_static before" column of the precision tables.
-                    let unpruned_pa = instrument_with(module, ctx, report, scheme)
-                        .stats
-                        .pa_total();
-                    let inst = instrument_with(module, ctx, pruned, scheme);
-                    let instrument_secs = t_inst.elapsed().as_secs_f64();
-                    // Static certification gate: the instrumented variant
-                    // must satisfy every protection invariant before it is
-                    // allowed anywhere near the VM. A violation is a setup
-                    // error, not a measurement. Timed as its own phase —
-                    // folding it into instrumentation under-reported where
-                    // evaluation time goes.
-                    let t_lint = Instant::now();
-                    let mut lint_checks = 0;
-                    if let Some(cert) = certifier {
-                        let lint = cert.check(pruned, &inst.module, scheme);
-                        if !lint.is_clean() {
-                            return Err(lint.into_setup_error());
-                        }
-                        lint_checks = lint.checks;
-                    }
-                    let lint_secs = t_lint.elapsed().as_secs_f64();
-                    // Decode phase: lower the instrumented module into the
-                    // VM's block-cached form. Under the block engine every
-                    // block is force-decoded here so the execute span stays
-                    // pure execution; the legacy engine only needs the
-                    // frame layouts (decode stays cheap and lazy).
-                    let t_decode = Instant::now();
-                    let decoded = Arc::new(DecodedModule::new(&inst.module));
-                    if cfg.engine == Engine::Block {
-                        decoded.decode_all(&inst.module);
-                    }
-                    let decode_secs = t_decode.elapsed().as_secs_f64();
-                    // VM construction (memory image, cache model, shadow
-                    // state) is setup, not execution — keeping it outside
-                    // the execute span keeps retirement rates comparable
-                    // across engines with very different execute times.
-                    let mut vm =
-                        Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
-                    let t_exec = Instant::now();
-                    let r = vm.run("main", &[])?;
-                    let execute_secs = t_exec.elapsed().as_secs_f64();
-                    Ok((
-                        SchemeResult {
-                            scheme,
-                            stats: inst.stats,
-                            exit: r.exit,
-                            metrics: r.metrics,
-                            profile: r.profile,
-                            lint_checks,
-                            pa_static_unpruned: unpruned_pa,
-                        },
-                        [instrument_secs, lint_secs, decode_secs, execute_secs],
-                    ))
+        let ctx = &ctx;
+        let report = &report;
+        let pruned = &pruned;
+        let certifier = certifier.as_ref();
+        let t_inst = Instant::now();
+        // Dry run against the unpruned report: its stats are the
+        // "pa_static before" column of the precision tables.
+        let unpruned_pa = instrument_with(module, ctx, report, scheme)
+            .stats
+            .pa_total();
+        let inst = instrument_with(module, ctx, pruned, scheme);
+        let instrument_secs = t_inst.elapsed().as_secs_f64();
+        // Static certification gate: the instrumented variant
+        // must satisfy every protection invariant before it is
+        // allowed anywhere near the VM. A violation is a setup
+        // error, not a measurement. Timed as its own phase —
+        // folding it into instrumentation under-reported where
+        // evaluation time goes.
+        let t_lint = Instant::now();
+        let mut lint_checks = 0;
+        if let Some(cert) = certifier {
+            let lint = cert.check(pruned, &inst.module, scheme);
+            if !lint.is_clean() {
+                return Err(lint.into_setup_error());
             }
+            lint_checks = lint.checks;
         }
+        let lint_secs = t_lint.elapsed().as_secs_f64();
+        // Decode phase: lower the instrumented module into the
+        // VM's block-cached form. Under the block engine every
+        // block is force-decoded here so the execute span stays
+        // pure execution; the legacy engine only needs the
+        // frame layouts (decode stays cheap and lazy).
+        let t_decode = Instant::now();
+        let decoded = Arc::new(DecodedModule::new(&inst.module));
+        if cfg.engine == Engine::Block {
+            decoded.decode_all(&inst.module);
+        }
+        let decode_secs = t_decode.elapsed().as_secs_f64();
+        // VM construction (memory image, cache model, shadow
+        // state) is setup, not execution — keeping it outside
+        // the execute span keeps retirement rates comparable
+        // across engines with very different execute times.
+        let mut vm =
+            Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
+        let t_exec = Instant::now();
+        let r = vm.run("main", &[])?;
+        let execute_secs = t_exec.elapsed().as_secs_f64();
+        Ok((
+            SchemeResult {
+                scheme,
+                stats: inst.stats,
+                exit: r.exit,
+                metrics: r.metrics,
+                profile: r.profile,
+                lint_checks,
+                pa_static_unpruned: unpruned_pa,
+            },
+            [instrument_secs, lint_secs, decode_secs, execute_secs],
+        ))
     };
     let worker = &worker;
 
-    // On a single-CPU measurement box (`PYTHIA_THREADS=1`) the variants
+    // On a single-CPU measurement box (`threads == 1`) the variants
     // run serially: concurrent variants time-share the core, so every
     // execute span absorbs the other variants' work. That both inflates
     // the phase table and — because the dilution lands proportionally
@@ -552,7 +585,7 @@ pub fn evaluate(
     // results (and any report rendered from them) are identical either
     // way; only the timings change.
     type Joined = Result<(SchemeResult, [f64; 4]), PythiaError>;
-    let outcomes: Vec<(Scheme, Joined)> = if serial_schemes() {
+    let outcomes: Vec<(Scheme, Joined)> = if run.threads == 1 {
         all.into_iter()
             .map(|scheme| {
                 let joined = catch_unwind(AssertUnwindSafe(|| worker(scheme)))

@@ -1,10 +1,11 @@
 //! Attack-scenario adjudication: run a [`Scenario`] benign and attacked
 //! under each protection scheme and classify the outcome.
 
+use crate::pipeline::RunConfig;
 use pythia_analysis::{SliceContext, VulnerabilityReport};
 use pythia_ir::PythiaError;
 use pythia_passes::{instrument_with, prune_obligations, Scheme};
-use pythia_vm::{DetectionMechanism, ExitReason, Vm, VmConfig};
+use pythia_vm::{DetectionMechanism, ExitReason, Vm};
 use pythia_workloads::Scenario;
 
 /// What happened when a scenario ran under a scheme.
@@ -47,7 +48,8 @@ impl ScenarioOutcome {
 }
 
 /// Run `scenario` under `scheme` (instrumenting the module from its
-/// pruned obligation report, like the pipeline does) and classify.
+/// pruned obligation report under `run.ctx_policy`, like the pipeline
+/// does) on `run.vm` and classify.
 ///
 /// # Errors
 ///
@@ -57,9 +59,10 @@ impl ScenarioOutcome {
 pub fn adjudicate(
     scenario: &Scenario,
     scheme: Scheme,
-    cfg: &VmConfig,
+    run: &RunConfig,
 ) -> Result<ScenarioOutcome, PythiaError> {
-    let ctx = SliceContext::new(&scenario.module);
+    let cfg = &run.vm;
+    let ctx = SliceContext::with_policy(&scenario.module, run.ctx_policy);
     let report = VulnerabilityReport::analyze(&ctx);
     let pruned = prune_obligations(&ctx, &report);
     let inst = instrument_with(&scenario.module, &ctx, &pruned, scheme);
@@ -94,10 +97,10 @@ pub fn adjudicate(
 /// # Errors
 ///
 /// The first [`PythiaError`] from [`adjudicate`].
-pub fn adjudicate_all(scenario: &Scenario, cfg: &VmConfig) -> Result<Vec<ScenarioOutcome>, PythiaError> {
+pub fn adjudicate_all(scenario: &Scenario, run: &RunConfig) -> Result<Vec<ScenarioOutcome>, PythiaError> {
     Scheme::ALL
         .iter()
-        .map(|s| adjudicate(scenario, *s, cfg))
+        .map(|s| adjudicate(scenario, *s, run))
         .collect()
 }
 
@@ -108,7 +111,7 @@ mod tests {
 
     #[test]
     fn vanilla_bends_pythia_detects_every_listing() {
-        let cfg = VmConfig::default();
+        let cfg = RunConfig::default();
         for scenario in all_scenarios() {
             let vanilla = adjudicate(&scenario, Scheme::Vanilla, &cfg).unwrap();
             assert!(
@@ -135,7 +138,7 @@ mod tests {
 
     #[test]
     fn canary_is_the_stack_detection_mechanism() {
-        let cfg = VmConfig::default();
+        let cfg = RunConfig::default();
         for scenario in all_scenarios() {
             let pythia = adjudicate(&scenario, Scheme::Pythia, &cfg).unwrap();
             assert_eq!(

@@ -14,8 +14,7 @@
 //!    statically-unreachable obligation never costs a detection.
 
 use pythia_analysis::{
-    CtxPointsTo, CtxPolicy, PointsTo, Precision, SliceContext, SliceMode, SummaryPointsTo,
-    VulnerabilityReport, CTX_NODE_BUDGET,
+    CtxPolicy, CtxSolve, PointsTo, Precision, SliceContext, SliceMode, VulnerabilityReport,
 };
 use pythia_core::{instrument_with, run_campaign_with, Scheme, VmConfig};
 use pythia_ir::{Module, ValueId};
@@ -93,65 +92,37 @@ fn field_sensitive_is_a_refinement_of_field_insensitive() {
     }
 }
 
-#[test]
-fn one_cfa_is_a_refinement_of_the_insensitive_relation() {
-    for m in suite_modules() {
-        let base = PointsTo::analyze_with(&m, Precision::FieldSensitive);
-        let ctx1 = CtxPointsTo::analyze(&m, &base);
-        assert!(
-            !ctx1.is_fallback(),
-            "{}: suite module exhausted the context-node budget",
-            m.name
-        );
-        assert!(ctx1.stats().contexts > 0, "{}", m.name);
-        for fid in m.func_ids() {
-            let f = m.func(fid);
-            let nctx = ctx1.num_contexts_of(fid);
-            assert!(nctx >= 1, "{}: fn{} has no contexts", m.name, fid.0);
-            for v in (0..f.num_values() as u32).map(ValueId) {
-                let b = base.points_to(fid, v);
-                // The union over contexts is ⊆ the insensitive set: the
-                // 1-CFA solve runs the same constraint gatherer with
-                // sharper call linking, so sets (and ⊤) only shrink.
-                let proj = ctx1.projected(fid, v).expect("non-fallback projection");
+/// Every per-context set of `solve` is ⊆ its function's projection, and
+/// ⊤ per context implies ⊤ in the projection.
+fn assert_contexts_refine_projection(m: &Module, solve: &CtxSolve) {
+    let label = solve.policy_name();
+    for fid in m.func_ids() {
+        let nctx = solve.num_contexts_of(fid);
+        assert!(nctx >= 1, "{}: fn{} has no {label} contexts", m.name, fid.0);
+        for v in (0..m.func(fid).num_values() as u32).map(ValueId) {
+            let proj = solve.projected(fid, v).expect("non-fallback projection");
+            for ci in 0..nctx {
+                let s = solve.points_to_in(fid, ci, v).expect("non-fallback set");
                 assert!(
-                    !proj.unknown || b.unknown,
-                    "{}: fn{} v{} is ⊤ only context-sensitively",
+                    !s.unknown || proj.unknown,
+                    "{}: fn{} ctx{} v{} is ⊤ only per-context under {label}",
                     m.name,
                     fid.0,
+                    ci,
                     v.0
                 );
-                for ci in 0..nctx {
-                    let s = ctx1.points_to_in(fid, ci, v).expect("non-fallback set");
+                if proj.unknown {
+                    continue;
+                }
+                for &o in &s.objects {
                     assert!(
-                        !s.unknown || b.unknown,
-                        "{}: fn{} ctx{} v{} is ⊤ only context-sensitively",
+                        proj.objects.contains(&o),
+                        "{}: fn{} ctx{} v{}: {label} object {o} missing from the projection",
                         m.name,
                         fid.0,
                         ci,
                         v.0
                     );
-                    if b.unknown {
-                        continue;
-                    }
-                    for &o in &s.objects {
-                        assert!(
-                            proj.objects.contains(&o),
-                            "{}: fn{} ctx{} v{}: object {o} missing from the projection",
-                            m.name,
-                            fid.0,
-                            ci,
-                            v.0
-                        );
-                        assert!(
-                            b.objects.contains(&o),
-                            "{}: fn{} ctx{} v{}: object {o} missing from the insensitive set",
-                            m.name,
-                            fid.0,
-                            ci,
-                            v.0
-                        );
-                    }
                 }
             }
         }
@@ -160,43 +131,42 @@ fn one_cfa_is_a_refinement_of_the_insensitive_relation() {
 
 #[test]
 fn summary_two_cfa_refines_one_cfa_refines_insensitive() {
-    // The full refinement chain for the summary solver, on every suite
-    // module: each per-context set is ⊆ its function's projection, the
-    // projection is ⊆ the 1-CFA clone projection (deeper chains plus
-    // strong-update kills only shrink sets), and that in turn is ⊆ the
-    // insensitive base relation. ⊤ is likewise monotone down the chain.
+    // The full refinement chain, on every suite module: each per-context
+    // set is ⊆ its function's projection; the summary-2cfa projection is
+    // ⊆ the summary-1cfa projection (deeper chains only split contexts
+    // further); and that in turn is ⊆ the insensitive base relation
+    // (sharper call linking plus strong-update kills only shrink sets).
+    // ⊤ is likewise monotone down the chain.
     for m in suite_modules() {
         let base = PointsTo::analyze_with(&m, Precision::FieldSensitive);
-        let ctx1 = CtxPointsTo::analyze(&m, &base);
-        let sum2 = SummaryPointsTo::analyze(&m, &base, CtxPolicy::KCfa(2), CTX_NODE_BUDGET);
-        assert!(
-            !sum2.is_fallback(),
-            "{}: summary solver exhausted the context-node budget",
-            m.name
-        );
-        assert!(
-            sum2.summaries() > 0,
-            "{}: summary solver built no summaries",
-            m.name
-        );
+        let sum1 = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(1));
+        let sum2 = CtxSolve::analyze(&m, &base, CtxPolicy::KCfa(2));
+        for solve in [&sum1, &sum2] {
+            assert!(
+                !solve.is_fallback(),
+                "{}: {} exhausted the context-node budget",
+                m.name,
+                solve.policy_name()
+            );
+            assert!(solve.stats().contexts > 0, "{}", m.name);
+            assert!(solve.summaries() > 0, "{}: no summaries built", m.name);
+            assert_contexts_refine_projection(&m, solve);
+        }
         for fid in m.func_ids() {
-            let f = m.func(fid);
-            let nctx = sum2.num_contexts_of(fid);
-            assert!(nctx >= 1, "{}: fn{} has no summary contexts", m.name, fid.0);
-            for v in (0..f.num_values() as u32).map(ValueId) {
+            for v in (0..m.func(fid).num_values() as u32).map(ValueId) {
                 let b = base.points_to(fid, v);
-                let p1 = ctx1.projected(fid, v).expect("non-fallback 1-CFA");
-                let p2 = sum2.projected(fid, v).expect("non-fallback summary");
+                let p1 = sum1.projected(fid, v).expect("non-fallback summary-1cfa");
+                let p2 = sum2.projected(fid, v).expect("non-fallback summary-2cfa");
                 assert!(
                     !p1.unknown || b.unknown,
-                    "{}: fn{} v{} is ⊤ only under 1-CFA",
+                    "{}: fn{} v{} is ⊤ only under summary-1cfa",
                     m.name,
                     fid.0,
                     v.0
                 );
                 assert!(
                     !p2.unknown || p1.unknown,
-                    "{}: fn{} v{} is ⊤ only under summary 2-CFA",
+                    "{}: fn{} v{} is ⊤ only under summary-2cfa",
                     m.name,
                     fid.0,
                     v.0
@@ -205,7 +175,7 @@ fn summary_two_cfa_refines_one_cfa_refines_insensitive() {
                     for &o in &p2.objects {
                         assert!(
                             p1.objects.contains(&o),
-                            "{}: fn{} v{}: summary object {o} missing from 1-CFA",
+                            "{}: fn{} v{}: summary-2cfa object {o} missing from summary-1cfa",
                             m.name,
                             fid.0,
                             v.0
@@ -216,33 +186,9 @@ fn summary_two_cfa_refines_one_cfa_refines_insensitive() {
                     for &o in &p1.objects {
                         assert!(
                             b.objects.contains(&o),
-                            "{}: fn{} v{}: 1-CFA object {o} missing from insensitive",
+                            "{}: fn{} v{}: summary-1cfa object {o} missing from insensitive",
                             m.name,
                             fid.0,
-                            v.0
-                        );
-                    }
-                }
-                for ci in 0..nctx {
-                    let s = sum2.points_to_in(fid, ci, v).expect("non-fallback set");
-                    assert!(
-                        !s.unknown || p2.unknown,
-                        "{}: fn{} ctx{} v{} is ⊤ only per-context",
-                        m.name,
-                        fid.0,
-                        ci,
-                        v.0
-                    );
-                    if p2.unknown {
-                        continue;
-                    }
-                    for &o in &s.objects {
-                        assert!(
-                            p2.objects.contains(&o),
-                            "{}: fn{} ctx{} v{}: object {o} missing from the projection",
-                            m.name,
-                            fid.0,
-                            ci,
                             v.0
                         );
                     }

@@ -18,8 +18,7 @@ use pythia_workloads::{generate, profile_by_name};
 const NAMES: [&str; 3] = ["519.lbm_r", "505.mcf_r", "525.x264_r"];
 const SCHEMES: [Scheme; 3] = [Scheme::Cpa, Scheme::Pythia, Scheme::Dfi];
 
-/// A config pinned to `engine` — tests must never flip `PYTHIA_ENGINE`
-/// (the harness runs tests concurrently; env mutation races).
+/// The default config pinned to `engine`.
 fn cfg_for(engine: Engine) -> VmConfig {
     VmConfig {
         engine,

@@ -437,16 +437,16 @@ pub fn lint_module(m: &Module, schemes: &[Scheme]) -> Vec<LintReport> {
         .collect()
 }
 
-/// OPT-02's differential solve under the environment's context policy.
+/// OPT-02's differential solve under the context policy `ctx` was built
+/// with.
 fn opt02_verdict(
     original: &Module,
     ctx: &SliceContext<'_>,
     mutation: Option<usize>,
 ) -> (CtxPolicy, Option<bool>) {
-    let (policy, budget) = CtxPolicy::from_env();
-    let cap = budget.min(OPT02_NODE_CAP);
-    let verdict = opt02_equivalence(original, &ctx.points_to, policy, cap, mutation);
-    (policy, verdict)
+    let policy = ctx.ctx_policy();
+    let cap = OPT02_NODE_CAP;
+    (policy, opt02_equivalence(original, &ctx.points_to, policy, cap, mutation))
 }
 
 struct Linter<'a> {
@@ -1079,15 +1079,15 @@ impl<'a> Linter<'a> {
     /// composition bug (a lost callsite binding, a stale summary reuse, a
     /// skipped kill). Modules whose context plan exceeds
     /// [`OPT02_NODE_CAP`] are skipped (`opt02_equivalence` returns
-    /// `None`), as are non-summary policies — the rule is a differential
-    /// proof harness, not a production solver.
+    /// `None`), as are contexts built with the insensitive policy — the
+    /// rule is a differential proof harness, not a production solver.
     ///
     /// The verdict is module-level, solved once by the [`Certifier`];
     /// every variant re-states it as one obligation of its own.
     fn check_summary_composition(&mut self) {
         let (policy, verdict) = self.cert.opt02;
         match verdict {
-            None => {} // non-summary policy, or module too big for the cap
+            None => {} // insensitive policy, or module too big for the cap
             Some(true) => self.checks += 1,
             Some(false) => {
                 self.checks += 1;

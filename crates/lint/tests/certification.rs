@@ -17,7 +17,7 @@
 //!    module reports byte-for-byte what a fresh per-variant lint does.
 
 use proptest::prelude::*;
-use pythia_analysis::{SliceContext, VulnerabilityReport};
+use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
 use pythia_ir::{
     CmpPred, FuncId, FunctionBuilder, Inst, Intrinsic, Module, PaKey, Ty, ValueId,
 };
@@ -459,6 +459,22 @@ fn opt02_certifies_summary_composition_clean() {
     let lint = Certifier::new(&m, &ctx).check(&report, &m, Scheme::Pythia);
     assert_eq!(lint.checks, 1, "the small module must not be skipped");
     assert!(lint.is_clean(), "{}", lint.render());
+}
+
+#[test]
+fn opt02_follows_the_policy_of_the_certified_context() {
+    // OPT-02 is a check of the summary solver; a context built with the
+    // insensitive policy has no contexts to compose, so the certifier
+    // must not run the check (no +1 per variant) and must stay clean.
+    let m = restore_module();
+    let summary = SliceContext::new(&m);
+    let insensitive = SliceContext::with_policy(&m, CtxPolicy::Insensitive);
+    let report = VulnerabilityReport::analyze(&insensitive);
+    let with = Certifier::new(&m, &summary).check(&report, &m, Scheme::Pythia);
+    let without = Certifier::new(&m, &insensitive).check(&report, &m, Scheme::Pythia);
+    assert_eq!(with.checks, 1);
+    assert_eq!(without.checks, 0, "OPT-02 ran under the insensitive policy");
+    assert!(without.is_clean(), "{}", without.render());
 }
 
 #[test]

@@ -309,16 +309,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Engine selected by the `PYTHIA_ENGINE` environment variable
-    /// (`legacy` or `block`, case-insensitive); anything else — including
-    /// the variable being unset — selects [`Engine::Block`].
-    pub fn from_env() -> Self {
-        match std::env::var("PYTHIA_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => Engine::Legacy,
-            _ => Engine::Block,
-        }
-    }
-
     /// Stable lowercase name (reports, bench labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -351,9 +341,7 @@ pub struct VmConfig {
     /// PA/shadow counters, heap stats). Purely observational: toggling it
     /// never changes [`RunMetrics`] or the exit reason.
     pub profile: bool,
-    /// Which execution engine to use. Defaults to [`Engine::from_env`] so
-    /// the whole harness (reproduce, campaigns, scripts) can be switched
-    /// with `PYTHIA_ENGINE=legacy` without plumbing a flag everywhere.
+    /// Which execution engine to use ([`Engine::Block`] by default).
     pub engine: Engine,
     /// Record a disclosure [`Witness`] (executed `Ga` canary signs and
     /// memory-writing input-channel executions). Purely observational —
@@ -379,7 +367,7 @@ impl Default for VmConfig {
             enable_cache: true,
             trace_limit: 0,
             profile: true,
-            engine: Engine::from_env(),
+            engine: Engine::Block,
             record_witness: false,
             inline_exec: false,
         }

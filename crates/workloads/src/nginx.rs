@@ -213,6 +213,7 @@ impl NginxRun {
 /// Run `module` (the nginx module, possibly instrumented) on `threads`
 /// workers, each serving the module's request loop with its own VM and
 /// input plan. Mirrors the paper's 12-thread/400-connection generator.
+/// Each worker runs `cfg` with its own derived VM seed.
 ///
 /// Workers are panic-isolated: each body runs under `catch_unwind`, so
 /// one failing worker cannot tear down the others. Failures are
@@ -222,7 +223,12 @@ impl NginxRun {
 ///
 /// [`PythiaError`] when any worker fails — a `Setup` error from its VM, or
 /// an `Internal` error carrying a panic payload.
-pub fn run_workers(module: &Module, threads: usize, seed: u64) -> Result<NginxRun, PythiaError> {
+pub fn run_workers(
+    module: &Module,
+    threads: usize,
+    seed: u64,
+    cfg: &VmConfig,
+) -> Result<NginxRun, PythiaError> {
     if threads == 0 {
         return Err(PythiaError::setup("nginx run requires at least one worker"));
     }
@@ -240,7 +246,7 @@ pub fn run_workers(module: &Module, threads: usize, seed: u64) -> Result<NginxRu
                     // deterministic per pair.
                     let cfg = VmConfig {
                         seed: crate::server::sched::stream_seed(seed, 0x4B10_0000 | t as u64),
-                        ..VmConfig::default()
+                        ..cfg.clone()
                     };
                     let plan_seed = crate::server::sched::stream_seed(seed, 0x1470_0000 | t as u64);
                     let mut vm = Vm::new(m, cfg, InputPlan::benign(plan_seed));
@@ -328,8 +334,9 @@ mod tests {
     #[test]
     fn workers_scale_bytes() {
         let m = nginx_module(10);
-        let one = run_workers(&m, 1, 9).unwrap();
-        let four = run_workers(&m, 4, 9).unwrap();
+        let cfg = VmConfig::default();
+        let one = run_workers(&m, 1, 9, &cfg).unwrap();
+        let four = run_workers(&m, 4, 9, &cfg).unwrap();
         assert!(four.bytes >= one.bytes * 3, "4 workers serve ~4x bytes");
         assert!(one.throughput() > 0.0);
     }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example attack_lab`
 
-use pythia::core::{adjudicate, Scheme, VmConfig};
+use pythia::core::{adjudicate, RunConfig, Scheme};
 use pythia::pa::pac::PacConfig;
 use pythia::pa::{brute_force_probability, expected_tries, simulate_brute_force, PaContext};
 use pythia::workloads::all_scenarios;
@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn main() {
-    let cfg = VmConfig::default();
+    let cfg = RunConfig::default();
 
     println!("=== Listings 1-3 under each scheme ===");
     for scenario in all_scenarios() {

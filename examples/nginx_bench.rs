@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example nginx_bench [-- <requests>]`
 
 use pythia::analysis::{SliceContext, VulnerabilityReport};
-use pythia::core::{instrument_with, Scheme};
+use pythia::core::{instrument_with, Scheme, VmConfig};
 use pythia::workloads::{nginx_module, run_workers};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     );
     for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia, Scheme::Dfi] {
         let inst = instrument_with(&module, &ctx, &report, scheme);
-        let run = match run_workers(&inst.module, threads, 0x1234) {
+        let run = match run_workers(&inst.module, threads, 0x1234, &VmConfig::default()) {
             Ok(run) => run,
             Err(e) => {
                 println!("{:<8} ERROR: {e}", scheme.name());

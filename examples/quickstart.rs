@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use pythia::core::{adjudicate, instrument, Scheme, VmConfig};
+use pythia::core::{adjudicate, instrument, RunConfig, Scheme};
 use pythia::ir::{printer, CmpPred, FunctionBuilder, Intrinsic, Module, Ty};
 use pythia::vm::{AttackSpec, InputPlan};
 use pythia::workloads::Scenario;
@@ -63,7 +63,7 @@ fn main() {
     // -----------------------------------------------------------------
     // 3. Adjudicate under every scheme.
     // -----------------------------------------------------------------
-    let cfg = VmConfig::default();
+    let cfg = RunConfig::default();
     println!("=== outcomes ===");
     for scheme in Scheme::ALL {
         let o = match adjudicate(&scenario, scheme, &cfg) {

@@ -58,9 +58,9 @@ echo "profiles: $OUT/serial/profile.md $OUT/parallel/profile.md"
 echo "== engine retirement rates (legacy vs block, smoke, best of 3) =="
 best_ratio=0
 for i in 1 2 3; do
-    PYTHIA_THREADS=1 PYTHIA_ENGINE=legacy "$REPRODUCE" --smoke --bench-json --profile \
+    PYTHIA_THREADS=1 "$REPRODUCE" --engine legacy --smoke --bench-json --profile \
         --out "$OUT/retire-legacy" >/dev/null
-    PYTHIA_THREADS=1 PYTHIA_ENGINE=block "$REPRODUCE" --smoke --bench-json --profile \
+    PYTHIA_THREADS=1 "$REPRODUCE" --engine block --smoke --bench-json --profile \
         --out "$OUT/retire-block" >/dev/null
     legacy_rate=$(grep -o '"retirement_minsts_per_sec": [0-9.]*' \
         "$OUT/retire-legacy/BENCH_suite.json" | head -1 | grep -o '[0-9.]*$')
@@ -77,22 +77,16 @@ fi
 echo "OK: block engine retires ${best_ratio}x faster than legacy (>= 5x gate)"
 
 # Precision trend: the smoke suite under each context policy
-# (PYTHIA_CTX_POLICY; insensitive is forced via PYTHIA_CTX_BUDGET=0),
-# comparing summed analysis wall-clock against the obligations the
+# (PYTHIA_CTX_POLICY), comparing summed analysis wall-clock against the obligations the
 # sharper relation prunes (total and Pythia heap). This is where
 # per-policy timing lives — report.md and profile.md stay wall-clock
 # free so their byte-identity gates hold. Informational — the
 # correctness gates (heap pruning fires, no budget fallback, outcome
 # byte-identity across policies) live in scripts/check.sh.
 echo "== precision trend (context policies, smoke, serial) =="
-for mode in insensitive 1cfa summary-2cfa objsens; do
-    if [ "$mode" = "insensitive" ]; then
-        PYTHIA_THREADS=1 PYTHIA_CTX_BUDGET=0 "$REPRODUCE" --smoke --bench-json \
-            --out "$OUT/prec-$mode" fig4a >/dev/null
-    else
-        PYTHIA_THREADS=1 PYTHIA_CTX_POLICY="$mode" "$REPRODUCE" --smoke --bench-json \
-            --out "$OUT/prec-$mode" fig4a >/dev/null
-    fi
+for mode in insensitive summary-1cfa summary-2cfa; do
+    PYTHIA_THREADS=1 PYTHIA_CTX_POLICY="$mode" "$REPRODUCE" --smoke --bench-json \
+        --out "$OUT/prec-$mode" fig4a >/dev/null
     PJ="$OUT/prec-$mode/BENCH_suite.json"
     asecs=$(grep -o '"analysis": [0-9.]*' "$PJ" | grep -o '[0-9.]*$')
     pruned=$(grep -o '"obligations_pruned": [0-9]*' "$PJ" \

@@ -22,11 +22,11 @@
 //! Protect a vulnerable program and watch the attack get caught:
 //!
 //! ```
-//! use pythia::core::{adjudicate, Scheme, VmConfig};
+//! use pythia::core::{adjudicate, RunConfig, Scheme};
 //! use pythia::workloads::all_scenarios;
 //!
 //! let scenario = &all_scenarios()[0]; // paper Listing 1
-//! let cfg = VmConfig::default();
+//! let cfg = RunConfig::default();
 //!
 //! let unprotected = adjudicate(scenario, Scheme::Vanilla, &cfg).unwrap();
 //! assert!(unprotected.bent, "the attack bends the unprotected branch");

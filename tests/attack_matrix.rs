@@ -7,11 +7,11 @@
 //!   about pointer arithmetic, §7) but catches plain overflows;
 //! - no scheme breaks benign behaviour.
 
-use pythia::core::{adjudicate, DetectionMechanism, Scheme, VmConfig};
+use pythia::core::{adjudicate, DetectionMechanism, RunConfig, Scheme};
 use pythia::workloads::all_scenarios;
 
-fn cfg() -> VmConfig {
-    VmConfig::default()
+fn cfg() -> RunConfig {
+    RunConfig::default()
 }
 
 #[test]
