@@ -85,7 +85,7 @@ pub use dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
 pub use defuse::DefUse;
 pub use interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval, ValueRanges};
 pub use liveness::{Liveness, ReachingStores};
-pub use reach::OverflowReach;
+pub use reach::{object_byte_size, OverflowReach};
 pub use slicing::{BackwardSlice, ForwardSlice, SliceContext, SliceMode};
 pub use summary::{opt02_equivalence, CtxPolicy, CtxSolve, CtxStats, CTX_NODE_BUDGET};
 pub use vulnerability::{

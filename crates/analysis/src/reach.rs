@@ -16,7 +16,7 @@
 //! attack engine writes the raw payload **unclamped** (`bulk_write`), so
 //! every writing IC is an overflow source regardless of its benign length
 //! argument. An overflow writes *upward* (increasing addresses) from the
-//! channel destination, mirroring the VM layout:
+//! channel destination, in the layout `pythia_ir::layout` defines:
 //!
 //! - **stack**: frames grow upward and callee frames sit above the
 //!   caller's; a frame is zeroed on function entry, so bytes smashed above
@@ -52,6 +52,7 @@ use crate::alias::{MemObjectKind, ObjId, PointsTo};
 use crate::callgraph::CallGraph;
 use crate::interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval, ValueRanges};
 use crate::slicing::SliceContext;
+use pythia_ir::layout::{frame_slots, object_size};
 use pythia_ir::{Callee, FuncId, Inst, Intrinsic, ValueId, ValueKind};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -138,24 +139,17 @@ struct Builder<'a, 'm> {
 impl<'a, 'm> Builder<'a, 'm> {
     fn new(ctx: &'a SliceContext<'m>) -> Self {
         let m = ctx.module;
-        // Replicate the VM's frame layout exactly (vm.rs: allocas in
-        // entry-block order, alignment max(elem, 8)).
-        let mut frame_offsets = HashMap::new();
-        for fid in m.func_ids() {
-            let f = m.func(fid);
-            let mut offs: HashMap<ValueId, (u64, u64)> = HashMap::new();
-            let mut off = 0u64;
-            for a in f.allocas() {
-                if let Some(Inst::Alloca { elem, count }) = f.inst(a) {
-                    let align = elem.align().max(8);
-                    off = off.div_ceil(align).saturating_mul(align);
-                    let size = elem.size().max(1).saturating_mul(u64::from((*count).max(1)));
-                    offs.insert(a, (off, size));
-                    off = off.saturating_add(size);
-                }
-            }
-            frame_offsets.insert(fid, offs);
-        }
+        // The frame layout the VM materializes.
+        let frame_offsets = m
+            .func_ids()
+            .map(|fid| {
+                let offs: HashMap<ValueId, (u64, u64)> = frame_slots(m.func(fid))
+                    .into_iter()
+                    .map(|(a, s)| (a, (s.start, s.size)))
+                    .collect();
+                (fid, offs)
+            })
+            .collect();
         let mut address_taken = Vec::new();
         for fid in m.func_ids() {
             let f = m.func(fid);
@@ -271,39 +265,7 @@ impl<'a, 'm> Builder<'a, 'm> {
         if elem_size == 0 {
             return None;
         }
-        let m = self.ctx.module;
-        let pt = &self.ctx.points_to;
-        let byte_size = match pt.obj_kind(obj) {
-            MemObjectKind::Stack { func, value } => match m.func(func).inst(value) {
-                Some(Inst::Alloca { elem, count }) => {
-                    Some(elem.size().max(1) * u64::from((*count).max(1)))
-                }
-                _ => None,
-            },
-            MemObjectKind::Global(g) => Some(m.global(g).ty.size().max(1)),
-            MemObjectKind::Heap { func, value } => match m.func(func).inst(value) {
-                Some(Inst::Call {
-                    callee: Callee::Intrinsic(i),
-                    args,
-                }) => {
-                    let const_arg =
-                        |n: usize| match args.get(n).map(|a| &m.func(func).value(*a).kind) {
-                            Some(ValueKind::ConstInt(v)) if *v >= 0 => Some(*v as u64),
-                            _ => None,
-                        };
-                    match i {
-                        Intrinsic::Malloc | Intrinsic::SecureMalloc | Intrinsic::Mmap => {
-                            const_arg(0)
-                        }
-                        Intrinsic::Calloc => Some(const_arg(0)?.checked_mul(const_arg(1)?)?),
-                        _ => None,
-                    }
-                }
-                _ => None,
-            },
-            MemObjectKind::Field { size, .. } => Some(size),
-        }?;
-        Some(byte_size / elem_size)
+        Some(object_byte_size(self.ctx, obj)? / elem_size)
     }
 
     /// Is the gep store at `(fid, gep)` (with variable, tainted `index`)
@@ -652,6 +614,38 @@ fn resolve_const_arg(
         ValueKind::ConstInt(c) => Some(c),
         ValueKind::Arg(j) => resolve_const_arg(m, chain, depth + 1, caller, j),
         _ => None,
+    }
+}
+
+/// Statically known size in bytes of abstract object `obj`: stack and
+/// global objects per [`pythia_ir::layout`], heap sites whose allocation
+/// size is a non-negative constant, and struct fields; `None` otherwise.
+pub fn object_byte_size(ctx: &SliceContext<'_>, obj: ObjId) -> Option<u64> {
+    let m = ctx.module;
+    match ctx.points_to.obj_kind(obj) {
+        MemObjectKind::Stack { func, value } => match m.func(func).inst(value) {
+            Some(Inst::Alloca { elem, count }) => Some(object_size(elem, *count)),
+            _ => None,
+        },
+        MemObjectKind::Global(g) => Some(object_size(&m.global(g).ty, 1)),
+        MemObjectKind::Heap { func, value } => match m.func(func).inst(value) {
+            Some(Inst::Call {
+                callee: Callee::Intrinsic(i),
+                args,
+            }) => {
+                let const_arg = |n: usize| match args.get(n).map(|a| &m.func(func).value(*a).kind) {
+                    Some(ValueKind::ConstInt(v)) if *v >= 0 => Some(*v as u64),
+                    _ => None,
+                };
+                match i {
+                    Intrinsic::Malloc | Intrinsic::SecureMalloc | Intrinsic::Mmap => const_arg(0),
+                    Intrinsic::Calloc => const_arg(0)?.checked_mul(const_arg(1)?),
+                    _ => None,
+                }
+            }
+            _ => None,
+        },
+        MemObjectKind::Field { size, .. } => Some(size),
     }
 }
 

@@ -16,9 +16,8 @@ use crate::alias::{ObjId, PointsTo, Precision};
 use crate::channels::{IcSite, InputChannels};
 use crate::summary::{CtxPolicy, CtxSolve};
 use pythia_ir::{BlockId, Callee, FuncId, Inst, Intrinsic, Module, ValueId, ValueKind};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// Default capacity of the backward-slice memo table (entries). Far
 /// above any real suite's distinct-branch count — even the ref tier's
@@ -183,35 +182,29 @@ pub struct SliceContext<'m> {
     callers: HashMap<FuncId, Vec<(FuncId, ValueId)>>,
     /// Lazily computed def-use chains, one slot per function. Shared by
     /// every forward slice instead of being rebuilt per query.
-    du: Vec<OnceLock<crate::defuse::DefUse>>,
+    du: Vec<OnceCell<crate::defuse::DefUse>>,
     /// Lazily computed control-dependence sets, one slot per function.
-    cd: Vec<OnceLock<Vec<Vec<BlockId>>>>,
+    cd: Vec<OnceCell<Vec<Vec<BlockId>>>>,
     /// Memo table for whole backward slices, keyed by (func, branch, mode).
     /// CPA/Pythia/DFI and the control-dependence extension all re-query the
     /// same branches; each is computed once per context. Bounded by
     /// [`Self::memo_capacity`]: at capacity, further keys compute without
     /// inserting.
-    slice_memo: RwLock<HashMap<(FuncId, ValueId, SliceMode), Arc<BackwardSlice>>>,
+    slice_memo: RefCell<HashMap<(FuncId, ValueId, SliceMode), BackwardSlice>>,
     /// Maximum number of memoized slices ([`SLICE_MEMO_CAPACITY`] by
     /// default).
     memo_capacity: usize,
     /// Memo-table hits (served without recomputation).
-    memo_hits: AtomicU64,
+    memo_hits: Cell<u64>,
     /// Memo-table misses (full traversals performed).
-    memo_misses: AtomicU64,
+    memo_misses: Cell<u64>,
     /// The context policy [`Self::ctx_points_to`] solves under.
     policy: CtxPolicy,
     /// Lazily computed context-sensitive points-to layer over
     /// [`Self::points_to`]. Only the overflow-reachability pruner (and
     /// the lint's OPT-02 rule) pays for it, on first use.
-    ctx1: OnceLock<CtxSolve>,
+    ctx1: OnceCell<CtxSolve>,
 }
-
-/// The context is shared by reference across evaluation worker threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SliceContext<'static>>();
-};
 
 impl<'m> SliceContext<'m> {
     /// Build the context (runs points-to analysis at both precisions)
@@ -264,14 +257,14 @@ impl<'m> SliceContext<'m> {
             maps,
             maps_fi,
             callers,
-            du: (0..nfuncs).map(|_| OnceLock::new()).collect(),
-            cd: (0..nfuncs).map(|_| OnceLock::new()).collect(),
-            slice_memo: RwLock::new(HashMap::new()),
+            du: (0..nfuncs).map(|_| OnceCell::new()).collect(),
+            cd: (0..nfuncs).map(|_| OnceCell::new()).collect(),
+            slice_memo: RefCell::new(HashMap::new()),
             memo_capacity,
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
+            memo_hits: Cell::new(0),
+            memo_misses: Cell::new(0),
             policy,
-            ctx1: OnceLock::new(),
+            ctx1: OnceCell::new(),
         }
     }
 
@@ -282,16 +275,15 @@ impl<'m> SliceContext<'m> {
 
     /// The context-sensitive points-to layer over the field-sensitive
     /// relation under [`Self::ctx_policy`], computed once per context on
-    /// first use (and shared by concurrent readers). On fallback its
-    /// queries return `None` and callers use [`Self::points_to`] —
-    /// always a sound superset.
+    /// first use. On fallback its queries return `None` and callers use
+    /// [`Self::points_to`] — always a sound superset.
     pub fn ctx_points_to(&self) -> &CtxSolve {
         self.ctx1
             .get_or_init(|| CtxSolve::analyze(self.module, &self.points_to, self.policy))
     }
 
     /// Def-use chains of `fid`, computed once per context and shared by
-    /// every forward slice (and any concurrent reader).
+    /// every forward slice.
     pub fn def_use(&self, fid: FuncId) -> &crate::defuse::DefUse {
         self.du[fid.0 as usize].get_or_init(|| crate::defuse::DefUse::compute(self.module.func(fid)))
     }
@@ -304,10 +296,7 @@ impl<'m> SliceContext<'m> {
 
     /// (hits, misses) of the backward-slice memo table.
     pub fn memo_stats(&self) -> (u64, u64) {
-        (
-            self.memo_hits.load(Ordering::Relaxed),
-            self.memo_misses.load(Ordering::Relaxed),
-        )
+        (self.memo_hits.get(), self.memo_misses.get())
     }
 
     /// The points-to relation a slicing mode assumes: field-sensitive for
@@ -395,42 +384,27 @@ impl<'m> SliceContext<'m> {
     /// Results are memoized per `(func, branch, mode)`: CPA, Pythia and
     /// DFI evaluation — and the control-dependence extension — re-query
     /// the same branches, so each slice is traversed at most once per
-    /// context. Safe to call from multiple threads.
+    /// context.
     ///
     /// # Panics
     ///
     /// Panics if `branch` is not a `br` instruction of `func`.
     pub fn backward_slice(&self, func: FuncId, branch: ValueId, mode: SliceMode) -> BackwardSlice {
         let key = (func, branch, mode);
-        if let Some(hit) = self.slice_memo.read().unwrap().get(&key) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return (**hit).clone();
+        if let Some(hit) = self.slice_memo.borrow().get(&key) {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            return hit.clone();
         }
         let slice = self.compute_backward_slice(func, branch, mode);
-        let mut memo = self.slice_memo.write().unwrap();
-        // A racing thread may have inserted meanwhile; either result is
-        // identical, so keep whichever is already there. Count the miss
-        // only on actual insertion (the lost race counts as a hit): that
-        // makes `misses` = distinct keys ever computed and `hits` =
-        // re-queries, both independent of thread scheduling — the suite's
-        // determinism tests compare these counters across worker counts.
-        let at_capacity = memo.len() >= self.memo_capacity;
-        match memo.entry(key) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                // At capacity the result is returned without caching (no
-                // eviction — cached entries stay shared and the table
-                // never exceeds the bound); the recomputation still
-                // counts as a miss, so hits + misses = queries holds at
-                // any capacity.
-                if !at_capacity {
-                    v.insert(Arc::new(slice.clone()));
-                }
-                self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            std::collections::hash_map::Entry::Occupied(_) => {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            }
+        // At capacity the result is returned without caching (no
+        // eviction: the table never exceeds the bound); the recomputation
+        // still counts as a miss, so hits + misses = queries holds at any
+        // capacity and `misses` = slices computed.
+        let mut memo = self.slice_memo.borrow_mut();
+        if memo.len() < self.memo_capacity {
+            memo.insert(key, slice.clone());
         }
+        self.memo_misses.set(self.memo_misses.get() + 1);
         slice
     }
 
@@ -978,27 +952,6 @@ mod tests {
         let a2 = bounded.backward_slice(fid, br, SliceMode::Pythia);
         assert_eq!(bounded.memo_stats(), (1, 3));
         assert_eq!(a1.values, a2.values);
-    }
-
-    #[test]
-    fn shared_caches_are_thread_safe() {
-        let (m, fid) = listing1_like();
-        let ctx = SliceContext::new(&m);
-        let br = ctx.branches_in(fid)[0];
-        let baseline = ctx.backward_slice(fid, br, SliceMode::Pythia);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let slice = ctx.backward_slice(fid, br, SliceMode::Pythia);
-                    assert_eq!(slice.values, baseline.values);
-                    let _ = ctx.def_use(fid);
-                    let _ = ctx.control_deps(fid);
-                });
-            }
-        });
-        let (hits, misses) = ctx.memo_stats();
-        assert_eq!(hits + misses, 5);
-        assert!(hits >= 4, "concurrent identical queries must mostly hit");
     }
 
     #[test]

@@ -68,9 +68,10 @@
 //! - `PYTHIA_CTX_POLICY` ∈ {`insensitive`, `summary-1cfa`,
 //!   `summary-2cfa`} selects the context policy of every analysis the
 //!   run makes (default `summary-2cfa`; DESIGN.md §5j).
-//! - `PYTHIA_THREADS` (a positive integer) sets the worker count
-//!   (default: available parallelism). At 1, each benchmark's scheme
-//!   variants also run serially.
+//! - `PYTHIA_THREADS` (a positive integer) sets the width of the one
+//!   worker pool (default: available parallelism): how many suite
+//!   benchmarks, nginx-sweep workers or server event loops run at once.
+//!   Each benchmark's scheme variants always run serially.
 //!
 //! An invalid `--engine`, policy or thread count exits 2 and names the
 //! valid values.
@@ -172,7 +173,7 @@ fn run_server(spec: &pythia_bench::ServerScenarioSpec, out_dir: Option<&str>) ->
     let path = std::path::Path::new(dir).join("BENCH_server.json");
     std::fs::write(&path, &run.json).expect("write BENCH_server.json");
     println!("{}", run.table);
-    let engine = spec.engine.name();
+    let engine = spec.run.vm.engine.name();
     for r in &run.runs {
         eprintln!(
             "server[{engine}] {}: {:.0} wall req/s ({} requests, {:.2}s)",
@@ -238,7 +239,10 @@ fn main() {
     // suite: writes BENCH_server.json, prints the detection-vs-offset
     // table to stdout and per-engine wall throughput to stderr.
     let scenario = take_flag(&mut args, "--scenario", "--scenario needs a name (server)");
-    let mut spec = pythia_bench::ServerScenarioSpec::default();
+    let mut spec = pythia_bench::ServerScenarioSpec {
+        run: run.clone(),
+        ..Default::default()
+    };
     if let Some(v) = take_value(&mut args, "--connections", scenario.is_some()) {
         spec.connections = v as usize;
     }
@@ -252,8 +256,6 @@ fn main() {
         if name != "server" {
             usage_error(&format!("unknown scenario `{name}` (expected: server)"));
         }
-        spec.engine = run.vm.engine;
-        spec.ctx_policy = run.ctx_policy;
         std::process::exit(run_server(&spec, out_dir.as_deref()));
     }
     let bench_json = take_switch(&mut args, "--bench-json");

@@ -4,21 +4,20 @@
 //! into the report that EXPERIMENTS.md records. Numbers are *measured* — the
 //! suite is analyzed, instrumented and executed on the spot.
 
+use crate::pool::{self, StreamStats};
 use crate::table::{frac, pct, Table};
+use pythia_analysis::PrunedObligations;
 use pythia_core::{
     adjudicate, evaluate_with, BenchEvaluation, Engine, PythiaError, RunConfig, Scheme,
 };
 use pythia_ir::{IcCategory, Module};
 use pythia_pa::{brute_force_probability, expected_tries, PaContext, PacConfig};
 use pythia_workloads::{
-    all_scenarios, generate, nginx_module, profile_by_name, run_workers, BenchProfile, SizeTier,
-    SPEC_PROFILES,
+    all_scenarios, generate, nginx_module, profile_by_name, run_worker, BenchProfile, NginxRun,
+    SizeTier, SPEC_PROFILES,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// The three instrumented schemes, in figure order.
@@ -205,124 +204,17 @@ fn at_tier(run: &RunConfig, tier: SizeTier) -> RunConfig {
     run
 }
 
-/// Peak number of completed-but-unconsumed evaluations the streaming
-/// runner ever buffered — the quantity its backpressure bounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamStats {
-    /// Jobs processed.
-    pub jobs: usize,
-    /// Peak reorder-buffer occupancy (≤ the claim window).
-    pub peak_buffered: usize,
-    /// The claim window: at most this many jobs may be past their claim
-    /// but not yet consumed, bounding live evaluations to `window + 1`.
-    pub window: usize,
-}
-
-/// Run `jobs` on a pool of `run.threads` workers, delivering each [`SuiteEntry`] to
-/// `sink` **in input order** the moment it is available, then dropping it
-/// — suite memory no longer scales with suite size, only with the worker
-/// window. Every job is deterministic (fixed generator and VM seeds), so
-/// the entries the sink sees — and any report rendered from them — are
-/// identical for every worker count.
-///
-/// Backpressure comes from two bounds instead of the old unbounded
-/// channel: a `sync_channel` sized to the worker count, and a claim
-/// window (2× workers) that stops a worker from starting job `i` until
-/// job `i - window` has been consumed by the sink. Together they cap
-/// completed-but-unconsumed evaluations at `window` however lopsided the
-/// job durations are.
-///
-/// Ordering audit (the claim counter): `fetch_add(Relaxed)` is sound
-/// here because the counter is a pure index dispenser — no data is
-/// published through it. Atomic RMWs on one variable have a total
-/// modification order even under `Relaxed`, so each index is claimed
-/// exactly once; the happens-before edge for the *results* is the
-/// channel send/recv pair, and the window gate's mutex orders the
-/// consumed counter.
-///
-/// Each job body runs under `catch_unwind`, so one panicking or failing
-/// benchmark yields an error entry in its slot instead of poisoning the
-/// pool: the other jobs keep draining the queue and land in their usual
-/// positions.
-fn run_jobs_streamed(
-    jobs: &[SuiteJob],
-    run: &RunConfig,
-    mut sink: impl FnMut(SuiteEntry),
-) -> StreamStats {
-    type Outcome = Result<BenchEvaluation, PythiaError>;
-    let threads = run.threads.clamp(1, jobs.len().max(1));
-    let window = threads * 2;
-    let next = AtomicUsize::new(0);
-    // Consumed-prefix gate: workers wait here until the sink catches up.
-    let gate: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Outcome)>(threads);
-    let mut peak_buffered = 0usize;
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, gate) = (&next, &gate);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                {
-                    let (consumed, cv) = gate;
-                    let mut done = consumed.lock().unwrap();
-                    while i >= *done + window {
-                        done = cv.wait(done).unwrap();
-                    }
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| jobs[i].run(run)))
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())));
-                if tx.send((i, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Consume in input order; out-of-order completions wait in a
-        // reorder buffer bounded by the claim window.
-        let mut pending: std::collections::HashMap<usize, Outcome> = Default::default();
-        for (j, job) in jobs.iter().enumerate() {
-            let outcome = loop {
-                if let Some(o) = pending.remove(&j) {
-                    break Some(o);
-                }
-                match rx.recv() {
-                    Ok((i, o)) if i == j => break Some(o),
-                    Ok((i, o)) => {
-                        pending.insert(i, o);
-                        peak_buffered = peak_buffered.max(pending.len());
-                    }
-                    // Workers are gone and job j never arrived: it was
-                    // dropped (a worker died outside catch_unwind).
-                    Err(_) => break None,
-                }
-            };
-            let name = job.name();
-            let outcome = outcome.unwrap_or_else(|| {
-                Err(PythiaError::internal("suite worker dropped the job").with_function(&name))
-            });
-            sink(SuiteEntry { name, outcome });
-            let (consumed, cv) = &gate;
-            *consumed.lock().unwrap() += 1;
-            cv.notify_all();
-        }
-    });
-    StreamStats {
-        jobs: jobs.len(),
-        peak_buffered,
-        window,
-    }
-}
-
-/// Collecting wrapper over [`run_jobs_streamed`] for callers that want
-/// the whole suite in memory (tests, figure subsets).
+/// Run `jobs` on the worker pool; entries come back in input order.
+/// Every job is deterministic (fixed generator and VM seeds), so the
+/// entries — and any report rendered from them — are identical for
+/// every worker count.
 fn run_jobs(jobs: &[SuiteJob], run: &RunConfig) -> Vec<SuiteEntry> {
-    let mut out = Vec::with_capacity(jobs.len());
-    run_jobs_streamed(jobs, run, |e| out.push(e));
-    out
+    let outcomes = pool::run(jobs, run.threads, |job| job.run(run));
+    let names = jobs.iter().map(SuiteJob::name);
+    names
+        .zip(outcomes)
+        .map(|(name, outcome)| SuiteEntry { name, outcome })
+        .collect()
 }
 
 /// Evaluate a subset of the suite at `tier` by (possibly partial)
@@ -421,7 +313,10 @@ pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
     let mut rows = Vec::with_capacity(jobs.len());
     let mut entries: Vec<SuiteEntry> = Vec::with_capacity(jobs.len());
     let start = Instant::now();
-    let stream = run_jobs_streamed(&jobs, &run, |mut e| {
+    let mut names = jobs.iter().map(SuiteJob::name);
+    let sink = |outcome| {
+        let name = names.next().expect("one outcome per job");
+        let mut e = SuiteEntry { name, outcome };
         rows.push(bench_json_row(&e, spec.lint, spec.profile));
         if let Ok(ev) = &mut e.outcome {
             acc.add(ev);
@@ -433,7 +328,8 @@ pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
             }
         }
         entries.push(e);
-    });
+    };
+    let stream = pool::run_streamed(&jobs, run.threads, |job| job.run(&run), sink);
     let timing = SuiteTiming {
         threads: run.threads,
         total_secs: start.elapsed().as_secs_f64(),
@@ -564,17 +460,17 @@ fn bench_json_row(entry: &SuiteEntry, lint: bool, profile: bool) -> String {
                 share(t.analysis_secs()),
                 share(t.execute_secs()),
                 peak_resident,
-                ev.analysis.proven_gep_stores,
-                ev.analysis.obligations_pruned,
-                ev.analysis.reach_top,
-                ev.analysis.contexts,
-                ev.analysis.ctx_fallback,
-                ev.analysis.pythia_heap_pruned,
-                ev.analysis.dfi_pruned,
-                ev.analysis.policy,
-                ev.analysis.summaries,
-                ev.analysis.summary_reuse,
-                ev.analysis.strong_updates,
+                ev.analysis.pruned.proven_gep_stores,
+                ev.analysis.pruned.total(),
+                ev.analysis.pruned.reach_top,
+                ev.analysis.pruned.contexts,
+                ev.analysis.pruned.ctx_fallback,
+                ev.analysis.pruned.pythia_heap_objects,
+                ev.analysis.pruned.dfi_objects,
+                ev.analysis.pruned.policy,
+                ev.analysis.pruned.summaries,
+                ev.analysis.pruned.summary_reuse,
+                ev.analysis.pruned.strong_updates,
             );
             if profile {
                 let mut out = format!(
@@ -739,17 +635,6 @@ struct SchemeSums {
     resident: u64,
 }
 
-/// Context-solver digest carried per benchmark in [`ProfileAcc`]: the
-/// policy the solver ran under plus the summary-reuse and strong-update
-/// counters surfaced by the analysis.
-#[derive(Debug, Clone, Copy)]
-struct CtxDigest {
-    policy: &'static str,
-    summaries: usize,
-    summary_reuse: usize,
-    strong_updates: usize,
-}
-
 /// Streaming accumulator behind [`profile_section`]: consumes one
 /// evaluation at a time (while its execution profiles are still
 /// attached) and keeps only pooled sums plus one small memo-table row
@@ -767,9 +652,8 @@ pub struct ProfileAcc {
     execs: std::collections::BTreeMap<&'static str, u64>,
     mc: std::collections::BTreeMap<&'static str, u64>,
     memo_rows: Vec<(String, u64, u64, f64)>,
-    /// Per-benchmark context-solver digest: (name, reach_top, contexts,
-    /// fallback, pythia heap pruned, dfi pruned).
-    ctx_rows: Vec<(String, bool, usize, bool, usize, usize, CtxDigest)>,
+    /// Per-benchmark pruning provenance (context solve included).
+    ctx_rows: Vec<(String, PrunedObligations)>,
 }
 
 impl ProfileAcc {
@@ -833,20 +717,7 @@ impl ProfileAcc {
             ev.analysis.memo_misses,
             ev.analysis.memo_hit_rate(),
         ));
-        self.ctx_rows.push((
-            ev.name.clone(),
-            ev.analysis.reach_top,
-            ev.analysis.contexts,
-            ev.analysis.ctx_fallback,
-            ev.analysis.pythia_heap_pruned,
-            ev.analysis.dfi_pruned,
-            CtxDigest {
-                policy: ev.analysis.policy,
-                summaries: ev.analysis.summaries,
-                summary_reuse: ev.analysis.summary_reuse,
-                strong_updates: ev.analysis.strong_updates,
-            },
-        ));
+        self.ctx_rows.push((ev.name.clone(), ev.analysis.pruned));
     }
 
     /// Render the cost-attribution report from the accumulated sums.
@@ -962,25 +833,25 @@ impl ProfileAcc {
         ]);
         let (mut ctx_total, mut fb_total, mut hp_total, mut dfi_total) = (0usize, 0usize, 0, 0);
         let (mut reuse_total, mut kill_total, mut sum_total) = (0usize, 0usize, 0usize);
-        for (name, top, ctxs, fb, hp, dfi, d) in &self.ctx_rows {
-            ctx_total += ctxs;
-            fb_total += *fb as usize;
-            hp_total += hp;
-            dfi_total += dfi;
+        for (name, d) in &self.ctx_rows {
+            ctx_total += d.contexts;
+            fb_total += d.ctx_fallback as usize;
+            hp_total += d.pythia_heap_objects;
+            dfi_total += d.dfi_objects;
             sum_total += d.summaries;
             reuse_total += d.summary_reuse;
             kill_total += d.strong_updates;
             t.row(vec![
                 name.clone(),
                 d.policy.to_owned(),
-                if *top { "TOP" } else { "ok" }.to_owned(),
-                ctxs.to_string(),
+                if d.reach_top { "TOP" } else { "ok" }.to_owned(),
+                d.contexts.to_string(),
                 d.summaries.to_string(),
-                if *fb { "yes" } else { "no" }.to_owned(),
+                if d.ctx_fallback { "yes" } else { "no" }.to_owned(),
                 d.summary_reuse.to_string(),
                 d.strong_updates.to_string(),
-                hp.to_string(),
-                dfi.to_string(),
+                d.pythia_heap_objects.to_string(),
+                d.dfi_objects.to_string(),
             ]);
         }
         t.row(vec![
@@ -1365,40 +1236,48 @@ pub fn dist(suite: &[BenchEvaluation]) -> String {
     )
 }
 
-/// §6.3 nginx throughput degradation over three run lengths.
+/// §6.3 nginx throughput degradation over three run lengths. Every
+/// (size, scheme, worker) run goes through the worker pool.
 pub fn nginx(run: &RunConfig) -> String {
+    const WORKERS: usize = 12;
+    let variants: Vec<(u64, Scheme, Module)> = [60u64, 600, 6000]
+        .into_iter()
+        .flat_map(|requests| {
+            let m = nginx_module(requests);
+            let ctx = pythia_analysis::SliceContext::with_policy(&m, run.ctx_policy);
+            let report = pythia_analysis::VulnerabilityReport::analyze(&ctx);
+            [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia].map(|scheme| {
+                let inst = pythia_core::instrument_with(&m, &ctx, &report, scheme);
+                (requests, scheme, inst.module)
+            })
+        })
+        .collect();
+    let tasks: Vec<(&Module, usize)> = variants
+        .iter()
+        .flat_map(|(_, _, m)| (0..WORKERS).map(move |t| (m, t)))
+        .collect();
+    let worker = |&(m, t): &(&Module, usize)| run_worker(m, t, 0x9e, &run.vm);
+    let mut outcomes = pool::run(&tasks, run.threads, worker).into_iter();
+
     let mut t = Table::new(vec!["requests", "scheme", "throughput", "degradation"]);
-    for requests in [60u64, 600, 6000] {
-        let m = nginx_module(requests);
-        let ctx = pythia_analysis::SliceContext::with_policy(&m, run.ctx_policy);
-        let report = pythia_analysis::VulnerabilityReport::analyze(&ctx);
-        let mut base = 0.0f64;
-        for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia] {
-            let inst = pythia_core::instrument_with(&m, &ctx, &report, scheme);
-            let workers = match run_workers(&inst.module, 12, 0x9e, &run.vm) {
-                Ok(w) => w,
-                Err(e) => {
-                    t.row(vec![
-                        requests.to_string(),
-                        scheme.name().to_owned(),
-                        format!("ERROR: {e}"),
-                        String::new(),
-                    ]);
-                    continue;
-                }
-            };
-            let tp = workers.throughput();
-            if scheme == Scheme::Vanilla {
-                base = tp;
-            }
-            let deg = if base > 0.0 { 1.0 - tp / base } else { 0.0 };
-            t.row(vec![
-                requests.to_string(),
-                scheme.name().to_owned(),
-                format!("{tp:.2}"),
-                frac(deg),
-            ]);
+    let mut base = 0.0f64;
+    for (requests, scheme, _) in &variants {
+        let workers = NginxRun::from_workers(outcomes.by_ref().take(WORKERS).collect());
+        // Each size's degradation is relative to its own vanilla run.
+        if *scheme == Scheme::Vanilla {
+            base = workers.as_ref().map_or(0.0, NginxRun::throughput);
         }
+        let cells = match workers {
+            Ok(w) => {
+                let tp = w.throughput();
+                let deg = if base > 0.0 { 1.0 - tp / base } else { 0.0 };
+                [format!("{tp:.2}"), frac(deg)]
+            }
+            Err(e) => [format!("ERROR: {e}"), String::new()],
+        };
+        let mut row = vec![requests.to_string(), scheme.name().to_owned()];
+        row.extend(cells);
+        t.row(row);
     }
     format!(
         "## nginx — 12-worker throughput degradation (paper: CPA 49.13%, Pythia 20.15%)\n\n{}",
@@ -1562,30 +1441,30 @@ pub fn precision(suite: &[BenchEvaluation]) -> String {
             .unwrap_or(0);
         kept_total += c_kept;
         unpruned_total += c_un;
-        pruned_total += a.obligations_pruned;
-        heap_total += a.pythia_heap_pruned;
-        dfi_total += a.dfi_pruned;
-        ctx_total += a.contexts;
+        pruned_total += a.pruned.total();
+        heap_total += a.pruned.pythia_heap_objects;
+        dfi_total += a.pruned.dfi_objects;
+        ctx_total += a.pruned.contexts;
         t.row(vec![
             ev.name.clone(),
             format!("{:.2}", a.avg_points_to),
             a.field_objects.to_string(),
-            if a.reach_top {
+            if a.pruned.reach_top {
                 "TOP".to_owned()
             } else {
-                a.reach_objects.to_string()
+                a.pruned.reachable_objects.to_string()
             },
-            if a.ctx_fallback {
-                format!("{}!", a.contexts)
+            if a.pruned.ctx_fallback {
+                format!("{}!", a.pruned.contexts)
             } else {
-                a.contexts.to_string()
+                a.pruned.contexts.to_string()
             },
-            a.proven_gep_stores.to_string(),
+            a.pruned.proven_gep_stores.to_string(),
             c_kept.to_string(),
             c_un.to_string(),
-            a.obligations_pruned.to_string(),
-            a.pythia_heap_pruned.to_string(),
-            a.dfi_pruned.to_string(),
+            a.pruned.total().to_string(),
+            a.pruned.pythia_heap_objects.to_string(),
+            a.pruned.dfi_objects.to_string(),
             pct(a.pythia_secured - a.dfi_secured),
             format!("{:+.1}", a.pythia_distance - a.dfi_distance),
         ]);

@@ -16,16 +16,16 @@
 //! Wall-clock throughput (which *does* differ per engine) goes to stderr
 //! only; `scripts/bench.sh` compares it legacy-vs-block.
 
+use crate::pool;
 use crate::table::Table;
-use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
-use pythia_core::{instrument_certified, Certifier};
+use pythia_analysis::{SliceContext, VulnerabilityReport};
+use pythia_core::{instrument_certified, Certifier, RunConfig};
 use pythia_ir::{verify, Module, PythiaError};
 use pythia_passes::{prune_obligations, Scheme};
 use pythia_vm::{DecodedModule, Engine};
 use pythia_workloads::{
     run_event_loop, server_module, EventLoopConfig, ServerRunStats, WINDOW_OFFSETS,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,10 +38,9 @@ pub struct ServerScenarioSpec {
     pub requests: u64,
     /// Master seed.
     pub seed: u64,
-    /// VM engine.
-    pub engine: Engine,
-    /// Context policy of the server module's analysis.
-    pub ctx_policy: CtxPolicy,
+    /// The VM engine of the loops, the context policy of the server
+    /// module's analysis, and how many loops run at once.
+    pub run: RunConfig,
 }
 
 impl Default for ServerScenarioSpec {
@@ -52,8 +51,7 @@ impl Default for ServerScenarioSpec {
             connections: 64,
             requests: 250_000,
             seed: 0x5EB0_517E,
-            engine: Engine::Block,
-            ctx_policy: CtxPolicy::default(),
+            run: RunConfig::default(),
         }
     }
 }
@@ -90,9 +88,9 @@ pub struct ServerScenarioRun {
 }
 
 /// Run the server scenario: instrument + certify each scheme variant of
-/// the server module, drive one event loop per variant (concurrently;
-/// joined in scheme order so results are deterministic), and render the
-/// JSON + table.
+/// the server module, drive one event loop per variant on the worker
+/// pool (`spec.run.threads` wide; results in scheme order, so the JSON
+/// is the same at every width), and render the JSON + table.
 ///
 /// # Errors
 ///
@@ -102,7 +100,7 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
     let t0 = Instant::now();
     let module = server_module();
     verify::verify_module(&module)?;
-    let ctx = SliceContext::with_policy(&module, spec.ctx_policy);
+    let ctx = SliceContext::with_policy(&module, spec.run.ctx_policy);
     let report = VulnerabilityReport::analyze(&ctx);
     let pruned = prune_obligations(&ctx, &report);
     let cert = Certifier::new(&module, &ctx);
@@ -114,40 +112,27 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
         })
         .collect::<Result<_, PythiaError>>()?;
 
-    let cfg = EventLoopConfig::standard(spec.connections, spec.requests, spec.seed, spec.engine);
-    // One loop per variant, concurrently; panic-isolated like the suite
-    // workers, joined in spawn order for determinism.
-    let outcomes: Vec<Result<SchemeServerRun, PythiaError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = variants
-            .iter()
-            .map(|(s, m, checks)| {
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let decoded = Arc::new(DecodedModule::new(m));
-                        if cfg.engine == Engine::Block {
-                            decoded.decode_all(m);
-                        }
-                        let t = Instant::now();
-                        let stats = run_event_loop(m, decoded, &cfg)?;
-                        Ok(SchemeServerRun {
-                            scheme: *s,
-                            lint_checks: *checks,
-                            stats,
-                            wall_secs: t.elapsed().as_secs_f64(),
-                        })
-                    }))
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())))
-            })
-            .collect()
+    let cfg = EventLoopConfig::standard(
+        spec.connections,
+        spec.requests,
+        spec.seed,
+        spec.run.vm.engine,
+    );
+    // One loop per variant on the worker pool; outcomes come back in
+    // scheme order whatever the pool width.
+    let outcomes = pool::run(&variants, spec.run.threads, |(s, m, checks)| {
+        let decoded = Arc::new(DecodedModule::new(m));
+        if cfg.engine == Engine::Block {
+            decoded.decode_all(m);
+        }
+        let t = Instant::now();
+        let stats = run_event_loop(m, decoded, &cfg)?;
+        Ok(SchemeServerRun {
+            scheme: *s,
+            lint_checks: *checks,
+            stats,
+            wall_secs: t.elapsed().as_secs_f64(),
+        })
     });
     let mut runs = Vec::with_capacity(outcomes.len());
     for (o, (s, _, _)) in outcomes.into_iter().zip(&variants) {

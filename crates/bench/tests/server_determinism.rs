@@ -7,23 +7,30 @@
 //! epoch boundary and decays monotonically as the delivery offset grows.
 
 use pythia_bench::{run_server_scenario, ServerScenarioSpec};
+use pythia_core::{RunConfig, VmConfig};
 use pythia_vm::Engine;
 
-fn small_spec(engine: Engine) -> ServerScenarioSpec {
+fn small_spec(engine: Engine, threads: usize) -> ServerScenarioSpec {
     ServerScenarioSpec {
         connections: 8,
         requests: 1536,
         seed: 0x5EB0_517E,
-        engine,
-        ..ServerScenarioSpec::default()
+        run: RunConfig {
+            vm: VmConfig {
+                engine,
+                ..VmConfig::default()
+            },
+            threads,
+            ..RunConfig::default()
+        },
     }
 }
 
 #[test]
 fn server_json_is_byte_identical_across_runs_and_engines() {
-    let a = run_server_scenario(&small_spec(Engine::Legacy)).unwrap();
-    let b = run_server_scenario(&small_spec(Engine::Legacy)).unwrap();
-    let c = run_server_scenario(&small_spec(Engine::Block)).unwrap();
+    let a = run_server_scenario(&small_spec(Engine::Legacy, 1)).unwrap();
+    let b = run_server_scenario(&small_spec(Engine::Legacy, 1)).unwrap();
+    let c = run_server_scenario(&small_spec(Engine::Block, 1)).unwrap();
     assert_eq!(a.json, b.json, "repeated runs must emit identical JSON");
     assert_eq!(a.json, c.json, "legacy and block engines must emit identical JSON");
     assert_eq!(a.table, c.table);
@@ -33,8 +40,16 @@ fn server_json_is_byte_identical_across_runs_and_engines() {
 }
 
 #[test]
+fn server_json_is_byte_identical_across_pool_widths() {
+    let serial = run_server_scenario(&small_spec(Engine::Block, 1)).unwrap();
+    let pooled = run_server_scenario(&small_spec(Engine::Block, 4)).unwrap();
+    assert_eq!(serial.json, pooled.json, "pool widths 1 and 4 must agree");
+    assert_eq!(serial.table, pooled.table);
+}
+
+#[test]
 fn scheme_detection_matches_window_model() {
-    let run = run_server_scenario(&small_spec(Engine::Legacy)).unwrap();
+    let run = run_server_scenario(&small_spec(Engine::Legacy, 1)).unwrap();
     assert_eq!(run.internal_errors, 0);
     for r in &run.runs {
         let s = &r.stats;

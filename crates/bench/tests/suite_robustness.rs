@@ -1,6 +1,6 @@
 //! One bad benchmark must not take the suite down with it.
 //!
-//! The worker pool wraps each evaluation in `catch_unwind` and records a
+//! The worker pool isolates each evaluation's panics and records a
 //! typed [`PythiaError`] per failed slot, so a module that fails
 //! verification (or a worker that panics) yields exactly one error entry
 //! while every other benchmark still evaluates — in the same order, with

@@ -89,13 +89,13 @@ fn ref_tier_proves_geps_and_prunes_obligations() {
     // lbm has no such site; at ref it must prove at least one and the
     // instrumenter must prune the corresponding PA obligation.
     let evs = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], SizeTier::Ref, &on(1)));
-    let a = &evs[0].analysis;
+    let a = &evs[0].analysis.pruned;
     assert!(
         a.proven_gep_stores >= 1,
         "ref-tier lbm must prove at least one guarded gep store"
     );
     assert!(
-        a.obligations_pruned >= 1,
+        a.total() >= 1,
         "a proven gep store must prune its PA obligation"
     );
 }
@@ -143,7 +143,7 @@ fn streaming_runner_respects_its_backpressure_window() {
         ..Default::default()
     };
     let run = exp::run_suite_streamed(&spec);
-    assert_eq!(run.stream.jobs, 3, "smoke suite is lbm + mcf + nginx");
+    assert_eq!(run.entries.len(), 3, "smoke suite is lbm + mcf + nginx");
     assert!(
         run.stream.peak_buffered <= run.stream.window,
         "reorder buffer ({}) exceeded the claim window ({})",

@@ -16,7 +16,6 @@
 //! dynamic detection rate to dominate CPA's here even where their static
 //! coverage looks similar.
 
-use crate::pipeline::SchemeResult;
 use pythia_analysis::{SliceContext, VulnerabilityReport};
 use pythia_ir::{Module, PythiaError};
 use pythia_passes::{instrument_with, prune_obligations, Scheme};
@@ -189,11 +188,6 @@ pub fn run_campaign_with(
         attacks,
         outcomes,
     })
-}
-
-/// Convenience: pull the benign metrics out of a set of scheme results.
-pub fn vanilla_of(results: &[SchemeResult]) -> Option<&SchemeResult> {
-    results.iter().find(|r| r.scheme == Scheme::Vanilla)
 }
 
 #[cfg(test)]

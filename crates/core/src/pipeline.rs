@@ -2,13 +2,14 @@
 //! protection scheme from the same analysis, execute each variant, and
 //! aggregate the numbers the paper's figures report.
 
-use pythia_analysis::{CtxPolicy, InputChannels, SliceContext, VulnerabilityReport};
+use pythia_analysis::{
+    CtxPolicy, InputChannels, PrunedObligations, SliceContext, VulnerabilityReport,
+};
 use pythia_ir::{verify, IcCategory, Module, PythiaError};
 use pythia_lint::Certifier;
 use pythia_passes::{instrument_with, prune_obligations, InstrumentationStats, Scheme};
 use pythia_vm::{DecodedModule, Engine, ExitReason, InputPlan, Profile, RunMetrics, Vm, VmConfig};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,10 +80,9 @@ pub struct AnalysisSummary {
     /// Typically small: analysis computes each slice once and the
     /// instrumentation passes and lint gate consume the resulting
     /// report instead of re-slicing — surfacing the counter is what
-    /// makes that claim checkable. Deterministic despite the concurrent
-    /// scheme workers: the memo counts a miss only when a computation
-    /// actually inserts its key (a lost race counts as a hit), so
-    /// `misses` = distinct keys regardless of scheduling.
+    /// makes that claim checkable. Deterministic: one evaluation owns
+    /// its `SliceContext`, so hits are warm re-queries and misses are
+    /// slices computed.
     pub memo_hits: u64,
     /// Backward-slice memo-table misses (distinct slices computed).
     pub memo_misses: u64,
@@ -92,42 +92,9 @@ pub struct AnalysisSummary {
     /// Abstract objects the field-sensitive solver split out of
     /// struct-typed allocation sites (0 under a field-insensitive run).
     pub field_objects: usize,
-    /// Root objects an attacker-driven overflow-capable write may corrupt
-    /// (the seed set obligation pruning keeps).
-    pub reach_objects: usize,
-    /// The overflow-reach analysis hit ⊤ (a store through a statically
-    /// unknown pointer) — nothing was prunable.
-    pub reach_top: bool,
-    /// Variable-index stores the interval analysis proved in-bounds
-    /// (each one removes a derived overflow source).
-    pub proven_gep_stores: usize,
-    /// Obligations dropped by `prune_obligations` across all schemes'
-    /// sets (CPA slots + CPA sign values + Pythia heap + DFI objects).
-    pub obligations_pruned: usize,
-    /// Calling contexts the context-sensitive points-to solver explored
-    /// (one per function when it fell back).
-    pub contexts: usize,
-    /// The context solver ran on the insensitive relation alone: the
-    /// insensitive policy was requested, or the node budget was
-    /// exhausted.
-    pub ctx_fallback: bool,
-    /// Pythia heap-section objects whose obligations were pruned (heap
-    /// vulnerables provably out of overflow reach).
-    pub pythia_heap_pruned: usize,
-    /// DFI setdef/chkdef objects whose obligations were pruned.
-    pub dfi_pruned: usize,
-    /// Reporting label of the context policy that actually ran
-    /// (`"insensitive"` whenever the context solve fell back, whatever
-    /// policy was requested).
-    pub policy: &'static str,
-    /// Distinct per-function summaries the summary solver gathered (0
-    /// under the insensitive relation).
-    pub summaries: usize,
-    /// Call-edge instantiations served by an already-instantiated
-    /// summary instead of a fresh constraint-graph clone.
-    pub summary_reuse: usize,
-    /// Store instructions dropped by flow-sensitive strong updates.
-    pub strong_updates: usize,
+    /// What obligation pruning removed and the provenance behind it
+    /// (overflow reach, proven geps, the context solve that ran).
+    pub pruned: PrunedObligations,
 }
 
 impl AnalysisSummary {
@@ -321,26 +288,6 @@ impl BenchEvaluation {
     pub fn lint_checks(&self) -> usize {
         self.results.iter().map(|r| r.lint_checks).sum()
     }
-
-    /// Fraction of statically-inserted PA instructions that actually
-    /// executed at least once (the paper reports ~50 %).
-    pub fn dynamic_pa_fraction(&self, scheme: Scheme) -> f64 {
-        let Some(r) = self.result(scheme) else {
-            return 0.0;
-        };
-        let static_pa = r.stats.pa_total();
-        if static_pa == 0 {
-            return 0.0;
-        }
-        // Dynamic PA executions tell how *often* they ran; to estimate
-        // coverage we compare against the loop trip counts implied by the
-        // run: a static site that ran contributes >= 1 execution. We use
-        // the conservative proxy min(1, dyn/static) per-site aggregated as
-        // dyn-sites ≈ static * coverage; with uniform loops this reduces
-        // to the ratio of *distinct* sites executed, which the VM does not
-        // track per-site — so we report the bounded ratio.
-        (r.metrics.pa_insts as f64 / static_pa as f64).min(1.0)
-    }
 }
 
 /// Every knob a run is configured by. A binary resolves it once from
@@ -352,9 +299,9 @@ pub struct RunConfig {
     pub vm: VmConfig,
     /// Context policy every analysis of the run is built with.
     pub ctx_policy: CtxPolicy,
-    /// Worker threads. Suites run this many benchmarks at once, and
-    /// [`evaluate_with`] runs its scheme variants concurrently unless
-    /// it is 1.
+    /// Width of the harness's one worker pool: how many benchmarks a
+    /// suite, nginx workers the nginx sweep, or event loops the server
+    /// scenario run at once. [`evaluate_with`] itself is always serial.
     pub threads: usize,
 }
 
@@ -399,8 +346,7 @@ pub fn instrument_certified(
     Ok((inst.module, lint.checks))
 }
 
-/// [`evaluate_with`] under `cfg` and the defaults of [`RunConfig`]: the
-/// default context policy, scheme variants run serially.
+/// [`evaluate_with`] under `cfg` and the default context policy.
 ///
 /// # Errors
 ///
@@ -425,11 +371,10 @@ pub fn evaluate(
 /// from the shared context/report, statically certified by `pythia-lint`
 /// against one shared [`Certifier`] (any protection-invariant violation
 /// aborts that variant with a setup error before it executes), and
-/// executed on its own worker thread, or serially when `run.threads` is 1
-/// (the same benign input plan/seed per variant, so results are
-/// deterministic and ordered regardless of scheduling). Workers are
-/// panic-isolated: a panicking variant becomes a typed error instead of
-/// unwinding into (and poisoning) the caller.
+/// executed with the same benign input plan/seed. Variants run serially
+/// on the caller's thread (`run.threads` sizes the pool that calls this,
+/// not anything inside it), each panic-isolated: a panicking variant
+/// becomes a typed error instead of unwinding into the caller.
 ///
 /// # Errors
 ///
@@ -453,9 +398,103 @@ pub fn evaluate_with(
     // report; the unpruned one is kept for the before/after accounting.
     let pruned = prune_obligations(&ctx, &report);
     let channels = InputChannels::find(module);
-    let analysis_secs = t_analysis.elapsed().as_secs_f64();
+    let span = |phase, scheme, start: Instant| PhaseSpan {
+        phase,
+        scheme,
+        secs: start.elapsed().as_secs_f64(),
+    };
+    let mut spans = vec![span(Phase::Analysis, None, t_analysis)];
 
-    let mut analysis = AnalysisSummary {
+    let mut all = vec![Scheme::Vanilla];
+    for s in schemes {
+        if !all.contains(s) {
+            all.push(*s);
+        }
+    }
+
+    // The certification baseline is scheme-independent: derive it once,
+    // timed as its own scheme-less lint span so the per-variant lint
+    // spans below measure only their own checks. Vanilla promises
+    // nothing, so a vanilla-only evaluation certifies nothing.
+    let t_cert = Instant::now();
+    let certifier = (all.len() > 1).then(|| Certifier::new(module, &ctx));
+    if certifier.is_some() {
+        spans.push(span(Phase::Lint, None, t_cert));
+    }
+
+    // Instrument, certify and execute one variant from the shared
+    // analysis context and report, timing each phase as its own span.
+    let mut run_variant = |scheme: Scheme| -> Result<SchemeResult, PythiaError> {
+        let t = Instant::now();
+        // Dry run against the unpruned report: its stats are the
+        // "pa_static before" column of the precision tables.
+        let unpruned_pa = instrument_with(module, &ctx, &report, scheme)
+            .stats
+            .pa_total();
+        let inst = instrument_with(module, &ctx, &pruned, scheme);
+        spans.push(span(Phase::Instrument, Some(scheme), t));
+        // Static certification gate: the instrumented variant
+        // must satisfy every protection invariant before it is
+        // allowed anywhere near the VM. A violation is a setup
+        // error, not a measurement. Timed as its own phase —
+        // folding it into instrumentation under-reported where
+        // evaluation time goes.
+        let t = Instant::now();
+        let mut lint_checks = 0;
+        if let Some(cert) = &certifier {
+            let lint = cert.check(&pruned, &inst.module, scheme);
+            if !lint.is_clean() {
+                return Err(lint.into_setup_error());
+            }
+            lint_checks = lint.checks;
+        }
+        spans.push(span(Phase::Lint, Some(scheme), t));
+        // Decode phase: lower the instrumented module into the
+        // VM's block-cached form. Under the block engine every
+        // block is force-decoded here so the execute span stays
+        // pure execution; the legacy engine only needs the
+        // frame layouts (decode stays cheap and lazy).
+        let t = Instant::now();
+        let decoded = Arc::new(DecodedModule::new(&inst.module));
+        if cfg.engine == Engine::Block {
+            decoded.decode_all(&inst.module);
+        }
+        spans.push(span(Phase::Decode, Some(scheme), t));
+        // VM construction (memory image, cache model, shadow
+        // state) is setup, not execution — keeping it outside
+        // the execute span keeps retirement rates comparable
+        // across engines with very different execute times.
+        let mut vm = Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
+        let t = Instant::now();
+        let r = vm.run("main", &[])?;
+        spans.push(span(Phase::Execute, Some(scheme), t));
+        Ok(SchemeResult {
+            scheme,
+            stats: inst.stats,
+            exit: r.exit,
+            metrics: r.metrics,
+            profile: r.profile,
+            lint_checks,
+            pa_static_unpruned: unpruned_pa,
+        })
+    };
+
+    // Variants run one after another on the caller's thread, each
+    // panic-isolated: a panicking variant becomes a typed error instead
+    // of unwinding into the caller. Parallelism lives one level up, in
+    // the worker pool that runs whole benchmarks, so the phase spans
+    // above are never diluted by sibling variants sharing a core.
+    let results = all
+        .into_iter()
+        .map(|scheme| {
+            PythiaError::catch_panic(|| run_variant(scheme))
+                .map_err(|e| e.with_function(format!("{}/{scheme:?}", module.name)))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+
+    // Snapshot the memo counters once every consumer is done.
+    let (memo_hits, memo_misses) = ctx.memo_stats();
+    let analysis = AnalysisSummary {
         branches: report.num_branches(),
         unaffected: report.effect_fraction(pythia_analysis::IcEffect::Unaffected),
         direct: report.effect_fraction(pythia_analysis::IcEffect::Direct),
@@ -473,192 +512,12 @@ pub fn evaluate_with(
         stack_vulns: report.num_stack_vulns(),
         heap_vulns: report.heap_vulns.len(),
         insts: module.num_insts(),
-        memo_hits: 0,
-        memo_misses: 0,
+        memo_hits,
+        memo_misses,
         avg_points_to: ctx.points_to.avg_points_to_size(),
         field_objects: ctx.points_to.num_field_objects(),
-        reach_objects: pruned.pruned.reachable_objects,
-        reach_top: pruned.pruned.reach_top,
-        proven_gep_stores: pruned.pruned.proven_gep_stores,
-        obligations_pruned: pruned.pruned.total(),
-        contexts: pruned.pruned.contexts,
-        ctx_fallback: pruned.pruned.ctx_fallback,
-        pythia_heap_pruned: pruned.pruned.pythia_heap_objects,
-        dfi_pruned: pruned.pruned.dfi_objects,
-        policy: pruned.pruned.policy,
-        summaries: pruned.pruned.summaries,
-        summary_reuse: pruned.pruned.summary_reuse,
-        strong_updates: pruned.pruned.strong_updates,
+        pruned: pruned.pruned,
     };
-
-    let mut all = vec![Scheme::Vanilla];
-    for s in schemes {
-        if !all.contains(s) {
-            all.push(*s);
-        }
-    }
-
-    // The certification baseline is scheme-independent: derive it once,
-    // timed as its own scheme-less lint span so the per-variant lint
-    // spans below measure only their own checks. Vanilla promises
-    // nothing, so a vanilla-only evaluation certifies nothing.
-    let t_cert = Instant::now();
-    let certifier = (all.len() > 1).then(|| Certifier::new(module, &ctx));
-    let cert_secs = t_cert.elapsed().as_secs_f64();
-
-    // Instrument + execute every variant concurrently; the analysis
-    // context and report are shared read-only. Joining in spawn order
-    // keeps `results` deterministic. Each worker body runs under
-    // `catch_unwind` so one panicking variant cannot poison the others:
-    // the join below always succeeds and the panic payload is converted
-    // into a typed error.
-    let worker = |scheme: Scheme| -> Result<(SchemeResult, [f64; 4]), PythiaError> {
-        let ctx = &ctx;
-        let report = &report;
-        let pruned = &pruned;
-        let certifier = certifier.as_ref();
-        let t_inst = Instant::now();
-        // Dry run against the unpruned report: its stats are the
-        // "pa_static before" column of the precision tables.
-        let unpruned_pa = instrument_with(module, ctx, report, scheme)
-            .stats
-            .pa_total();
-        let inst = instrument_with(module, ctx, pruned, scheme);
-        let instrument_secs = t_inst.elapsed().as_secs_f64();
-        // Static certification gate: the instrumented variant
-        // must satisfy every protection invariant before it is
-        // allowed anywhere near the VM. A violation is a setup
-        // error, not a measurement. Timed as its own phase —
-        // folding it into instrumentation under-reported where
-        // evaluation time goes.
-        let t_lint = Instant::now();
-        let mut lint_checks = 0;
-        if let Some(cert) = certifier {
-            let lint = cert.check(pruned, &inst.module, scheme);
-            if !lint.is_clean() {
-                return Err(lint.into_setup_error());
-            }
-            lint_checks = lint.checks;
-        }
-        let lint_secs = t_lint.elapsed().as_secs_f64();
-        // Decode phase: lower the instrumented module into the
-        // VM's block-cached form. Under the block engine every
-        // block is force-decoded here so the execute span stays
-        // pure execution; the legacy engine only needs the
-        // frame layouts (decode stays cheap and lazy).
-        let t_decode = Instant::now();
-        let decoded = Arc::new(DecodedModule::new(&inst.module));
-        if cfg.engine == Engine::Block {
-            decoded.decode_all(&inst.module);
-        }
-        let decode_secs = t_decode.elapsed().as_secs_f64();
-        // VM construction (memory image, cache model, shadow
-        // state) is setup, not execution — keeping it outside
-        // the execute span keeps retirement rates comparable
-        // across engines with very different execute times.
-        let mut vm =
-            Vm::with_decoded(&inst.module, decoded, cfg.clone(), InputPlan::benign(seed));
-        let t_exec = Instant::now();
-        let r = vm.run("main", &[])?;
-        let execute_secs = t_exec.elapsed().as_secs_f64();
-        Ok((
-            SchemeResult {
-                scheme,
-                stats: inst.stats,
-                exit: r.exit,
-                metrics: r.metrics,
-                profile: r.profile,
-                lint_checks,
-                pa_static_unpruned: unpruned_pa,
-            },
-            [instrument_secs, lint_secs, decode_secs, execute_secs],
-        ))
-    };
-    let worker = &worker;
-
-    // On a single-CPU measurement box (`threads == 1`) the variants
-    // run serially: concurrent variants time-share the core, so every
-    // execute span absorbs the other variants' work. That both inflates
-    // the phase table and — because the dilution lands proportionally
-    // harder on short spans — compresses cross-engine retirement ratios.
-    // Workers are deterministic and joined in spawn order, so the
-    // results (and any report rendered from them) are identical either
-    // way; only the timings change.
-    type Joined = Result<(SchemeResult, [f64; 4]), PythiaError>;
-    let outcomes: Vec<(Scheme, Joined)> = if run.threads == 1 {
-        all.into_iter()
-            .map(|scheme| {
-                let joined = catch_unwind(AssertUnwindSafe(|| worker(scheme)))
-                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())));
-                (scheme, joined)
-            })
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = all
-                .into_iter()
-                .map(|scheme| {
-                    (
-                        scheme,
-                        s.spawn(move || catch_unwind(AssertUnwindSafe(|| worker(scheme)))),
-                    )
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(scheme, h)| {
-                    let joined = match h.join() {
-                        Ok(Ok(r)) => r,
-                        Ok(Err(p)) => Err(PythiaError::from_panic(p.as_ref())),
-                        Err(p) => Err(PythiaError::from_panic(p.as_ref())),
-                    };
-                    (scheme, joined)
-                })
-                .collect()
-        })
-    };
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut scheme_spans = Vec::new();
-    for (scheme, joined) in outcomes {
-        let (r, [instrument, lint, decode, execute]) =
-            joined.map_err(|e| e.with_function(format!("{}/{scheme:?}", module.name)))?;
-        results.push(r);
-        for (phase, secs) in [
-            (Phase::Instrument, instrument),
-            (Phase::Lint, lint),
-            (Phase::Decode, decode),
-            (Phase::Execute, execute),
-        ] {
-            scheme_spans.push(PhaseSpan {
-                phase,
-                scheme: Some(scheme),
-                secs,
-            });
-        }
-    }
-
-    let mut spans = vec![PhaseSpan {
-        phase: Phase::Analysis,
-        scheme: None,
-        secs: analysis_secs,
-    }];
-    if certifier.is_some() {
-        spans.push(PhaseSpan {
-            phase: Phase::Lint,
-            scheme: None,
-            secs: cert_secs,
-        });
-    }
-    spans.append(&mut scheme_spans);
-
-    // Snapshot the memo counters once every consumer is done. The memo
-    // counts a miss only when a computation actually inserts its key, so
-    // `misses` = distinct slices computed and `hits` = warm re-queries —
-    // both independent of worker scheduling, safe to report after the
-    // concurrent phase.
-    let (memo_hits, memo_misses) = ctx.memo_stats();
-    analysis.memo_hits = memo_hits;
-    analysis.memo_misses = memo_misses;
 
     Ok(BenchEvaluation {
         name: module.name.clone(),
@@ -823,11 +682,12 @@ mod tests {
             cpa.pa_static_unpruned
         );
         assert_eq!(
-            cpa.stats.obligations_pruned, a.obligations_pruned,
+            cpa.stats.obligations_pruned,
+            a.pruned.total(),
             "the per-scheme counter and the analysis summary must agree"
         );
-        if a.reach_top {
-            assert_eq!(a.obligations_pruned, 0, "⊤ reach must prune nothing");
+        if a.pruned.reach_top {
+            assert_eq!(a.pruned.total(), 0, "⊤ reach must prune nothing");
         }
     }
 

@@ -180,11 +180,6 @@ impl Allocator {
         (addr < a + sz).then_some((a, sz))
     }
 
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     fn round(size: u64) -> u64 {
         size.max(1).div_ceil(GRANULE).saturating_mul(GRANULE)
     }

@@ -55,16 +55,6 @@ impl FunctionBuilder {
         }
     }
 
-    /// Resume building an existing function (used by instrumentation passes).
-    pub fn resume(func: Function) -> Self {
-        FunctionBuilder {
-            cur: func.entry(),
-            func,
-            const_cache: HashMap::new(),
-            null_cache: HashMap::new(),
-        }
-    }
-
     /// The function under construction.
     pub fn func(&self) -> &Function {
         &self.func

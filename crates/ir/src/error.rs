@@ -166,8 +166,17 @@ impl PythiaError {
         }
     }
 
+    /// Run `body`, turning a panic inside it into an
+    /// [`PythiaError::Internal`] error instead of unwinding into the
+    /// caller. Every isolated unit of work (a scheme variant, a pool
+    /// task, an nginx worker) runs through here.
+    pub fn catch_panic<T>(body: impl FnOnce() -> Result<T, PythiaError>) -> Result<T, PythiaError> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+            .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref())))
+    }
+
     /// Classify a caught panic payload as an [`PythiaError::Internal`]
-    /// error (workers wrap their bodies in `catch_unwind`).
+    /// error.
     pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> Self {
         let msg = payload
             .downcast_ref::<&str>()
@@ -354,5 +363,9 @@ mod tests {
         assert!(e.to_string().contains("boom"));
         let e = PythiaError::from_panic(&String::from("heap boom"));
         assert!(e.to_string().contains("heap boom"));
+        let e = PythiaError::catch_panic::<()>(|| panic!("caught boom")).unwrap_err();
+        assert!(e.is_internal());
+        assert!(e.to_string().contains("caught boom"));
+        assert_eq!(PythiaError::catch_panic(|| Ok(7)).unwrap(), 7);
     }
 }

@@ -232,20 +232,6 @@ impl Function {
     pub fn block_of(&self, id: ValueId) -> Option<BlockId> {
         self.block_ids().find(|&bb| self.block(bb).insts.contains(&id))
     }
-
-    /// Position of `id` inside its block.
-    pub fn position_in_block(&self, bb: BlockId, id: ValueId) -> Option<usize> {
-        self.block(bb).insts.iter().position(|v| *v == id)
-    }
-
-    /// Insert instruction value `id` into `bb` at `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of bounds.
-    pub fn insert_inst(&mut self, bb: BlockId, pos: usize, id: ValueId) {
-        self.block_mut(bb).insts.insert(pos, id);
-    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! - [`FunctionBuilder`] — ergonomic construction;
 //! - [`printer`] / [`parser`] — a round-trippable textual format;
 //! - [`verify`] — structural/type verification;
+//! - [`layout`] — the memory layout of frames and globals;
 //! - [`Intrinsic`] — the modelled C library, with the paper's six
 //!   *input channel* categories (Definition 2.1).
 //!
@@ -45,6 +46,7 @@ pub mod error;
 pub mod function;
 pub mod instr;
 pub mod intrinsics;
+pub mod layout;
 pub mod module;
 pub mod parser;
 pub mod printer;

@@ -132,11 +132,6 @@ impl Module {
         &self.functions
     }
 
-    /// Mutable functions slice.
-    pub fn functions_mut(&mut self) -> &mut [Function] {
-        &mut self.functions
-    }
-
     /// Globals slice.
     pub fn globals(&self) -> &[Global] {
         &self.globals

@@ -46,9 +46,9 @@ use pythia_ir::{
 };
 use pythia_passes::common::{collect_accesses, stable_signable};
 use pythia_passes::{instrument_with, Scheme};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Stable diagnostic codes, one per certified invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -315,7 +315,7 @@ const OPT02_NODE_CAP: usize = 200_000;
 /// verdict, and (on first need) the [`OverflowReach`] fixpoint. The
 /// certifier never reads `prune_obligations` output, which is what keeps
 /// OPT-01 an independent check of the pruner rather than a replay of it.
-/// `Sync`, so concurrent scheme workers can share one certifier.
+/// The variants of a module are checked one after another against it.
 pub struct Certifier<'a> {
     original: &'a Module,
     ctx: &'a SliceContext<'a>,
@@ -327,7 +327,7 @@ pub struct Certifier<'a> {
     opt02: (CtxPolicy, Option<bool>),
     /// Computed only when some variant actually dropped an obligation,
     /// so modules that prune nothing never pay for the fixpoint.
-    reach: OnceLock<OverflowReach>,
+    reach: OnceCell<OverflowReach>,
 }
 
 impl<'a> Certifier<'a> {
@@ -338,7 +338,7 @@ impl<'a> Certifier<'a> {
             ctx,
             baseline: VulnerabilityReport::analyze(ctx),
             opt02: opt02_verdict(original, ctx, None),
-            reach: OnceLock::new(),
+            reach: OnceCell::new(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Shared helpers for the instrumentation passes.
 
-use pythia_analysis::{ObjId, SliceContext};
+use pythia_analysis::{object_byte_size, ObjId, SliceContext};
 use pythia_ir::{FuncId, Inst, ValueId};
 use std::collections::BTreeSet;
 
@@ -172,39 +172,5 @@ pub fn resign_after_ics(
         plan.insert_after(site.call, sign);
         plan.insert_after(site.call, st);
         stats.pa_signs += 1;
-    }
-}
-
-/// Statically-known total size of an abstract object, when determinable.
-pub fn object_byte_size(ctx: &SliceContext<'_>, obj: ObjId) -> Option<u64> {
-    use pythia_analysis::MemObjectKind;
-    use pythia_ir::{Callee, Intrinsic, ValueKind};
-    let m = ctx.module;
-    match ctx.points_to.obj_kind(obj) {
-        MemObjectKind::Stack { func, value } => match m.func(func).inst(value) {
-            Some(Inst::Alloca { elem, count }) => {
-                Some(elem.size().max(1) * u64::from((*count).max(1)))
-            }
-            _ => None,
-        },
-        MemObjectKind::Global(g) => Some(m.global(g).ty.size()),
-        MemObjectKind::Heap { func, value } => match m.func(func).inst(value) {
-            Some(Inst::Call {
-                callee: Callee::Intrinsic(i),
-                args,
-            }) => {
-                let const_arg = |n: usize| match args.get(n).map(|a| &m.func(func).value(*a).kind) {
-                    Some(ValueKind::ConstInt(v)) => Some(*v as u64),
-                    _ => None,
-                };
-                match i {
-                    Intrinsic::Malloc | Intrinsic::SecureMalloc | Intrinsic::Mmap => const_arg(0),
-                    Intrinsic::Calloc => Some(const_arg(0)? * const_arg(1)?),
-                    _ => None,
-                }
-            }
-            _ => None,
-        },
-        MemObjectKind::Field { size, .. } => Some(size),
     }
 }

@@ -337,27 +337,25 @@ pub struct FrameLayout {
 pub(crate) struct AllocaSlot {
     pub(crate) id: ValueId,
     pub(crate) off: u64,
-    /// Object size (`elem.size().max(1) * count.max(1)`), as registered in
-    /// the VM's `stack_objects` map.
+    /// Object size ([`pythia_ir::layout::object_size`]), as registered
+    /// in the VM's `stack_objects` map.
     pub(crate) size: u64,
 }
 
 impl FrameLayout {
     fn of(f: &Function) -> Self {
-        let mut objects = Vec::new();
-        let mut off = 0u64;
-        for a in f.allocas() {
-            if let Some(Inst::Alloca { elem, count }) = f.inst(a) {
-                let align = elem.align().max(8);
-                off = off.div_ceil(align).saturating_mul(align);
-                let size = elem.size().max(1).saturating_mul(u64::from((*count).max(1)));
-                objects.push(AllocaSlot { id: a, off, size });
-                off = off.saturating_add(size);
-            }
-        }
+        let slots = pythia_ir::layout::frame_slots(f);
+        let end = slots.last().map_or(0, |(_, s)| s.end());
         FrameLayout {
-            objects,
-            frame_size: off.div_ceil(16).saturating_mul(16),
+            objects: slots
+                .into_iter()
+                .map(|(id, s)| AllocaSlot {
+                    id,
+                    off: s.start,
+                    size: s.size,
+                })
+                .collect(),
+            frame_size: end.div_ceil(16).saturating_mul(16),
         }
     }
 
@@ -415,20 +413,15 @@ impl DecodedModule {
     /// `&Module` must be passed this same module — the cache stores dense
     /// indices into it.
     pub fn new(module: &Module) -> Self {
-        // Replicate the VM's global layout exactly (same rounding, same
-        // order) so `GlobalAddr` operands fold to the addresses
-        // `Vm::init_globals` materializes. Overflow is not checked here:
-        // a layout that does not fit is a setup error that prevents any
-        // execution, so the folded constants are never observed.
-        let mut globals_addr = Vec::new();
-        let mut addr = crate::memory::layout::GLOBALS_BASE;
-        for gid in module.global_ids() {
-            let g = module.global(gid);
-            let align = g.ty.align().max(8);
-            addr = addr.div_ceil(align).saturating_mul(align);
-            globals_addr.push(addr);
-            addr = addr.saturating_add(g.size().max(1));
-        }
+        // `GlobalAddr` operands fold to the addresses `Vm::init_globals`
+        // materializes from the same layout. Overflow is not checked
+        // here: a layout that does not fit is a setup error that prevents
+        // any execution, so the folded constants are never observed.
+        let globals_addr: Vec<u64> =
+            pythia_ir::layout::global_slots(module, crate::memory::layout::GLOBALS_BASE)
+                .iter()
+                .map(|s| s.start)
+                .collect();
         let funcs = module
             .functions()
             .iter()

@@ -78,11 +78,6 @@ impl InputPlan {
         p
     }
 
-    /// Add another attack.
-    pub fn add_attack(&mut self, attack: AttackSpec) {
-        self.attacks.push(attack);
-    }
-
     /// Set the value range benign `scanf`-class inputs draw from.
     pub fn set_scan_range(&mut self, lo: i64, hi: i64) {
         self.scan_range = (lo, hi);

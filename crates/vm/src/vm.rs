@@ -551,12 +551,10 @@ impl<'m> Vm<'m> {
     }
 
     fn init_globals(&mut self) -> Result<(), PythiaError> {
-        let mut addr = layout::GLOBALS_BASE;
-        for gid in self.module.global_ids() {
+        let slots = pythia_ir::layout::global_slots(self.module, layout::GLOBALS_BASE);
+        for (gid, slot) in self.module.global_ids().zip(slots) {
             let g = self.module.global(gid);
-            let align = g.ty.align().max(8);
-            addr = addr.div_ceil(align).saturating_mul(align);
-            let size = g.size().max(1);
+            let (addr, size) = (slot.start, slot.size);
             if addr.saturating_add(size) > (1u64 << crate::memory::VA_BITS) {
                 return Err(PythiaError::setup(format!(
                     "global `{}` ({size} bytes) does not fit the address space",
@@ -585,7 +583,6 @@ impl<'m> Vm<'m> {
                     .with_address(f.addr)
             })?;
             self.globals_map.insert(addr, size);
-            addr = addr.saturating_add(size);
         }
         Ok(())
     }
@@ -718,38 +715,30 @@ impl<'m> Vm<'m> {
     fn exec_entry(&mut self, fid: FuncId, args: &[i64]) -> Result<i64, Halt> {
         const INTERP_STACK: usize = 32 << 20;
         let engine = self.cfg.engine;
+        let exec = move |this: &mut Self| match engine {
+            Engine::Legacy => this.exec_function(fid, args, 0),
+            Engine::Block => this.exec_function_block(fid, args, 0),
+        };
         // Opt-in fast path: no interpreter thread. The caller vouches
         // that its own stack holds `max_call_depth` frames; the server
         // event loop uses this to avoid ~10⁶ spawns per scenario.
         if self.cfg.inline_exec {
-            return match engine {
-                Engine::Legacy => self.exec_function(fid, args, 0),
-                Engine::Block => self.exec_function_block(fid, args, 0),
-            };
+            return exec(self);
         }
         let this = &mut *self;
         let spawned = std::thread::scope(|s| {
             let worker = std::thread::Builder::new()
                 .name("pythia-interp".into())
                 .stack_size(INTERP_STACK)
-                .spawn_scoped(s, move || match engine {
-                    Engine::Legacy => this.exec_function(fid, args, 0),
-                    Engine::Block => this.exec_function_block(fid, args, 0),
-                });
+                .spawn_scoped(s, move || exec(this));
             worker.ok().map(|h| {
                 h.join()
                     .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref()).into()))
             })
         });
-        match spawned {
-            Some(r) => r,
-            // Spawn failure (resource exhaustion): degrade to running on
-            // the caller's stack rather than refusing outright.
-            None => match engine {
-                Engine::Legacy => self.exec_function(fid, args, 0),
-                Engine::Block => self.exec_function_block(fid, args, 0),
-            },
-        }
+        // Spawn failure (resource exhaustion): degrade to running on the
+        // caller's stack rather than refusing outright.
+        spawned.unwrap_or_else(|| exec(self))
     }
 
     pub(crate) fn charge(&mut self, mc: u64) {

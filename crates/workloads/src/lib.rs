@@ -12,7 +12,7 @@
 //! - [`realworld`] — the extended suite (heap-to-heap overflow,
 //!   interprocedural overflow) in the spirit of Chen et al. \[15\];
 //! - [`nginx`] — a request-serving server module with nginx's
-//!   copy-channel-dominated profile and a multi-threaded driver.
+//!   copy-channel-dominated profile and a multi-worker driver.
 //!
 //! # Examples
 //!
@@ -38,7 +38,7 @@ pub mod server;
 
 pub use examples::{all as all_scenarios, Scenario};
 pub use generator::{generate, generate_all, generate_scaled};
-pub use nginx::{nginx_module, run_workers, NginxRun};
+pub use nginx::{nginx_module, run_worker, run_workers, NginxRun};
 pub use profiles::{profile_by_name, BenchProfile, SizeTier, SPEC_PROFILES};
 pub use realworld::extended as extended_scenarios;
 pub use server::{

@@ -7,11 +7,11 @@
 //! with that shape — buffer-heavy request parsing (copy/move channels,
 //! exactly the distribution the paper reports: nginx has 720 ICs of which
 //! 712 are copy/move), header-field accesses, per-request branching — and
-//! a multi-threaded driver that runs one VM per worker and reports
-//! aggregate throughput.
+//! a multi-worker driver that runs one VM per simulated worker and
+//! reports aggregate throughput.
 
 use pythia_ir::{CmpPred, FunctionBuilder, Inst, Intrinsic, Module, PythiaError, Ty};
-use pythia_vm::{InputPlan, RunMetrics, Vm, VmConfig};
+use pythia_vm::{InputPlan, RunMetrics, RunResult, Vm, VmConfig};
 
 /// Build the nginx-like module serving `requests` requests.
 pub fn nginx_module(requests: u64) -> Module {
@@ -208,16 +208,78 @@ impl NginxRun {
             self.bytes as f64 * 1000.0 / self.wall_cycles as f64
         }
     }
+
+    /// Aggregate the runs of workers `0..n`, in worker order: the bytes
+    /// each request loop returned add up, the slowest worker sets the
+    /// wall clock, and worker 0 is the counter sample. Failures become
+    /// one error naming the first failing worker and counting the rest.
+    ///
+    /// # Errors
+    ///
+    /// A `Setup` error for an empty worker list; otherwise the first
+    /// failing worker's error.
+    pub fn from_workers(
+        workers: Vec<Result<RunResult, PythiaError>>,
+    ) -> Result<NginxRun, PythiaError> {
+        let mut failures = workers.iter().enumerate().filter_map(|(t, w)| {
+            w.as_ref()
+                .err()
+                .map(|e| e.clone().with_function(format!("nginx-worker-{t}")))
+        });
+        if let Some(first) = failures.next() {
+            let more = failures.count();
+            return Err(if more > 0 {
+                first.amend(format!("(+{more} more worker failures)"))
+            } else {
+                first
+            });
+        }
+        let ok: Vec<RunResult> = workers.into_iter().flatten().collect();
+        let no_workers = || PythiaError::setup("nginx run requires at least one worker");
+        let sample = ok.first().ok_or_else(no_workers)?;
+        Ok(NginxRun {
+            bytes: ok
+                .iter()
+                .map(|r| r.exit.value().unwrap_or(0).max(0) as u64)
+                .sum(),
+            wall_cycles: ok.iter().map(|r| r.metrics.cycles()).max().unwrap_or(0),
+            sample: sample.metrics,
+        })
+    }
 }
 
-/// Run `module` (the nginx module, possibly instrumented) on `threads`
-/// workers, each serving the module's request loop with its own VM and
-/// input plan. Mirrors the paper's 12-thread/400-connection generator.
-/// Each worker runs `cfg` with its own derived VM seed.
+/// Run worker `t` of a multi-worker run seeded `seed`: one VM serving
+/// `module`'s request loop under `cfg`, with its own VM seed and input
+/// plan derived from `(seed, t)`.
 ///
-/// Workers are panic-isolated: each body runs under `catch_unwind`, so
-/// one failing worker cannot tear down the others. Failures are
-/// aggregated into a single error naming every worker that failed.
+/// # Errors
+///
+/// A `Setup` error from the worker's VM.
+pub fn run_worker(
+    module: &Module,
+    t: usize,
+    seed: u64,
+    cfg: &VmConfig,
+) -> Result<RunResult, PythiaError> {
+    // Splitmix-style stream derivation: `seed + t` / `seed ^ (t << 8)`
+    // made adjacent seeds share worker streams across runs (base 7
+    // worker 1 == base 8 worker 0). Deriving through the avalanche keeps
+    // every (seed, worker) pair independent while staying deterministic
+    // per pair.
+    let cfg = VmConfig {
+        seed: crate::server::sched::stream_seed(seed, 0x4B10_0000 | t as u64),
+        ..cfg.clone()
+    };
+    let plan_seed = crate::server::sched::stream_seed(seed, 0x1470_0000 | t as u64);
+    Vm::new(module, cfg, InputPlan::benign(plan_seed)).run("main", &[])
+}
+
+/// Run `module` (the nginx module, possibly instrumented) on `workers`
+/// simulated workers, each serving the module's request loop with its
+/// own VM and input plan. Mirrors the paper's 12-thread/400-connection
+/// generator. The workers run one after another on the caller's thread;
+/// each is panic-isolated, so one failing worker cannot tear down the
+/// others, and [`NginxRun::from_workers`] aggregates the outcomes.
 ///
 /// # Errors
 ///
@@ -225,68 +287,15 @@ impl NginxRun {
 /// an `Internal` error carrying a panic payload.
 pub fn run_workers(
     module: &Module,
-    threads: usize,
+    workers: usize,
     seed: u64,
     cfg: &VmConfig,
 ) -> Result<NginxRun, PythiaError> {
-    if threads == 0 {
-        return Err(PythiaError::setup("nginx run requires at least one worker"));
-    }
-    let results: Vec<Result<(u64, u64, RunMetrics), PythiaError>> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let m = &*module;
-                let worker = move || -> Result<(u64, u64, RunMetrics), PythiaError> {
-                    // Splitmix-style stream derivation: `seed + t` /
-                    // `seed ^ (t << 8)` made adjacent seeds share worker
-                    // streams across runs (base 7 worker 1 == base 8
-                    // worker 0). Deriving through the avalanche keeps
-                    // every (seed, worker) pair independent while staying
-                    // deterministic per pair.
-                    let cfg = VmConfig {
-                        seed: crate::server::sched::stream_seed(seed, 0x4B10_0000 | t as u64),
-                        ..cfg.clone()
-                    };
-                    let plan_seed = crate::server::sched::stream_seed(seed, 0x1470_0000 | t as u64);
-                    let mut vm = Vm::new(m, cfg, InputPlan::benign(plan_seed));
-                    let r = vm.run("main", &[])?;
-                    let bytes = r.exit.value().unwrap_or(0).max(0) as u64;
-                    Ok((bytes, r.metrics.cycles(), r.metrics))
-                };
-                handles.push(scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker))
-                }));
-            }
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(t, h)| {
-                    let r = match h.join() {
-                        Ok(Ok(r)) => r,
-                        Ok(Err(p)) => Err(PythiaError::from_panic(p.as_ref())),
-                        Err(p) => Err(PythiaError::from_panic(p.as_ref())),
-                    };
-                    r.map_err(|e| e.with_function(format!("nginx-worker-{t}")))
-                })
-                .collect()
-        });
-    let failures: Vec<&PythiaError> = results.iter().filter_map(|r| r.as_ref().err()).collect();
-    if let Some(first) = failures.first() {
-        let mut err = (*first).clone();
-        if failures.len() > 1 {
-            err = err.amend(format!("(+{} more worker failures)", failures.len() - 1));
-        }
-        return Err(err);
-    }
-    let ok: Vec<&(u64, u64, RunMetrics)> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-    let bytes = ok.iter().map(|r| r.0).sum();
-    let wall_cycles = ok.iter().map(|r| r.1).max().unwrap_or(0);
-    Ok(NginxRun {
-        bytes,
-        wall_cycles,
-        sample: ok[0].2,
-    })
+    NginxRun::from_workers(
+        (0..workers)
+            .map(|t| PythiaError::catch_panic(|| run_worker(module, t, seed, cfg)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -339,6 +348,30 @@ mod tests {
         let four = run_workers(&m, 4, 9, &cfg).unwrap();
         assert!(four.bytes >= one.bytes * 3, "4 workers serve ~4x bytes");
         assert!(one.throughput() > 0.0);
+    }
+
+    #[test]
+    fn run_workers_equals_from_workers_over_run_worker() {
+        let m = nginx_module(8);
+        let cfg = VmConfig::default();
+        let each: Vec<_> = (0..5).map(|t| run_worker(&m, t, 0x9e, &cfg)).collect();
+        assert_eq!(
+            run_workers(&m, 5, 0x9e, &cfg).unwrap(),
+            NginxRun::from_workers(each).unwrap()
+        );
+    }
+
+    #[test]
+    fn from_workers_names_the_first_failure_and_counts_the_rest() {
+        let m = nginx_module(4);
+        let ok = || run_worker(&m, 0, 1, &VmConfig::default());
+        let bad = || Err(PythiaError::setup("no entry"));
+        let err = NginxRun::from_workers(vec![ok(), bad(), ok(), bad(), bad()]).unwrap_err();
+        assert_eq!(err.variant(), "setup");
+        assert_eq!(err.context().function.as_deref(), Some("nginx-worker-1"));
+        assert!(err.to_string().contains("+2 more worker failures"), "{err}");
+        let none = NginxRun::from_workers(Vec::new()).unwrap_err();
+        assert_eq!(none.variant(), "setup");
     }
 
     #[test]

@@ -12,8 +12,8 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(600);
-    let threads = 12; // the paper's workload generator uses 12 threads
-    println!("nginx-sim: {requests} requests x {threads} workers\n");
+    let workers = 12; // the paper's workload generator uses 12 threads
+    println!("nginx-sim: {requests} requests x {workers} workers\n");
 
     let module = nginx_module(requests);
     let ctx = SliceContext::new(&module);
@@ -26,7 +26,7 @@ fn main() {
     );
     for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia, Scheme::Dfi] {
         let inst = instrument_with(&module, &ctx, &report, scheme);
-        let run = match run_workers(&inst.module, threads, 0x1234, &VmConfig::default()) {
+        let run = match run_workers(&inst.module, workers, 0x1234, &VmConfig::default()) {
             Ok(run) => run,
             Err(e) => {
                 println!("{:<8} ERROR: {e}", scheme.name());

@@ -241,10 +241,19 @@ echo "OK: ref-tier lbm proves gep bounds and prunes obligations under the stream
 # model collapsed), and must finish with zero internal errors in every
 # scheme's loop. The scenario exit code already reflects internal
 # errors; the greps keep the gate honest against exit-code regressions.
+# It runs at pool widths 1 and 4: the event loops go through the worker
+# pool, and BENCH_server.json must not depend on its width.
 echo "== server scenario smoke gate (event loop, timed window attacks) =="
-target/release/reproduce --scenario server --connections 8 --requests 4000 \
-    --out "$OUT/server" >/dev/null
-SRVJSON="$OUT/server/BENCH_server.json"
+for threads in 1 4; do
+    PYTHIA_THREADS=$threads target/release/reproduce --scenario server \
+        --connections 8 --requests 4000 --out "$OUT/server-t$threads" >/dev/null
+done
+if ! cmp "$OUT/server-t1/BENCH_server.json" "$OUT/server-t4/BENCH_server.json"; then
+    echo "FAIL: BENCH_server.json differs between PYTHIA_THREADS=1 and 4" >&2
+    diff "$OUT/server-t1/BENCH_server.json" "$OUT/server-t4/BENCH_server.json" | head -20 >&2
+    exit 1
+fi
+SRVJSON="$OUT/server-t1/BENCH_server.json"
 if [ ! -f "$SRVJSON" ]; then
     echo "FAIL: server scenario produced no $SRVJSON" >&2
     exit 1
@@ -265,6 +274,6 @@ if [ -z "$pythia_hits" ] || [ "$pythia_hits" -eq 0 ]; then
     grep '"in_window_detections"' "$SRVJSON" >&2
     exit 1
 fi
-echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, zero internal errors"
+echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, zero internal errors, same JSON at 1 and 4 threads"
 
 echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, profiler, pruning, ref-tier and server-scenario gates are clean ($JSON)"
