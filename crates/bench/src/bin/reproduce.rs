@@ -3,17 +3,18 @@
 //! Usage: `reproduce [--out <dir>] [--engine <legacy|block>]
 //! [--tier <smoke|standard|ref>] [--only <name[,name...]>]
 //! [--scenario server [--connections N] [--requests M] [--seed S]]
-//! [--bench-json] [--lint] [--profile] [--smoke] [section...]`
+//! [--bench-json] [--smoke] [section...]`
 //! where a section is one of `fig4a fig4b fig5a fig5b fig6a fig6b fig7a
 //! fig7b dist precision policies dynpa heap campaign models nginx motiv
-//! eq6 ablations profile` — or nothing for the full report.
+//! eq6 ablations profile` — or nothing for the full report. Every
+//! section name is checked before any work: an unknown one exits 2 with
+//! nothing on stdout.
 //!
 //! `--tier` selects the benchmark size tier (DESIGN.md §5g): `standard`
 //! (default) is the historical suite size, `ref` scales every profile to
 //! ~3× static / ~36× dynamic size (with the VM instruction budget scaled
-//! to match), `smoke` shrinks them for quick health checks. The suite
-//! runs through the streaming bounded-memory runner at every tier; the
-//! report stays byte-identical across worker counts within a tier.
+//! to match), `smoke` shrinks them for quick health checks. The report
+//! stays byte-identical across worker counts within a tier.
 //!
 //! `--only <name[,name...]>` restricts the suite to the named benchmarks
 //! (partial SPEC names match; `nginx` selects the server workload) —
@@ -30,26 +31,19 @@
 //! `--out`/cwd, prints the detection-vs-offset table to stdout, and the
 //! engine-dependent wall-clock requests/sec to stderr.
 //!
-//! `--bench-json` additionally writes `BENCH_suite.json` (into the
-//! `--out` directory when given, else the working directory) with the
-//! suite's total and per-phase wall-clock timings, the worker count, and
-//! a per-benchmark `status` field (`ok` or the error variant), so harness
-//! speed and health are comparable across changes.
-//!
-//! `--lint` (implies `--bench-json`) additionally records each
-//! benchmark's static-certification status: `"lint": "certified"` plus
-//! the number of protection obligations `pythia-lint` checked across the
-//! benchmark's instrumented variants, `"violated"` when the lint gate
-//! rejected a variant, or `"not-reached"` when an earlier error stopped
-//! the benchmark before instrumentation.
-//!
-//! `--profile` (implies `--bench-json`) additionally embeds each `ok`
-//! benchmark's execution profile in `BENCH_suite.json` (per-scheme PA
-//! sign/auth/strip counters with the static-site cross-check, opcode
-//! histograms, heap allocator stats, slice-memo hit rates — DESIGN.md
-//! §5d) and renders the human-readable cost-attribution section to
-//! `<out>/profile.md` (with `--out`) or after the report on stdout.
-//! `report.md` itself stays byte-identical with or without the flag, so
+//! `--bench-json` additionally writes `BENCH_suite.json` and `profile.md`
+//! (into the `--out` directory when given, else the working directory).
+//! The JSON (schema listed in DESIGN.md §5g) carries the suite's total
+//! and per-phase wall-clock timings, the worker count, and per benchmark
+//! a `status` field (`ok` or the error variant), its static-certification
+//! status (`"lint": "certified"` plus the number of protection
+//! obligations `pythia-lint` checked, `"violated"` when the lint gate
+//! rejected a variant, `"not-reached"` when an earlier error stopped the
+//! benchmark) and its execution profile (per-scheme PA sign/auth/strip
+//! counters with the static-site cross-check, opcode histograms, heap
+//! allocator stats, slice-memo hit rates — DESIGN.md §5d).
+//! `profile.md` is the human-readable cost-attribution section, which
+//! the `profile` section also prints. `report.md` never includes it, so
 //! determinism diffs keep working.
 //!
 //! `--smoke` evaluates only a tiny suite (lbm, mcf, a short nginx run)
@@ -83,6 +77,15 @@
 
 use pythia_bench::experiments as exp;
 use pythia_core::{CtxPolicy, Engine, RunConfig, VmConfig};
+
+/// The sections rendered from the evaluated suite.
+const SUITE_SECTIONS: [&str; 14] = [
+    "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "fig7a", "fig7b", "dist", "precision",
+    "dynpa", "heap", "models", "profile",
+];
+
+/// The sections that analyze or run modules of their own.
+const OTHER_SECTIONS: [&str; 6] = ["policies", "nginx", "motiv", "campaign", "eq6", "ablations"];
 
 /// Print `msg` and exit with the usage status.
 fn usage_error(msg: &str) -> ! {
@@ -252,72 +255,71 @@ fn main() {
     if let Some(v) = take_value(&mut args, "--seed", scenario.is_some()) {
         spec.seed = v;
     }
+    let bench_json = take_switch(&mut args, "--bench-json");
+    let smoke = take_switch(&mut args, "--smoke");
+    // Every remaining argument must name a section; check them all before
+    // any work, so a typo (or a removed switch) costs nothing.
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !SUITE_SECTIONS.contains(&a.as_str()) && !OTHER_SECTIONS.contains(&a.as_str()))
+    {
+        let kind = if bad.starts_with('-') {
+            "option"
+        } else {
+            "section"
+        };
+        usage_error(&format!("unknown {kind} `{bad}`"));
+    }
     if let Some(name) = &scenario {
         if name != "server" {
             usage_error(&format!("unknown scenario `{name}` (expected: server)"));
         }
         std::process::exit(run_server(&spec, out_dir.as_deref()));
     }
-    let bench_json = take_switch(&mut args, "--bench-json");
-    // Lint status and the profile schema both land in BENCH_suite.json.
-    let lint = take_switch(&mut args, "--lint");
-    let profile = take_switch(&mut args, "--profile");
-    let bench_json = bench_json || lint || profile;
-    let smoke = take_switch(&mut args, "--smoke");
 
     // Experiments that need the evaluated suite share one run.
-    let needs_suite = [
-        "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "fig7a", "fig7b", "dist",
-        "precision", "dynpa", "heap", "models", "profile",
-    ];
     let run_suite_now =
-        args.is_empty() || bench_json || args.iter().any(|a| needs_suite.contains(&a.as_str()));
-    let suite_run = if run_suite_now {
-        // Streaming bounded-memory runner: each benchmark's JSON row and
-        // profile sums are extracted as it completes; the entries kept
-        // for the figures are slim digests.
-        let spec = exp::SuiteSpec {
-            smoke,
-            tier,
-            only: only.clone(),
-            run: run.clone(),
-            lint,
-            profile,
+        args.is_empty() || bench_json || args.iter().any(|a| SUITE_SECTIONS.contains(&a.as_str()));
+    let suite = run_suite_now.then(|| {
+        let selection = match only {
+            Some(names) => exp::Selection::Only(names),
+            None if smoke => exp::Selection::Smoke,
+            None => exp::Selection::Full,
         };
-        let run = exp::run_suite_streamed(&spec);
+        let suite = exp::run_suite(&exp::SuiteSpec {
+            selection,
+            tier,
+            run: run.clone(),
+        });
         if bench_json {
-            let dir = out_dir.clone().unwrap_or_else(|| ".".to_owned());
-            std::fs::create_dir_all(&dir).expect("create out dir");
-            let path = std::path::Path::new(&dir).join("BENCH_suite.json");
-            std::fs::write(&path, &run.json).expect("write BENCH_suite.json");
+            let dir = std::path::Path::new(out_dir.as_deref().unwrap_or("."));
+            std::fs::create_dir_all(dir).expect("create out dir");
+            std::fs::write(dir.join("BENCH_suite.json"), &suite.json)
+                .expect("write BENCH_suite.json");
+            std::fs::write(dir.join("profile.md"), &suite.profile_md).expect("write profile.md");
             eprintln!(
-                "wrote {} ({} tier, {} threads, {:.2}s total)",
-                path.display(),
-                run.tier.name(),
-                run.timing.threads,
-                run.timing.total_secs
+                "wrote {} and profile.md ({} tier, {} threads, {:.2}s total)",
+                dir.join("BENCH_suite.json").display(),
+                suite.tier.name(),
+                suite.timing.threads,
+                suite.timing.total_secs
             );
         }
-        Some(run)
-    } else {
-        None
-    };
-    let suite = suite_run.as_ref().map(|r| r.entries.clone());
+        suite
+    });
 
     // One failed benchmark must not hide the others, but it must not
     // look like success either: report every failure on stderr and exit 1.
     let mut failed = false;
-    if let Some(entries) = &suite {
-        for entry in entries {
-            if let Some(e) = entry.error() {
-                eprintln!("reproduce: `{}` failed to evaluate: {e}", entry.name);
-                failed = true;
-            }
+    for entry in suite.iter().flat_map(|s| &s.entries) {
+        if let Some(e) = entry.error() {
+            eprintln!("reproduce: `{}` failed to evaluate: {e}", entry.name);
+            failed = true;
         }
     }
 
     if args.is_empty() {
-        let entries = suite.as_ref().unwrap();
+        let entries = &suite.as_ref().unwrap().entries;
         let report = if smoke {
             // The full report's non-suite sections (campaign, ablations,
             // nginx sweep, ...) defeat the point of a smoke run; render
@@ -334,32 +336,19 @@ fn main() {
         };
         // The profile section never joins report.md: report bytes are the
         // determinism surface that scripts/bench.sh diffs serial vs
-        // parallel, and wall-clock seconds would break it. It was
-        // accumulated during the streamed run — the stripped digest
-        // entries no longer carry the profiles it renders from.
-        let profile_report = profile.then(|| suite_run.as_ref().unwrap().profile_md.clone());
+        // parallel, and wall-clock seconds would break it.
         match out_dir {
             Some(dir) => {
                 std::fs::create_dir_all(&dir).expect("create out dir");
                 let path = std::path::Path::new(&dir).join("report.md");
                 std::fs::write(&path, &report).expect("write report");
                 eprintln!("wrote {}", path.display());
-                if let Some(p) = &profile_report {
-                    let path = std::path::Path::new(&dir).join("profile.md");
-                    std::fs::write(&path, p).expect("write profile.md");
-                    eprintln!("wrote {}", path.display());
-                }
             }
-            None => {
-                println!("{report}");
-                if let Some(p) = &profile_report {
-                    println!("{p}");
-                }
-            }
+            None => println!("{report}"),
         }
         std::process::exit(i32::from(failed));
     }
-    let evals = suite.as_ref().map(|s| exp::ok_evaluations(s));
+    let evals = suite.as_ref().map(|s| exp::ok_evaluations(&s.entries));
     for a in &args {
         let section = match a.as_str() {
             "fig4a" => exp::fig4a(evals.as_ref().unwrap()),
@@ -376,13 +365,13 @@ fn main() {
             "dynpa" => exp::dynpa(evals.as_ref().unwrap()),
             "heap" => exp::heap(evals.as_ref().unwrap()),
             "models" => exp::models(evals.as_ref().unwrap()),
-            "profile" => suite_run.as_ref().unwrap().profile_md.clone(),
+            "profile" => suite.as_ref().unwrap().profile_md.clone(),
             "nginx" => exp::nginx(&run),
             "motiv" => exp::motiv(&run),
             "campaign" => exp::campaign(&run),
             "eq6" => exp::eq6(),
             "ablations" => exp::ablations(&run),
-            other => usage_error(&format!("unknown section `{other}`")),
+            _ => unreachable!("sections are validated up front"),
         };
         println!("{section}");
     }

@@ -4,9 +4,8 @@
 //! into the report that EXPERIMENTS.md records. Numbers are *measured* — the
 //! suite is analyzed, instrumented and executed on the spot.
 
-use crate::pool::{self, StreamStats};
+use crate::pool;
 use crate::table::{frac, pct, Table};
-use pythia_analysis::PrunedObligations;
 use pythia_core::{
     adjudicate, evaluate_with, BenchEvaluation, Engine, PythiaError, RunConfig, Scheme,
 };
@@ -18,13 +17,11 @@ use pythia_workloads::{
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The three instrumented schemes, in figure order.
 pub const SCHEMES: [Scheme; 3] = [Scheme::Cpa, Scheme::Pythia, Scheme::Dfi];
-
-/// Seed of the nginx suite entry.
-const NGINX_SEED: u64 = 0x9137;
 
 /// One suite slot: the benchmark's name plus either its evaluation or the
 /// typed error that stopped it. One failing benchmark never erases the
@@ -83,33 +80,41 @@ pub fn errors_section(suite: &[SuiteEntry]) -> String {
     )
 }
 
+/// Seed of the nginx suite entry.
+const NGINX_SEED: u64 = 0x9137;
+
 /// One unit of suite work: generate a module and evaluate it.
 #[derive(Debug, Clone)]
-enum SuiteJob {
+enum SuiteJob<'a> {
     /// A SPEC-like profile (owned: tier scaling produces non-`'static`
     /// profiles, and `BenchProfile` is `Copy` anyway).
     Profile(BenchProfile),
     /// The nginx server workload with a fixed request count.
-    Nginx { requests: u64, seed: u64 },
+    Nginx { requests: u64 },
     /// A caller-supplied module (test injection, ad-hoc suites).
     Module {
-        name: String,
-        module: Module,
+        name: &'a str,
+        module: &'a Module,
         seed: u64,
     },
     /// A name that matched no profile — evaluates to a setup error.
-    Missing { name: String },
+    Missing { name: &'a str },
 }
 
-impl SuiteJob {
-    /// The SPEC-like profile `name` (partial names match) at `tier`, or a
-    /// setup-error job when no profile matches.
-    fn profile(name: &str, tier: SizeTier) -> SuiteJob {
+impl<'a> SuiteJob<'a> {
+    /// The benchmark `name` at `tier`: `nginx` serving `nginx_requests`
+    /// (scaled by the tier's input-channel volume factor), else the
+    /// SPEC-like profile it names (partial names match), or a setup-error
+    /// job when no profile matches.
+    fn named(name: &'a str, tier: SizeTier, nginx_requests: u64) -> SuiteJob<'a> {
+        if name == "nginx" {
+            return SuiteJob::Nginx {
+                requests: tier.scale_volume(nginx_requests),
+            };
+        }
         match profile_by_name(name) {
             Some(p) => SuiteJob::Profile(p.at_tier(tier)),
-            None => SuiteJob::Missing {
-                name: name.to_owned(),
-            },
+            None => SuiteJob::Missing { name },
         }
     }
 
@@ -117,7 +122,7 @@ impl SuiteJob {
         match self {
             SuiteJob::Profile(p) => p.name.to_owned(),
             SuiteJob::Nginx { .. } => "nginx".to_owned(),
-            SuiteJob::Module { name, .. } | SuiteJob::Missing { name } => name.clone(),
+            SuiteJob::Module { name, .. } | SuiteJob::Missing { name } => (*name).to_owned(),
         }
     }
 
@@ -127,9 +132,9 @@ impl SuiteJob {
                 let m = generate(p);
                 evaluate_with(&m, &SCHEMES, p.seed, run)
             }
-            SuiteJob::Nginx { requests, seed } => {
+            SuiteJob::Nginx { requests } => {
                 let m = nginx_module(*requests);
-                evaluate_with(&m, &SCHEMES, *seed, run)
+                evaluate_with(&m, &SCHEMES, NGINX_SEED, run)
             }
             SuiteJob::Module { module, seed, .. } => evaluate_with(module, &SCHEMES, *seed, run),
             SuiteJob::Missing { name } => {
@@ -139,37 +144,52 @@ impl SuiteJob {
     }
 }
 
-/// The full suite at `tier`: all 16 SPEC-like benchmarks plus nginx, in
-/// report order. The nginx request count scales with the tier's
-/// input-channel volume factor.
-fn suite_jobs(tier: SizeTier) -> Vec<SuiteJob> {
-    let mut jobs: Vec<SuiteJob> = SPEC_PROFILES
-        .iter()
-        .map(|p| SuiteJob::Profile(p.at_tier(tier)))
-        .collect();
-    jobs.push(SuiteJob::Nginx {
-        requests: tier.scale_volume(60),
-        seed: NGINX_SEED,
-    });
-    jobs
+/// Which benchmarks a suite run evaluates.
+#[derive(Debug, Clone, Default)]
+pub enum Selection {
+    /// All 16 SPEC-like benchmarks plus nginx, in report order.
+    #[default]
+    Full,
+    /// The reduced smoke set: two fast SPEC-like profiles plus a short
+    /// nginx run — enough to cross every pipeline layer.
+    Smoke,
+    /// These (possibly partial) benchmark names, in this order; `"nginx"`
+    /// selects the server workload. A name matching no benchmark yields
+    /// a setup-error entry in its slot.
+    Only(Vec<String>),
+    /// Caller-supplied `(name, module, seed)` triples, evaluated as they
+    /// are (the tier scales only the VM budget): the injection point for
+    /// robustness tests and ad-hoc suites.
+    Modules(Vec<(String, Module, u64)>),
 }
 
-/// The reduced smoke set at `tier`: two fast SPEC-like profiles plus a
-/// short nginx run — enough to cross every pipeline layer.
-fn smoke_jobs(tier: SizeTier) -> Vec<SuiteJob> {
-    let mut jobs: Vec<SuiteJob> = ["519.lbm_r", "505.mcf_r"]
-        .iter()
-        .map(|n| SuiteJob::profile(n, tier))
-        .collect();
-    jobs.push(SuiteJob::Nginx {
-        requests: tier.scale_volume(10),
-        seed: NGINX_SEED,
-    });
-    jobs
+impl Selection {
+    /// The jobs this selection evaluates at `tier`, in report order.
+    fn jobs(&self, tier: SizeTier) -> Vec<SuiteJob<'_>> {
+        let (names, nginx_requests): (Vec<&str>, u64) = match self {
+            Selection::Full => (valid_only_names(), 60),
+            Selection::Smoke => (vec!["519.lbm_r", "505.mcf_r", "nginx"], 10),
+            Selection::Only(names) => (names.iter().map(String::as_str).collect(), 60),
+            Selection::Modules(modules) => {
+                return modules
+                    .iter()
+                    .map(|(name, module, seed)| SuiteJob::Module {
+                        name,
+                        module,
+                        seed: *seed,
+                    })
+                    .collect()
+            }
+        };
+        names
+            .into_iter()
+            .map(|n| SuiteJob::named(n, tier, nginx_requests))
+            .collect()
+    }
 }
 
 /// The benchmark names `--only` accepts: every SPEC-like profile plus
-/// `nginx`.
+/// `nginx` — the full suite, in report order.
 pub fn valid_only_names() -> Vec<&'static str> {
     let mut v: Vec<&'static str> = SPEC_PROFILES.iter().map(|p| p.name).collect();
     v.push("nginx");
@@ -204,38 +224,6 @@ fn at_tier(run: &RunConfig, tier: SizeTier) -> RunConfig {
     run
 }
 
-/// Run `jobs` on the worker pool; entries come back in input order.
-/// Every job is deterministic (fixed generator and VM seeds), so the
-/// entries — and any report rendered from them — are identical for
-/// every worker count.
-fn run_jobs(jobs: &[SuiteJob], run: &RunConfig) -> Vec<SuiteEntry> {
-    let outcomes = pool::run(jobs, run.threads, |job| job.run(run));
-    let names = jobs.iter().map(SuiteJob::name);
-    names
-        .zip(outcomes)
-        .map(|(name, outcome)| SuiteEntry { name, outcome })
-        .collect()
-}
-
-/// Evaluate a subset of the suite at `tier` by (possibly partial)
-/// profile name, on `run.threads` workers. A name matching no profile
-/// yields a setup-error entry in its slot instead of a panic.
-pub fn run_profiles(names: &[&str], tier: SizeTier, run: &RunConfig) -> Vec<SuiteEntry> {
-    let jobs: Vec<SuiteJob> = names.iter().map(|n| SuiteJob::profile(n, tier)).collect();
-    run_jobs(&jobs, &at_tier(run, tier))
-}
-
-/// Evaluate caller-supplied `(name, module, seed)` triples on the suite
-/// worker pool. The injection point for robustness tests and ad-hoc
-/// suites: entries come back in input order, failures as error entries.
-pub fn evaluate_modules(modules: Vec<(String, Module, u64)>, run: &RunConfig) -> Vec<SuiteEntry> {
-    let jobs: Vec<SuiteJob> = modules
-        .into_iter()
-        .map(|(name, module, seed)| SuiteJob::Module { name, module, seed })
-        .collect();
-    run_jobs(&jobs, run)
-}
-
 /// Timing envelope of one suite run (for `BENCH_suite.json`).
 #[derive(Debug, Clone, Copy)]
 pub struct SuiteTiming {
@@ -245,34 +233,23 @@ pub struct SuiteTiming {
     pub total_secs: f64,
 }
 
-/// What to run and how, for [`run_suite_streamed`] (the `reproduce`
-/// entry point).
+/// What to run and how, for [`run_suite`].
 #[derive(Debug, Clone, Default)]
 pub struct SuiteSpec {
-    /// Run the reduced smoke set instead of the full suite.
-    pub smoke: bool,
+    /// Which benchmarks to evaluate.
+    pub selection: Selection,
     /// Benchmark size tier.
     pub tier: SizeTier,
-    /// Restrict to these (possibly partial) benchmark names; `"nginx"`
-    /// selects the server workload. Overrides `smoke`.
-    pub only: Option<Vec<String>>,
     /// Engine, context policy and worker count. The VM instruction
     /// budget is scaled by `tier`.
     pub run: RunConfig,
-    /// Record certification status per benchmark in the JSON.
-    pub lint: bool,
-    /// Embed the per-scheme profile block in the JSON.
-    pub profile: bool,
 }
 
-/// Everything one streamed suite run produced. `entries` are slim
-/// digests: each evaluation's per-scheme execution profiles were
-/// consumed (into `json` rows and `profile_md` sums) and dropped as its
-/// benchmark completed, so holding the whole suite of digests is cheap
-/// and every figure renders byte-identically from them.
+/// Everything one suite run produced.
 #[derive(Debug, Clone)]
 pub struct SuiteRun {
-    /// Profile-stripped suite entries, in report order.
+    /// One entry per benchmark, in report order, execution profiles
+    /// included.
     pub entries: Vec<SuiteEntry>,
     /// Wall-clock envelope.
     pub timing: SuiteTiming,
@@ -282,74 +259,35 @@ pub struct SuiteRun {
     pub json: String,
     /// The rendered profile section (`profile.md`).
     pub profile_md: String,
-    /// Streaming-runner backpressure stats.
-    pub stream: StreamStats,
 }
 
-/// Run a suite through the streaming pipeline: generate → analyze →
-/// instrument → execute one benchmark per worker slot, render its JSON
-/// row and fold its profile into the pooled accumulator the moment it
-/// completes, then drop the heavy state before the claim window admits
-/// the next job. Peak memory is bounded by the worker window instead of
-/// the suite size — the property the ref tier depends on.
-pub fn run_suite_streamed(spec: &SuiteSpec) -> SuiteRun {
-    let tier = spec.tier;
-    let run = at_tier(&spec.run, tier);
-    let jobs: Vec<SuiteJob> = match &spec.only {
-        Some(names) => names
-            .iter()
-            .map(|n| match n.as_str() {
-                "nginx" => SuiteJob::Nginx {
-                    requests: tier.scale_volume(60),
-                    seed: NGINX_SEED,
-                },
-                _ => SuiteJob::profile(n, tier),
-            })
-            .collect(),
-        None if spec.smoke => smoke_jobs(tier),
-        None => suite_jobs(tier),
-    };
-    let mut acc = ProfileAcc::new(run.vm.engine.name());
-    let mut rows = Vec::with_capacity(jobs.len());
-    let mut entries: Vec<SuiteEntry> = Vec::with_capacity(jobs.len());
+/// Run a suite: generate → analyze → instrument → lint → execute every
+/// selected benchmark on the worker pool, then render `BENCH_suite.json`
+/// and the profile section from the entries. Every job is deterministic
+/// (fixed generator and VM seeds) and the pool returns entries in input
+/// order, so the entries — and every report rendered from them — are
+/// identical for every worker count.
+pub fn run_suite(spec: &SuiteSpec) -> SuiteRun {
+    let run = at_tier(&spec.run, spec.tier);
+    let jobs = spec.selection.jobs(spec.tier);
     let start = Instant::now();
-    let mut names = jobs.iter().map(SuiteJob::name);
-    let sink = |outcome| {
-        let name = names.next().expect("one outcome per job");
-        let mut e = SuiteEntry { name, outcome };
-        rows.push(bench_json_row(&e, spec.lint, spec.profile));
-        if let Ok(ev) = &mut e.outcome {
-            acc.add(ev);
-            // Keep only the digest: the figures read analysis summaries,
-            // stats, metrics and timings — never the execution profiles,
-            // which dominate an evaluation's footprint.
-            for r in &mut ev.results {
-                r.profile = Default::default();
-            }
-        }
-        entries.push(e);
-    };
-    let stream = pool::run_streamed(&jobs, run.threads, |job| job.run(&run), sink);
+    let outcomes = pool::run(&jobs, run.threads, |job| job.run(&run));
     let timing = SuiteTiming {
         threads: run.threads,
         total_secs: start.elapsed().as_secs_f64(),
     };
-    let json = bench_json_assemble(
-        &entries,
-        &timing,
-        tier,
-        "streaming",
-        run.vm.engine.name(),
-        Some(stream),
-        &rows,
-    );
+    let entries: Vec<SuiteEntry> = jobs
+        .iter()
+        .map(SuiteJob::name)
+        .zip(outcomes)
+        .map(|(name, outcome)| SuiteEntry { name, outcome })
+        .collect();
     SuiteRun {
-        profile_md: acc.render(),
+        json: render_json(&entries, &timing, spec.tier, run.vm.engine),
+        profile_md: render_profile(&entries, run.vm.engine),
         entries,
         timing,
-        tier,
-        json,
-        stream,
+        tier: spec.tier,
     }
 }
 
@@ -427,120 +365,96 @@ fn scheme_profile_json(r: &pythia_core::SchemeResult) -> String {
     )
 }
 
-/// Render one benchmark's JSON record (no trailing comma/newline). Must
-/// run **before** the streamed path strips the per-scheme execution
-/// profiles: `peak_resident_bytes` and the `profile` block read them.
-fn bench_json_row(entry: &SuiteEntry, lint: bool, profile: bool) -> String {
-    match &entry.outcome {
-        Ok(ev) => {
-            let t = &ev.timings;
-            // An `ok` evaluation implies the lint gate passed: every
-            // instrumented variant was certified before it executed.
-            let lint_field = if lint {
-                format!(
-                    ", \"lint\": \"certified\", \"lint_checks\": {}",
-                    ev.lint_checks()
-                )
-            } else {
-                String::new()
-            };
-            // Per-benchmark memory and phase-share summary: the peak VM
-            // resident set across schemes (deterministic — counted from
-            // touched pages, not host RSS), and where the wall-clock went.
-            let total = t.total_secs();
-            let share = |s: f64| if total > 0.0 { s / total } else { 0.0 };
-            let peak_resident: u64 = ev
-                .results
-                .iter()
-                .map(|r| r.profile.resident_bytes)
-                .max()
-                .unwrap_or(0);
-            let summary = format!(
-                ", \"analysis_share\": {:.3}, \"execute_share\": {:.3}, \"peak_resident_bytes\": {}, \"proven_geps\": {}, \"obligations_pruned\": {}, \"reach_top\": {}, \"contexts\": {}, \"ctx_fallback\": {}, \"pythia_heap_pruned\": {}, \"dfi_pruned\": {}, \"policy\": \"{}\", \"summaries\": {}, \"summary_reuse\": {}, \"strong_updates\": {}",
-                share(t.analysis_secs()),
-                share(t.execute_secs()),
-                peak_resident,
-                ev.analysis.pruned.proven_gep_stores,
-                ev.analysis.pruned.total(),
-                ev.analysis.pruned.reach_top,
-                ev.analysis.pruned.contexts,
-                ev.analysis.pruned.ctx_fallback,
-                ev.analysis.pruned.pythia_heap_objects,
-                ev.analysis.pruned.dfi_objects,
-                ev.analysis.pruned.policy,
-                ev.analysis.pruned.summaries,
-                ev.analysis.pruned.summary_reuse,
-                ev.analysis.pruned.strong_updates,
-            );
-            if profile {
-                let mut out = format!(
-                    "    {{ \"name\": \"{}\", \"status\": \"ok\", \"analysis_secs\": {:.6}, \"instrument_secs\": {:.6}, \"lint_secs\": {:.6}, \"decode_secs\": {:.6}, \"execute_secs\": {:.6}, \"retirement_minsts_per_sec\": {:.3}{summary}{lint_field},\n",
-                    json_escape(&entry.name),
-                    t.analysis_secs(),
-                    t.instrument_secs(),
-                    t.lint_secs(),
-                    t.decode_secs(),
-                    t.execute_secs(),
-                    retirement_of(ev),
-                );
-                out.push_str(&format!(
-                    "      \"profile\": {{ \"memo\": {{ \"hits\": {}, \"misses\": {} }}, \"schemes\": [\n",
-                    ev.analysis.memo_hits, ev.analysis.memo_misses
-                ));
-                for (j, r) in ev.results.iter().enumerate() {
-                    let c = if j + 1 < ev.results.len() { "," } else { "" };
-                    out.push_str(&format!("        {}{c}\n", scheme_profile_json(r)));
-                }
-                out.push_str("      ] }} }}");
-                out
-            } else {
-                format!(
-                    "    {{ \"name\": \"{}\", \"status\": \"ok\", \"analysis_secs\": {:.6}, \"instrument_secs\": {:.6}, \"lint_secs\": {:.6}, \"decode_secs\": {:.6}, \"execute_secs\": {:.6}{summary}{lint_field} }}",
-                    json_escape(&entry.name),
-                    t.analysis_secs(),
-                    t.instrument_secs(),
-                    t.lint_secs(),
-                    t.decode_secs(),
-                    t.execute_secs(),
-                )
-            }
-        }
+/// Version of the `BENCH_suite.json` layout (DESIGN.md §5g lists the
+/// fields). Bumped whenever a field is added, removed or renamed.
+pub const SUITE_SCHEMA: u32 = 2;
+
+/// Render one benchmark's JSON record (no trailing comma/newline).
+fn json_row(entry: &SuiteEntry) -> String {
+    let name = json_escape(&entry.name);
+    let ev = match &entry.outcome {
+        Ok(ev) => ev,
         Err(e) => {
-            let lint_field = if lint {
-                // The pipeline's certification error message is stable
-                // (pythia-lint's `into_setup_error`), so it doubles as
-                // the discriminator between "lint rejected this" and
-                // "the benchmark never reached the lint gate".
-                if e.to_string().contains("static certification") {
-                    ", \"lint\": \"violated\""
-                } else {
-                    ", \"lint\": \"not-reached\""
-                }
+            // The pipeline's certification error message is stable
+            // (pythia-lint's `into_setup_error`), so it doubles as the
+            // discriminator between "lint rejected this" and "the
+            // benchmark never reached the lint gate".
+            let lint = if e.to_string().contains("static certification") {
+                "violated"
             } else {
-                ""
+                "not-reached"
             };
-            format!(
-                "    {{ \"name\": \"{}\", \"status\": \"{}\", \"error\": \"{}\"{lint_field} }}",
-                json_escape(&entry.name),
+            return format!(
+                "    {{ \"name\": \"{name}\", \"status\": \"{}\", \"error\": \"{}\", \"lint\": \"{lint}\" }}",
                 e.variant(),
                 json_escape(&e.to_string()),
-            )
+            );
         }
+    };
+    let t = &ev.timings;
+    // Per-benchmark memory and phase-share summary: the peak VM resident
+    // set across schemes (deterministic — counted from touched pages, not
+    // host RSS), and where the wall-clock went.
+    let total = t.total_secs();
+    let share = |s: f64| if total > 0.0 { s / total } else { 0.0 };
+    let peak_resident: u64 = ev
+        .results
+        .iter()
+        .map(|r| r.profile.resident_bytes)
+        .max()
+        .unwrap_or(0);
+    let pruned = &ev.analysis.pruned;
+    // An `ok` evaluation implies the lint gate passed: every instrumented
+    // variant was certified before it executed.
+    let mut out = format!(
+        "    {{ \"name\": \"{name}\", \"status\": \"ok\", \"analysis_secs\": {:.6}, \"instrument_secs\": {:.6}, \"lint_secs\": {:.6}, \"decode_secs\": {:.6}, \"execute_secs\": {:.6}, \"retirement_minsts_per_sec\": {:.3}, \"analysis_share\": {:.3}, \"execute_share\": {:.3}, \"peak_resident_bytes\": {peak_resident}, \"proven_geps\": {}, \"obligations_pruned\": {}, \"reach_top\": {}, \"contexts\": {}, \"ctx_fallback\": {}, \"pythia_heap_pruned\": {}, \"dfi_pruned\": {}, \"policy\": \"{}\", \"summaries\": {}, \"summary_reuse\": {}, \"strong_updates\": {}, \"lint\": \"certified\", \"lint_checks\": {},\n",
+        t.analysis_secs(),
+        t.instrument_secs(),
+        t.lint_secs(),
+        t.decode_secs(),
+        t.execute_secs(),
+        retirement_of(ev),
+        share(t.analysis_secs()),
+        share(t.execute_secs()),
+        pruned.proven_gep_stores,
+        pruned.total(),
+        pruned.reach_top,
+        pruned.contexts,
+        pruned.ctx_fallback,
+        pruned.pythia_heap_objects,
+        pruned.dfi_objects,
+        pruned.policy,
+        pruned.summaries,
+        pruned.summary_reuse,
+        pruned.strong_updates,
+        ev.lint_checks(),
+    );
+    out.push_str(&format!(
+        "      \"profile\": {{ \"memo\": {{ \"hits\": {}, \"misses\": {} }}, \"schemes\": [\n",
+        ev.analysis.memo_hits, ev.analysis.memo_misses
+    ));
+    for (j, r) in ev.results.iter().enumerate() {
+        let c = if j + 1 < ev.results.len() { "," } else { "" };
+        out.push_str(&format!("        {}{c}\n", scheme_profile_json(r)));
     }
+    out.push_str("      ] } }");
+    out
 }
 
-/// Assemble the suite-level JSON envelope around pre-rendered rows.
-/// `suite` supplies the per-phase and retirement sums — its digest fields
-/// (timings, metrics) survive profile-stripping, so the streamed path can
-/// pass its slim entries here.
-fn bench_json_assemble(
+/// Render `BENCH_suite.json`: the schema version, total and per-phase
+/// wall-clock, then one record per benchmark with a `status` field (`ok`,
+/// or the error's taxonomy variant — `scripts/check.sh` fails the build
+/// on any `internal`), its certification status, peak resident bytes,
+/// analysis/execute wall-clock shares, and a `profile` block: the
+/// slice-memo counters and one line per scheme with PA/DFI/shadow/heap
+/// counters plus the top-5 opcode histogram. DESIGN.md §5g lists every
+/// field. Hand-rolled JSON — the workspace is offline and carries no
+/// serde.
+fn render_json(
     suite: &[SuiteEntry],
     timing: &SuiteTiming,
     tier: SizeTier,
-    runner: &str,
-    engine: &str,
-    stream: Option<StreamStats>,
-    rows: &[String],
+    engine: Engine,
 ) -> String {
     let sum = |f: &dyn Fn(&pythia_core::Timings) -> f64| -> f64 {
         suite
@@ -550,17 +464,11 @@ fn bench_json_assemble(
             .sum()
     };
     let mut out = String::from("{\n");
+    out.push_str(&format!("  \"schema\": {SUITE_SCHEMA},\n"));
     out.push_str(&format!("  \"threads\": {},\n", timing.threads));
     out.push_str(&format!("  \"tier\": \"{}\",\n", tier.name()));
-    out.push_str(&format!("  \"runner\": \"{runner}\",\n"));
-    if let Some(s) = stream {
-        out.push_str(&format!(
-            "  \"stream_window\": {}, \"stream_peak_buffered\": {},\n",
-            s.window, s.peak_buffered
-        ));
-    }
     out.push_str(&format!("  \"total_secs\": {:.6},\n", timing.total_secs));
-    out.push_str(&format!("  \"engine\": \"{engine}\",\n"));
+    out.push_str(&format!("  \"engine\": \"{}\",\n", engine.name()));
     out.push_str(&format!(
         "  \"retirement_minsts_per_sec\": {:.3},\n",
         retirement_minsts_per_sec(suite)
@@ -574,6 +482,7 @@ fn bench_json_assemble(
         sum(&|t| t.execute_secs())
     ));
     out.push_str("  \"benchmarks\": [\n");
+    let rows: Vec<String> = suite.iter().map(json_row).collect();
     out.push_str(&rows.join(",\n"));
     if !rows.is_empty() {
         out.push('\n');
@@ -582,43 +491,7 @@ fn bench_json_assemble(
     out
 }
 
-/// Render a machine-readable benchmark record: total and per-phase
-/// wall-clock, plus the per-benchmark breakdown with a `status` field
-/// (`ok`, or the error's taxonomy variant — `scripts/check.sh` fails the
-/// build on any `internal`), per-benchmark peak resident bytes and
-/// analysis/execute wall-clock shares. With `profile`, each `ok`
-/// benchmark also carries a `profile` block: the slice-memo counters and
-/// one line per scheme with PA/DFI/shadow/heap counters plus the top-5
-/// opcode histogram (see DESIGN.md §5d for the schema). Hand-rolled JSON
-/// — the workspace is offline and carries no serde.
-///
-/// This collect-mode wrapper renders from in-memory entries at the
-/// standard tier, labelled with the `engine` the suite ran under;
-/// `reproduce` goes through [`run_suite_streamed`], which renders each
-/// row as its benchmark completes.
-pub fn bench_json(
-    suite: &[SuiteEntry],
-    timing: &SuiteTiming,
-    engine: Engine,
-    lint: bool,
-    profile: bool,
-) -> String {
-    let rows: Vec<String> = suite
-        .iter()
-        .map(|e| bench_json_row(e, lint, profile))
-        .collect();
-    bench_json_assemble(
-        suite,
-        timing,
-        SizeTier::Standard,
-        "collect",
-        engine.name(),
-        None,
-        &rows,
-    )
-}
-
-/// Per-scheme counter sums for [`ProfileAcc`].
+/// Per-scheme dynamic counter sums for the profile section.
 #[derive(Debug, Clone, Copy, Default)]
 struct SchemeSums {
     n: usize,
@@ -635,302 +508,240 @@ struct SchemeSums {
     resident: u64,
 }
 
-/// Streaming accumulator behind [`profile_section`]: consumes one
-/// evaluation at a time (while its execution profiles are still
-/// attached) and keeps only pooled sums plus one small memo-table row
-/// per benchmark, so profile reporting no longer requires the whole
-/// suite in memory.
-pub struct ProfileAcc {
-    engine: String,
-    evs: usize,
-    phase_secs: [f64; 5],
-    total_secs: f64,
-    insts: u64,
-    exec_secs: f64,
-    decode_secs: f64,
-    schemes: Vec<(Scheme, SchemeSums)>,
-    execs: std::collections::BTreeMap<&'static str, u64>,
-    mc: std::collections::BTreeMap<&'static str, u64>,
-    memo_rows: Vec<(String, u64, u64, f64)>,
-    /// Per-benchmark pruning provenance (context solve included).
-    ctx_rows: Vec<(String, PrunedObligations)>,
-}
-
-impl ProfileAcc {
-    /// Fresh accumulator; `engine` is the name the retirement table shows.
-    pub fn new(engine: &str) -> ProfileAcc {
-        ProfileAcc {
-            engine: engine.to_owned(),
-            evs: 0,
-            phase_secs: [0.0; 5],
-            total_secs: 0.0,
-            insts: 0,
-            exec_secs: 0.0,
-            decode_secs: 0.0,
-            schemes: Scheme::ALL
-                .iter()
-                .map(|s| (*s, SchemeSums::default()))
-                .collect(),
-            execs: Default::default(),
-            mc: Default::default(),
-            memo_rows: Vec::new(),
-            ctx_rows: Vec::new(),
-        }
-    }
-
-    /// Fold one successful evaluation into the pooled sums.
-    pub fn add(&mut self, ev: &BenchEvaluation) {
-        self.evs += 1;
-        self.total_secs += ev.timings.total_secs();
-        for (i, phase) in pythia_core::Phase::ALL.iter().enumerate() {
-            self.phase_secs[i] += ev.timings.phase_secs(*phase);
-        }
-        self.insts += retired_insts(ev);
-        self.exec_secs += ev.timings.execute_secs();
-        self.decode_secs += ev.timings.decode_secs();
-        for r in &ev.results {
-            if let Some((_, s)) = self.schemes.iter_mut().find(|(s, _)| *s == r.scheme) {
-                let p = &r.profile;
-                s.n += 1;
-                s.signs += p.pa.signs;
-                s.auths += p.pa.auths;
-                s.strips += p.pa.strips;
-                s.statics += p.pa.static_sign_auth();
-                s.unpruned += r.pa_static_unpruned as u64;
-                s.pruned += r.stats.obligations_pruned as u64;
-                s.setdefs += p.shadow.setdefs;
-                s.chkdefs += p.shadow.chkdefs;
-                s.allocs += p.heap_shared.allocs + p.heap_isolated.allocs;
-                s.coalesces += p.heap_shared.coalesces + p.heap_isolated.coalesces;
-                s.resident += p.resident_bytes;
-            }
-            for (op, n) in &r.profile.opcodes {
-                *self.execs.entry(op).or_default() += n;
-            }
-            for (op, m) in &r.profile.opcode_mc {
-                *self.mc.entry(op).or_default() += m;
-            }
-        }
-        self.memo_rows.push((
-            ev.name.clone(),
-            ev.analysis.memo_hits,
-            ev.analysis.memo_misses,
-            ev.analysis.memo_hit_rate(),
-        ));
-        self.ctx_rows.push((ev.name.clone(), ev.analysis.pruned));
-    }
-
-    /// Render the cost-attribution report from the accumulated sums.
-    pub fn render(&self) -> String {
-        use crate::table::count;
-
-        let mut out = String::from(
-            "## profile — execution cost attribution (observational; not part of the determinism surface)\n\n",
-        );
-        if self.evs == 0 {
-            out.push_str("no successful evaluations to profile\n");
-            return out;
-        }
-
-        // Phase wall-clock, summed across benchmarks.
-        let mut t = Table::new(vec!["phase", "secs", "share"]);
-        for (i, phase) in pythia_core::Phase::ALL.iter().enumerate() {
-            let secs = self.phase_secs[i];
-            t.row(vec![
-                phase.name().to_owned(),
-                format!("{secs:.3}"),
-                frac(if self.total_secs > 0.0 {
-                    secs / self.total_secs
-                } else {
-                    0.0
-                }),
-            ]);
-        }
-        out.push_str(&format!(
-            "### phase wall-clock across {} benchmarks\n\n{}\n",
-            self.evs,
-            t.render()
-        ));
-
-        // Retirement rate: the block-cached engine's headline metric.
-        // Decode amortization context rides along — the one-time lowering
-        // cost must stay well under the execute time it saves.
-        let rate = if self.exec_secs > 0.0 {
-            self.insts as f64 / self.exec_secs / 1e6
-        } else {
-            0.0
-        };
-        let mut t = Table::new(vec![
-            "engine",
-            "insts retired",
-            "execute secs",
-            "decode secs",
-            "Minsts/s",
-        ]);
-        t.row(vec![
-            self.engine.clone(),
-            count(self.insts),
-            format!("{:.3}", self.exec_secs),
-            format!("{:.3}", self.decode_secs),
-            format!("{rate:.2}"),
-        ]);
-        out.push_str(&format!(
-            "### retirement rate, all schemes pooled (`scripts/bench.sh` compares engines; decode is the one-time block-lowering cost)\n\n{}\n",
-            t.render()
-        ));
-
-        // Per-scheme dynamic counters, summed across benchmarks. The
-        // `pa unpruned` column is what each scheme would have emitted
-        // without the precision stage; `pa static` is what survived
-        // pruning and `pruned` the dropped obligation count — the
-        // executed-PA reduction the field-sensitive points-to + bounds
-        // proofs buy.
-        let mut t = Table::new(vec![
-            "scheme", "pa sign", "pa auth", "pa strip", "pa static", "pa unpruned", "pruned",
-            "dfi setdef", "dfi chkdef", "heap allocs", "coalesces", "resident KiB",
-        ]);
-        for (scheme, s) in &self.schemes {
-            if s.n == 0 {
-                continue;
-            }
-            t.row(vec![
-                scheme.name().to_owned(),
-                count(s.signs),
-                count(s.auths),
-                count(s.strips),
-                count(s.statics),
-                count(s.unpruned),
-                count(s.pruned),
-                count(s.setdefs),
-                count(s.chkdefs),
-                count(s.allocs),
-                count(s.coalesces),
-                count(s.resident / 1024),
-            ]);
-        }
-        out.push_str(&format!(
-            "### per-scheme dynamic counters (summed; `pa static` = sign/auth sites in the instrumented module after pruning, `pa unpruned` = without the precision stage)\n\n{}\n",
-            t.render()
-        ));
-
-        // Context-sensitive points-to digest per benchmark: which policy
-        // the solver ran under, how many contexts it explored, whether it
-        // fell back to the insensitive relation, whether overflow reach hit
-        // ⊤, the summary instantiations shared across callsites, the
-        // singleton stores flow-sensitivity killed, and the heap/DFI
-        // obligations the sharper relation pruned.
-        let mut t = Table::new(vec![
-            "benchmark",
-            "policy",
-            "reach",
-            "contexts",
-            "summaries",
-            "fallback",
-            "reuse",
-            "kills",
-            "heap pruned",
-            "dfi pruned",
-        ]);
-        let (mut ctx_total, mut fb_total, mut hp_total, mut dfi_total) = (0usize, 0usize, 0, 0);
-        let (mut reuse_total, mut kill_total, mut sum_total) = (0usize, 0usize, 0usize);
-        for (name, d) in &self.ctx_rows {
-            ctx_total += d.contexts;
-            fb_total += d.ctx_fallback as usize;
-            hp_total += d.pythia_heap_objects;
-            dfi_total += d.dfi_objects;
-            sum_total += d.summaries;
-            reuse_total += d.summary_reuse;
-            kill_total += d.strong_updates;
-            t.row(vec![
-                name.clone(),
-                d.policy.to_owned(),
-                if d.reach_top { "TOP" } else { "ok" }.to_owned(),
-                d.contexts.to_string(),
-                d.summaries.to_string(),
-                if d.ctx_fallback { "yes" } else { "no" }.to_owned(),
-                d.summary_reuse.to_string(),
-                d.strong_updates.to_string(),
-                d.pythia_heap_objects.to_string(),
-                d.dfi_objects.to_string(),
-            ]);
-        }
-        t.row(vec![
-            "TOTAL".to_owned(),
-            String::new(),
-            String::new(),
-            ctx_total.to_string(),
-            sum_total.to_string(),
-            fb_total.to_string(),
-            reuse_total.to_string(),
-            kill_total.to_string(),
-            hp_total.to_string(),
-            dfi_total.to_string(),
-        ]);
-        out.push_str(&format!(
-            "### context solver (policy, contexts explored, budget fallbacks, summary reuse, strong-update kills, heap/DFI obligations pruned)\n\n{}\n",
-            t.render()
-        ));
-
-        // Pooled opcode histogram: executions and attributed cycles across
-        // every scheme of every benchmark.
-        let mut ranked: Vec<(&'static str, u64)> =
-            self.execs.iter().map(|(k, v)| (*k, *v)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        let mut t = Table::new(vec!["opcode", "execs", "cycles"]);
-        for (op, n) in ranked.into_iter().take(10) {
-            let cycles =
-                pythia_vm::CostModel::to_cycles_f64(self.mc.get(op).copied().unwrap_or(0));
-            t.row(vec![op.to_owned(), count(n), format!("{cycles:.0}")]);
-        }
-        out.push_str(&format!(
-            "### top opcodes, all schemes pooled (base-cost attribution)\n\n{}\n",
-            t.render()
-        ));
-
-        // Slice-memo cache effectiveness per benchmark (misses = distinct
-        // slices computed, hits = warm re-queries by the passes + lint).
-        let mut t = Table::new(vec!["benchmark", "memo hits", "memo misses", "hit rate"]);
-        let (mut th, mut tm) = (0u64, 0u64);
-        for (name, hits, misses, rate) in &self.memo_rows {
-            th += hits;
-            tm += misses;
-            t.row(vec![name.clone(), count(*hits), count(*misses), frac(*rate)]);
-        }
-        let total_rate = if th + tm == 0 {
-            0.0
-        } else {
-            th as f64 / (th + tm) as f64
-        };
-        t.row(vec![
-            "TOTAL".to_owned(),
-            count(th),
-            count(tm),
-            frac(total_rate),
-        ]);
-        out.push_str(&format!(
-            "### backward-slice memo cache (misses = distinct slices, hits = warm re-queries)\n\n{}",
-            t.render()
-        ));
-        out
+impl SchemeSums {
+    fn add(&mut self, r: &pythia_core::SchemeResult) {
+        let p = &r.profile;
+        self.n += 1;
+        self.signs += p.pa.signs;
+        self.auths += p.pa.auths;
+        self.strips += p.pa.strips;
+        self.statics += p.pa.static_sign_auth();
+        self.unpruned += r.pa_static_unpruned as u64;
+        self.pruned += r.stats.obligations_pruned as u64;
+        self.setdefs += p.shadow.setdefs;
+        self.chkdefs += p.shadow.chkdefs;
+        self.allocs += p.heap_shared.allocs + p.heap_isolated.allocs;
+        self.coalesces += p.heap_shared.coalesces + p.heap_isolated.coalesces;
+        self.resident += p.resident_bytes;
     }
 }
 
 /// Human-readable cost-attribution report from the VM profiles: phase
 /// wall-clock, per-scheme PA/DFI/heap counters, the pooled opcode
-/// histogram, and slice-memo hit rates. Rendered *outside* `report.md`
-/// (wall-clock seconds are not deterministic) — `reproduce --profile`
-/// writes it to `profile.md` or appends it after the report on stdout.
-///
-/// Collect-mode wrapper over [`ProfileAcc`], labelled with the `engine`
-/// the suite ran under; requires entries whose execution profiles are
-/// still attached (the streamed path accumulates before stripping
-/// instead).
-pub fn profile_section(suite: &[SuiteEntry], engine: Engine) -> String {
-    let mut acc = ProfileAcc::new(engine.name());
-    for ev in suite.iter().filter_map(|e| e.evaluation()) {
-        acc.add(ev);
+/// histogram, and slice-memo hit rates, labelled with the `engine` the
+/// suite ran under. Rendered *outside* `report.md` (wall-clock seconds
+/// are not deterministic) — `reproduce --bench-json` writes it to
+/// `profile.md` next to `BENCH_suite.json`.
+fn render_profile(suite: &[SuiteEntry], engine: Engine) -> String {
+    use crate::table::count;
+    use pythia_core::Phase;
+
+    let mut out = String::from(
+        "## profile — execution cost attribution (observational; not part of the determinism surface)\n\n",
+    );
+    let evs: Vec<&BenchEvaluation> = suite.iter().filter_map(SuiteEntry::evaluation).collect();
+    if evs.is_empty() {
+        out.push_str("no successful evaluations to profile\n");
+        return out;
     }
-    acc.render()
+    let sum = |f: &dyn Fn(&BenchEvaluation) -> f64| -> f64 { evs.iter().map(|e| f(e)).sum() };
+
+    // Phase wall-clock, summed across benchmarks.
+    let total_secs = sum(&|e| e.timings.total_secs());
+    let mut t = Table::new(vec!["phase", "secs", "share"]);
+    for phase in Phase::ALL {
+        let secs = sum(&|e| e.timings.phase_secs(phase));
+        t.row(vec![
+            phase.name().to_owned(),
+            format!("{secs:.3}"),
+            frac(if total_secs > 0.0 {
+                secs / total_secs
+            } else {
+                0.0
+            }),
+        ]);
+    }
+    out.push_str(&format!(
+        "### phase wall-clock across {} benchmarks\n\n{}\n",
+        evs.len(),
+        t.render()
+    ));
+
+    // Retirement rate: the block-cached engine's headline metric.
+    // Decode amortization context rides along — the one-time lowering
+    // cost must stay well under the execute time it saves.
+    let mut t = Table::new(vec![
+        "engine",
+        "insts retired",
+        "execute secs",
+        "decode secs",
+        "Minsts/s",
+    ]);
+    t.row(vec![
+        engine.name().to_owned(),
+        count(evs.iter().map(|e| retired_insts(e)).sum()),
+        format!("{:.3}", sum(&|e| e.timings.execute_secs())),
+        format!("{:.3}", sum(&|e| e.timings.decode_secs())),
+        format!("{:.2}", retirement_minsts_per_sec(suite)),
+    ]);
+    out.push_str(&format!(
+        "### retirement rate, all schemes pooled (`scripts/bench.sh` compares engines; decode is the one-time block-lowering cost)\n\n{}\n",
+        t.render()
+    ));
+
+    // Per-scheme dynamic counters, summed across benchmarks. The
+    // `pa unpruned` column is what each scheme would have emitted
+    // without the precision stage; `pa static` is what survived
+    // pruning and `pruned` the dropped obligation count — the
+    // executed-PA reduction the field-sensitive points-to + bounds
+    // proofs buy.
+    let mut t = Table::new(vec![
+        "scheme", "pa sign", "pa auth", "pa strip", "pa static", "pa unpruned", "pruned",
+        "dfi setdef", "dfi chkdef", "heap allocs", "coalesces", "resident KiB",
+    ]);
+    let results = || evs.iter().flat_map(|e| &e.results);
+    for scheme in Scheme::ALL {
+        let mut s = SchemeSums::default();
+        results()
+            .filter(|r| r.scheme == scheme)
+            .for_each(|r| s.add(r));
+        if s.n == 0 {
+            continue;
+        }
+        t.row(vec![
+            scheme.name().to_owned(),
+            count(s.signs),
+            count(s.auths),
+            count(s.strips),
+            count(s.statics),
+            count(s.unpruned),
+            count(s.pruned),
+            count(s.setdefs),
+            count(s.chkdefs),
+            count(s.allocs),
+            count(s.coalesces),
+            count(s.resident / 1024),
+        ]);
+    }
+    out.push_str(&format!(
+        "### per-scheme dynamic counters (summed; `pa static` = sign/auth sites in the instrumented module after pruning, `pa unpruned` = without the precision stage)\n\n{}\n",
+        t.render()
+    ));
+
+    // Context-sensitive points-to digest per benchmark: which policy
+    // the solver ran under, how many contexts it explored, whether it
+    // fell back to the insensitive relation, whether overflow reach hit
+    // ⊤, the summary instantiations shared across callsites, the
+    // singleton stores flow-sensitivity killed, and the heap/DFI
+    // obligations the sharper relation pruned.
+    let mut t = Table::new(vec![
+        "benchmark",
+        "policy",
+        "reach",
+        "contexts",
+        "summaries",
+        "fallback",
+        "reuse",
+        "kills",
+        "heap pruned",
+        "dfi pruned",
+    ]);
+    let (mut ctx_total, mut fb_total, mut hp_total, mut dfi_total) = (0usize, 0usize, 0, 0);
+    let (mut reuse_total, mut kill_total, mut sum_total) = (0usize, 0usize, 0usize);
+    for ev in &evs {
+        let d = &ev.analysis.pruned;
+        ctx_total += d.contexts;
+        fb_total += d.ctx_fallback as usize;
+        hp_total += d.pythia_heap_objects;
+        dfi_total += d.dfi_objects;
+        sum_total += d.summaries;
+        reuse_total += d.summary_reuse;
+        kill_total += d.strong_updates;
+        t.row(vec![
+            ev.name.clone(),
+            d.policy.to_owned(),
+            if d.reach_top { "TOP" } else { "ok" }.to_owned(),
+            d.contexts.to_string(),
+            d.summaries.to_string(),
+            if d.ctx_fallback { "yes" } else { "no" }.to_owned(),
+            d.summary_reuse.to_string(),
+            d.strong_updates.to_string(),
+            d.pythia_heap_objects.to_string(),
+            d.dfi_objects.to_string(),
+        ]);
+    }
+    t.row(vec![
+        "TOTAL".to_owned(),
+        String::new(),
+        String::new(),
+        ctx_total.to_string(),
+        sum_total.to_string(),
+        fb_total.to_string(),
+        reuse_total.to_string(),
+        kill_total.to_string(),
+        hp_total.to_string(),
+        dfi_total.to_string(),
+    ]);
+    out.push_str(&format!(
+        "### context solver (policy, contexts explored, budget fallbacks, summary reuse, strong-update kills, heap/DFI obligations pruned)\n\n{}\n",
+        t.render()
+    ));
+
+    // Pooled opcode histogram: executions and attributed cycles across
+    // every scheme of every benchmark.
+    let mut execs: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut mc: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for r in results() {
+        for (op, n) in &r.profile.opcodes {
+            *execs.entry(op).or_default() += n;
+        }
+        for (op, m) in &r.profile.opcode_mc {
+            *mc.entry(op).or_default() += m;
+        }
+    }
+    let mut ranked: Vec<(&'static str, u64)> = execs.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    let mut t = Table::new(vec!["opcode", "execs", "cycles"]);
+    for (op, n) in ranked.into_iter().take(10) {
+        let cycles = pythia_vm::CostModel::to_cycles_f64(mc.get(op).copied().unwrap_or(0));
+        t.row(vec![op.to_owned(), count(n), format!("{cycles:.0}")]);
+    }
+    out.push_str(&format!(
+        "### top opcodes, all schemes pooled (base-cost attribution)\n\n{}\n",
+        t.render()
+    ));
+
+    // Slice-memo cache effectiveness per benchmark (misses = distinct
+    // slices computed, hits = warm re-queries by the passes + lint).
+    let mut t = Table::new(vec!["benchmark", "memo hits", "memo misses", "hit rate"]);
+    let (mut th, mut tm) = (0u64, 0u64);
+    for ev in &evs {
+        let a = &ev.analysis;
+        th += a.memo_hits;
+        tm += a.memo_misses;
+        t.row(vec![
+            ev.name.clone(),
+            count(a.memo_hits),
+            count(a.memo_misses),
+            frac(a.memo_hit_rate()),
+        ]);
+    }
+    let total_rate = if th + tm == 0 {
+        0.0
+    } else {
+        th as f64 / (th + tm) as f64
+    };
+    t.row(vec![
+        "TOTAL".to_owned(),
+        count(th),
+        count(tm),
+        frac(total_rate),
+    ]);
+    out.push_str(&format!(
+        "### backward-slice memo cache (misses = distinct slices, hits = warm re-queries)\n\n{}",
+        t.render()
+    ));
+    out
 }
 
 fn mean(vals: impl Iterator<Item = f64>) -> f64 {

@@ -3,28 +3,31 @@
 
 use pythia_bench::experiments as exp;
 use pythia_core::{RunConfig, VmConfig};
-use pythia_workloads::SizeTier;
 
 const NAMES: [&str; 2] = ["519.lbm_r", "505.mcf_r"];
 
 /// `names` at the standard tier on `threads` workers under `vm`.
-fn run_profiles_on(names: &[&str], threads: usize, vm: VmConfig) -> Vec<exp::SuiteEntry> {
-    let run = RunConfig {
-        vm,
-        threads,
-        ..RunConfig::default()
+fn suite_on(names: &[&str], threads: usize, vm: VmConfig) -> Vec<exp::SuiteEntry> {
+    let spec = exp::SuiteSpec {
+        selection: exp::Selection::Only(names.iter().map(|n| (*n).to_owned()).collect()),
+        run: RunConfig {
+            vm,
+            threads,
+            ..RunConfig::default()
+        },
+        ..Default::default()
     };
-    exp::run_profiles(names, SizeTier::Standard, &run)
+    exp::run_suite(&spec).entries
 }
 
-fn run_profiles(names: &[&str], threads: usize) -> Vec<exp::SuiteEntry> {
-    run_profiles_on(names, threads, VmConfig::default())
+fn suite(names: &[&str], threads: usize) -> Vec<exp::SuiteEntry> {
+    suite_on(names, threads, VmConfig::default())
 }
 
 #[test]
 fn serial_and_parallel_evaluations_are_identical() {
-    let serial = exp::ok_evaluations(&run_profiles(&NAMES, 1));
-    let parallel = exp::ok_evaluations(&run_profiles(&NAMES, 4));
+    let serial = exp::ok_evaluations(&suite(&NAMES, 1));
+    let parallel = exp::ok_evaluations(&suite(&NAMES, 4));
     assert_eq!(serial.len(), NAMES.len(), "every benchmark must evaluate");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -54,7 +57,7 @@ fn profiling_toggle_never_changes_results() {
         exp::fig4a(&evals) + &exp::fig4b(&evals)
     };
     for threads in [1, 4] {
-        let on = run_profiles(&NAMES, threads);
+        let on = suite(&NAMES, threads);
         assert_eq!(
             on.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
             NAMES.to_vec(),
@@ -81,7 +84,7 @@ fn profiling_toggle_never_changes_results() {
         let report_on = render(&on);
         assert_eq!(
             report_on,
-            render(&run_profiles(&NAMES, threads)),
+            render(&suite(&NAMES, threads)),
             "report bytes must be reproducible with profiling enabled"
         );
     }
@@ -89,8 +92,8 @@ fn profiling_toggle_never_changes_results() {
 
 #[test]
 fn serial_and_parallel_report_text_is_byte_identical() {
-    let serial = exp::ok_evaluations(&run_profiles(&NAMES, 1));
-    let parallel = exp::ok_evaluations(&run_profiles(&NAMES, 4));
+    let serial = exp::ok_evaluations(&suite(&NAMES, 1));
+    let parallel = exp::ok_evaluations(&suite(&NAMES, 4));
     let render = |suite: &[pythia_core::BenchEvaluation]| {
         let mut out = String::new();
         out.push_str(&exp::fig4a(suite));
@@ -134,7 +137,7 @@ fn legacy_and_block_engines_are_observationally_identical() {
                     profile,
                     ..VmConfig::default()
                 };
-                exp::ok_evaluations(&run_profiles_on(&NAMES, threads, cfg))
+                exp::ok_evaluations(&suite_on(&NAMES, threads, cfg))
             };
             let legacy = run(Engine::Legacy);
             let block = run(Engine::Block);
@@ -165,8 +168,61 @@ fn legacy_and_block_engines_are_observationally_identical() {
 #[test]
 fn rerunning_the_same_profile_is_reproducible() {
     // Same seed, same machine state → same evaluation, run to run.
-    let a = exp::ok_evaluations(&run_profiles(&["519.lbm_r"], 2));
-    let b = exp::ok_evaluations(&run_profiles(&["519.lbm_r"], 2));
+    let a = exp::ok_evaluations(&suite(&["519.lbm_r"], 2));
+    let b = exp::ok_evaluations(&suite(&["519.lbm_r"], 2));
     assert_eq!(a[0].analysis, b[0].analysis);
     assert_eq!(exp::fig4a(&a), exp::fig4a(&b));
+}
+
+/// `json` with every timing value replaced by `#`: wall-clock seconds,
+/// phase shares, retirement rates and the worker count. Everything else
+/// in `BENCH_suite.json` is deterministic.
+fn mask_timing(json: &str) -> String {
+    let timing = |key: &str| {
+        key.ends_with("_secs")
+            || key.ends_with("_share")
+            || ["threads", "retirement_minsts_per_sec"].contains(&key)
+            || ["analysis", "instrument", "lint", "decode", "execute"].contains(&key)
+    };
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(i) = rest.find("\": ") {
+        let key = rest[..i].rsplit('"').next().unwrap_or_default();
+        let (head, tail) = rest.split_at(i + 3);
+        out.push_str(head);
+        let n = tail
+            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .unwrap_or(tail.len());
+        if n > 0 && timing(key) {
+            out.push('#');
+            rest = &tail[n..];
+        } else {
+            rest = tail;
+        }
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn bench_json_is_byte_identical_across_worker_counts_once_timing_is_masked() {
+    let json = |threads| {
+        let spec = exp::SuiteSpec {
+            selection: exp::Selection::Smoke,
+            run: RunConfig {
+                threads,
+                ..RunConfig::default()
+            },
+            ..Default::default()
+        };
+        let run = exp::run_suite(&spec);
+        assert_eq!(run.entries.len(), 3, "smoke suite is lbm + mcf + nginx");
+        run.json
+    };
+    let (serial, parallel) = (json(1), json(4));
+    assert!(serial.contains("\"threads\": 1,") && parallel.contains("\"threads\": 4,"));
+    let masked = mask_timing(&serial);
+    assert!(!masked.contains("\"total_secs\": 0") && masked.contains("\"total_secs\": #"));
+    assert!(masked.contains("\"lint\": #") && masked.contains("\"lint\": \"certified\""));
+    assert_eq!(masked, mask_timing(&parallel));
 }

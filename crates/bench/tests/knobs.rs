@@ -1,28 +1,32 @@
 //! Malformed run knobs fail loudly: `reproduce` rejects an invalid
-//! `--engine`, `PYTHIA_CTX_POLICY` or `PYTHIA_THREADS` with exit status 2
-//! and names the valid values, before any benchmark runs.
+//! `--engine`, `PYTHIA_CTX_POLICY`, `PYTHIA_THREADS`, section name or
+//! switch with exit status 2 and names the problem, before any benchmark
+//! runs.
 
 use std::process::Command;
 
-/// Run `reproduce eq6` with `args` and the knob environment cleared except
-/// for `env`; returns the exit code and stderr.
-fn reproduce(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
+/// Run `reproduce` with `args` and the knob environment cleared except
+/// for `env`; returns the exit code, stdout and stderr.
+fn reproduce(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
     cmd.args(args)
-        .arg("eq6")
         .env_remove("PYTHIA_CTX_POLICY")
         .env_remove("PYTHIA_THREADS");
     for (k, v) in env {
         cmd.env(k, v);
     }
     let out = cmd.output().expect("spawn reproduce");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 #[test]
 fn unknown_context_policies_exit_2_with_the_valid_list() {
     for bad in ["objsens", "1cfa", "bogus"] {
-        let (code, err) = reproduce(&[], &[("PYTHIA_CTX_POLICY", bad)]);
+        let (code, _, err) = reproduce(&["eq6"], &[("PYTHIA_CTX_POLICY", bad)]);
         assert_eq!(code, Some(2), "PYTHIA_CTX_POLICY={bad}: {err}");
         assert!(err.contains(bad), "PYTHIA_CTX_POLICY={bad}: {err}");
         assert!(
@@ -35,7 +39,7 @@ fn unknown_context_policies_exit_2_with_the_valid_list() {
 #[test]
 fn bad_thread_counts_exit_2() {
     for bad in ["0", "abc"] {
-        let (code, err) = reproduce(&[], &[("PYTHIA_THREADS", bad)]);
+        let (code, _, err) = reproduce(&["eq6"], &[("PYTHIA_THREADS", bad)]);
         assert_eq!(code, Some(2), "PYTHIA_THREADS={bad}: {err}");
         assert!(err.contains("positive integer"), "PYTHIA_THREADS={bad}: {err}");
     }
@@ -43,7 +47,28 @@ fn bad_thread_counts_exit_2() {
 
 #[test]
 fn unknown_engine_exits_2() {
-    let (code, err) = reproduce(&["--engine", "blok"], &[]);
+    let (code, _, err) = reproduce(&["--engine", "blok", "eq6"], &[]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("legacy|block"), "{err}");
+}
+
+#[test]
+fn section_names_are_checked_before_any_work() {
+    // A valid section ahead of the bad one must not run (and print)
+    // first: the suite fig4a needs would otherwise be evaluated.
+    let (code, out, err) = reproduce(&["--smoke", "fig4a", "bogus"], &[]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(out.is_empty(), "nothing may reach stdout:\n{out}");
+    assert!(err.contains("unknown section `bogus`"), "{err}");
+}
+
+#[test]
+fn removed_switches_exit_2() {
+    // `--bench-json` now always records lint status and the profile.
+    for removed in ["--lint", "--profile"] {
+        let (code, out, err) = reproduce(&["--smoke", removed, "eq6"], &[]);
+        assert_eq!(code, Some(2), "{removed}: {err}");
+        assert!(out.is_empty(), "{removed}: nothing may reach stdout:\n{out}");
+        assert!(err.contains(&format!("unknown option `{removed}`")), "{err}");
+    }
 }

@@ -4,10 +4,11 @@
 //! typed [`PythiaError`] per failed slot, so a module that fails
 //! verification (or a worker that panics) yields exactly one error entry
 //! while every other benchmark still evaluates — in the same order, with
-//! the same results, as a clean run.
+//! the same results, as a clean run. The poisoned suites go through the
+//! one suite entry point, [`exp::run_suite`].
 
 use pythia_bench::experiments as exp;
-use pythia_core::{Engine, RunConfig};
+use pythia_core::RunConfig;
 use pythia_ir::{FunctionBuilder, Module, Ty};
 use pythia_workloads::{generate_scaled, SPEC_PROFILES};
 
@@ -45,10 +46,19 @@ fn suite_modules(poison: Option<usize>) -> Vec<(String, Module, u64)> {
         .collect()
 }
 
+/// Run the suite (slot `poison` sabotaged, if any) on `threads` workers.
+fn run(poison: Option<usize>, threads: usize) -> exp::SuiteRun {
+    exp::run_suite(&exp::SuiteSpec {
+        selection: exp::Selection::Modules(suite_modules(poison)),
+        run: on(threads),
+        ..Default::default()
+    })
+}
+
 #[test]
 fn suite_survives_one_bad_benchmark() {
     let poison = SPEC_PROFILES.len() / 2;
-    let suite = exp::evaluate_modules(suite_modules(Some(poison)), &on(4));
+    let suite = run(Some(poison), 4).entries;
     assert_eq!(suite.len(), SPEC_PROFILES.len(), "no slot may vanish");
 
     // Slot order is byte-identical to the profile table, failure or not.
@@ -78,8 +88,8 @@ fn suite_survives_one_bad_benchmark() {
 #[test]
 fn failure_slots_are_deterministic_across_worker_counts() {
     let poison = 2;
-    let serial = exp::evaluate_modules(suite_modules(Some(poison)), &on(1));
-    let parallel = exp::evaluate_modules(suite_modules(Some(poison)), &on(4));
+    let serial = run(Some(poison), 1).entries;
+    let parallel = run(Some(poison), 4).entries;
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.name, b.name, "slot order must not depend on workers");
@@ -101,7 +111,7 @@ fn failure_slots_are_deterministic_across_worker_counts() {
 
 #[test]
 fn report_renders_around_the_failure() {
-    let suite = exp::evaluate_modules(suite_modules(Some(0)), &on(4));
+    let suite = run(Some(0), 4).entries;
     let errors = exp::errors_section(&suite);
     assert!(
         errors.contains("1 of") && errors.contains(SPEC_PROFILES[0].name),
@@ -114,71 +124,55 @@ fn report_renders_around_the_failure() {
     assert!(fig.contains(SPEC_PROFILES[1].name));
 
     // A clean suite renders no error section at all.
-    let clean = exp::evaluate_modules(suite_modules(None), &on(4));
+    let clean = run(None, 4).entries;
     assert!(exp::errors_section(&clean).is_empty());
 }
 
 #[test]
-fn bench_json_carries_per_benchmark_status() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), &on(2));
-    let timing = exp::SuiteTiming {
-        threads: 2,
-        total_secs: 0.0,
-    };
-    let json = exp::bench_json(&suite, &timing, Engine::Block, false, false);
+fn bench_json_records_status_lint_and_profile() {
+    let suite = run(Some(1), 2);
+    let json = &suite.json;
+    assert!(
+        json.starts_with(&format!("{{\n  \"schema\": {},\n", exp::SUITE_SCHEMA)),
+        "the schema version leads the document:\n{json}"
+    );
+    assert!(!json.contains("}}"), "each object closes once:\n{json}");
+    // Per-benchmark status: the sabotaged slot is a typed setup error.
     assert!(json.contains("\"status\": \"ok\""));
     assert!(json.contains("\"status\": \"setup\""));
     assert!(!json.contains("\"status\": \"internal\""));
     assert!(json.contains("\"error\": "));
-    // Without --lint, no lint *status* fields appear (the per-phase
-    // rollup always carries the numeric lint timing).
-    assert!(!json.contains("\"lint\": \""));
-    assert!(!json.contains("\"lint_checks\""));
-    // Without --profile, no profile block appears.
-    assert!(!json.contains("\"profile\""));
-}
-
-#[test]
-fn bench_json_profile_mode_embeds_scheme_profiles() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), &on(2));
-    let timing = exp::SuiteTiming {
-        threads: 2,
-        total_secs: 0.0,
-    };
-    let json = exp::bench_json(&suite, &timing, Engine::Block, false, true);
-    // Every ok benchmark carries the profile block with one line per
-    // scheme, and the dynamic-vs-static PA cross-check holds everywhere.
-    assert!(json.contains("\"profile\": {"));
-    assert!(json.contains("\"memo\": {"));
-    for scheme in ["vanilla", "cpa", "pythia", "dfi"] {
-        assert!(
-            json.contains(&format!("\"scheme\": \"{scheme}\"")),
-            "missing scheme `{scheme}` in profile block"
-        );
-    }
-    assert!(json.contains("\"pa_static_match\": true"));
-    assert!(!json.contains("\"pa_static_match\": false"));
-    // The lint phase is part of the per-phase rollup now.
-    assert!(json.contains("\"lint\": "));
-    // The human renderer agrees with the JSON and covers all 4 phases.
-    let section = exp::profile_section(&suite, Engine::Block);
-    for phase in ["analysis", "instrument", "lint", "execute"] {
-        assert!(section.contains(phase), "profile section lacks `{phase}`");
-    }
-    assert!(section.contains("memo"));
-}
-
-#[test]
-fn bench_json_lint_mode_records_certification_status() {
-    let suite = exp::evaluate_modules(suite_modules(Some(1)), &on(2));
-    let timing = exp::SuiteTiming {
-        threads: 2,
-        total_secs: 0.0,
-    };
-    let json = exp::bench_json(&suite, &timing, Engine::Block, true, false);
     // Healthy benchmarks carry their certified obligation counts; the
     // sabotaged one never reached instrumentation.
     assert!(json.contains("\"lint\": \"certified\""));
     assert!(json.contains("\"lint_checks\": "));
     assert!(json.contains("\"lint\": \"not-reached\""));
+    // Every ok benchmark carries the profile block with one line per
+    // scheme, and the dynamic-vs-static PA cross-check holds everywhere.
+    let ok = exp::ok_evaluations(&suite.entries).len();
+    assert_eq!(ok, SPEC_PROFILES.len() - 1);
+    assert_eq!(json.matches("\"profile\": {").count(), ok);
+    assert_eq!(json.matches("\"memo\": {").count(), ok);
+    for scheme in ["vanilla", "cpa", "pythia", "dfi"] {
+        assert_eq!(
+            json.matches(&format!("\"scheme\": \"{scheme}\"")).count(),
+            ok,
+            "scheme `{scheme}` missing from a profile block"
+        );
+    }
+    assert_eq!(json.matches("\"pa_static_match\": true").count(), 4 * ok);
+    assert!(!json.contains("\"pa_static_match\": false"));
+    // The human renderer has a row for each of the five phases and the
+    // memo table.
+    for phase in ["analysis", "instrument", "lint", "decode", "execute"] {
+        assert!(
+            suite
+                .profile_md
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(phase)),
+            "profile section lacks `{phase}`:\n{}",
+            suite.profile_md
+        );
+    }
+    assert!(suite.profile_md.contains("memo"));
 }

@@ -1,7 +1,7 @@
-//! The ref-size tier and the streaming bounded-memory runner (DESIGN.md
-//! §5g): scaling a profile up must stay a pure size change — reports
-//! deterministic across worker counts, memory bounded by the worker
-//! window, and the interval-analysis proof path actually exercised.
+//! The ref-size tier (DESIGN.md §5g): scaling a profile up must stay a
+//! pure size change — reports deterministic across worker counts, VM
+//! memory growing with the module and no worse, and the interval-analysis
+//! proof path actually exercised.
 
 use pythia_bench::experiments as exp;
 use pythia_core::{Engine, RunConfig, VmConfig};
@@ -15,6 +15,16 @@ fn on(threads: usize) -> RunConfig {
         threads,
         ..RunConfig::default()
     }
+}
+
+/// `names` at `tier` on `threads` workers, through the suite runner.
+fn run_at(names: &[&str], tier: SizeTier, threads: usize) -> Vec<pythia_core::BenchEvaluation> {
+    let spec = exp::SuiteSpec {
+        selection: exp::Selection::Only(names.iter().map(|n| (*n).to_owned()).collect()),
+        tier,
+        run: on(threads),
+    };
+    exp::ok_evaluations(&exp::run_suite(&spec).entries)
 }
 
 fn render(suite: &[pythia_core::BenchEvaluation]) -> String {
@@ -32,8 +42,8 @@ fn render(suite: &[pythia_core::BenchEvaluation]) -> String {
 
 #[test]
 fn ref_tier_report_is_byte_identical_across_worker_counts() {
-    let serial = exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Ref, &on(1)));
-    let parallel = exp::ok_evaluations(&exp::run_profiles(&NAMES, SizeTier::Ref, &on(4)));
+    let serial = run_at(&NAMES, SizeTier::Ref, 1);
+    let parallel = run_at(&NAMES, SizeTier::Ref, 4);
     assert_eq!(serial.len(), NAMES.len(), "every benchmark must evaluate");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -64,7 +74,7 @@ fn ref_tier_peak_resident_memory_is_bounded() {
     // 17-benchmark suite size, not by 8.
     const K: u64 = 8;
     let peak = |tier: SizeTier| -> u64 {
-        let evs = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], tier, &on(1)));
+        let evs = run_at(&["519.lbm_r"], tier, 1);
         evs[0]
             .results
             .iter()
@@ -88,7 +98,7 @@ fn ref_tier_proves_geps_and_prunes_obligations() {
     // whose bounds check the analysis can discharge. At the standard tier
     // lbm has no such site; at ref it must prove at least one and the
     // instrumenter must prune the corresponding PA obligation.
-    let evs = exp::ok_evaluations(&exp::run_profiles(&["519.lbm_r"], SizeTier::Ref, &on(1)));
+    let evs = run_at(&["519.lbm_r"], SizeTier::Ref, 1);
     let a = &evs[0].analysis.pruned;
     assert!(
         a.proven_gep_stores >= 1,
@@ -106,9 +116,9 @@ fn suite_spec_engine_override_reaches_the_smoke_path() {
     // engine: the default engine is Block, so a Legacy override reaching
     // BENCH_suite.json proves the SuiteSpec plumbing.
     assert_eq!(VmConfig::default().engine, Engine::Block);
+    let lbm = exp::Selection::Only(vec!["519.lbm_r".to_owned()]);
     let spec = exp::SuiteSpec {
-        smoke: true,
-        only: Some(vec!["519.lbm_r".to_owned()]),
+        selection: lbm.clone(),
         run: RunConfig {
             vm: VmConfig {
                 engine: Engine::Legacy,
@@ -118,52 +128,19 @@ fn suite_spec_engine_override_reaches_the_smoke_path() {
         },
         ..Default::default()
     };
-    let run = exp::run_suite_streamed(&spec);
+    let run = exp::run_suite(&spec);
     assert!(
         run.json.contains("\"engine\": \"legacy\""),
         "smoke run must report the overridden engine, got:\n{}",
         run.json
     );
     let default_spec = exp::SuiteSpec {
-        smoke: true,
-        only: Some(vec!["519.lbm_r".to_owned()]),
+        selection: lbm,
         ..Default::default()
     };
-    let default_run = exp::run_suite_streamed(&default_spec);
+    let default_run = exp::run_suite(&default_spec);
     assert!(
         default_run.json.contains("\"engine\": \"block\""),
         "without an override the smoke run reports the default engine"
     );
-}
-
-#[test]
-fn streaming_runner_respects_its_backpressure_window() {
-    let spec = exp::SuiteSpec {
-        smoke: true,
-        ..Default::default()
-    };
-    let run = exp::run_suite_streamed(&spec);
-    assert_eq!(run.entries.len(), 3, "smoke suite is lbm + mcf + nginx");
-    assert!(
-        run.stream.peak_buffered <= run.stream.window,
-        "reorder buffer ({}) exceeded the claim window ({})",
-        run.stream.peak_buffered,
-        run.stream.window
-    );
-    assert!(run.json.contains("\"runner\": \"streaming\""));
-    assert!(run.json.contains("\"tier\": \"standard\""));
-    // The streamed entries are digests: execution profiles were consumed
-    // into the JSON rows and profile_md, then dropped.
-    for ev in exp::ok_evaluations(&run.entries) {
-        for r in &ev.results {
-            assert_eq!(
-                r.profile.total_ops(),
-                0,
-                "{}: streamed entries must carry stripped profiles",
-                ev.name
-            );
-        }
-    }
-    assert!(run.json.contains("\"peak_resident_bytes\""));
-    assert!(run.json.contains("\"analysis_share\""));
 }

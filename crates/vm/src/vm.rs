@@ -331,9 +331,6 @@ pub struct VmConfig {
     pub heap: SectionConfig,
     /// Cost table.
     pub cost: CostModel,
-    /// Whether to run the cache simulator (disable for pure-functional
-    /// tests; costs then assume L1 hits).
-    pub enable_cache: bool,
     /// Record the first N executed instructions as a [`TraceEvent`] list
     /// (0 disables tracing).
     pub trace_limit: u64,
@@ -364,7 +361,6 @@ impl Default for VmConfig {
             max_call_depth: 400,
             heap: SectionConfig::default(),
             cost: CostModel::default(),
-            enable_cache: true,
             trace_limit: 0,
             profile: true,
             engine: Engine::Block,
@@ -769,15 +765,12 @@ impl<'m> Vm<'m> {
     }
 
     fn cache_access(&mut self, addr: u64) -> u64 {
-        if !self.cfg.enable_cache {
-            return 0;
-        }
         let out = self.cache.access(addr);
         self.cfg.cost.cache_extra(out)
     }
 
     fn cache_range(&mut self, addr: u64, len: u64) -> u64 {
-        if !self.cfg.enable_cache || len == 0 {
+        if len == 0 {
             return 0;
         }
         let out = self.cache.access_range(addr, len);

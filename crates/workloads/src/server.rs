@@ -450,7 +450,6 @@ pub fn run_event_loop(
         max_call_depth: 64,
         heap: SectionConfig::default(),
         cost: CostModel::default(),
-        enable_cache: true,
         trace_limit: 0,
         profile: false,
         engine: cfg.engine,

@@ -20,12 +20,12 @@ now_ms() { date +%s%3N; }
 
 echo "== serial (PYTHIA_THREADS=1) =="
 start=$(now_ms)
-PYTHIA_THREADS=1 "$REPRODUCE" --out "$OUT/serial" --bench-json --profile
+PYTHIA_THREADS=1 "$REPRODUCE" --out "$OUT/serial" --bench-json
 serial_ms=$(( $(now_ms) - start ))
 
 echo "== parallel (PYTHIA_THREADS unset: available cores) =="
 start=$(now_ms)
-"$REPRODUCE" --out "$OUT/parallel" --bench-json --profile
+"$REPRODUCE" --out "$OUT/parallel" --bench-json
 parallel_ms=$(( $(now_ms) - start ))
 
 if ! diff -q "$OUT/serial/report.md" "$OUT/parallel/report.md"; then
@@ -58,9 +58,9 @@ echo "profiles: $OUT/serial/profile.md $OUT/parallel/profile.md"
 echo "== engine retirement rates (legacy vs block, smoke, best of 3) =="
 best_ratio=0
 for i in 1 2 3; do
-    PYTHIA_THREADS=1 "$REPRODUCE" --engine legacy --smoke --bench-json --profile \
+    PYTHIA_THREADS=1 "$REPRODUCE" --engine legacy --smoke --bench-json \
         --out "$OUT/retire-legacy" >/dev/null
-    PYTHIA_THREADS=1 "$REPRODUCE" --engine block --smoke --bench-json --profile \
+    PYTHIA_THREADS=1 "$REPRODUCE" --engine block --smoke --bench-json \
         --out "$OUT/retire-block" >/dev/null
     legacy_rate=$(grep -o '"retirement_minsts_per_sec": [0-9.]*' \
         "$OUT/retire-legacy/BENCH_suite.json" | head -1 | grep -o '[0-9.]*$')

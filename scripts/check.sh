@@ -50,13 +50,17 @@ echo "== pythia-lint --all-schemes =="
 # instrumentation, which would invalidate every downstream measurement.
 target/release/pythia-lint --all-schemes
 
-echo "== reproduce --smoke --bench-json --lint --profile =="
+echo "== reproduce --smoke --bench-json =="
 smoke_status=0
-target/release/reproduce --smoke --bench-json --lint --profile --out "$OUT" >/dev/null || smoke_status=$?
+target/release/reproduce --smoke --bench-json --out "$OUT" >/dev/null || smoke_status=$?
 JSON="$OUT/BENCH_suite.json"
 
 if [ ! -f "$JSON" ]; then
     echo "FAIL: smoke run produced no $JSON" >&2
+    exit 1
+fi
+if [ ! -f "$OUT/profile.md" ]; then
+    echo "FAIL: smoke run wrote no profile.md next to $JSON" >&2
     exit 1
 fi
 if grep -q '"status": "internal"' "$JSON"; then
@@ -82,7 +86,7 @@ fi
 # PA-instrumented scheme must actually execute PA operations, and the
 # profiler's static PA scan must agree with passes::stats everywhere.
 if ! grep -q '"profile": {' "$JSON"; then
-    echo "FAIL: smoke JSON lacks the profile block despite --profile" >&2
+    echo "FAIL: smoke JSON lacks the profile block" >&2
     exit 1
 fi
 if grep -E '"scheme": "(cpa|pythia)"' "$JSON" | grep -q '"pa_executed": 0'; then
@@ -204,12 +208,11 @@ if [ "$removed_status" -ne 2 ]; then
 fi
 echo "OK: policies agree on every attack outcome; pruning grows along insensitive ≤ summary-1cfa ≤ summary-2cfa; removed names exit 2"
 
-# Ref-tier gate: one fast benchmark at --tier ref through the streaming
-# runner. The tier's bounded-loop array walks must give the interval
-# analysis something to discharge — nonzero proven geps AND pruned
-# obligations on the same benchmark — and the JSON must attest the
-# streaming path actually ran (tier + runner fields).
-echo "== ref-tier single-benchmark gate (lbm, streaming) =="
+# Ref-tier gate: one fast benchmark at --tier ref. The tier's
+# bounded-loop array walks must give the interval analysis something to
+# discharge — nonzero proven geps AND pruned obligations on the same
+# benchmark — and the JSON must carry its schema version and tier.
+echo "== ref-tier single-benchmark gate (lbm) =="
 # The trailing `fig4a` section keeps the run suite-only: a bare
 # invocation would render the full report's campaign/ablation sections,
 # which dwarf the single benchmark this gate actually measures.
@@ -219,8 +222,8 @@ if ! grep -q '"tier": "ref"' "$REFJSON"; then
     echo "FAIL: ref-tier run did not report tier=ref" >&2
     exit 1
 fi
-if ! grep -q '"runner": "streaming"' "$REFJSON"; then
-    echo "FAIL: ref-tier run did not go through the streaming runner" >&2
+if ! grep -qE '^  "schema": [0-9]+,$' "$REFJSON"; then
+    echo "FAIL: ref-tier BENCH_suite.json carries no schema version" >&2
     exit 1
 fi
 if ! grep -qE '"proven_geps": [1-9]' "$REFJSON"; then
@@ -233,7 +236,7 @@ if ! grep -qE '"obligations_pruned": [1-9]' "$REFJSON"; then
     grep '"obligations_pruned"' "$REFJSON" >&2
     exit 1
 fi
-echo "OK: ref-tier lbm proves gep bounds and prunes obligations under the streaming runner"
+echo "OK: ref-tier lbm proves gep bounds and prunes obligations"
 
 # Server-scenario gate: a short event-loop run (DESIGN.md §5i) must
 # retire requests, must detect at least one *in-window* attack under
