@@ -26,7 +26,8 @@
 //! per protection scheme multiplexing `--connections` slots over
 //! `--requests` requests each (defaults 64 and 250,000 — 1M simulated
 //! requests across the 4 schemes), with attack payloads delivered at
-//! swept offsets inside the canary re-randomization window. Writes
+//! swept offsets inside the canary re-randomization window. Fewer than
+//! 256 requests or more than 4096 connections exit 2 up front. Writes
 //! `BENCH_server.json` (byte-identical across runs and engines) into
 //! `--out`/cwd, prints the detection-vs-offset table to stdout, and the
 //! engine-dependent wall-clock requests/sec to stderr.
@@ -273,6 +274,9 @@ fn main() {
     if let Some(name) = &scenario {
         if name != "server" {
             usage_error(&format!("unknown scenario `{name}` (expected: server)"));
+        }
+        if let Err(e) = spec.loop_config().validate() {
+            usage_error(&format!("--scenario server: {e}"));
         }
         std::process::exit(run_server(&spec, out_dir.as_deref()));
     }

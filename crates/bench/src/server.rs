@@ -24,10 +24,15 @@ use pythia_ir::{verify, Module, PythiaError};
 use pythia_passes::{prune_obligations, Scheme};
 use pythia_vm::{DecodedModule, Engine};
 use pythia_workloads::{
-    run_event_loop, server_module, EventLoopConfig, ServerRunStats, WINDOW_OFFSETS,
+    run_event_loop, server_module, EventLoopConfig, ServerRunStats, CANCEL_PERMILLE,
+    CLOSE_PERMILLE, SLICE_INSTS, WINDOW_OFFSETS,
 };
 use std::sync::Arc;
 use std::time::Instant;
+
+/// `BENCH_server.json` layout version (fields: DESIGN.md §5i); bumped
+/// when a field is added, removed, renamed or changes meaning.
+const SERVER_JSON_SCHEMA: u32 = 2;
 
 /// Scenario parameters (the `--scenario server` CLI surface).
 #[derive(Debug, Clone)]
@@ -53,6 +58,13 @@ impl Default for ServerScenarioSpec {
             seed: 0x5EB0_517E,
             run: RunConfig::default(),
         }
+    }
+}
+
+impl ServerScenarioSpec {
+    /// The event-loop configuration every scheme's loop runs with.
+    pub fn loop_config(&self) -> EventLoopConfig {
+        EventLoopConfig::standard(self.connections, self.requests, self.seed, self.run.vm.engine)
     }
 }
 
@@ -112,12 +124,7 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
         })
         .collect::<Result<_, PythiaError>>()?;
 
-    let cfg = EventLoopConfig::standard(
-        spec.connections,
-        spec.requests,
-        spec.seed,
-        spec.run.vm.engine,
-    );
+    let cfg = spec.loop_config();
     // One loop per variant on the worker pool; outcomes come back in
     // scheme order whatever the pool width.
     let outcomes = pool::run(&variants, spec.run.threads, |(s, m, checks)| {
@@ -139,7 +146,7 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
         runs.push(o.map_err(|e| e.with_function(format!("server-{s}")))?);
     }
 
-    let json = render_json(spec, &cfg, &runs);
+    let json = render_json(&cfg, &runs);
     let table = render_table(&cfg, &runs);
     Ok(ServerScenarioRun {
         total_requests: runs.iter().map(|r| r.stats.retired).sum(),
@@ -151,21 +158,22 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
     })
 }
 
-fn render_json(spec: &ServerScenarioSpec, cfg: &EventLoopConfig, runs: &[SchemeServerRun]) -> String {
+fn render_json(cfg: &EventLoopConfig, runs: &[SchemeServerRun]) -> String {
     let mut out = String::with_capacity(8192);
     out.push_str("{\n");
+    out.push_str(&format!("  \"schema\": {SERVER_JSON_SCHEMA},\n"));
     out.push_str("  \"scenario\": \"server\",\n");
-    out.push_str(&format!("  \"connections\": {},\n", spec.connections));
-    out.push_str(&format!("  \"requests_per_scheme\": {},\n", spec.requests));
+    out.push_str(&format!("  \"connections\": {},\n", cfg.connections));
+    out.push_str(&format!("  \"requests_per_scheme\": {},\n", cfg.requests));
     out.push_str(&format!(
         "  \"total_requests\": {},\n",
         runs.iter().map(|r| r.stats.retired).sum::<u64>()
     ));
-    out.push_str(&format!("  \"seed\": {},\n", spec.seed));
-    out.push_str(&format!("  \"epoch_len\": {},\n", cfg.epoch_len));
-    out.push_str(&format!("  \"slice_insts\": {},\n", cfg.slice_insts));
-    out.push_str(&format!("  \"close_permille\": {},\n", cfg.close_permille));
-    out.push_str(&format!("  \"cancel_permille\": {},\n", cfg.cancel_permille));
+    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
+    out.push_str(&format!("  \"epoch_len\": {},\n", cfg.epoch_len()));
+    out.push_str(&format!("  \"slice_insts\": {SLICE_INSTS},\n"));
+    out.push_str(&format!("  \"close_permille\": {CLOSE_PERMILLE},\n"));
+    out.push_str(&format!("  \"cancel_permille\": {CANCEL_PERMILLE},\n"));
     out.push_str("  \"schemes\": [\n");
     for (i, r) in runs.iter().enumerate() {
         let s = &r.stats;
@@ -177,10 +185,8 @@ fn render_json(spec: &ServerScenarioSpec, cfg: &EventLoopConfig, runs: &[SchemeS
         out.push_str(&format!("      \"cancelled\": {},\n", s.cancelled));
         out.push_str(&format!("      \"multi_slice\": {},\n", s.multi_slice));
         out.push_str(&format!("      \"slices\": {},\n", s.slices));
-        out.push_str(&format!("      \"events\": {},\n", s.events));
         out.push_str(&format!("      \"epochs\": {},\n", s.epochs));
         out.push_str(&format!("      \"closed\": {},\n", s.closed));
-        out.push_str(&format!("      \"reopened\": {},\n", s.reopened));
         out.push_str(&format!("      \"internal_errors\": {},\n", s.internal_errors));
         out.push_str(&format!("      \"response_sum\": {},\n", s.response_sum));
         out.push_str(&format!("      \"insts\": {},\n", s.insts));
@@ -237,7 +243,7 @@ fn render_table(cfg: &EventLoopConfig, runs: &[SchemeServerRun]) -> String {
     out.push_str("## server scenario — detection probability by window offset\n\n");
     out.push_str(&format!(
         "epoch = {} events; offset = delivery distance past the last re-randomization boundary\n\n",
-        cfg.epoch_len
+        cfg.epoch_len()
     ));
     let mut headers = vec!["offset".to_owned()];
     headers.extend(runs.iter().map(|r| r.scheme.name().to_owned()));

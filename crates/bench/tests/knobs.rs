@@ -1,8 +1,10 @@
 //! Malformed run knobs fail loudly: `reproduce` rejects an invalid
-//! `--engine`, `PYTHIA_CTX_POLICY`, `PYTHIA_THREADS`, section name or
-//! switch with exit status 2 and names the problem, before any benchmark
-//! runs.
+//! `--engine`, `PYTHIA_CTX_POLICY`, `PYTHIA_THREADS`, section name,
+//! switch or server-scenario size with exit status 2 and names the
+//! problem, before any benchmark runs.
 
+use pythia_workloads::EventLoopConfig;
+use std::path::Path;
 use std::process::Command;
 
 /// Run `reproduce` with `args` and the knob environment cleared except
@@ -70,5 +72,60 @@ fn removed_switches_exit_2() {
         assert_eq!(code, Some(2), "{removed}: {err}");
         assert!(out.is_empty(), "{removed}: nothing may reach stdout:\n{out}");
         assert!(err.contains(&format!("unknown option `{removed}`")), "{err}");
+    }
+}
+
+#[test]
+fn server_sizes_the_loop_cannot_run_exit_2_before_any_work() {
+    let max = EventLoopConfig::max_connections();
+    let over = (max + 1).to_string();
+    let bound = format!("1..={max} connections");
+    for (connections, requests, why) in [
+        ("8", "100", "requests >= 4 * epoch_len"),
+        (over.as_str(), "256", bound.as_str()),
+    ] {
+        let argv = [
+            "--scenario",
+            "server",
+            "--connections",
+            connections,
+            "--requests",
+            requests,
+        ];
+        let (code, out, err) = reproduce(&argv, &[]);
+        assert_eq!(code, Some(2), "{argv:?}: {err}");
+        assert!(out.is_empty(), "{argv:?}: nothing may reach stdout:\n{out}");
+        assert!(err.contains(why), "{argv:?}: {err}");
+    }
+}
+
+/// An end-to-end smoke run at the accepted maximum: 256 requests close
+/// too few connections to fragment the isolated section, so the churn
+/// headroom in the bound is checked by the workloads unit test
+/// `scratch_churn_fits_the_isolated_section_at_max_connections`.
+#[test]
+fn server_runs_the_largest_accepted_connection_count_cleanly() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("knobs-max-connections");
+    let max = EventLoopConfig::max_connections().to_string();
+    let argv = [
+        "--scenario",
+        "server",
+        "--connections",
+        &max,
+        "--requests",
+        "256",
+        "--out",
+        dir.to_str().unwrap(),
+    ];
+    let (code, _, err) = reproduce(&argv, &[("PYTHIA_THREADS", "1")]);
+    assert_eq!(code, Some(0), "{err}");
+    let json = std::fs::read_to_string(dir.join("BENCH_server.json")).unwrap();
+    let errors: Vec<&str> = json
+        .lines()
+        .filter(|l| l.contains("\"internal_errors\""))
+        .collect();
+    assert_eq!(errors.len(), 4, "one loop per scheme:\n{json}");
+    for line in errors {
+        assert_eq!(line.trim(), "\"internal_errors\": 0,");
     }
 }

@@ -43,5 +43,5 @@ pub use profiles::{profile_by_name, BenchProfile, SizeTier, SPEC_PROFILES};
 pub use realworld::extended as extended_scenarios;
 pub use server::{
     run_event_loop, server_module, EventLoopConfig, OffsetStats, ServerRunStats, ADMIN_EXIT,
-    ADMIN_MAGIC, WINDOW_OFFSETS,
+    ADMIN_MAGIC, CANCEL_PERMILLE, CLOSE_PERMILLE, SLICE_INSTS, WINDOW_OFFSETS,
 };

@@ -3,9 +3,7 @@
 //! Everything the event loop needs to stay byte-reproducible lives here:
 //! splitmix64 stream derivation (so per-request / per-worker RNG streams
 //! never overlap for adjacent seeds), the re-randomization epoch clock,
-//! the round-robin connection ring, and the attack injector's timetable.
-
-use std::collections::VecDeque;
+//! the round-robin service order and the attack injector's timetable.
 
 /// The splitmix64 finalizer (Steele et al.): a full-avalanche bijection
 /// on `u64`. Identical constants to `FastKeyHasher` in the VM's memory
@@ -54,28 +52,9 @@ impl EpochClock {
     }
 }
 
-/// Round-robin ring over `n` connection slots: every event services the
-/// slot at the front and rotates it to the back, so service order is a
-/// pure function of admission order.
-#[derive(Debug)]
-pub struct ConnRing {
-    queue: VecDeque<usize>,
-}
-
-impl ConnRing {
-    /// A ring over slots `0..n`.
-    pub fn new(n: usize) -> Self {
-        ConnRing {
-            queue: (0..n).collect(),
-        }
-    }
-
-    /// The slot to service this event (already rotated to the back).
-    pub fn take_turn(&mut self) -> usize {
-        let slot = self.queue.pop_front().expect("ring is never empty");
-        self.queue.push_back(slot);
-        slot
-    }
+/// Round-robin service order: the slot out of `n` that event `event` serves.
+pub fn round_robin(event: u64, n: usize) -> usize {
+    (event % n as u64) as usize
 }
 
 /// One scheduled attack: a corruption payload delivered at a controlled
@@ -95,20 +74,18 @@ pub struct AttackSlot {
     pub jitter: u64,
 }
 
+/// Cap on attack repetitions per window offset.
+const MAX_ATTACK_REPS: u64 = 64;
+
 /// The injector's timetable: for each window offset in `offsets`
-/// (events after an epoch boundary), `reps` deliveries in distinct
-/// epochs, interleaved k-major so every offset samples the same epochs
-/// range. All deliveries land strictly before event `horizon`.
-pub fn attack_timetable(
-    clock: &EpochClock,
-    offsets: &[u64],
-    horizon: u64,
-    max_reps: u64,
-) -> Vec<AttackSlot> {
+/// (events after an epoch boundary), up to `MAX_ATTACK_REPS` deliveries
+/// in distinct epochs, interleaved k-major so every offset samples the
+/// same epochs range. All deliveries land strictly before event `horizon`.
+pub fn attack_timetable(clock: &EpochClock, offsets: &[u64], horizon: u64) -> Vec<AttackSlot> {
     let epochs = horizon / clock.epoch_len;
     // Epoch 0 has no preceding boundary to race; keep it attack-free.
     let usable = epochs.saturating_sub(1);
-    let reps = (usable / offsets.len() as u64).clamp(1, max_reps);
+    let reps = (usable / offsets.len() as u64).clamp(1, MAX_ATTACK_REPS);
     let jmax = (clock.epoch_len / 2).max(1);
     let mut slots = Vec::new();
     for k in 0..reps {
@@ -151,8 +128,7 @@ mod tests {
 
     #[test]
     fn ring_is_fair_round_robin() {
-        let mut r = ConnRing::new(3);
-        let order: Vec<usize> = (0..7).map(|_| r.take_turn()).collect();
+        let order: Vec<usize> = (0..7).map(|e| round_robin(e, 3)).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
@@ -163,7 +139,7 @@ mod tests {
             base_seed: 9,
         };
         let offsets = [0, 8, 16, 32, 64, 96];
-        let slots = attack_timetable(&clock, &offsets, 4096, 64);
+        let slots = attack_timetable(&clock, &offsets, 4096);
         assert!(!slots.is_empty());
         let mut epochs = std::collections::HashSet::new();
         for w in slots.windows(2) {
@@ -183,7 +159,7 @@ mod tests {
             base_seed: 1234,
         };
         let offsets = [0u64, 16, 32, 64, 128, 192];
-        let slots = attack_timetable(&clock, &offsets, 1 << 16, 64);
+        let slots = attack_timetable(&clock, &offsets, 1 << 16);
         // detection model: cross-epoch leak iff jitter > offset.
         let mut detected = vec![0u64; offsets.len()];
         for s in &slots {

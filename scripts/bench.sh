@@ -102,7 +102,7 @@ done
 # Server-scenario throughput: the event-loop workload (DESIGN.md §5i)
 # per engine. Wall requests/sec land on stderr (engine-dependent); the
 # JSON is the determinism surface and must be byte-identical across
-# engines — restart-based slicing and the attack injector included.
+# engines — turn scheduling and the attack injector included.
 echo "== server scenario wall req/s (legacy vs block) =="
 for eng in legacy block; do
     "$REPRODUCE" --scenario server --connections 8 --requests 4000 --engine "$eng" \
