@@ -7,11 +7,15 @@
 //! per-iteration numbers compare steady-state execution, which is what
 //! the suite pays: the pipeline and campaigns decode once per
 //! instrumented module and share the cache across every run.
+//!
+//! `vm_construct` times what the server scenario pays per request on
+//! one thread: building a fresh `Vm` over the server module alone, and
+//! building it plus running one `handle_request`, per scheme.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pythia_core::{instrument, Scheme};
 use pythia_vm::{DecodedModule, Engine, InputPlan, Vm, VmConfig};
-use pythia_workloads::{generate, profile_by_name};
+use pythia_workloads::{generate, profile_by_name, server_module};
 use std::sync::Arc;
 
 const NAMES: [&str; 3] = ["519.lbm_r", "505.mcf_r", "525.x264_r"];
@@ -71,9 +75,46 @@ fn bench_decode(c: &mut Criterion) {
     });
 }
 
+fn bench_vm_construct(c: &mut Criterion) {
+    // The request VM's config in the server scenario: no profile, inline
+    // execution, a budget the benign handler never reaches.
+    let cfg = VmConfig {
+        seed: 7,
+        max_insts: 10_000_000,
+        max_call_depth: 64,
+        profile: false,
+        inline_exec: true,
+        ..VmConfig::default()
+    };
+    let m = server_module();
+    let mut g = c.benchmark_group("vm_construct");
+    g.sample_size(20);
+    for scheme in Scheme::ALL {
+        let inst = instrument(&m, scheme);
+        let decoded = Arc::new(DecodedModule::new(&inst.module));
+        decoded.decode_all(&inst.module);
+        let new_vm = || {
+            Vm::with_decoded(
+                &inst.module,
+                Arc::clone(&decoded),
+                cfg.clone(),
+                InputPlan::benign(7),
+            )
+        };
+        g.bench_function(format!("new_{}", scheme.name()), |b| b.iter(new_vm));
+        g.bench_function(format!("request_{}", scheme.name()), |b| {
+            b.iter(|| {
+                let mut vm = new_vm();
+                vm.run("handle_request", &[3, 1]).unwrap().metrics.insts
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_retirement, bench_decode
+    targets = bench_retirement, bench_decode, bench_vm_construct
 }
 criterion_main!(benches);

@@ -17,36 +17,42 @@ pub enum CacheOutcome {
     Miss,
 }
 
+/// Sets per lazily allocated chunk of a [`Level`].
+const CHUNK_SETS: usize = 64;
+
 /// One set-associative level with LRU replacement.
 ///
-/// Tags live in one flat `sets × ways` array (LRU first, MRU last
-/// within each set's live prefix) instead of a `Vec` per set: the level
-/// is built fresh for every VM run, and ~33k per-set allocations for an
-/// LLC-sized level cost more than many short benchmark runs execute.
-/// The flat form is one calloc — lazily faulted — and each access
-/// touches a single short contiguous stripe.
+/// Sets are grouped in chunks of [`CHUNK_SETS`], each allocated on the
+/// first access that maps into it. A level is built fresh for every VM
+/// run, and a short run touches few of an LLC's 32k sets, so the level
+/// costs what the run touches rather than its `sets × ways` geometry. Inside a chunk each set is one contiguous `1 + ways` word
+/// stripe: the live way count, then the tags (LRU first, MRU last
+/// within the live prefix).
 #[derive(Debug, Clone)]
 struct Level {
-    tags: Vec<u64>, // sets * ways
-    lens: Vec<u32>, // live ways per set
+    chunks: Vec<Option<Box<[u64]>>>,
     ways: usize,
     set_shift: u32,
     set_mask: u64,
 }
 
+/// `(sets, ways)` for a level of `capacity` bytes in `line`-byte lines.
+fn geometry(capacity: u64, line: u64, ways_hint: usize) -> (usize, usize) {
+    let lines = (capacity / line).max(1) as usize;
+    // Round the set count down to a power of two and absorb the
+    // remainder into the associativity, so any capacity works.
+    let mut sets = (lines / ways_hint).max(1);
+    while !sets.is_power_of_two() {
+        sets &= sets - 1; // drop lowest set bit -> previous power of two
+    }
+    (sets, (lines / sets).max(1))
+}
+
 impl Level {
     fn new(capacity: u64, line: u64, ways_hint: usize) -> Self {
-        let lines = (capacity / line).max(1) as usize;
-        // Round the set count down to a power of two and absorb the
-        // remainder into the associativity, so any capacity works.
-        let mut sets = (lines / ways_hint).max(1);
-        while !sets.is_power_of_two() {
-            sets &= sets - 1; // drop lowest set bit -> previous power of two
-        }
-        let ways = (lines / sets).max(1);
+        let (sets, ways) = geometry(capacity, line, ways_hint);
         Level {
-            tags: vec![0; sets * ways],
-            lens: vec![0; sets],
+            chunks: vec![None; sets.div_ceil(CHUNK_SETS)],
             ways,
             set_shift: line.trailing_zeros(),
             set_mask: sets as u64 - 1,
@@ -57,16 +63,21 @@ impl Level {
     fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.set_shift;
         let set = (line & self.set_mask) as usize;
-        let len = self.lens[set] as usize;
-        let tags = &mut self.tags[set * self.ways..set * self.ways + len];
+        let stride = 1 + self.ways;
+        let chunk = self.chunks[set / CHUNK_SETS]
+            .get_or_insert_with(|| vec![0; CHUNK_SETS * stride].into_boxed_slice());
+        let (live, tags) = chunk[(set % CHUNK_SETS) * stride..][..stride]
+            .split_first_mut()
+            .expect("a set stripe starts with its live way count");
+        let len = *live as usize;
         // MRU fast path: repeated hits on the hottest line (the common
         // case for consecutive accesses) skip the scan and the rotate.
         if len > 0 && tags[len - 1] == line {
             return true;
         }
-        if let Some(pos) = tags.iter().position(|&t| t == line) {
+        if let Some(pos) = tags[..len].iter().position(|&t| t == line) {
             // Refresh to MRU (end of the live prefix).
-            tags[pos..].rotate_left(1);
+            tags[pos..len].rotate_left(1);
             tags[len - 1] = line;
             true
         } else {
@@ -75,11 +86,17 @@ impl Level {
                 tags.rotate_left(1);
                 tags[len - 1] = line;
             } else {
-                self.tags[set * self.ways + len] = line;
-                self.lens[set] = (len + 1) as u32;
+                tags[len] = line;
+                *live += 1;
             }
             false
         }
+    }
+
+    /// Chunks allocated so far.
+    #[cfg(test)]
+    fn allocated_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -162,11 +179,16 @@ impl CacheSim {
     }
 
     /// Access a byte range, touching every line it covers; returns the
-    /// worst outcome (used for bulk intrinsics like `memcpy`).
+    /// worst outcome (used for bulk intrinsics like `memcpy`). A range
+    /// that wraps past `u64::MAX` touches no line: the bulk access it
+    /// models faults before it reaches memory.
     pub fn access_range(&mut self, addr: u64, len: u64) -> CacheOutcome {
         let mut worst = CacheOutcome::L1Hit;
+        let Some(end) = addr.checked_add(len.max(1) - 1) else {
+            return worst;
+        };
         let first = addr / self.line;
-        let last = (addr + len.max(1) - 1) / self.line;
+        let last = end / self.line;
         for l in first..=last {
             let o = self.access(l * self.line);
             worst = match (worst, o) {
@@ -234,6 +256,151 @@ mod tests {
         assert_eq!(c.access_range(0x2000, 200), CacheOutcome::Miss);
         assert_eq!(c.stats().accesses, 4); // 200 bytes over 64B lines, aligned
         assert_eq!(c.access_range(0x2000, 200), CacheOutcome::L1Hit);
+    }
+
+    #[test]
+    fn wrapping_range_touches_no_line() {
+        let mut c = CacheSim::m1_like();
+        for (addr, len) in [(u64::MAX - 15, 64), (u64::MAX, 2), (u64::MAX - 8, u64::MAX)] {
+            assert_eq!(c.access_range(addr, len), CacheOutcome::L1Hit);
+        }
+        assert_eq!(c.stats().accesses, 0);
+        // Ending exactly at the top of the address space does not wrap.
+        assert_eq!(c.access_range(u64::MAX - 63, 64), CacheOutcome::Miss);
+        assert_eq!(c.stats().accesses, 1);
+    }
+
+    #[test]
+    fn fresh_sim_allocates_no_chunk() {
+        let mut c = CacheSim::m1_like();
+        assert_eq!((c.l1.allocated_chunks(), c.llc.allocated_chunks()), (0, 0));
+        c.access(0x10_0000);
+        c.access(0x10_0008);
+        assert_eq!((c.l1.allocated_chunks(), c.llc.allocated_chunks()), (1, 1));
+        // Far-apart lines land in different chunks; nothing else appears.
+        c.access(0x70_0000_0000 + 0x40 * CHUNK_SETS as u64);
+        assert_eq!((c.l1.allocated_chunks(), c.llc.allocated_chunks()), (2, 2));
+    }
+
+    /// The flat `sets × ways` level the chunked [`Level`] replaced, kept
+    /// as the reference the differential test compares against.
+    struct FlatLevel {
+        tags: Vec<u64>,
+        lens: Vec<u32>,
+        ways: usize,
+        set_shift: u32,
+        set_mask: u64,
+    }
+
+    impl FlatLevel {
+        fn new(capacity: u64, line: u64, ways_hint: usize) -> Self {
+            let (sets, ways) = geometry(capacity, line, ways_hint);
+            FlatLevel {
+                tags: vec![0; sets * ways],
+                lens: vec![0; sets],
+                ways,
+                set_shift: line.trailing_zeros(),
+                set_mask: sets as u64 - 1,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr >> self.set_shift;
+            let set = (line & self.set_mask) as usize;
+            let len = self.lens[set] as usize;
+            let tags = &mut self.tags[set * self.ways..set * self.ways + len];
+            if len > 0 && tags[len - 1] == line {
+                return true;
+            }
+            if let Some(pos) = tags.iter().position(|&t| t == line) {
+                tags[pos..].rotate_left(1);
+                tags[len - 1] = line;
+                true
+            } else {
+                if len == self.ways {
+                    tags.rotate_left(1);
+                    tags[len - 1] = line;
+                } else {
+                    self.tags[set * self.ways + len] = line;
+                    self.lens[set] = (len + 1) as u32;
+                }
+                false
+            }
+        }
+    }
+
+    /// [`CacheSim`]'s hierarchy over [`FlatLevel`]s.
+    struct FlatSim {
+        l1: FlatLevel,
+        llc: FlatLevel,
+        stats: CacheStats,
+    }
+
+    impl FlatSim {
+        fn new(l1_capacity: u64, llc_capacity: u64, line: u64) -> Self {
+            FlatSim {
+                l1: FlatLevel::new(l1_capacity, line, 8),
+                llc: FlatLevel::new(llc_capacity, line, 12),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> CacheOutcome {
+            self.stats.accesses += 1;
+            if self.l1.access(addr) {
+                self.stats.l1_hits += 1;
+                CacheOutcome::L1Hit
+            } else if self.llc.access(addr) {
+                self.stats.llc_hits += 1;
+                CacheOutcome::LlcHit
+            } else {
+                self.stats.misses += 1;
+                CacheOutcome::Miss
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_levels_match_the_flat_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // (l1, llc, line): the M1 geometry, a tiny L1 over a 1 MiB LLC,
+        // and capacities whose line counts are not powers of two.
+        let geometries = [
+            (64 << 10, 24 << 20, 64),
+            (1024, 1 << 20, 64),
+            (48 << 10, 20 << 20, 64),
+        ];
+        let bases = [0x10_0000u64, 0x10_0000_0000, 0x70_0000_0000];
+        for (l1, llc, line) in geometries {
+            for seed in 0..4 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut chunked = CacheSim::new(l1, llc, line);
+                let mut flat = FlatSim::new(l1, llc, line);
+                // Strides of one L1 or one LLC set span map every access
+                // to the same set, so sets overflow their ways and evict.
+                let strides = [
+                    line * (chunked.l1.set_mask + 1),
+                    line * (chunked.llc.set_mask + 1),
+                ];
+                for _ in 0..20_000 {
+                    let base = bases[rng.gen_range(0..bases.len())];
+                    let addr = match rng.gen_range(0u32..3) {
+                        0 => base + rng.gen_range(0u64..1 << 20),
+                        1 => {
+                            base + strides[0] * rng.gen_range(0u64..24) + rng.gen_range(0u64..line)
+                        }
+                        _ => base + strides[1] * rng.gen_range(0u64..32),
+                    };
+                    assert_eq!(
+                        chunked.access(addr),
+                        flat.access(addr),
+                        "{addr:#x} seed {seed}"
+                    );
+                }
+                assert_eq!(chunked.stats(), flat.stats);
+            }
+        }
     }
 
     #[test]

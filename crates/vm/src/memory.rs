@@ -116,29 +116,42 @@ pub type FastMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<FastKeyHashe
 /// One 4 KiB backing page.
 type Page = Box<[u8; PAGE_SIZE as usize]>;
 
-/// Pages per radix leaf (16 Ki pages = 64 MiB of VA per leaf).
-const LEAF_BITS: u32 = 14;
-const LEAF_LEN: usize = 1 << LEAF_BITS;
-/// Radix root entries covering the full 40-bit address space.
-const ROOT_LEN: usize = 1 << (VA_BITS - 12 - LEAF_BITS);
+/// Index bits of a radix node below the root: 512 slots of 8 bytes make
+/// each node 4 KiB.
+const NODE_BITS: u32 = 9;
+const NODE_LEN: usize = 1 << NODE_BITS;
+/// Root slots: the rest of the 28-bit page number indexes the root.
+const ROOT_LEN: usize = 1 << (VA_BITS - PAGE_SIZE.trailing_zeros() - 2 * NODE_BITS);
+
+/// A radix node below the root.
+type Node<T> = Box<[Option<T>; NODE_LEN]>;
+/// 512 pages: 2 MiB of VA.
+type Leaf = Node<Page>;
+/// 512 leaves: 1 GiB of VA.
+type Mid = Node<Leaf>;
+
+fn empty_node<T>() -> Node<T> {
+    Box::new([const { None }; NODE_LEN])
+}
 
 /// Sparse byte-addressable memory.
 ///
-/// Pages hang off a two-level radix table indexed directly by page
-/// number — the interpreter does one page translation per load/store,
-/// and two dependent indexed loads beat any hash. Roots and leaves are
-/// all-`None` niches, so the table is calloc-backed and lazily faulted
-/// by the host.
+/// Pages hang off a three-level radix table (10/9/9 bits of the page
+/// number) indexed directly by page number: the interpreter does one
+/// page translation per load/store, and three dependent indexed loads
+/// beat any hash. Only the 8 KiB root is built with the memory; every
+/// other node is allocated on first touch, so a fresh `Memory` costs
+/// what its run touches: two 4 KiB nodes per touched region.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    roots: Vec<Option<Box<[Option<Page>; LEAF_LEN]>>>,
+    root: Box<[Option<Mid>; ROOT_LEN]>,
     resident: u64,
 }
 
 impl Default for Memory {
     fn default() -> Self {
         Memory {
-            roots: vec![None; ROOT_LEN],
+            root: Box::new([const { None }; ROOT_LEN]),
             resident: 0,
         }
     }
@@ -153,24 +166,34 @@ impl Memory {
     /// The page backing `pn`, if it has been written.
     #[inline]
     fn page(&self, pn: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
-        let leaf = self.roots[(pn >> LEAF_BITS) as usize].as_ref()?;
-        leaf[(pn as usize) & (LEAF_LEN - 1)].as_deref()
+        let pn = pn as usize;
+        let mid = self.root[pn >> (2 * NODE_BITS)].as_ref()?;
+        let leaf = mid[(pn >> NODE_BITS) & (NODE_LEN - 1)].as_ref()?;
+        leaf[pn & (NODE_LEN - 1)].as_deref()
     }
 
     /// The page backing `pn`, mapped in (zeroed) on first touch.
     #[inline]
     fn page_mut(&mut self, pn: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let root = &mut self.roots[(pn >> LEAF_BITS) as usize];
-        let leaf = root.get_or_insert_with(|| {
-            const NONE: Option<Page> = None;
-            Box::new([NONE; LEAF_LEN])
-        });
-        let slot = &mut leaf[(pn as usize) & (LEAF_LEN - 1)];
+        let pn = pn as usize;
+        let mid = self.root[pn >> (2 * NODE_BITS)].get_or_insert_with(empty_node);
+        let leaf = mid[(pn >> NODE_BITS) & (NODE_LEN - 1)].get_or_insert_with(empty_node);
+        let slot = &mut leaf[pn & (NODE_LEN - 1)];
         if slot.is_none() {
             *slot = Some(Box::new([0u8; PAGE_SIZE as usize]));
             self.resident += 1;
         }
         slot.as_deref_mut().expect("page just mapped")
+    }
+
+    /// Radix nodes allocated below the root.
+    #[cfg(test)]
+    fn allocated_nodes(&self) -> usize {
+        self.root
+            .iter()
+            .flatten()
+            .map(|mid| 1 + mid.iter().flatten().count())
+            .sum()
     }
 
     fn check(addr: u64, write: bool) -> Result<(), MemoryFault> {
@@ -491,6 +514,71 @@ mod tests {
         assert!(m.read_cstr(top, 16).is_err());
         // And at the very top, the wrap itself is the fault.
         assert!(m.read_bytes(u64::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn fresh_memory_allocates_no_node() {
+        let mut m = Memory::new();
+        assert_eq!(m.allocated_nodes(), 0);
+        // One page in each VM region: a mid node and a leaf apiece.
+        for base in [layout::GLOBALS_BASE, layout::STACK_BASE, layout::HEAP_BASE] {
+            m.write_scalar(base, 8, 1).unwrap();
+        }
+        assert_eq!(m.allocated_nodes(), 6);
+        assert_eq!(m.resident_pages(), 3);
+        // Reads never allocate.
+        assert_eq!(m.read_scalar(layout::HEAP_BASE + (1 << 30), 8).unwrap(), 0);
+        assert_eq!(m.allocated_nodes(), 6);
+    }
+
+    #[test]
+    fn accesses_straddle_radix_node_boundaries() {
+        // A leaf spans 2 MiB of VA and a mid node 1 GiB.
+        for edge in [2u64 << 20, 6 << 20, 1 << 30, 5 << 30] {
+            let mut m = Memory::new();
+            m.write_scalar(edge - 4, 8, 0x0807_0605_0403_0201).unwrap();
+            assert_eq!(m.read_scalar(edge - 4, 8).unwrap(), 0x0807_0605_0403_0201);
+            assert_eq!(m.read_u8(edge - 1).unwrap(), 4);
+            assert_eq!(m.read_u8(edge).unwrap(), 5);
+            assert_eq!(m.read_scalar(edge, 4).unwrap(), 0x0807_0605);
+            assert_eq!(m.resident_pages(), 2, "edge {edge:#x}");
+            let bytes: Vec<u8> = (0..=255).collect();
+            m.write_bytes(edge - 100, &bytes).unwrap();
+            assert_eq!(m.read_bytes(edge - 100, 256).unwrap(), bytes);
+            assert_eq!(m.resident_pages(), 2, "edge {edge:#x}");
+        }
+    }
+
+    #[test]
+    fn accesses_at_the_ends_of_the_address_space() {
+        let mut m = Memory::new();
+        m.write_scalar(NULL_GUARD, 8, -7).unwrap();
+        assert_eq!(m.read_scalar(NULL_GUARD, 8).unwrap(), -7);
+        m.write_bytes(NULL_GUARD + 8, b"low").unwrap();
+        assert_eq!(
+            m.read_bytes(NULL_GUARD + 5, 6).unwrap(),
+            [255, 255, 255, b'l', b'o', b'w']
+        );
+        assert!(m.write_bytes(NULL_GUARD - 4, &[1; 8]).is_err());
+        assert_eq!(m.read_scalar(NULL_GUARD, 4).unwrap(), -7);
+        assert_eq!(m.resident_pages(), 1);
+
+        let top = 1u64 << VA_BITS;
+        m.write_scalar(top - 8, 8, i64::MIN + 3).unwrap();
+        assert_eq!(m.read_scalar(top - 8, 8).unwrap(), i64::MIN + 3);
+        m.write_scalar(top - 1, 1, 0x5a).unwrap();
+        assert_eq!(m.read_scalar(top - 1, 1).unwrap(), 0x5a);
+        assert_eq!(m.read_bytes(top - 2, 2).unwrap(), [0, 0x5a]);
+        assert_eq!(
+            m.write_bytes(top - 1, b"xy"),
+            Err(MemoryFault {
+                addr: top,
+                write: true
+            })
+        );
+        assert_eq!(m.read_u8(top - 1).unwrap(), b'x');
+        assert!(m.read_scalar(top - 1, 2).is_err());
+        assert_eq!(m.resident_pages(), 2);
     }
 
     mod scalar_roundtrip_props {

@@ -1744,6 +1744,47 @@ mod tests {
     }
 
     #[test]
+    fn bulk_writes_to_wrapping_destinations_trap_on_both_engines() {
+        // A 24-byte payload written at the top of the address space (or
+        // of the VA) faults as data: the cache model's line range must
+        // not overflow first, in debug and release builds alike.
+        for dst in [u64::MAX - 15, u64::MAX, (1 << 40) - 4] {
+            for intrinsic in [Intrinsic::Gets, Intrinsic::Read, Intrinsic::Memcpy] {
+                let mut m = Module::new("m");
+                let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
+                let src = b.alloca(Ty::array(Ty::I8, 32));
+                let k = b.const_i64(dst as i64);
+                let p = b.cast(CastKind::IntToPtr, k, Ty::ptr(Ty::I8));
+                let n = b.const_i64(32);
+                let args = match intrinsic {
+                    Intrinsic::Gets => vec![p],
+                    Intrinsic::Read => vec![b.const_i64(0), p, n],
+                    _ => vec![p, src, n],
+                };
+                b.call_intrinsic(intrinsic, args, Ty::I64);
+                let zero = b.const_i64(0);
+                b.ret(Some(zero));
+                m.add_function(b.finish());
+                for engine in [Engine::Legacy, Engine::Block] {
+                    let cfg = VmConfig {
+                        engine,
+                        ..VmConfig::default()
+                    };
+                    let plan = InputPlan::with_attack(1, AttackSpec::smash(0, 24));
+                    let exit = Vm::new(&m, cfg, plan).run("main", &[]).map(|r| r.exit);
+                    assert!(
+                        matches!(
+                            exit,
+                            Ok(ExitReason::Trapped(Trap::MemoryFault { write: true, .. }))
+                        ),
+                        "{intrinsic:?} to {dst:#x} on {engine:?}: {exit:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn strcpy_copies_between_buffers() {
         let mut m = Module::new("m");
         let g = m.add_str_global("src", "hello");

@@ -117,11 +117,11 @@ fi
 echo "OK: BENCH_server.json is byte-identical across engines"
 
 # Tier trend: one benchmark (mcf) at each size tier through the
-# streaming runner, showing how total wall-clock and the analysis vs
+# suite runner on one worker, showing how total wall-clock and the analysis vs
 # execute split move as the workload grows ~36x dynamic from smoke to
 # ref. Informational — the correctness gates for the tiers live in
 # scripts/check.sh and the crate tests.
-echo "== tier trend (505.mcf_r at smoke/standard/ref, streaming) =="
+echo "== tier trend (505.mcf_r at smoke/standard/ref, one worker) =="
 for tier in smoke standard ref; do
     PYTHIA_THREADS=1 "$REPRODUCE" --only 505.mcf_r --tier "$tier" --bench-json \
         --out "$OUT/tier-$tier" fig4a >/dev/null

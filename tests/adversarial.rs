@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use pythia::core::{instrument, PythiaError, Scheme};
-use pythia::ir::{parser, printer, verify, CastKind, FunctionBuilder, Module, Ty};
+use pythia::ir::{parser, printer, verify, CastKind, FunctionBuilder, Intrinsic, Module, Ty};
 use pythia::vm::{InputPlan, Vm, VmConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -138,21 +138,38 @@ proptest! {
     }
 }
 
-/// Build a program that dereferences an attacker-chosen address
-/// (`inttoptr` — the pointer/array dualism primitive of paper §3.1).
-fn wild_access(addr: u64, write: bool) -> Module {
+/// Build a program that accesses an attacker-chosen address (`inttoptr`
+/// — the pointer/array dualism primitive of paper §3.1): a scalar load
+/// (`kind` 0) or store (1), or a bulk write through `gets` (2), `read`
+/// (3) or a 32-byte `memcpy` (4).
+fn wild_access(addr: u64, kind: u8) -> Module {
     let mut m = Module::new("wild");
     let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
     let k = b.const_i64(addr as i64);
     let p = b.cast(CastKind::IntToPtr, k, Ty::ptr(Ty::I64));
-    let v = if write {
-        let one = b.const_i64(1);
-        b.store(one, p);
-        one
-    } else {
-        b.load(p)
+    let bytes = b.cast(CastKind::Bitcast, p, Ty::ptr(Ty::I8));
+    let n = b.const_i64(32);
+    let r = match kind {
+        0 => b.load(p),
+        1 => {
+            b.store(n, p);
+            n
+        }
+        3 => {
+            let fd = b.const_i64(0);
+            b.call_intrinsic(Intrinsic::Read, vec![fd, bytes, n], Ty::I64)
+        }
+        _ => {
+            let ret = if kind == 2 {
+                b.call_intrinsic(Intrinsic::Gets, vec![bytes], Ty::ptr(Ty::I8))
+            } else {
+                let src = b.alloca(Ty::array(Ty::I8, 32));
+                b.call_intrinsic(Intrinsic::Memcpy, vec![bytes, src, n], Ty::ptr(Ty::I8))
+            };
+            b.cast(CastKind::PtrToInt, ret, Ty::I64)
+        }
     };
-    b.ret(Some(v));
+    b.ret(Some(r));
     m.add_function(b.finish());
     m
 }
@@ -166,12 +183,13 @@ proptest! {
             0u64..0x2000,                                  // null page & low VA
             (1u64 << 40)..(1u64 << 40) + 0x1000,           // unmapped middle
             (u64::MAX - 0x1000)..u64::MAX,                 // checked_add edge
+            (u64::MAX - 64)..u64::MAX,                     // bulk writes that wrap
         ],
         scheme_ix in 0usize..4,
-        write in 0u8..2,
+        kind in 0u8..5,
         seed in 0u64..1000,
     ) {
-        let m = wild_access(addr, write == 1);
+        let m = wild_access(addr, kind);
         prop_assert!(verify::verify_module(&m).is_ok());
         let scheme = Scheme::ALL[scheme_ix % Scheme::ALL.len()];
         let inst = instrument(&m, scheme);
