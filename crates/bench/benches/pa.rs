@@ -1,5 +1,7 @@
 //! Micro-benchmarks of the software PA substrate: the QARMA-like cipher,
-//! signing, and authentication throughput.
+//! signing, and authentication throughput. `pa/sign` signs a new value
+//! each time and so always misses `PaContext`'s PAC memo; the two
+//! sign-then-auth cases time the hit path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pythia_pa::{cipher, Key128, PaContext, PaKey};
@@ -31,6 +33,17 @@ fn bench_sign_auth(c: &mut Criterion) {
             std::hint::black_box(ctx.sign(PaKey::Da, v, 0x7fff_0040))
         })
     });
+    // CPA's SSA pair: sign a fresh value, then authenticate it with the
+    // same modifier. The sign misses the PAC memo; the auth hits it.
+    c.bench_function("pa/sign_auth_pair", |b| {
+        let mut v = 0u64;
+        b.iter(|| {
+            v = v.wrapping_add(1) & 0xffff_ffff;
+            let signed = ctx.sign(PaKey::Da, v, 0x7fff_0040);
+            std::hint::black_box(ctx.auth(PaKey::Da, signed, 0x7fff_0040))
+        })
+    });
+    // The auth alone, timed after a sign of the same pair: a memo hit.
     c.bench_function("pa/sign_then_auth", |b| {
         let mut v = 0u64;
         b.iter_batched(

@@ -12,7 +12,7 @@
 
 use crate::decode::{wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PHI};
 use crate::memory::layout;
-use crate::vm::{eval_bin, Halt, Trap, Vm};
+use crate::vm::{eval_bin, pa_site_key, Halt, Trap, Vm};
 use pythia_ir::{BlockId, FuncId, PythiaError};
 
 /// Read one pre-resolved operand: an unconditional indexed load
@@ -351,7 +351,7 @@ impl<'m> Vm<'m> {
                     } => {
                         meter!(op);
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, op.iv.0));
+                        self.pa_site_set.insert(pa_site_key(fid.0, op.iv.0));
                         if self.cfg.profile {
                             self.profile.pa.signs += 1;
                         }
@@ -369,7 +369,7 @@ impl<'m> Vm<'m> {
                     } => {
                         meter!(op);
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, op.iv.0));
+                        self.pa_site_set.insert(pa_site_key(fid.0, op.iv.0));
                         if self.cfg.profile {
                             self.profile.pa.auths += 1;
                         }
@@ -390,7 +390,7 @@ impl<'m> Vm<'m> {
                     OpKind::PacStrip { value } => {
                         meter!(op);
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, op.iv.0));
+                        self.pa_site_set.insert(pa_site_key(fid.0, op.iv.0));
                         if self.cfg.profile {
                             self.profile.pa.strips += 1;
                         }

@@ -83,9 +83,9 @@ impl fmt::Display for MemoryError {
 impl std::error::Error for MemoryError {}
 
 /// Deterministic single-`u64`-key hasher (splitmix64 finalizer). The
-/// interpreter does one page lookup per load/store and one granule
-/// lookup per DFI-checked access; SipHash would dominate that cost.
-/// Maps keyed with it are only ever point-queried or counted — never
+/// interpreter does one shadow-granule lookup per DFI-checked access and
+/// one PA-site insert per PA op; SipHash would dominate that cost. Maps
+/// and sets keyed with it are only ever point-queried or counted — never
 /// iterated — so hash order is unobservable.
 #[derive(Default)]
 pub struct FastKeyHasher(u64);
@@ -112,6 +112,9 @@ impl std::hash::Hasher for FastKeyHasher {
 
 /// A `u64`-keyed hash map using [`FastKeyHasher`].
 pub type FastMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<FastKeyHasher>>;
+
+/// A `u64` set using [`FastKeyHasher`].
+pub type FastSet = std::collections::HashSet<u64, std::hash::BuildHasherDefault<FastKeyHasher>>;
 
 /// One 4 KiB backing page.
 type Page = Box<[u8; PAGE_SIZE as usize]>;

@@ -18,7 +18,7 @@ use crate::cache::{CacheSim, CacheStats};
 use crate::cost::CostModel;
 use crate::decode::{cost_table, DecodedModule, FrameLayout, MNEMONICS, N_MNEMONICS};
 use crate::input::{InputPlan, IntOrPayload};
-use crate::memory::{layout, FastMap, Memory, MemoryError, MemoryFault};
+use crate::memory::{layout, FastMap, FastSet, Memory, MemoryError, MemoryFault};
 use crate::profile::Profile;
 use pythia_heap::{AllocStats, Section, SectionConfig, SectionedHeap};
 use pythia_ir::{
@@ -426,7 +426,8 @@ pub struct Vm<'m> {
     pub(crate) stack_objects: BTreeMap<u64, u64>,
     pub(crate) ic_write_counter: u64,
     pub(crate) halted: Option<i64>,
-    pub(crate) pa_site_set: std::collections::HashSet<(u32, u32)>,
+    /// Executed PA sites, keyed by [`pa_site_key`].
+    pub(crate) pa_site_set: FastSet,
     pub(crate) profile: Profile,
     pub(crate) trace: Vec<TraceEvent>,
     /// A setup problem found during construction, reported by the next
@@ -513,7 +514,7 @@ impl<'m> Vm<'m> {
             stack_objects: BTreeMap::new(),
             ic_write_counter: 0,
             halted: None,
-            pa_site_set: std::collections::HashSet::new(),
+            pa_site_set: FastSet::default(),
             profile: Profile::default(),
             trace: Vec::new(),
             setup_error: heap_error,
@@ -1046,7 +1047,7 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, iv.0));
+                        self.pa_site_set.insert(pa_site_key(fid.0, iv.0));
                         if self.cfg.profile {
                             self.profile.pa.signs += 1;
                             *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
@@ -1063,7 +1064,7 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, iv.0));
+                        self.pa_site_set.insert(pa_site_key(fid.0, iv.0));
                         if self.cfg.profile {
                             self.profile.pa.auths += 1;
                             *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
@@ -1082,7 +1083,7 @@ impl<'m> Vm<'m> {
                     }
                     Inst::PacStrip { value } => {
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert((fid.0, iv.0));
+                        self.pa_site_set.insert(pa_site_key(fid.0, iv.0));
                         if self.cfg.profile {
                             self.profile.pa.strips += 1;
                         }
@@ -1505,6 +1506,12 @@ impl<'m> Vm<'m> {
             _ => Ok(0),
         }
     }
+}
+
+/// The key of PA site `iv` in function `fid` in [`Vm::pa_site_set`].
+#[inline]
+pub(crate) fn pa_site_key(fid: u32, iv: u32) -> u64 {
+    (u64::from(fid) << 32) | u64::from(iv)
 }
 
 pub(crate) fn eval_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {

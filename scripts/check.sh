@@ -241,7 +241,8 @@ echo "OK: ref-tier lbm proves gep bounds and prunes obligations"
 # Server-scenario gate: a short event-loop run (DESIGN.md §5i) must
 # retire requests, must detect at least one *in-window* attack under
 # pythia (offset > 0 — the boundary bucket alone would mean the jitter
-# model collapsed), and must finish with zero internal errors in every
+# model collapsed), must detect every attack under cpa and dfi and none
+# under vanilla, and must finish with zero internal errors in every
 # scheme's loop. The scenario exit code already reflects internal
 # errors; the greps keep the gate honest against exit-code regressions.
 # It runs at pool widths 1 and 4: the event loops go through the worker
@@ -285,6 +286,32 @@ if [ -z "$pythia_hits" ] || [ "$pythia_hits" -eq 0 ]; then
     grep '"in_window_detections"' "$SRVJSON" >&2
     exit 1
 fi
-echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, zero internal errors, same JSON at 1 and 4 threads and on both engines"
+# CPA and DFI must stop every timed attack at every window offset, and
+# vanilla none: a PAC memo that accepted a tampered value, or a broken
+# DFI check, shows up here as a rate below 1.000.
+rate_failures=$(awk '
+    /"scheme": "/ {
+        match($0, /"scheme": "[a-z]+"/)
+        scheme = substr($0, RSTART + 11, RLENGTH - 12)
+    }
+    /"offset": / {
+        want = scheme == "vanilla" ? "0.000" : (scheme == "cpa" || scheme == "dfi") ? "1.000" : ""
+        if (want == "") next
+        buckets[scheme]++
+        match($0, /"rate": [0-9.]+/)
+        rate = substr($0, RSTART + 8, RLENGTH - 8)
+        if (rate != want) print scheme " offset bucket has rate " rate ", want " want ": " $0
+    }
+    END {
+        split("vanilla cpa dfi", need, " ")
+        for (i = 1; i <= 3; i++) if (!buckets[need[i]]) print need[i] " has no offset buckets"
+    }
+' "$SRVJSON")
+if [ -n "$rate_failures" ]; then
+    echo "FAIL: server scenario detection rates:" >&2
+    echo "$rate_failures" >&2
+    exit 1
+fi
+echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, cpa and dfi detect every attack at every offset and vanilla none, zero internal errors, same JSON at 1 and 4 threads and on both engines"
 
 echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, profiler, pruning, ref-tier and server-scenario gates are clean ($JSON)"
