@@ -1,6 +1,6 @@
 //! A generic forward/backward worklist dataflow solver.
 //!
-//! Every fixpoint analysis in this crate (liveness, reaching stores) and
+//! Every fixpoint analysis in this crate (reaching stores, intervals) and
 //! the protection-invariant linter built on top of it share the same
 //! skeleton: facts drawn from a finite-height lattice, a monotone
 //! per-block transfer function, and Kildall's worklist iteration over the
@@ -69,8 +69,8 @@ pub trait DataflowAnalysis {
 
     /// Adjust a fact as it crosses the CFG edge `from -> to` (called with
     /// the flow-source block's post-transfer fact). The default is the
-    /// identity; liveness overrides this to add the phi uses that live
-    /// only on a specific incoming edge.
+    /// identity; the interval analysis overrides this to refine facts
+    /// by the branch condition an edge is taken under.
     fn edge(&self, _f: &Function, _from: BlockId, _to: BlockId, fact: &Self::Fact) -> Self::Fact {
         fact.clone()
     }

@@ -10,8 +10,8 @@
 //! - [`dataflow`] — a generic forward/backward worklist solver every
 //!   fixpoint analysis (and the lint rules) is built on;
 //! - [`defuse`] — SSA def-use chains (Definition 2.2);
-//! - [`liveness`] — live variables and flow-sensitive reaching stores
-//!   (the machine-pass/spill side of §5 and DFI's def-set precision);
+//! - [`reaching`] — flow-sensitive reaching stores (DFI's def-set
+//!   precision and the lint's DFI-01 cross-check);
 //! - [`alias`] — module-wide Andersen-style points-to analysis with
 //!   field-sensitive abstract objects (and a field-insensitive mode
 //!   modeling DFI's coarser view);
@@ -69,8 +69,8 @@ pub mod channels;
 pub mod dataflow;
 pub mod defuse;
 pub mod interval;
-pub mod liveness;
 pub mod reach;
+pub mod reaching;
 pub mod slicing;
 pub mod summary;
 pub mod vulnerability;
@@ -84,8 +84,8 @@ pub use channels::{IcSite, InputChannels};
 pub use dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
 pub use defuse::DefUse;
 pub use interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval, ValueRanges};
-pub use liveness::{Liveness, ReachingStores};
 pub use reach::{object_byte_size, OverflowReach};
+pub use reaching::ReachingStores;
 pub use slicing::{BackwardSlice, ForwardSlice, SliceContext, SliceMode};
 pub use summary::{opt02_equivalence, CtxPolicy, CtxSolve, CtxStats, CTX_NODE_BUDGET};
 pub use vulnerability::{

@@ -52,7 +52,7 @@ use crate::alias::{
     PointsTo,
 };
 use crate::callgraph::CallGraph;
-use crate::liveness::ReachingStores;
+use crate::reaching::ReachingStores;
 use pythia_ir::{Callee, FuncId, Inst, Module, Ty, ValueId, ValueKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::str::FromStr;

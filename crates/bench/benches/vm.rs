@@ -36,8 +36,7 @@ fn bench_retirement(c: &mut Criterion) {
         g.sample_size(10);
         for scheme in Scheme::ALL {
             let inst = instrument(&m, scheme);
-            let decoded = Arc::new(DecodedModule::new(&inst.module));
-            decoded.decode_all(&inst.module);
+            let decoded = DecodedModule::eager(&inst.module);
             for engine in [Engine::Legacy, Engine::Block] {
                 g.bench_with_input(
                     BenchmarkId::from_parameter(format!("{}_{}", scheme.name(), engine.name())),
@@ -67,11 +66,7 @@ fn bench_decode(c: &mut Criterion) {
     let m = generate(profile_by_name("505.mcf_r").expect("profile"));
     let inst = instrument(&m, Scheme::Pythia);
     c.bench_function("decode_mcf_pythia", |b| {
-        b.iter(|| {
-            let decoded = DecodedModule::new(&inst.module);
-            decoded.decode_all(&inst.module);
-            std::hint::black_box(decoded)
-        })
+        b.iter(|| std::hint::black_box(DecodedModule::eager(&inst.module)))
     });
 }
 
@@ -91,8 +86,7 @@ fn bench_vm_construct(c: &mut Criterion) {
     g.sample_size(20);
     for scheme in Scheme::ALL {
         let inst = instrument(&m, scheme);
-        let decoded = Arc::new(DecodedModule::new(&inst.module));
-        decoded.decode_all(&inst.module);
+        let decoded = DecodedModule::eager(&inst.module);
         let new_vm = || {
             Vm::with_decoded(
                 &inst.module,

@@ -8,6 +8,7 @@ use crate::pool;
 use crate::table::{frac, pct, Table};
 use pythia_core::{
     adjudicate, evaluate_with, BenchEvaluation, Engine, PythiaError, RunConfig, Scheme,
+    VariantBuilder,
 };
 use pythia_ir::{IcCategory, Module};
 use pythia_pa::{brute_force_probability, expected_tries, PaContext, PacConfig};
@@ -1047,33 +1048,39 @@ pub fn dist(suite: &[BenchEvaluation]) -> String {
     )
 }
 
-/// §6.3 nginx throughput degradation over three run lengths. Every
-/// (size, scheme, worker) run goes through the worker pool.
+/// §6.3 nginx throughput degradation over three run lengths, on the
+/// pruned, certified builds the pipeline ships. Every (size, scheme,
+/// worker) run goes through the worker pool.
 pub fn nginx(run: &RunConfig) -> String {
     const WORKERS: usize = 12;
-    let variants: Vec<(u64, Scheme, Module)> = [60u64, 600, 6000]
+    let variants: Vec<(u64, Scheme, Result<Module, PythiaError>)> = [60u64, 600, 6000]
         .into_iter()
         .flat_map(|requests| {
             let m = nginx_module(requests);
-            let ctx = pythia_analysis::SliceContext::with_policy(&m, run.ctx_policy);
-            let report = pythia_analysis::VulnerabilityReport::analyze(&ctx);
+            let build = VariantBuilder::new(&m, run.ctx_policy);
+            let cert = build.certifier();
             [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia].map(|scheme| {
-                let inst = pythia_core::instrument_with(&m, &ctx, &report, scheme);
-                (requests, scheme, inst.module)
+                let inst = build.instrument(scheme);
+                let certified = build.certify(&cert, &inst).map(|_| inst.module);
+                (requests, scheme, certified)
             })
         })
         .collect();
     let tasks: Vec<(&Module, usize)> = variants
         .iter()
-        .flat_map(|(_, _, m)| (0..WORKERS).map(move |t| (m, t)))
+        .filter_map(|(_, _, m)| m.as_ref().ok())
+        .flat_map(|m| (0..WORKERS).map(move |t| (m, t)))
         .collect();
     let worker = |&(m, t): &(&Module, usize)| run_worker(m, t, 0x9e, &run.vm);
     let mut outcomes = pool::run(&tasks, run.threads, worker).into_iter();
 
     let mut t = Table::new(vec!["requests", "scheme", "throughput", "degradation"]);
     let mut base = 0.0f64;
-    for (requests, scheme, _) in &variants {
-        let workers = NginxRun::from_workers(outcomes.by_ref().take(WORKERS).collect());
+    for (requests, scheme, built) in &variants {
+        let workers = match built {
+            Ok(_) => NginxRun::from_workers(outcomes.by_ref().take(WORKERS).collect()),
+            Err(e) => Err(e.clone()),
+        };
         // Each size's degradation is relative to its own vanilla run.
         if *scheme == Scheme::Vanilla {
             base = workers.as_ref().map_or(0.0, NginxRun::throughput);
@@ -1318,8 +1325,7 @@ pub fn precision(suite: &[BenchEvaluation]) -> String {
 /// one to its left, and strong updates plus k=2 chains give the
 /// summary-2cfa column its edge on nested-helper shapes.
 pub fn policies() -> String {
-    use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
-    use pythia_passes::prune_obligations;
+    use pythia_analysis::CtxPolicy;
 
     const POLICIES: [(CtxPolicy, &str); 3] = [
         (CtxPolicy::Insensitive, "insens"),
@@ -1341,12 +1347,10 @@ pub fn policies() -> String {
     for (name, m) in &modules {
         let mut row = vec![name.clone()];
         for (i, (policy, _)) in POLICIES.iter().enumerate() {
-            let ctx = SliceContext::with_policy(m, *policy);
-            let report = VulnerabilityReport::analyze(&ctx);
-            let pruned = prune_obligations(&ctx, &report);
-            totals[i] += pruned.pruned.total();
-            row.push(pruned.pruned.total().to_string());
-            row.push(pruned.pruned.contexts.to_string());
+            let pruned = VariantBuilder::new(m, *policy).pruned().pruned;
+            totals[i] += pruned.total();
+            row.push(pruned.total().to_string());
+            row.push(pruned.contexts.to_string());
         }
         t.row(row);
     }
@@ -1519,9 +1523,7 @@ pub fn ablations(run: &RunConfig) -> String {
 /// executions on three representative benchmarks under every scheme,
 /// each module analyzed once under `run.ctx_policy`.
 pub fn campaign(run: &RunConfig) -> String {
-    use pythia_analysis::{SliceContext, VulnerabilityReport};
     use pythia_core::run_campaign_with;
-    use pythia_passes::prune_obligations;
     let mut t = Table::new(vec![
         "benchmark",
         "scheme",
@@ -1535,10 +1537,10 @@ pub fn campaign(run: &RunConfig) -> String {
     for name in ["505.mcf_r", "502.gcc_r", "510.parest_r"] {
         let p = pythia_workloads::profile_by_name(name).expect("profile");
         let m = generate(p);
-        let ctx = SliceContext::with_policy(&m, run.ctx_policy);
-        let pruned = prune_obligations(&ctx, &VulnerabilityReport::analyze(&ctx));
+        let build = VariantBuilder::new(&m, run.ctx_policy);
+        let (ctx, pruned) = (build.ctx(), build.pruned());
         for scheme in [Scheme::Vanilla, Scheme::Cpa, Scheme::Pythia, Scheme::Dfi] {
-            let r = match run_campaign_with(&m, &ctx, &pruned, scheme, p.seed, 64, 32, &run.vm) {
+            let r = match run_campaign_with(&m, ctx, pruned, scheme, p.seed, 64, 32, &run.vm) {
                 Ok(r) => r,
                 Err(e) => {
                     t.row(vec![

@@ -18,16 +18,14 @@
 
 use crate::pool;
 use crate::table::Table;
-use pythia_analysis::{SliceContext, VulnerabilityReport};
-use pythia_core::{instrument_certified, Certifier, RunConfig};
+use pythia_core::{RunConfig, VariantBuilder};
 use pythia_ir::{verify, Module, PythiaError};
-use pythia_passes::{prune_obligations, Scheme};
-use pythia_vm::{DecodedModule, Engine};
+use pythia_passes::Scheme;
+use pythia_vm::DecodedModule;
 use pythia_workloads::{
     run_event_loop, server_module, EventLoopConfig, ServerRunStats, CANCEL_PERMILLE,
     CLOSE_PERMILLE, SLICE_INSTS, WINDOW_OFFSETS,
 };
-use std::sync::Arc;
 use std::time::Instant;
 
 /// `BENCH_server.json` layout version (fields: DESIGN.md §5i); bumped
@@ -112,15 +110,14 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
     let t0 = Instant::now();
     let module = server_module();
     verify::verify_module(&module)?;
-    let ctx = SliceContext::with_policy(&module, spec.run.ctx_policy);
-    let report = VulnerabilityReport::analyze(&ctx);
-    let pruned = prune_obligations(&ctx, &report);
-    let cert = Certifier::new(&module, &ctx);
+    let build = VariantBuilder::new(&module, spec.run.ctx_policy);
+    let cert = build.certifier();
     let variants: Vec<(Scheme, Module, usize)> = Scheme::ALL
         .iter()
         .map(|&s| {
-            let (m, checks) = instrument_certified(&module, &ctx, &pruned, &cert, s)?;
-            Ok((s, m, checks))
+            let inst = build.instrument(s);
+            let checks = build.certify(&cert, &inst)?;
+            Ok((s, inst.module, checks))
         })
         .collect::<Result<_, PythiaError>>()?;
 
@@ -128,10 +125,7 @@ pub fn run_server_scenario(spec: &ServerScenarioSpec) -> Result<ServerScenarioRu
     // One loop per variant on the worker pool; outcomes come back in
     // scheme order whatever the pool width.
     let outcomes = pool::run(&variants, spec.run.threads, |(s, m, checks)| {
-        let decoded = Arc::new(DecodedModule::new(m));
-        if cfg.engine == Engine::Block {
-            decoded.decode_all(m);
-        }
+        let decoded = DecodedModule::eager(m);
         let t = Instant::now();
         let stats = run_event_loop(m, decoded, &cfg)?;
         Ok(SchemeServerRun {

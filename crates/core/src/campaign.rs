@@ -16,11 +16,12 @@
 //! dynamic detection rate to dominate CPA's here even where their static
 //! coverage looks similar.
 
-use pythia_analysis::{SliceContext, VulnerabilityReport};
+use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
 use pythia_ir::{Module, PythiaError};
-use pythia_passes::{instrument_with, prune_obligations, Scheme};
+use pythia_lint::VariantBuilder;
+use pythia_passes::{instrument_with, Scheme};
 use pythia_vm::{
-    AttackSpec, DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan, Vm, VmConfig,
+    AttackSpec, DecodedModule, DetectionMechanism, ExitReason, InputPlan, Vm, VmConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -94,10 +95,12 @@ impl CampaignResult {
 }
 
 /// Run a campaign: instrument `module` with `scheme` from its **pruned**
-/// obligation report (the same precision stage the pipeline applies),
-/// then attack channel executions `0, step, 2*step, ...` (up to
+/// obligation report through the same [`VariantBuilder`] the pipeline
+/// uses, then attack channel executions `0, step, 2*step, ...` (up to
 /// `max_attacks`) with `payload_len`-byte smashes, comparing each run
-/// against the benign run of the same instrumented module.
+/// against the benign run of the same instrumented module. The variant
+/// is not certified again here: the pipeline and `pythia-lint` certify
+/// the same builds, and a second pass would only slow the campaign.
 ///
 /// # Errors
 ///
@@ -112,10 +115,9 @@ pub fn run_campaign(
     max_attacks: u64,
     cfg: &VmConfig,
 ) -> Result<CampaignResult, PythiaError> {
-    let ctx = SliceContext::new(module);
-    let report = VulnerabilityReport::analyze(&ctx);
-    let pruned = prune_obligations(&ctx, &report);
-    run_campaign_with(module, &ctx, &pruned, scheme, seed, payload_len, max_attacks, cfg)
+    let build = VariantBuilder::new(module, CtxPolicy::default());
+    let (ctx, pruned) = (build.ctx(), build.pruned());
+    run_campaign_with(module, ctx, pruned, scheme, seed, payload_len, max_attacks, cfg)
 }
 
 /// [`run_campaign`] against a caller-supplied analysis/report — the hook
@@ -140,11 +142,8 @@ pub fn run_campaign_with(
 
     // One decode cache for the whole campaign: the benign reference and
     // every attack run execute the same instrumented module, so each
-    // block is lowered at most once instead of once per attack.
-    let decoded = Arc::new(DecodedModule::new(&inst.module));
-    if cfg.engine == Engine::Block {
-        decoded.decode_all(&inst.module);
-    }
+    // block is lowered once instead of once per attack.
+    let decoded = DecodedModule::eager(&inst.module);
 
     // Reference run: how many writing-channel executions are there, and
     // what does benign behaviour look like?

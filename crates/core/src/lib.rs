@@ -37,12 +37,12 @@ pub mod security;
 
 pub use campaign::{run_campaign, run_campaign_with, AttackOutcome, CampaignResult};
 pub use pipeline::{
-    evaluate, evaluate_with, instrument_certified, AnalysisSummary, BenchEvaluation, Phase,
-    PhaseSpan, RunConfig, SchemeResult, Timings,
+    evaluate, evaluate_with, AnalysisSummary, BenchEvaluation, Phase, PhaseSpan, RunConfig,
+    SchemeResult, Timings,
 };
 pub use pythia_analysis::CtxPolicy;
 pub use pythia_ir::{DetectionKind, ErrorContext, PythiaError};
-pub use pythia_lint::Certifier;
+pub use pythia_lint::{Certifier, VariantBuilder};
 pub use pythia_passes::{instrument, instrument_with, InstrumentationStats, Scheme};
 pub use pythia_vm::{
     DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan, Profile, RunMetrics, Vm,

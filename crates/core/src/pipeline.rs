@@ -2,15 +2,12 @@
 //! protection scheme from the same analysis, execute each variant, and
 //! aggregate the numbers the paper's figures report.
 
-use pythia_analysis::{
-    CtxPolicy, InputChannels, PrunedObligations, SliceContext, VulnerabilityReport,
-};
+use pythia_analysis::{CtxPolicy, InputChannels, PrunedObligations};
 use pythia_ir::{verify, IcCategory, Module, PythiaError};
-use pythia_lint::Certifier;
-use pythia_passes::{instrument_with, prune_obligations, InstrumentationStats, Scheme};
-use pythia_vm::{DecodedModule, Engine, ExitReason, InputPlan, Profile, RunMetrics, Vm, VmConfig};
+use pythia_lint::VariantBuilder;
+use pythia_passes::{instrument_with, InstrumentationStats, Scheme};
+use pythia_vm::{DecodedModule, ExitReason, InputPlan, Profile, RunMetrics, Vm, VmConfig};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Results of running one scheme's variant of a benchmark.
@@ -77,7 +74,7 @@ pub struct AnalysisSummary {
     /// Backward-slice memo-table hits (warm re-queries of an already
     /// computed `(func, branch, mode)` key) across the whole evaluation.
     ///
-    /// Typically small: analysis computes each slice once and the
+    /// Zero on the suite: analysis computes each slice once and the
     /// instrumentation passes and lint gate consume the resulting
     /// report instead of re-slicing — surfacing the counter is what
     /// makes that claim checkable. Deterministic: one evaluation owns
@@ -119,8 +116,8 @@ pub enum Phase {
     /// Static certification of one instrumented variant (`pythia-lint`).
     Lint,
     /// Lowering one variant into the VM's block-cached form (building the
-    /// `DecodedModule`; under the block engine every block is decoded
-    /// here rather than lazily during execution).
+    /// `DecodedModule` with every block decoded here rather than lazily
+    /// during execution).
     Decode,
     /// VM execution of one variant.
     Execute,
@@ -316,36 +313,6 @@ impl Default for RunConfig {
     }
 }
 
-/// Instrument `module` with `scheme` from a shared analysis
-/// context/report and statically certify the result against `cert` —
-/// the same instrument→lint gate [`evaluate`] applies per variant, as a
-/// standalone step for scenario drivers (the event-loop server
-/// instruments once and then retires ~10⁶ requests per variant, so the
-/// full per-run `evaluate` path is the wrong shape for it). Build `cert`
-/// once per module from the same `ctx` and pass it to every variant.
-///
-/// Returns the certified module and the number of protection obligations
-/// the lint checked.
-///
-/// # Errors
-///
-/// [`PythiaError::Setup`] when the instrumented variant violates a
-/// protection invariant (the lint gate).
-pub fn instrument_certified(
-    module: &Module,
-    ctx: &SliceContext<'_>,
-    report: &VulnerabilityReport,
-    cert: &Certifier<'_>,
-    scheme: Scheme,
-) -> Result<(Module, usize), PythiaError> {
-    let inst = instrument_with(module, ctx, report, scheme);
-    let lint = cert.check(report, &inst.module, scheme);
-    if !lint.is_clean() {
-        return Err(lint.into_setup_error());
-    }
-    Ok((inst.module, lint.checks))
-}
-
 /// [`evaluate_with`] under `cfg` and the default context policy.
 ///
 /// # Errors
@@ -366,12 +333,13 @@ pub fn evaluate(
 
 /// Evaluate one module under the given schemes (vanilla is always added).
 ///
-/// The module is verified first and analyzed under `run.ctx_policy`;
-/// each scheme variant is then instrumented
-/// from the shared context/report, statically certified by `pythia-lint`
-/// against one shared [`Certifier`] (any protection-invariant violation
-/// aborts that variant with a setup error before it executes), and
-/// executed with the same benign input plan/seed. Variants run serially
+/// The module is verified first and analyzed under `run.ctx_policy`
+/// by one [`VariantBuilder`]; each scheme variant is then instrumented
+/// from its pruned report, statically certified by `pythia-lint`
+/// against the builder's [`Certifier`](pythia_lint::Certifier) (any
+/// protection-invariant violation aborts that variant with a setup
+/// error before it executes), and executed with the same benign input
+/// plan/seed. Variants run serially
 /// on the caller's thread (`run.threads` sizes the pool that calls this,
 /// not anything inside it), each panic-isolated: a panicking variant
 /// becomes a typed error instead of unwinding into the caller.
@@ -391,12 +359,9 @@ pub fn evaluate_with(
     let cfg = &run.vm;
     let t_analysis = Instant::now();
     verify::verify_module(module)?;
-    let ctx = SliceContext::with_policy(module, run.ctx_policy);
-    let report = VulnerabilityReport::analyze(&ctx);
-    // Precision stage: drop obligations on provably uncorruptible objects.
     // Every variant below instruments (and is linted) from the pruned
     // report; the unpruned one is kept for the before/after accounting.
-    let pruned = prune_obligations(&ctx, &report);
+    let build = VariantBuilder::new(module, run.ctx_policy);
     let channels = InputChannels::find(module);
     let span = |phase, scheme, start: Instant| PhaseSpan {
         phase,
@@ -417,21 +382,21 @@ pub fn evaluate_with(
     // spans below measure only their own checks. Vanilla promises
     // nothing, so a vanilla-only evaluation certifies nothing.
     let t_cert = Instant::now();
-    let certifier = (all.len() > 1).then(|| Certifier::new(module, &ctx));
+    let certifier = (all.len() > 1).then(|| build.certifier());
     if certifier.is_some() {
         spans.push(span(Phase::Lint, None, t_cert));
     }
 
     // Instrument, certify and execute one variant from the shared
-    // analysis context and report, timing each phase as its own span.
+    // analysis, timing each phase as its own span.
     let mut run_variant = |scheme: Scheme| -> Result<SchemeResult, PythiaError> {
         let t = Instant::now();
         // Dry run against the unpruned report: its stats are the
         // "pa_static before" column of the precision tables.
-        let unpruned_pa = instrument_with(module, &ctx, &report, scheme)
+        let unpruned_pa = instrument_with(module, build.ctx(), build.report(), scheme)
             .stats
             .pa_total();
-        let inst = instrument_with(module, &ctx, &pruned, scheme);
+        let inst = build.instrument(scheme);
         spans.push(span(Phase::Instrument, Some(scheme), t));
         // Static certification gate: the instrumented variant
         // must satisfy every protection invariant before it is
@@ -440,25 +405,16 @@ pub fn evaluate_with(
         // folding it into instrumentation under-reported where
         // evaluation time goes.
         let t = Instant::now();
-        let mut lint_checks = 0;
-        if let Some(cert) = &certifier {
-            let lint = cert.check(&pruned, &inst.module, scheme);
-            if !lint.is_clean() {
-                return Err(lint.into_setup_error());
-            }
-            lint_checks = lint.checks;
-        }
+        let lint_checks = match &certifier {
+            Some(cert) => build.certify(cert, &inst)?,
+            None => 0,
+        };
         spans.push(span(Phase::Lint, Some(scheme), t));
-        // Decode phase: lower the instrumented module into the
-        // VM's block-cached form. Under the block engine every
-        // block is force-decoded here so the execute span stays
-        // pure execution; the legacy engine only needs the
-        // frame layouts (decode stays cheap and lazy).
+        // Decode phase: lower the instrumented module into the VM's
+        // block-cached form, every block up front, so the execute span
+        // stays pure execution.
         let t = Instant::now();
-        let decoded = Arc::new(DecodedModule::new(&inst.module));
-        if cfg.engine == Engine::Block {
-            decoded.decode_all(&inst.module);
-        }
+        let decoded = DecodedModule::eager(&inst.module);
         spans.push(span(Phase::Decode, Some(scheme), t));
         // VM construction (memory image, cache model, shadow
         // state) is setup, not execution — keeping it outside
@@ -493,6 +449,7 @@ pub fn evaluate_with(
         .collect::<Result<Vec<_>, _>>()?;
 
     // Snapshot the memo counters once every consumer is done.
+    let (ctx, report) = (build.ctx(), build.report());
     let (memo_hits, memo_misses) = ctx.memo_stats();
     let analysis = AnalysisSummary {
         branches: report.num_branches(),
@@ -516,7 +473,7 @@ pub fn evaluate_with(
         memo_misses,
         avg_points_to: ctx.points_to.avg_points_to_size(),
         field_objects: ctx.points_to.num_field_objects(),
-        pruned: pruned.pruned,
+        pruned: build.pruned().pruned,
     };
 
     Ok(BenchEvaluation {
@@ -649,17 +606,16 @@ mod tests {
         // Regression for the PR 1 cache claim being unobservable: the
         // slice-memo counters must reach AnalysisSummary. Surfacing them
         // is the point — it makes cache effectiveness *measurable*
-        // instead of assumed (downstream consumers read the
-        // VulnerabilityReport rather than re-slicing, so a pipeline
-        // evaluation legitimately reports few or zero hits; the direct
-        // second-identical-slice regression is
+        // instead of assumed (downstream consumers, the certifier's
+        // baseline included, read the one VulnerabilityReport rather
+        // than re-slicing, so a pipeline evaluation reports zero hits;
+        // the direct second-identical-slice regression is
         // `backward_slice_is_memoized` in pythia-analysis).
         let m = generate(profile_by_name("lbm").unwrap());
         let ev = evaluate(&m, &[Scheme::Pythia], 1, &VmConfig::default()).unwrap();
         let a = &ev.analysis;
         assert!(a.memo_misses > 0, "analysis must compute at least one slice");
-        assert!(a.memo_hit_rate() >= 0.0);
-        assert!(a.memo_hit_rate() < 1.0);
+        assert_eq!(a.memo_hits, 0, "some slice was computed twice");
         // The counters are schedule-independent: misses count distinct
         // keys (only the inserting computation counts one), so a rerun
         // agrees exactly.

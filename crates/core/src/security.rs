@@ -2,10 +2,10 @@
 //! under each protection scheme and classify the outcome.
 
 use crate::pipeline::RunConfig;
-use pythia_analysis::{SliceContext, VulnerabilityReport};
 use pythia_ir::PythiaError;
-use pythia_passes::{instrument_with, prune_obligations, Scheme};
-use pythia_vm::{DetectionMechanism, ExitReason, Vm};
+use pythia_lint::{Certifier, VariantBuilder};
+use pythia_passes::Scheme;
+use pythia_vm::{DetectionMechanism, ExitReason, Vm, VmConfig};
 use pythia_workloads::Scenario;
 
 /// What happened when a scenario ran under a scheme.
@@ -47,25 +47,50 @@ impl ScenarioOutcome {
     }
 }
 
-/// Run `scenario` under `scheme` (instrumenting the module from its
-/// pruned obligation report under `run.ctx_policy`, like the pipeline
-/// does) on `run.vm` and classify.
+/// Run `scenario` under `scheme` and classify: the variant is built
+/// and certified by a [`VariantBuilder`] under `run.ctx_policy`, like
+/// the pipeline's, and run on `run.vm`.
 ///
 /// # Errors
 ///
-/// [`PythiaError::Setup`] when the scenario's module cannot be run (bad
-/// entry point or VM configuration). Traps are classification *data*, not
-/// errors.
+/// [`PythiaError::Setup`] when the variant fails static certification or
+/// the scenario's module cannot be run (bad entry point or VM
+/// configuration). Traps are classification *data*, not errors.
 pub fn adjudicate(
     scenario: &Scenario,
     scheme: Scheme,
     run: &RunConfig,
 ) -> Result<ScenarioOutcome, PythiaError> {
-    let cfg = &run.vm;
-    let ctx = SliceContext::with_policy(&scenario.module, run.ctx_policy);
-    let report = VulnerabilityReport::analyze(&ctx);
-    let pruned = prune_obligations(&ctx, &report);
-    let inst = instrument_with(&scenario.module, &ctx, &pruned, scheme);
+    let build = VariantBuilder::new(&scenario.module, run.ctx_policy);
+    classify(scenario, &build, &build.certifier(), scheme, &run.vm)
+}
+
+/// Adjudicate a scenario under every scheme, analyzing it once.
+///
+/// # Errors
+///
+/// The first [`PythiaError`] [`adjudicate`] would return.
+pub fn adjudicate_all(scenario: &Scenario, run: &RunConfig) -> Result<Vec<ScenarioOutcome>, PythiaError> {
+    let build = VariantBuilder::new(&scenario.module, run.ctx_policy);
+    let cert = build.certifier();
+    Scheme::ALL
+        .iter()
+        .map(|&s| classify(scenario, &build, &cert, s, &run.vm))
+        .collect()
+}
+
+/// Build and certify `scheme`'s variant, then run it benign and attacked.
+fn classify(
+    scenario: &Scenario,
+    build: &VariantBuilder<'_>,
+    cert: &Certifier<'_>,
+    scheme: Scheme,
+    cfg: &VmConfig,
+) -> Result<ScenarioOutcome, PythiaError> {
+    let inst = build.instrument(scheme);
+    build
+        .certify(cert, &inst)
+        .map_err(|e| e.with_function(scenario.name))?;
 
     let benign_exit = {
         let mut vm = Vm::new(&inst.module, cfg.clone(), scenario.benign.clone());
@@ -90,18 +115,6 @@ pub fn adjudicate(
         bent,
         attack_exit: attack_run.exit,
     })
-}
-
-/// Adjudicate a scenario under every scheme.
-///
-/// # Errors
-///
-/// The first [`PythiaError`] from [`adjudicate`].
-pub fn adjudicate_all(scenario: &Scenario, run: &RunConfig) -> Result<Vec<ScenarioOutcome>, PythiaError> {
-    Scheme::ALL
-        .iter()
-        .map(|s| adjudicate(scenario, *s, run))
-        .collect()
 }
 
 #[cfg(test)]

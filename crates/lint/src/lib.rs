@@ -27,25 +27,27 @@
 //! PY-01/PY-02 are *must* dataflow problems (intersection meet) solved
 //! with [`pythia_analysis::solve`]; DFI-01 additionally cross-checks the
 //! emitted sets against the flow-sensitive [`ReachingStores`] analysis.
-//! OPT-01 re-derives the unpruned obligation sets and the
-//! [`OverflowReach`] fixpoint from scratch — independently of
-//! `prune_obligations` — so a pruner bug surfaces as a diagnostic rather
-//! than a silent protection hole.
+//! OPT-01 compares each variant against the analysis's *unpruned*
+//! obligation sets and re-derives the [`OverflowReach`] fixpoint itself —
+//! independently of `prune_obligations` — so a pruner bug surfaces as a
+//! diagnostic rather than a silent protection hole.
 //!
-//! Those re-derivations (and OPT-02's verdict) depend on the module, not
-//! on the scheme, so a [`Certifier`] derives them once per module and
-//! checks every instrumented variant against that shared baseline.
+//! That baseline (and OPT-02's verdict) depends on the module, not on the
+//! scheme, so a [`Certifier`] holds it once per module and checks every
+//! instrumented variant against it. [`VariantBuilder`] is the one place
+//! that analyzes a module, prunes its obligations, instruments its
+//! variants and hands out their certifier.
 
 use pythia_analysis::{
     opt02_equivalence, solve, CtxPolicy, DataflowAnalysis, DefUse, Direction, IcSite,
-    MemObjectKind, ObjId, OverflowReach, ReachingStores, SliceContext, SliceMode, SolveResult,
-    VulnerabilityReport,
+    MemObjectKind, ObjId, OverflowReach, PrunedObligations, ReachingStores, SliceContext,
+    SliceMode, SolveResult, VulnerabilityReport,
 };
 use pythia_ir::{
     dfi_def_id, BlockId, Callee, FuncId, Function, Inst, Module, PaKey, PythiaError, Ty, ValueId,
 };
 use pythia_passes::common::{collect_accesses, stable_signable};
-use pythia_passes::{instrument_with, Scheme};
+use pythia_passes::{instrument_with, prune_obligations, Instrumented, Scheme};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -307,21 +309,24 @@ fn json_str(s: &str) -> String {
 /// trade that cost for silently dropped OPT-02 coverage.
 const OPT02_NODE_CAP: usize = 200_000;
 
-/// The scheme-independent certification baseline of one module, derived
-/// once and shared by every instrumented variant it checks.
+/// The scheme-independent certification baseline of one module, shared
+/// by every instrumented variant it checks.
 ///
-/// Everything here is re-derived from the original module's
-/// [`SliceContext`] alone: the unpruned obligation sets, the OPT-02
-/// verdict, and (on first need) the [`OverflowReach`] fixpoint. The
-/// certifier never reads `prune_obligations` output, which is what keeps
-/// OPT-01 an independent check of the pruner rather than a replay of it.
-/// The variants of a module are checked one after another against it.
+/// The baseline is the module's *unpruned* [`VulnerabilityReport`] — the
+/// one the analysis already computed, never `prune_obligations` output —
+/// plus the OPT-02 verdict and (on first need) the [`OverflowReach`]
+/// fixpoint, which the certifier derives itself. Checking each variant's
+/// (possibly pruned) report against those unpruned sets and its own
+/// reach is what keeps OPT-01 an independent check of the pruner rather
+/// than a replay of it. The variants of a module are checked one after
+/// another against it; [`VariantBuilder::certifier`] hands out the one a
+/// build ships through.
 pub struct Certifier<'a> {
     original: &'a Module,
     ctx: &'a SliceContext<'a>,
     /// The unpruned vulnerability report OPT-01 compares each variant's
     /// (possibly pruned) report against.
-    baseline: VulnerabilityReport,
+    baseline: &'a VulnerabilityReport,
     /// The context policy OPT-02 ran under, and its verdict (`None`: the
     /// rule does not apply to this module/policy).
     opt02: (CtxPolicy, Option<bool>),
@@ -331,12 +336,29 @@ pub struct Certifier<'a> {
 }
 
 impl<'a> Certifier<'a> {
-    /// Derive the baseline of `original` from its analysis context.
-    pub fn new(original: &'a Module, ctx: &'a SliceContext<'a>) -> Self {
+    /// A certifier for `original`, whose analysis context is `ctx` and
+    /// whose unpruned report (`VulnerabilityReport::analyze(ctx)`) is
+    /// `baseline`.
+    ///
+    /// # Panics
+    ///
+    /// If `baseline` went through `prune_obligations` (which always
+    /// stamps its provenance, even when it drops nothing): OPT-01 would
+    /// compare each pruned variant against the pruned sets and pass
+    /// vacuously.
+    pub fn new(
+        original: &'a Module,
+        ctx: &'a SliceContext<'a>,
+        baseline: &'a VulnerabilityReport,
+    ) -> Self {
+        assert!(
+            baseline.pruned == PrunedObligations::default(),
+            "the certification baseline must be the unpruned report"
+        );
         Certifier {
             original,
             ctx,
-            baseline: VulnerabilityReport::analyze(ctx),
+            baseline,
             opt02: opt02_verdict(original, ctx, None),
             reach: OnceCell::new(),
         }
@@ -396,9 +418,11 @@ impl<'a> Certifier<'a> {
     }
 }
 
-/// Lint a single variant with a fresh [`Certifier`]. Callers certifying
-/// several variants of one module should build one certifier and call
-/// [`Certifier::check`] per variant instead.
+/// Lint a single variant, instrumented from `report`, with a fresh
+/// [`Certifier`] whose unpruned baseline it analyzes from `ctx`. Callers
+/// certifying several variants of one module should go through a
+/// [`VariantBuilder`] instead, which analyzes once and shares one
+/// certifier.
 pub fn lint_instrumented(
     original: &Module,
     ctx: &SliceContext<'_>,
@@ -415,25 +439,101 @@ pub fn lint_instrumented(
             diagnostics: Vec::new(),
         };
     }
-    Certifier::new(original, ctx).check(report, instrumented, scheme)
+    let baseline = VulnerabilityReport::analyze(ctx);
+    Certifier::new(original, ctx, &baseline).check(report, instrumented, scheme)
 }
 
-/// Analyze `m` once, prune its obligations the way the pipeline does, and
-/// lint every requested scheme's instrumented variant against one shared
-/// [`Certifier`] — so certification covers exactly the builds the
-/// evaluation ships, including the OPT-01 re-derivation of the pruning
-/// decisions. Convenience entry for the CLI and tests.
+/// The one way to build a protected variant of a module: analyze it once
+/// under a context policy, prune its obligations, instrument every scheme
+/// from the pruned report, and certify each variant against the
+/// [`Certifier`] this build hands out — whose baseline is the unpruned
+/// report of the same analysis, so every backward slice is computed once.
+///
+/// The evaluation pipeline, attack adjudication, the campaign, the server
+/// scenario, the report's sweeps, [`lint_module`] and the CLI all build
+/// their variants here, so what is measured, attacked, served and
+/// certified is the same binary.
+pub struct VariantBuilder<'m> {
+    module: &'m Module,
+    ctx: SliceContext<'m>,
+    report: VulnerabilityReport,
+    pruned: VulnerabilityReport,
+}
+
+impl<'m> VariantBuilder<'m> {
+    /// Analyze `module` under `policy` and prune its obligations.
+    pub fn new(module: &'m Module, policy: CtxPolicy) -> Self {
+        let ctx = SliceContext::with_policy(module, policy);
+        let report = VulnerabilityReport::analyze(&ctx);
+        let pruned = prune_obligations(&ctx, &report);
+        VariantBuilder {
+            module,
+            ctx,
+            report,
+            pruned,
+        }
+    }
+
+    /// The analysis context every variant is derived from.
+    pub fn ctx(&self) -> &SliceContext<'m> {
+        &self.ctx
+    }
+
+    /// The unpruned report: the certifier's baseline and the
+    /// before-pruning accounting.
+    pub fn report(&self) -> &VulnerabilityReport {
+        &self.report
+    }
+
+    /// The pruned report every variant is instrumented from.
+    pub fn pruned(&self) -> &VulnerabilityReport {
+        &self.pruned
+    }
+
+    /// The certifier of this build's variants. Build it once and pass it
+    /// to [`Self::certify`] for every variant.
+    pub fn certifier(&self) -> Certifier<'_> {
+        Certifier::new(self.module, &self.ctx, &self.report)
+    }
+
+    /// Instrument `scheme`'s variant from the pruned report.
+    pub fn instrument(&self, scheme: Scheme) -> Instrumented {
+        instrument_with(self.module, &self.ctx, &self.pruned, scheme)
+    }
+
+    /// Certify a variant [`Self::instrument`] produced against `cert`
+    /// (from [`Self::certifier`]), returning the number of protection
+    /// obligations checked.
+    ///
+    /// # Errors
+    ///
+    /// [`PythiaError::Setup`] when the variant violates a protection
+    /// invariant.
+    pub fn certify(
+        &self,
+        cert: &Certifier<'_>,
+        variant: &Instrumented,
+    ) -> Result<usize, PythiaError> {
+        debug_assert!(std::ptr::eq(cert.ctx, &self.ctx), "a foreign certifier");
+        let lint = cert.check(&self.pruned, &variant.module, variant.scheme);
+        if !lint.is_clean() {
+            return Err(lint.into_setup_error());
+        }
+        Ok(lint.checks)
+    }
+}
+
+/// Lint every requested scheme's variant of `m` as the evaluation builds
+/// it ([`VariantBuilder`] under the default context policy) — so
+/// certification covers exactly the builds the evaluation ships,
+/// including the OPT-01 re-derivation of the pruning decisions.
+/// Convenience entry for the CLI and tests.
 pub fn lint_module(m: &Module, schemes: &[Scheme]) -> Vec<LintReport> {
-    let ctx = SliceContext::new(m);
-    let report = VulnerabilityReport::analyze(&ctx);
-    let pruned = pythia_passes::prune_obligations(&ctx, &report);
-    let cert = Certifier::new(m, &ctx);
+    let build = VariantBuilder::new(m, CtxPolicy::default());
+    let cert = build.certifier();
     schemes
         .iter()
-        .map(|&s| {
-            let inst = instrument_with(m, &ctx, &pruned, s);
-            cert.check(&pruned, &inst.module, s)
-        })
+        .map(|&s| cert.check(&build.pruned, &build.instrument(s).module, s))
         .collect()
 }
 
@@ -912,8 +1012,8 @@ impl<'a> Linter<'a> {
 
     // -----------------------------------------------------------------
     // OPT-01: re-derive the pruning decisions from scratch. The
-    // certifier recomputes the unpruned obligation sets and the
-    // overflow-reach fixpoint itself (it never consults
+    // certifier holds the analysis's unpruned obligation sets and
+    // computes the overflow-reach fixpoint itself (it never consults
     // `prune_obligations` or the report's `pruned` counters), once per
     // module. Each variant must then show that every obligation it
     // dropped is (a) overflow-unreachable and (b) uncoupled —
@@ -924,7 +1024,7 @@ impl<'a> Linter<'a> {
     // -----------------------------------------------------------------
 
     fn check_pruning(&mut self, scheme: Scheme) {
-        let baseline = &self.cert.baseline;
+        let baseline = self.cert.baseline;
         let (mode, candidates, kept): (SliceMode, BTreeSet<ObjId>, BTreeSet<ObjId>) = match scheme
         {
             Scheme::Cpa => (

@@ -21,7 +21,7 @@ use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
 use pythia_ir::{
     CmpPred, FuncId, FunctionBuilder, Inst, Intrinsic, Module, PaKey, Ty, ValueId,
 };
-use pythia_lint::{lint_instrumented, lint_module, Certifier, RuleCode};
+use pythia_lint::{lint_instrumented, lint_module, Certifier, RuleCode, VariantBuilder};
 use pythia_passes::{instrument_with, prune_obligations, Scheme};
 use pythia_workloads::{generate, generate_scaled, nginx_module, SPEC_PROFILES};
 
@@ -117,7 +117,7 @@ fn lint_after(
     let m = demo_module();
     let ctx = SliceContext::new(&m);
     let report = VulnerabilityReport::analyze(&ctx);
-    let cert = Certifier::new(&m, &ctx);
+    let cert = Certifier::new(&m, &ctx, &report);
     certify_others_clean(&cert, &m, &ctx, &report, scheme);
     let mut inst = instrument_with(&m, &ctx, &report, scheme).module;
     sabotage(&mut inst);
@@ -213,25 +213,41 @@ fn unauthenticated_load_use_is_flagged_as_cpa02() {
     expect_exactly(&diags, RuleCode::Cpa02);
 }
 
+/// Drop the canary load+auth pair the Pythia pass placed right after
+/// `gets` in the demo module.
+fn drop_canary_check(m: &mut Module) {
+    let f = m.func_mut(MAIN);
+    let gets = find_intrinsic_call(f, Intrinsic::Gets);
+    let bb = f.block_of(gets).unwrap();
+    let insts = f.block(bb).insts.clone();
+    let pos = insts.iter().position(|&iv| iv == gets).unwrap();
+    let ld = insts[pos + 1];
+    let auth = insts[pos + 2];
+    assert!(matches!(f.inst(ld), Some(Inst::Load { .. })));
+    assert!(matches!(
+        f.inst(auth),
+        Some(Inst::PacAuth { key: PaKey::Ga, .. })
+    ));
+    f.block_mut(bb).insts.retain(|&iv| iv != ld && iv != auth);
+}
+
 #[test]
 fn missing_canary_check_is_flagged_as_py01() {
-    let diags = lint_after(Scheme::Pythia, |m| {
-        let f = m.func_mut(MAIN);
-        // Drop the load+auth pair the pass placed right after `gets`.
-        let gets = find_intrinsic_call(f, Intrinsic::Gets);
-        let bb = f.block_of(gets).unwrap();
-        let insts = f.block(bb).insts.clone();
-        let pos = insts.iter().position(|&iv| iv == gets).unwrap();
-        let ld = insts[pos + 1];
-        let auth = insts[pos + 2];
-        assert!(matches!(f.inst(ld), Some(Inst::Load { .. })));
-        assert!(matches!(
-            f.inst(auth),
-            Some(Inst::PacAuth { key: PaKey::Ga, .. })
-        ));
-        f.block_mut(bb).insts.retain(|&iv| iv != ld && iv != auth);
-    });
+    let diags = lint_after(Scheme::Pythia, drop_canary_check);
     expect_exactly(&diags, RuleCode::Py01);
+}
+
+#[test]
+fn variant_builder_refuses_a_sabotaged_variant() {
+    let m = demo_module();
+    let build = VariantBuilder::new(&m, CtxPolicy::default());
+    let cert = build.certifier();
+    let mut inst = build.instrument(Scheme::Pythia);
+    assert!(build.certify(&cert, &inst).unwrap() > 0);
+    drop_canary_check(&mut inst.module);
+    let err = build.certify(&cert, &inst).unwrap_err();
+    assert_eq!(err.variant(), "setup");
+    assert!(err.to_string().contains("static certification"), "{err}");
 }
 
 #[test]
@@ -416,7 +432,7 @@ fn force_pruned_needed_obligation_is_flagged_as_opt01() {
     let report = VulnerabilityReport::analyze(&ctx);
     let pruned = prune_obligations(&ctx, &report);
     // The clean pruned variants warm the certifier's reach fixpoint.
-    let cert = Certifier::new(&m, &ctx);
+    let cert = Certifier::new(&m, &ctx, &report);
     certify_others_clean(&cert, &m, &ctx, &pruned, Scheme::Cpa);
     // Drop a *kept* (overflow-reachable) slot obligation — the kind of
     // hole a pruner bug would open.
@@ -456,7 +472,7 @@ fn opt02_certifies_summary_composition_clean() {
     let m = restore_module();
     let ctx = SliceContext::new(&m);
     let report = VulnerabilityReport::analyze(&ctx);
-    let lint = Certifier::new(&m, &ctx).check(&report, &m, Scheme::Pythia);
+    let lint = Certifier::new(&m, &ctx, &report).check(&report, &m, Scheme::Pythia);
     assert_eq!(lint.checks, 1, "the small module must not be skipped");
     assert!(lint.is_clean(), "{}", lint.render());
 }
@@ -469,9 +485,10 @@ fn opt02_follows_the_policy_of_the_certified_context() {
     let m = restore_module();
     let summary = SliceContext::new(&m);
     let insensitive = SliceContext::with_policy(&m, CtxPolicy::Insensitive);
+    let summary_report = VulnerabilityReport::analyze(&summary);
     let report = VulnerabilityReport::analyze(&insensitive);
-    let with = Certifier::new(&m, &summary).check(&report, &m, Scheme::Pythia);
-    let without = Certifier::new(&m, &insensitive).check(&report, &m, Scheme::Pythia);
+    let with = Certifier::new(&m, &summary, &summary_report).check(&report, &m, Scheme::Pythia);
+    let without = Certifier::new(&m, &insensitive, &report).check(&report, &m, Scheme::Pythia);
     assert_eq!(with.checks, 1);
     assert_eq!(without.checks, 0, "OPT-02 ran under the insensitive policy");
     assert!(without.is_clean(), "{}", without.render());
@@ -482,7 +499,7 @@ fn opt02_catches_a_skipped_strong_update() {
     let m = restore_module();
     let ctx = SliceContext::new(&m);
     let report = VulnerabilityReport::analyze(&ctx);
-    let cert = Certifier::new(&m, &ctx);
+    let cert = Certifier::new(&m, &ctx, &report);
     certify_others_clean(&cert, &m, &ctx, &report, Scheme::Pythia);
     // Mutation: the summary-side solve skips its only kill, so the stale
     // pointee survives and the relations diverge.
@@ -510,14 +527,12 @@ fn shared_certifier_matches_a_fresh_lint_per_variant() {
     let mut modules: Vec<Module> = SPEC_PROFILES.iter().map(generate).collect();
     modules.push(nginx_module(4));
     for m in &modules {
-        let ctx = SliceContext::new(m);
-        let report = VulnerabilityReport::analyze(&ctx);
-        let pruned = prune_obligations(&ctx, &report);
-        let cert = Certifier::new(m, &ctx);
+        let build = VariantBuilder::new(m, CtxPolicy::default());
+        let cert = build.certifier();
         for scheme in INSTRUMENTED {
-            let inst = instrument_with(m, &ctx, &pruned, scheme).module;
-            let shared = cert.check(&pruned, &inst, scheme);
-            let fresh = lint_instrumented(m, &ctx, &pruned, &inst, scheme);
+            let inst = build.instrument(scheme).module;
+            let shared = cert.check(build.pruned(), &inst, scheme);
+            let fresh = lint_instrumented(m, build.ctx(), build.pruned(), &inst, scheme);
             assert!(shared.checks > 0, "{} under {scheme:?} checked nothing", m.name);
             assert_eq!(
                 shared.to_json(),
@@ -527,4 +542,21 @@ fn shared_certifier_matches_a_fresh_lint_per_variant() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The certifier's baseline is the analysis's unpruned report.
+// ---------------------------------------------------------------------
+
+#[test]
+#[should_panic(expected = "unpruned report")]
+fn certifier_rejects_a_pruned_baseline() {
+    // A pruned baseline would make OPT-01 compare each pruned variant
+    // against the pruned sets and pass vacuously. Pruning stamps its
+    // provenance even when it drops nothing, so this one is caught too.
+    let m = restore_module();
+    let ctx = SliceContext::new(&m);
+    let pruned = prune_obligations(&ctx, &VulnerabilityReport::analyze(&ctx));
+    assert_eq!(pruned.pruned.total(), 0, "the fixture must prune nothing");
+    Certifier::new(&m, &ctx, &pruned);
 }

@@ -37,7 +37,7 @@ use pythia_ir::{
     BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, Function, Inst, Intrinsic, Module, PaKey,
     Ty, ValueId, ValueKind,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Number of distinct op classes (= distinct instruction mnemonics).
 pub(crate) const N_MNEMONICS: usize = 35;
@@ -396,9 +396,9 @@ pub struct DecodedFunction {
 /// layouts, and lazily decoded superblocks keyed by block address.
 ///
 /// Construction is cheap (no block is decoded until first executed);
-/// [`DecodedModule::decode_all`] forces every block, which is what the
+/// [`DecodedModule::eager`] forces every block, which is what the
 /// pipeline times as the `decode` phase. A `DecodedModule` is immutable
-/// and `Sync`: wrap it in an [`Arc`](std::sync::Arc) and share it across every VM that
+/// and `Sync`: wrap it in an [`Arc`] and share it across every VM that
 /// runs the same module (`Vm::with_decoded`).
 #[derive(Debug)]
 pub struct DecodedModule {
@@ -455,8 +455,20 @@ impl DecodedModule {
             .get_or_init(|| decode_superblock(module, self, fid, bb))
     }
 
-    /// Force-decode every block of every function (the timed decode
-    /// phase; execution would otherwise decode lazily).
+    /// Build the cache for `module` with every block decoded up front,
+    /// ready to share across the VMs that run it. This is how the
+    /// pipeline, the campaign and the server decode a variant under
+    /// either engine: decode cost lands before the first run (and in its
+    /// own timed phase), not inside it. The legacy engine reads only the
+    /// frame layouts.
+    pub fn eager(module: &Module) -> Arc<Self> {
+        let decoded = Arc::new(DecodedModule::new(module));
+        decoded.decode_all(module);
+        decoded
+    }
+
+    /// Force-decode every block of every function (execution would
+    /// otherwise decode lazily).
     pub fn decode_all(&self, module: &Module) {
         for fid in module.func_ids() {
             for bb in module.func(fid).block_ids() {

@@ -110,7 +110,7 @@ impl<'m> Vm<'m> {
                 }
                 let n = copies.len() as u64;
                 self.metrics.insts += n;
-                self.charge(self.cfg.cost.copy * n);
+                self.charge(self.cost.copy * n);
                 self.op_counts[MN_PHI] += n;
                 for ((dst, _), v) in copies.iter().zip(scratch.iter()) {
                     values[*dst as usize] = *v;
@@ -128,7 +128,7 @@ impl<'m> Vm<'m> {
                 // slot is written) before the setup error surfaces.
                 let n = u64::from(*prior);
                 self.metrics.insts += n;
-                self.charge(self.cfg.cost.copy * n);
+                self.charge(self.cost.copy * n);
                 self.op_counts[MN_PHI] += n;
                 let msg = if *in_entry {
                     "phi in entry block (module not verified?)"

@@ -20,7 +20,7 @@ use crate::decode::{cost_table, DecodedModule, FrameLayout, MNEMONICS, N_MNEMONI
 use crate::input::{InputPlan, IntOrPayload};
 use crate::memory::{layout, FastMap, FastSet, Memory, MemoryError, MemoryFault};
 use crate::profile::Profile;
-use pythia_heap::{AllocStats, Section, SectionConfig, SectionedHeap};
+use pythia_heap::{AllocStats, Section, SectionedHeap};
 use pythia_ir::{
     dfi_def_id, BinOp, BlockId, Callee, CastKind, DetectionKind, FuncId, Inst, Intrinsic, Module,
     PaKey, PythiaError, Ty, ValueId, ValueKind,
@@ -327,10 +327,6 @@ pub struct VmConfig {
     pub max_insts: u64,
     /// Call-depth limit.
     pub max_call_depth: usize,
-    /// Heap geometry.
-    pub heap: SectionConfig,
-    /// Cost table.
-    pub cost: CostModel,
     /// Record the first N executed instructions as a [`TraceEvent`] list
     /// (0 disables tracing).
     pub trace_limit: u64,
@@ -359,8 +355,6 @@ impl Default for VmConfig {
             seed: 0xC0FFEE,
             max_insts: 50_000_000,
             max_call_depth: 400,
-            heap: SectionConfig::default(),
-            cost: CostModel::default(),
             trace_limit: 0,
             profile: true,
             engine: Engine::Block,
@@ -436,7 +430,9 @@ pub struct Vm<'m> {
     /// The shared decode cache (frame layouts for both engines, decoded
     /// superblocks for the block engine).
     pub(crate) decoded: Arc<DecodedModule>,
-    /// Per-class base costs for this VM's cost model.
+    /// The cost model every instruction is metered through.
+    pub(crate) cost: CostModel,
+    /// Per-class base costs of [`Self::cost`].
     pub(crate) cost_tbl: [u64; 256],
     /// Block-engine opcode histogram (dense; folded into
     /// [`Profile::opcodes`]/`opcode_mc` once at the end of [`Vm::run`]).
@@ -465,9 +461,9 @@ pub struct Vm<'m> {
 impl<'m> Vm<'m> {
     /// Build a VM for `module` (globals are materialized immediately).
     ///
-    /// Construction never fails: an invalid heap geometry or a global
-    /// layout that does not fit the address space is recorded and
-    /// surfaced as a [`PythiaError::Setup`] by the next [`Vm::run`].
+    /// Construction never fails: a global layout that does not fit the
+    /// address space is recorded and surfaced as a
+    /// [`PythiaError::Setup`] by the next [`Vm::run`].
     pub fn new(module: &'m Module, cfg: VmConfig, plan: InputPlan) -> Self {
         Self::new_inner(module, None, cfg, plan)
     }
@@ -491,17 +487,11 @@ impl<'m> Vm<'m> {
         cfg: VmConfig,
         plan: InputPlan,
     ) -> Self {
-        let (heap, heap_error) = match SectionedHeap::try_new(cfg.heap) {
-            Ok(h) => (h, None),
-            Err(e) => (
-                SectionedHeap::default(),
-                Some(PythiaError::setup(format!("invalid heap config: {e}"))),
-            ),
-        };
+        let cost = CostModel::default();
         let mut vm = Vm {
             module,
             pa: PaContext::from_seed(cfg.seed ^ 0x5041_5041),
-            heap,
+            heap: SectionedHeap::default(),
             cache: CacheSim::m1_like(),
             mem: Memory::new(),
             plan,
@@ -517,9 +507,10 @@ impl<'m> Vm<'m> {
             pa_site_set: FastSet::default(),
             profile: Profile::default(),
             trace: Vec::new(),
-            setup_error: heap_error,
+            setup_error: None,
             decoded: decoded.unwrap_or_else(|| Arc::new(DecodedModule::new(module))),
-            cost_tbl: cost_table(&cfg.cost),
+            cost,
+            cost_tbl: cost_table(&cost),
             op_counts: [0; 256],
             pa_key_counts: [0; 5],
             trace_on: cfg.trace_limit > 0,
@@ -767,7 +758,7 @@ impl<'m> Vm<'m> {
 
     fn cache_access(&mut self, addr: u64) -> u64 {
         let out = self.cache.access(addr);
-        self.cfg.cost.cache_extra(out)
+        self.cost.cache_extra(out)
     }
 
     fn cache_range(&mut self, addr: u64, len: u64) -> u64 {
@@ -775,7 +766,7 @@ impl<'m> Vm<'m> {
             return 0;
         }
         let out = self.cache.access_range(addr, len);
-        self.cfg.cost.cache_extra(out)
+        self.cost.cache_extra(out)
     }
 
     pub(crate) fn mem_read(&mut self, addr: u64, size: u64) -> Result<i64, Halt> {
@@ -929,9 +920,9 @@ impl<'m> Vm<'m> {
                         let v = self.value_of(f, &frame.values, *src);
                         phi_writes.push((iv, v));
                         self.metrics.insts += 1;
-                        self.charge(self.cfg.cost.copy);
+                        self.charge(self.cost.copy);
                         if self.cfg.profile {
-                            self.profile.record_op("phi", self.cfg.cost.copy);
+                            self.profile.record_op("phi", self.cost.copy);
                         }
                         idx += 1;
                     }
@@ -958,7 +949,7 @@ impl<'m> Vm<'m> {
                 if self.trace_on {
                     self.push_trace(fid, iv, inst.mnemonic());
                 }
-                let base = self.cfg.cost.base_cost(inst);
+                let base = self.cost.base_cost(inst);
                 self.charge(base);
                 if self.cfg.profile {
                     self.profile.record_op(inst.mnemonic(), base);
@@ -1179,7 +1170,7 @@ impl<'m> Vm<'m> {
         i: Intrinsic,
         args: &[i64],
     ) -> Result<i64, Halt> {
-        self.charge(self.cfg.cost.libcall);
+        self.charge(self.cost.libcall);
         if self.cfg.profile {
             self.profile.record_intrinsic(i.name());
         }
@@ -1199,7 +1190,7 @@ impl<'m> Vm<'m> {
                 let dst: u64 = $dst;
                 let bytes: &[u8] = $bytes;
                 self.metrics.ic_writes += 1;
-                let mc = self.cfg.cost.bulk_per_byte * bytes.len() as u64;
+                let mc = self.cost.bulk_per_byte * bytes.len() as u64;
                 self.charge(mc);
                 let extra = self.cache_range(dst, bytes.len() as u64 + 1);
                 self.charge(extra);
@@ -1234,7 +1225,7 @@ impl<'m> Vm<'m> {
                 let s = self
                     .mem
                     .read_cstr(fmt_addr, 256)?;
-                self.charge(self.cfg.cost.bulk_per_byte * s.len() as u64);
+                self.charge(self.cost.bulk_per_byte * s.len() as u64);
                 Ok(s.len() as i64)
             }
             // ---- scan class ----
@@ -1398,7 +1389,7 @@ impl<'m> Vm<'m> {
                 Ok(self.heap.alloc(Section::Shared, len).unwrap_or(0) as i64)
             }
             Intrinsic::SecureMalloc => {
-                self.charge(self.cfg.cost.secure_malloc_extra);
+                self.charge(self.cost.secure_malloc_extra);
                 let len = uarg(0).max(1);
                 Ok(self.heap.alloc(Section::Isolated, len).unwrap_or(0) as i64)
             }
@@ -1448,7 +1439,7 @@ impl<'m> Vm<'m> {
                 let s = self
                     .mem
                     .read_cstr(p, 1 << 20)?;
-                self.charge(self.cfg.cost.bulk_per_byte * s.len() as u64);
+                self.charge(self.cost.bulk_per_byte * s.len() as u64);
                 let extra = self.cache_range(p, s.len() as u64 + 1);
                 self.charge(extra);
                 Ok(s.len() as i64)
@@ -1466,7 +1457,7 @@ impl<'m> Vm<'m> {
                 } else {
                     (a, b)
                 };
-                self.charge(self.cfg.cost.bulk_per_byte * (a.len() + b.len()) as u64);
+                self.charge(self.cost.bulk_per_byte * (a.len() + b.len()) as u64);
                 Ok(match a.cmp(&b) {
                     std::cmp::Ordering::Less => -1,
                     std::cmp::Ordering::Equal => 0,
@@ -1493,11 +1484,11 @@ impl<'m> Vm<'m> {
             Intrinsic::Abort => Err(Trap::Abort.into()),
             // ---- runtime support ----
             Intrinsic::PythiaRandom => {
-                self.charge(self.cfg.cost.random_call);
+                self.charge(self.cost.random_call);
                 Ok((self.rng.gen::<u64>() & self.pa.config().va_mask()) as i64)
             }
             Intrinsic::HeapSectionInit => {
-                self.charge(self.cfg.cost.section_init);
+                self.charge(self.cost.section_init);
                 self.heap.record_init_call();
                 Ok(0)
             }
@@ -2085,26 +2076,6 @@ mod tests {
         let err = vm.run("main", &[]).unwrap_err();
         assert_eq!(err.variant(), "setup");
         assert!(err.to_string().contains("2 functions"));
-    }
-
-    #[test]
-    fn invalid_heap_config_is_a_setup_error() {
-        let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
-        let z = b.const_i64(0);
-        b.ret(Some(z));
-        m.add_function(b.finish());
-        let cfg = VmConfig {
-            heap: pythia_heap::SectionConfig {
-                base: u64::MAX - 0xf,
-                ..pythia_heap::SectionConfig::default()
-            },
-            ..VmConfig::default()
-        };
-        let mut vm = Vm::new(&m, cfg, InputPlan::benign(1));
-        let err = vm.run("main", &[]).unwrap_err();
-        assert_eq!(err.variant(), "setup");
-        assert!(err.to_string().contains("heap"));
     }
 
     #[test]

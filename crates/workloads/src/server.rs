@@ -662,15 +662,11 @@ mod tests {
         EventLoopConfig::standard(8, requests, 0x5EB0, Engine::Block)
     }
 
-    /// `module`'s handler, decoded ahead for the block engine.
+    /// `module`'s handler, decoded ahead.
     fn handler_for(module: &Module, engine: Engine) -> Handler<'_> {
-        let decoded = Arc::new(DecodedModule::new(module));
-        if engine == Engine::Block {
-            decoded.decode_all(module);
-        }
         Handler {
             module,
-            decoded,
+            decoded: DecodedModule::eager(module),
             engine,
         }
     }
@@ -703,8 +699,7 @@ mod tests {
     #[test]
     fn vanilla_event_loop_retires_and_attacks_succeed() {
         let m = server_module();
-        let decoded = Arc::new(DecodedModule::new(&m));
-        decoded.decode_all(&m);
+        let decoded = DecodedModule::eager(&m);
         let cfg = loop_cfg(1024);
         let s = run_event_loop(&m, decoded, &cfg).unwrap();
         assert_eq!(s.retired, 1024);
@@ -730,13 +725,9 @@ mod tests {
         let m = server_module();
         let mut runs = Vec::new();
         for engine in [Engine::Legacy, Engine::Block, Engine::Block] {
-            let decoded = Arc::new(DecodedModule::new(&m));
-            if engine == Engine::Block {
-                decoded.decode_all(&m);
-            }
             let mut cfg = loop_cfg(512);
             cfg.engine = engine;
-            runs.push(run_event_loop(&m, decoded, &cfg).unwrap());
+            runs.push(run_event_loop(&m, DecodedModule::eager(&m), &cfg).unwrap());
         }
         for r in &runs[1..] {
             assert_eq!(r.retired, runs[0].retired);
@@ -755,8 +746,7 @@ mod tests {
     #[test]
     fn event_loop_counters_match_the_restart_model() {
         let m = server_module();
-        let decoded = Arc::new(DecodedModule::new(&m));
-        decoded.decode_all(&m);
+        let decoded = DecodedModule::eager(&m);
         let s = run_event_loop(&m, decoded, &loop_cfg(1024)).unwrap();
         assert_eq!(
             (s.epochs, s.admitted, s.retired, s.cancelled),

@@ -3,7 +3,8 @@
 # statically certify every instrumented suite variant (pythia-lint), then
 # smoke-run the reproduce binary and fail on any `internal` error — the
 # one taxonomy variant that means the harness itself is broken
-# (DESIGN.md, "Error taxonomy").
+# (DESIGN.md, "Error taxonomy") — and on any `ERROR` cell in the motiv,
+# nginx and campaign tables.
 #
 # `setup`/`fault`/`detection` statuses in the smoke JSON are data, not CI
 # failures; they still flip reproduce's exit code, which this script
@@ -81,6 +82,19 @@ if grep -q '"lint": "violated"' "$JSON"; then
     grep '"lint"' "$JSON" >&2
     exit 1
 fi
+
+# Error-cell gate: the motiv, nginx and campaign sections render a
+# failed adjudication, nginx worker or campaign as an `ERROR` table cell
+# and reproduce still exits 0 — and the policy gate below diffs campaign
+# across policies, so an error under every policy would pass it. Any
+# `ERROR` cell in these sections is fatal.
+echo "== ERROR-cell gate (motiv, nginx, campaign) =="
+target/release/reproduce --smoke motiv nginx campaign > "$OUT/error-cells.md"
+if grep -n 'ERROR' "$OUT/error-cells.md" >&2; then
+    echo "FAIL: an ERROR cell in the motiv/nginx/campaign sections (above)" >&2
+    exit 1
+fi
+echo "OK: motiv, nginx and campaign render no ERROR cell"
 
 # Profiler gates: the JSON must carry the profile schema, every
 # PA-instrumented scheme must actually execute PA operations, and the

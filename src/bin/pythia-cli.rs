@@ -10,11 +10,15 @@
 //! pythia-cli gen        <profile>  [-o out.pir]    emit a benchmark module
 //! ```
 //!
-//! Schemes: `vanilla`, `cpa`, `pythia`, `dfi`.
+//! Schemes: `vanilla`, `cpa`, `pythia`, `dfi`. `instrument` and `attack`
+//! build the variant the evaluation ships — instrumented from the pruned
+//! obligations and statically certified — and exit 1 if it fails
+//! certification.
 
-use pythia::analysis::{SliceContext, VulnerabilityReport};
+use pythia::analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
 use pythia::ir::{parser, printer, verify, Module};
-use pythia::passes::{instrument, optimize_module, Scheme};
+use pythia::lint::VariantBuilder;
+use pythia::passes::{optimize_module, Instrumented, Scheme};
 use pythia::vm::{AttackSpec, InputPlan, Vm, VmConfig};
 use std::process::ExitCode;
 
@@ -196,11 +200,22 @@ fn cmd_opt(args: &[String]) -> Result<(), String> {
     emit(&m, &opts)
 }
 
+/// `scheme`'s variant of `m` as the evaluation ships it: instrumented
+/// from the pruned report and statically certified.
+fn certified(m: &Module, scheme: Scheme) -> Result<Instrumented, String> {
+    let build = VariantBuilder::new(m, CtxPolicy::default());
+    let inst = build.instrument(scheme);
+    build
+        .certify(&build.certifier(), &inst)
+        .map_err(|e| e.to_string())?;
+    Ok(inst)
+}
+
 fn cmd_instrument(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args)?;
     let m = load(opts.file()?)?;
     let scheme = parse_scheme(opts.flag("scheme"))?;
-    let inst = instrument(&m, scheme);
+    let inst = certified(&m, scheme)?;
     eprintln!(
         "{}: {} -> {} instructions, {} PA ops, {} canaries, {} setdef/chkdef",
         scheme,
@@ -272,7 +287,7 @@ fn cmd_attack(args: &[String]) -> Result<(), String> {
         None => AttackSpec::smash(ic, len),
     };
     let cfg = vm_config(&opts)?;
-    let inst = instrument(&m, scheme);
+    let inst = certified(&m, scheme)?;
     let seed = cfg.seed;
     let mut vm = Vm::new(&inst.module, cfg, InputPlan::with_attack(seed, spec));
     let r = vm

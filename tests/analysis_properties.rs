@@ -1,10 +1,10 @@
 //! Property tests for the analysis crate over randomly-shaped CFGs:
-//! dominator/post-dominator laws, liveness sanity, and points-to
+//! dominator/post-dominator laws, control dependence, and points-to
 //! soundness on randomly wired pointer programs.
 
 use proptest::prelude::*;
 use pythia::analysis::{
-    control_dependence, reverse_postorder, Dominators, Liveness, PointsTo, PostDominators,
+    control_dependence, reverse_postorder, Dominators, PointsTo, PostDominators,
 };
 use pythia::ir::{CmpPred, Function, FunctionBuilder, Module, Ty, ValueId};
 
@@ -119,16 +119,6 @@ proptest! {
                 prop_assert!(f.successors(*d).len() >= 2);
             }
         }
-    }
-
-    /// Liveness sanity: nothing is live into the entry block, and the
-    /// pressure proxy is bounded by the number of values.
-    #[test]
-    fn liveness_sanity(shape in proptest::collection::vec(0u8..6, 1..10)) {
-        let f = build_cfg(&shape);
-        let l = Liveness::compute(&f);
-        prop_assert!(l.live_in(f.entry()).is_empty());
-        prop_assert!(l.max_pressure() <= f.num_values());
     }
 
     /// Points-to soundness on store/load chains: a pointer stored into a

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `pythia-cli` binary: generate → analyze →
 //! instrument → run → attack, all through the textual PIR format on disk.
 
+use pythia::core::{evaluate, Scheme, VmConfig};
+use pythia::ir::parser;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -35,6 +37,32 @@ fn gen_print_roundtrip() {
     let printed = ok(&cli().args(["print", f.to_str().unwrap()]).output().unwrap());
     assert!(printed.contains("module \"519.lbm_r\""));
     assert!(printed.contains("func @main"));
+}
+
+#[test]
+fn instrument_ships_the_evaluations_pa_count() {
+    // `instrument` must emit the pruned, certified build `evaluate`
+    // measures, not the unpruned one.
+    let dir = tmpdir("shipped");
+    let f = dir.join("mcf.pir");
+    ok(&cli()
+        .args(["gen", "505.mcf_r", "-o", f.to_str().unwrap()])
+        .output()
+        .unwrap());
+    let out = cli()
+        .args(["instrument", f.to_str().unwrap(), "--scheme", "cpa"])
+        .output()
+        .unwrap();
+    ok(&out);
+    let summary = String::from_utf8_lossy(&out.stderr);
+    let pa: usize = summary
+        .split(", ")
+        .find_map(|part| part.strip_suffix(" PA ops"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no PA count in {summary:?}"));
+    let m = parser::parse_module(&std::fs::read_to_string(&f).unwrap()).unwrap();
+    let ev = evaluate(&m, &[Scheme::Cpa], 1, &VmConfig::default()).unwrap();
+    assert_eq!(pa, ev.result(Scheme::Cpa).unwrap().stats.pa_total());
 }
 
 #[test]
