@@ -13,15 +13,14 @@ impl DefUse {
     /// Compute chains for `f`.
     pub fn compute(f: &Function) -> Self {
         let mut users = vec![Vec::new(); f.num_values()];
+        let home = f.placement();
         for v in f.value_ids() {
             if let ValueKind::Inst(inst) = &f.value(v).kind {
                 // Only instructions actually placed in a block are real uses.
-                if f.block_of(v).is_none() {
+                if home.block_of(v).is_none() {
                     continue;
                 }
-                for op in inst.operands() {
-                    users[op.0 as usize].push(v);
-                }
+                inst.for_each_operand(|op| users[op.0 as usize].push(v));
             }
         }
         DefUse { users }

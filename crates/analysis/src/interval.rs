@@ -53,7 +53,7 @@
 //! 0`).
 
 use crate::dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
-use pythia_ir::{BinOp, BlockId, CmpPred, Function, Inst, ValueId, ValueKind};
+use pythia_ir::{BinOp, BlockId, CmpPred, Function, Inst, Placement, ValueId, ValueKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Largest |k| kept in a relational fact `v ≤ w + k`. Clamping the offset
@@ -573,6 +573,8 @@ impl DataflowAnalysis for RangeAnalysis {
 pub struct ValueRanges {
     analysis: RangeAnalysis,
     result: SolveResult<Fact>,
+    /// Home block of every value, for [`ValueRanges::range_before`].
+    home: Placement,
 }
 
 /// Compute value ranges for one function.
@@ -588,7 +590,11 @@ pub fn value_ranges(f: &Function) -> ValueRanges {
 pub fn value_ranges_seeded(f: &Function, seeds: &[(ValueId, Interval)]) -> ValueRanges {
     let analysis = RangeAnalysis::for_function(f, seeds.iter().copied().collect());
     let result = solve(f, &analysis);
-    ValueRanges { analysis, result }
+    ValueRanges {
+        analysis,
+        result,
+        home: f.placement(),
+    }
 }
 
 impl ValueRanges {
@@ -602,12 +608,13 @@ impl ValueRanges {
     /// executes (replaying the containing block from its input fact, with
     /// relational upper bounds substituted). Returns the full range when
     /// the block is statically unreachable or the fixpoint did not
-    /// converge — both are sound for bound proofs.
+    /// converge — both are sound for bound proofs. `f` must be the
+    /// function these ranges were solved for.
     pub fn range_before(&self, f: &Function, at: ValueId, v: ValueId) -> Interval {
         if !self.result.converged {
             return Interval::FULL;
         }
-        let Some(bb) = f.block_of(at) else {
+        let Some(bb) = self.home.block_of(at) else {
             return Interval::FULL;
         };
         let Some(input) = self.result.input(bb) else {

@@ -84,7 +84,7 @@ pub use channels::{IcSite, InputChannels};
 pub use dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
 pub use defuse::DefUse;
 pub use interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval, ValueRanges};
-pub use reach::{object_byte_size, OverflowReach};
+pub use reach::{object_byte_size, OverflowReach, ProofAnswer};
 pub use reaching::ReachingStores;
 pub use slicing::{BackwardSlice, ForwardSlice, SliceContext, SliceMode};
 pub use summary::{opt02_equivalence, CtxPolicy, CtxSolve, CtxStats, CTX_NODE_BUDGET};

@@ -50,14 +50,16 @@
 
 use crate::alias::{MemObjectKind, ObjId, PointsTo};
 use crate::callgraph::CallGraph;
-use crate::interval::{index_in_bounds, value_ranges, value_ranges_seeded, Interval, ValueRanges};
+use crate::interval::{index_in_bounds, value_ranges_seeded, Interval, ValueRanges};
 use crate::slicing::SliceContext;
 use pythia_ir::layout::{frame_slots, object_size};
 use pythia_ir::{Callee, FuncId, Inst, Intrinsic, ValueId, ValueKind};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
 
 /// The corruptible-object set (root objects only) plus precision counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverflowReach {
     /// Root objects an overflow-capable write may corrupt.
     reachable: BTreeSet<ObjId>,
@@ -112,24 +114,185 @@ impl OverflowReach {
     }
 }
 
+/// The entry intervals a calling context pins on a function's
+/// parameters (its constant arguments), in parameter order.
+type Seeds = Box<[(ValueId, Interval)]>;
+
+/// One in-bounds proof query: is `index`, at the gep `gep` of `func`,
+/// within `[0, count)` when `func` runs under the entry intervals
+/// `seeds`? The answer depends on nothing else — the value ranges are a
+/// pure function of `(func, seeds)` — so it is memoized under exactly
+/// this key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProofAnswer {
+    /// Function containing the gep.
+    pub func: FuncId,
+    /// Parameter intervals the value ranges were seeded with.
+    pub seeds: Vec<(ValueId, Interval)>,
+    /// The gep instruction.
+    pub gep: ValueId,
+    /// Its variable index operand.
+    pub index: ValueId,
+    /// Element count of the pointee object.
+    pub count: u64,
+    /// Whether the interval analysis proved the index in-bounds.
+    pub proven: bool,
+}
+
+/// Memoized in-bounds proof answers of one [`SliceContext`], shared by
+/// every [`OverflowReach`] fixpoint over it: the pruner's fixpoint fills
+/// it, and the certifier's (which runs its own taint and reach state
+/// through the same [`Builder::gep_proven`]) reads the same answers
+/// instead of re-solving every interval fixpoint. Only the boolean
+/// answers are kept; the value ranges behind them stay local to the
+/// fixpoint that solved them.
+#[derive(Default)]
+pub(crate) struct ProofMemo {
+    /// Interned seed lists, indexed by seed id. Seed ids are shared
+    /// across functions; every answer key carries its function. A
+    /// fixpoint interns each calling context once, and no standard or
+    /// ref suite module has more than 4 distinct lists, so lookup is a
+    /// linear scan.
+    seed_lists: RefCell<Vec<Seeds>>,
+    /// `(func, seed id, gep, index, count)` → proven.
+    answers: RefCell<HashMap<ProofKey, bool>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+/// `(func, seed id, gep, index, count)`.
+type ProofKey = (FuncId, u32, ValueId, ValueId, u64);
+
+impl ProofMemo {
+    fn seed_id(&self, seeds: Seeds) -> u32 {
+        let mut lists = self.seed_lists.borrow_mut();
+        let id = match lists.iter().position(|s| *s == seeds) {
+            Some(id) => id,
+            None => {
+                lists.push(seeds);
+                lists.len() - 1
+            }
+        };
+        id as u32
+    }
+
+    fn seeds(&self, id: u32) -> Seeds {
+        self.seed_lists.borrow()[id as usize].clone()
+    }
+
+    fn get(&self, key: &ProofKey) -> Option<bool> {
+        let hit = self.answers.borrow().get(key).copied();
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.set(counter.get() + 1);
+        hit
+    }
+
+    fn insert(&self, key: ProofKey, proven: bool) {
+        self.answers.borrow_mut().insert(key, proven);
+    }
+}
+
+impl SliceContext<'_> {
+    /// (hits, misses) of the in-bounds proof memo every
+    /// [`OverflowReach::compute`] over this context shares. A miss solves
+    /// the query; a hit reuses an earlier fixpoint's answer.
+    pub fn proof_memo_stats(&self) -> (u64, u64) {
+        (self.proofs.hits.get(), self.proofs.misses.get())
+    }
+
+    /// Every memoized proof answer, in no particular order.
+    pub fn proof_answers(&self) -> Vec<ProofAnswer> {
+        let lists = self.proofs.seed_lists.borrow();
+        self.proofs
+            .answers
+            .borrow()
+            .iter()
+            .map(|(&(func, sid, gep, index, count), &proven)| ProofAnswer {
+                func,
+                seeds: lists[sid as usize].to_vec(),
+                gep,
+                index,
+                count,
+                proven,
+            })
+            .collect()
+    }
+}
+
+/// Dense per-function taint maps: `flags[f][v]` is set once value `v` of
+/// function `f` carries attacker-influenced data.
+struct Taint {
+    flags: Vec<Vec<bool>>,
+}
+
+impl Taint {
+    fn new(m: &pythia_ir::Module) -> Self {
+        Taint {
+            flags: m
+                .functions()
+                .iter()
+                .map(|f| vec![false; f.num_values()])
+                .collect(),
+        }
+    }
+
+    /// Taint `v`; whether it was untainted before.
+    fn insert(&mut self, fid: FuncId, v: ValueId) -> bool {
+        !std::mem::replace(&mut self.flags[fid.0 as usize][v.0 as usize], true)
+    }
+
+    fn contains(&self, fid: FuncId, v: ValueId) -> bool {
+        self.flags[fid.0 as usize][v.0 as usize]
+    }
+}
+
+/// What the fixpoint needs of one store pointer, derived once per
+/// fixpoint and shared by every round's visit.
+///
+/// The footprint is the pointee set under the context-sensitive
+/// projection (union over calling contexts), or the insensitive set when
+/// the context solve fell back. This is where flow-sensitive strong
+/// updates reach the pruner: a killed store's stale pointee is absent
+/// from every per-context set, so the projection drops it too.
+struct StoreFacts {
+    /// The footprint is ⊤: the store may write anywhere.
+    unknown: bool,
+    /// Root objects of the footprint.
+    roots: BTreeSet<ObjId>,
+    /// `(gep, base, index)` of every variable-index gep along the
+    /// pointer's derivation chain.
+    geps: Vec<(ValueId, ValueId, ValueId)>,
+}
+
 struct Builder<'a, 'm> {
     ctx: &'a SliceContext<'m>,
     cg: CallGraph,
     /// Per-function VM-identical frame offsets: alloca -> (offset, size).
     frame_offsets: HashMap<FuncId, HashMap<ValueId, (u64, u64)>>,
-    /// Lazily computed per-(function, calling-context) value ranges; the
-    /// context's callsite chain seeds constant arguments into the
-    /// parameters.
-    ranges: HashMap<(FuncId, usize), ValueRanges>,
-    /// Memoized context-projected store-pointer pointee sets (the
-    /// fixpoint loop re-visits every store each round, and the
-    /// projection unions every calling context).
-    store_pts: HashMap<(FuncId, ValueId), crate::alias::ObjSet>,
+    /// Seed id of each `(function, calling context)` in the context's
+    /// proof memo.
+    ctx_seeds: HashMap<(FuncId, usize), u32>,
+    /// Value ranges solved on a proof-memo miss, per `(function, seed
+    /// id)`: contexts that pin the same constants share one solve. Local
+    /// to this fixpoint and dropped with it.
+    ranges: HashMap<(FuncId, u32), ValueRanges>,
+    /// Per store pointer `(fid, ptr)`: its footprint and gep chain.
+    stores: HashMap<(FuncId, ValueId), Rc<StoreFacts>>,
+    /// Per gep `(fid, gep)`: whether it is proven in-bounds.
+    gep_proofs: HashMap<(FuncId, ValueId), bool>,
+    /// Values each function returns (`ret` operands, in block order).
+    rets: Vec<Vec<ValueId>>,
     /// Functions whose address is taken (indirect-call targets).
     address_taken: Vec<FuncId>,
-    reachable: BTreeSet<ObjId>,
-    content_tainted: BTreeSet<ObjId>,
-    tainted: HashSet<(FuncId, ValueId)>,
+    /// Per root object: an overflow-capable write may corrupt it.
+    reachable: Vec<bool>,
+    /// Per root object: a tainted store may write it.
+    content_tainted: Vec<bool>,
+    tainted: Taint,
     top: bool,
     ic_sources: usize,
     unproven_gep_stores: BTreeSet<(FuncId, ValueId)>,
@@ -161,16 +324,32 @@ impl<'a, 'm> Builder<'a, 'm> {
                 }
             }
         }
+        let rets = m
+            .functions()
+            .iter()
+            .map(|f| {
+                f.block_ids()
+                    .filter_map(|bb| match f.terminator(bb) {
+                        Some(Inst::Ret { value: Some(rv) }) => Some(*rv),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect();
+        let nobjs = ctx.points_to.objects().len();
         Builder {
             ctx,
             cg: CallGraph::build(m),
             frame_offsets,
+            ctx_seeds: HashMap::new(),
             ranges: HashMap::new(),
-            store_pts: HashMap::new(),
+            stores: HashMap::new(),
+            gep_proofs: HashMap::new(),
+            rets,
             address_taken,
-            reachable: BTreeSet::new(),
-            content_tainted: BTreeSet::new(),
-            tainted: HashSet::new(),
+            reachable: vec![false; nobjs],
+            content_tainted: vec![false; nobjs],
+            tainted: Taint::new(m),
             top: false,
             ic_sources: 0,
             unproven_gep_stores: BTreeSet::new(),
@@ -237,26 +416,16 @@ impl<'a, 'm> Builder<'a, 'm> {
         out
     }
 
-    fn mark_overflow_from(&mut self, roots: &BTreeSet<ObjId>) -> bool {
-        let mut changed = false;
+    fn mark_overflow_from(&mut self, roots: &BTreeSet<ObjId>) {
         for &r in roots {
             for o in self.adjacency(r) {
-                changed |= self.reachable.insert(o);
+                self.reachable[o as usize] = true;
             }
         }
-        changed
-    }
-
-    fn taint(&mut self, fid: FuncId, v: ValueId) -> bool {
-        self.tainted.insert((fid, v))
-    }
-
-    fn is_tainted(&self, fid: FuncId, v: ValueId) -> bool {
-        self.tainted.contains(&(fid, v))
     }
 
     fn obj_root_corruptible_or_tainted(&self, root: ObjId) -> bool {
-        self.reachable.contains(&root) || self.content_tainted.contains(&root)
+        self.reachable[root as usize] || self.content_tainted[root as usize]
     }
 
     /// Element count of `obj` for a gep of element size `elem_size` based
@@ -270,7 +439,7 @@ impl<'a, 'm> Builder<'a, 'm> {
 
     /// Is the gep store at `(fid, gep)` (with variable, tainted `index`)
     /// proven in-bounds for **every** object its base may point at, in
-    /// **every** calling context?
+    /// **every** calling context? Answered once per gep and fixpoint.
     ///
     /// The context layer makes this strictly stronger than one insensitive
     /// check: each context sees only the objects that flow in through its
@@ -282,19 +451,28 @@ impl<'a, 'm> Builder<'a, 'm> {
     /// insensitive relation and unseeded ranges apply — the pre-context
     /// behavior.
     fn gep_proven(&mut self, fid: FuncId, gep: ValueId, base: ValueId, index: ValueId) -> bool {
-        let f = self.ctx.module.func(fid);
+        if let Some(&proven) = self.gep_proofs.get(&(fid, gep)) {
+            return proven;
+        }
+        let proven = self.prove_gep(fid, gep, base, index);
+        self.gep_proofs.insert((fid, gep), proven);
+        proven
+    }
+
+    fn prove_gep(&mut self, fid: FuncId, gep: ValueId, base: ValueId, index: ValueId) -> bool {
+        let ctx = self.ctx;
+        let f = ctx.module.func(fid);
         let Some(Inst::Gep { elem, .. }) = f.inst(gep) else {
             return false;
         };
         let elem_size = elem.size().max(1);
-        let cpt = self.ctx.ctx_points_to();
+        let cpt = ctx.ctx_points_to();
         let nctx = cpt.num_contexts_of(fid);
         let mut any_objects = false;
         for ci in 0..nctx {
-            let pts = match cpt.points_to_in(fid, ci, base) {
-                Some(s) => s.clone(),
-                None => self.ctx.points_to.points_to(fid, base).clone(),
-            };
+            let pts = cpt
+                .points_to_in(fid, ci, base)
+                .unwrap_or_else(|| ctx.points_to.points_to(fid, base));
             if pts.unknown {
                 return false;
             }
@@ -308,63 +486,84 @@ impl<'a, 'm> Builder<'a, 'm> {
                 .map(|&o| self.elem_count(o, elem_size))
                 .collect();
             let Some(counts) = counts else { return false };
-            let ranges = self.ranges_for(fid, ci);
-            if !counts
-                .iter()
-                .all(|&count| index_in_bounds(f, ranges, gep, index, count))
-            {
-                return false;
+            let sid = self.seed_id(fid, ci);
+            for count in counts {
+                let key = (fid, sid, gep, index, count);
+                let proven = match ctx.proofs.get(&key) {
+                    Some(proven) => proven,
+                    None => {
+                        let ranges = self.ranges_for(fid, sid);
+                        let proven = index_in_bounds(f, ranges, gep, index, count);
+                        ctx.proofs.insert(key, proven);
+                        proven
+                    }
+                };
+                if !proven {
+                    return false;
+                }
             }
         }
         // No context carries any pointee: the store has no static
         // footprint anywhere, which only counts as a *proof* if the
         // insensitive relation agrees it writes nothing.
-        any_objects || self.ctx.points_to.points_to(fid, base).objects.is_empty()
+        any_objects || ctx.points_to.points_to(fid, base).objects.is_empty()
     }
 
-    /// The pointee set of a store's pointer under the context-sensitive
-    /// projection (union over calling contexts), memoized per `(fid,
-    /// ptr)`. Falls back to the insensitive base set when the context
-    /// solve fell back. This is where flow-sensitive strong updates
-    /// reach the pruner: a killed store's stale pointee is absent from
-    /// every per-context set, so the projection drops it too.
-    fn store_footprint(&mut self, fid: FuncId, ptr: ValueId) -> crate::alias::ObjSet {
-        if let Some(s) = self.store_pts.get(&(fid, ptr)) {
-            return s.clone();
+    /// The facts of the store through `(fid, ptr)`, derived on first
+    /// visit.
+    fn store_facts(&mut self, fid: FuncId, ptr: ValueId) -> Rc<StoreFacts> {
+        if let Some(s) = self.stores.get(&(fid, ptr)) {
+            return Rc::clone(s);
         }
-        let s = self
+        let pt = &self.ctx.points_to;
+        let footprint = self
             .ctx
             .ctx_points_to()
             .projected(fid, ptr)
-            .unwrap_or_else(|| self.ctx.points_to.points_to(fid, ptr).clone());
-        self.store_pts.insert((fid, ptr), s.clone());
-        s
+            .unwrap_or_else(|| pt.points_to(fid, ptr).clone());
+        let roots = footprint
+            .objects
+            .iter()
+            .map(|&o| pt.base_object(o))
+            .collect();
+        let facts = Rc::new(StoreFacts {
+            unknown: footprint.unknown,
+            roots,
+            geps: self.geps_in_chain(fid, ptr),
+        });
+        self.stores.insert((fid, ptr), Rc::clone(&facts));
+        facts
     }
 
-    /// Value ranges of `fid` in calling context `ci`, seeded with every
+    /// The proof-memo seed id of `fid` in calling context `ci`: every
     /// parameter whose value is a compile-time constant along the
-    /// context's callsite chain: a constant passed directly at the
+    /// context's callsite chain — a constant passed directly at the
     /// innermost site, or threaded through intermediate wrappers'
     /// parameters (`resolve_const_arg` walks outward through the chain).
-    fn ranges_for(&mut self, fid: FuncId, ci: usize) -> &ValueRanges {
-        if !self.ranges.contains_key(&(fid, ci)) {
-            let m = self.ctx.module;
-            let f = m.func(fid);
-            let chain = self.ctx.ctx_points_to().ctx_chain(fid, ci);
-            let mut seeds: Vec<(ValueId, Interval)> = Vec::new();
-            for i in 0..f.params.len() {
-                if let Some(c) = resolve_const_arg(m, chain, 0, fid, i as u32) {
-                    seeds.push((f.arg(i), Interval::exact(c)));
-                }
-            }
-            let r = if seeds.is_empty() {
-                value_ranges(f)
-            } else {
-                value_ranges_seeded(f, &seeds)
-            };
-            self.ranges.insert((fid, ci), r);
+    fn seed_id(&mut self, fid: FuncId, ci: usize) -> u32 {
+        if let Some(&sid) = self.ctx_seeds.get(&(fid, ci)) {
+            return sid;
         }
-        &self.ranges[&(fid, ci)]
+        let m = self.ctx.module;
+        let f = m.func(fid);
+        let chain = self.ctx.ctx_points_to().ctx_chain(fid, ci);
+        let seeds: Seeds = (0..f.params.len())
+            .filter_map(|i| {
+                resolve_const_arg(m, chain, 0, fid, i as u32)
+                    .map(|c| (f.arg(i), Interval::exact(c)))
+            })
+            .collect();
+        let sid = self.ctx.proofs.seed_id(seeds);
+        self.ctx_seeds.insert((fid, ci), sid);
+        sid
+    }
+
+    /// Value ranges of `fid` under seed list `sid`, solved on first use.
+    fn ranges_for(&mut self, fid: FuncId, sid: u32) -> &ValueRanges {
+        let ctx = self.ctx;
+        self.ranges
+            .entry((fid, sid))
+            .or_insert_with(|| value_ranges_seeded(ctx.module.func(fid), &ctx.proofs.seeds(sid)))
     }
 
     /// Walk the pointer-derivation chain of a store's pointer and find the
@@ -406,25 +605,25 @@ impl<'a, 'm> Builder<'a, 'm> {
     }
 
     fn run(mut self) -> OverflowReach {
-        let m = self.ctx.module;
+        let ctx = self.ctx;
+        let m = ctx.module;
+        let pt = &ctx.points_to;
 
         // --- Seeds: every memory-writing input channel -------------------
-        for site in self.ctx.channels.sites.clone() {
+        for site in &ctx.channels.sites {
             if !site.writes_memory() {
                 continue;
             }
-            let Some(dst) = site.dest_ptr(m) else { continue };
+            let Some(dst) = site.dest_ptr(m) else {
+                continue;
+            };
             self.ic_sources += 1;
-            let pts = self.ctx.points_to.points_to(site.func, dst).clone();
+            let pts = pt.points_to(site.func, dst);
             if pts.unknown {
                 self.top = true;
                 break;
             }
-            let roots: BTreeSet<ObjId> = pts
-                .objects
-                .iter()
-                .map(|&o| self.ctx.points_to.base_object(o))
-                .collect();
+            let roots: BTreeSet<ObjId> = pts.objects.iter().map(|&o| pt.base_object(o)).collect();
             self.mark_overflow_from(&roots);
         }
 
@@ -437,50 +636,48 @@ impl<'a, 'm> Builder<'a, 'm> {
                     let Some(inst) = f.inst(v) else { continue };
                     match inst {
                         Inst::Load { ptr } => {
-                            if self.is_tainted(fid, v) {
+                            if self.tainted.contains(fid, v) {
                                 continue;
                             }
-                            let pts = self.ctx.points_to.points_to(fid, *ptr);
+                            let pts = pt.points_to(fid, *ptr);
                             let hit = pts.unknown
                                 || pts.objects.iter().any(|&o| {
-                                    let root = self.ctx.points_to.base_object(o);
-                                    self.obj_root_corruptible_or_tainted(root)
+                                    self.obj_root_corruptible_or_tainted(pt.base_object(o))
                                 });
                             if hit {
-                                changed |= self.taint(fid, v);
+                                changed |= self.tainted.insert(fid, v);
                             }
                         }
                         Inst::Store { value, ptr } => {
-                            let pts = self.store_footprint(fid, *ptr);
-                            if pts.unknown {
+                            let facts = self.store_facts(fid, *ptr);
+                            if facts.unknown {
                                 // No static footprint: everything reachable.
                                 self.top = true;
                                 break;
                             }
-                            if self.is_tainted(fid, *value) || self.is_tainted(fid, *ptr) {
+                            if self.tainted.contains(fid, *value)
+                                || self.tainted.contains(fid, *ptr)
+                            {
                                 // First-order model: the store lands in its
                                 // static pointees; their content becomes
                                 // attacker-influenced.
-                                for &o in &pts.objects {
-                                    let root = self.ctx.points_to.base_object(o);
-                                    changed |= self.content_tainted.insert(root);
+                                for &root in &facts.roots {
+                                    changed |= !std::mem::replace(
+                                        &mut self.content_tainted[root as usize],
+                                        true,
+                                    );
                                 }
                             }
                             // Derived overflow: tainted variable index the
                             // interval analysis cannot bound.
-                            for (gep, base, index) in self.geps_in_chain(fid, *ptr) {
-                                if !self.is_tainted(fid, index) {
+                            for &(gep, base, index) in &facts.geps {
+                                if !self.tainted.contains(fid, index) {
                                     continue;
                                 }
                                 if self.gep_proven(fid, gep, base, index) {
                                     self.proven_gep_stores.insert((fid, gep));
                                 } else if self.unproven_gep_stores.insert((fid, gep)) {
-                                    let roots: BTreeSet<ObjId> = pts
-                                        .objects
-                                        .iter()
-                                        .map(|&o| self.ctx.points_to.base_object(o))
-                                        .collect();
-                                    self.mark_overflow_from(&roots);
+                                    self.mark_overflow_from(&facts.roots);
                                     changed = true;
                                 }
                             }
@@ -490,42 +687,36 @@ impl<'a, 'm> Builder<'a, 'm> {
                         // its object (the gep-store rule above handles the
                         // unproven case).
                         Inst::Gep { base, .. } | Inst::FieldAddr { base, .. } => {
-                            if self.is_tainted(fid, *base) && !self.is_tainted(fid, v) {
-                                changed |= self.taint(fid, v);
+                            if self.tainted.contains(fid, *base) {
+                                changed |= self.tainted.insert(fid, v);
                             }
                         }
-                        Inst::Call { callee, args } => {
-                            let any_arg_tainted =
-                                args.iter().any(|&a| self.is_tainted(fid, a));
-                            match callee {
-                                Callee::Func(target) => {
-                                    changed |=
-                                        self.link_taint(fid, v, *target, args);
-                                }
-                                Callee::Indirect(_) => {
-                                    let targets: Vec<FuncId> = self
-                                        .address_taken
-                                        .iter()
-                                        .copied()
-                                        .filter(|t| m.func(*t).params.len() == args.len())
-                                        .collect();
-                                    for t in targets {
+                        Inst::Call { callee, args } => match callee {
+                            Callee::Func(target) => {
+                                changed |= self.link_taint(fid, v, *target, args);
+                            }
+                            Callee::Indirect(_) => {
+                                for i in 0..self.address_taken.len() {
+                                    let t = self.address_taken[i];
+                                    if m.func(t).params.len() == args.len() {
                                         changed |= self.link_taint(fid, v, t, args);
                                     }
                                 }
-                                Callee::Intrinsic(_) => {
-                                    if any_arg_tainted && !self.is_tainted(fid, v) {
-                                        changed |= self.taint(fid, v);
-                                    }
+                            }
+                            Callee::Intrinsic(_) => {
+                                if args.iter().any(|&a| self.tainted.contains(fid, a)) {
+                                    changed |= self.tainted.insert(fid, v);
                                 }
                             }
-                        }
+                        },
                         _ => {
-                            if self.is_tainted(fid, v) {
+                            if self.tainted.contains(fid, v) {
                                 continue;
                             }
-                            if inst.operands().iter().any(|&op| self.is_tainted(fid, op)) {
-                                changed |= self.taint(fid, v);
+                            let mut any = false;
+                            inst.for_each_operand(|op| any |= self.tainted.contains(fid, op));
+                            if any {
+                                changed |= self.tainted.insert(fid, v);
                             }
                         }
                     }
@@ -542,7 +733,9 @@ impl<'a, 'm> Builder<'a, 'm> {
         let cpt = self.ctx.ctx_points_to();
         let cstats = cpt.stats();
         OverflowReach {
-            reachable: self.reachable,
+            reachable: (0..self.reachable.len() as ObjId)
+                .filter(|&o| self.reachable[o as usize])
+                .collect(),
             top: self.top,
             ic_sources: self.ic_sources,
             unproven_gep_stores: self.unproven_gep_stores.len(),
@@ -560,23 +753,18 @@ impl<'a, 'm> Builder<'a, 'm> {
     /// arguments taint the callee's parameters; a tainted return value
     /// taints the call result.
     fn link_taint(&mut self, fid: FuncId, call: ValueId, target: FuncId, args: &[ValueId]) -> bool {
-        let m = self.ctx.module;
-        let callee = m.func(target);
+        let nparams = self.ctx.module.func(target).params.len();
         let mut changed = false;
-        for (i, &a) in args.iter().enumerate() {
-            if i >= callee.params.len() {
-                break;
-            }
-            if self.is_tainted(fid, a) {
-                changed |= self.taint(target, callee.arg(i));
+        for (i, &a) in args.iter().enumerate().take(nparams) {
+            if self.tainted.contains(fid, a) {
+                changed |= self.tainted.insert(target, ValueId(i as u32));
             }
         }
-        for bb in callee.block_ids() {
-            if let Some(Inst::Ret { value: Some(rv) }) = callee.terminator(bb) {
-                if self.is_tainted(target, *rv) {
-                    changed |= self.taint(fid, call);
-                }
-            }
+        let ret_tainted = self.rets[target.0 as usize]
+            .iter()
+            .any(|&rv| self.tainted.contains(target, rv));
+        if ret_tainted {
+            changed |= self.tainted.insert(fid, call);
         }
         changed
     }

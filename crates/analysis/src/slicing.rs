@@ -14,8 +14,9 @@
 
 use crate::alias::{ObjId, PointsTo, Precision};
 use crate::channels::{IcSite, InputChannels};
+use crate::reach::ProofMemo;
 use crate::summary::{CtxPolicy, CtxSolve};
-use pythia_ir::{BlockId, Callee, FuncId, Inst, Intrinsic, Module, ValueId, ValueKind};
+use pythia_ir::{BlockId, Callee, FuncId, Inst, Intrinsic, Module, Placement, ValueId, ValueKind};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -204,6 +205,11 @@ pub struct SliceContext<'m> {
     /// [`Self::points_to`]. Only the overflow-reachability pruner (and
     /// the lint's OPT-02 rule) pays for it, on first use.
     ctx1: OnceCell<CtxSolve>,
+    /// Lazily computed value → block indexes, one slot per function.
+    homes: Vec<OnceCell<Placement>>,
+    /// In-bounds proof answers shared by every overflow-reach fixpoint
+    /// over this context (the pruner's and the certifier's).
+    pub(crate) proofs: ProofMemo,
 }
 
 impl<'m> SliceContext<'m> {
@@ -265,6 +271,8 @@ impl<'m> SliceContext<'m> {
             memo_misses: Cell::new(0),
             policy,
             ctx1: OnceCell::new(),
+            homes: (0..nfuncs).map(|_| OnceCell::new()).collect(),
+            proofs: ProofMemo::default(),
         }
     }
 
@@ -292,6 +300,11 @@ impl<'m> SliceContext<'m> {
     /// context and shared by every control-dependence extension.
     pub fn control_deps(&self, fid: FuncId) -> &[Vec<BlockId>] {
         self.cd[fid.0 as usize].get_or_init(|| crate::cfg::control_dependence(self.module.func(fid)))
+    }
+
+    /// The value → block index of `fid`, computed once per context.
+    pub fn placement(&self, fid: FuncId) -> &Placement {
+        self.homes[fid.0 as usize].get_or_init(|| self.module.func(fid).placement())
     }
 
     /// (hits, misses) of the backward-slice memo table.
@@ -594,7 +607,9 @@ impl<'m> SliceContext<'m> {
             let mut new_branches: Vec<(FuncId, ValueId)> = Vec::new();
             for (fid, v) in sites {
                 let f = self.module.func(fid);
-                let Some(bb) = f.block_of(v) else { continue };
+                let Some(bb) = self.placement(fid).block_of(v) else {
+                    continue;
+                };
                 let cd = self.control_deps(fid);
                 for &gov in &cd[bb.0 as usize] {
                     if let Some(&term) = f.block(gov).insts.last() {

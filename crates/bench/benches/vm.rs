@@ -62,12 +62,21 @@ fn bench_retirement(c: &mut Criterion) {
 fn bench_decode(c: &mut Criterion) {
     // The cost the block engine pays exactly once per instrumented
     // module — compare against the per-run execute time above to see
-    // the amortization margin (ISSUE 6: decode < 10% of execute saved).
-    let m = generate(profile_by_name("505.mcf_r").expect("profile"));
-    let inst = instrument(&m, Scheme::Pythia);
-    c.bench_function("decode_mcf_pythia", |b| {
-        b.iter(|| std::hint::black_box(DecodedModule::eager(&inst.module)))
-    });
+    // the amortization margin. mcf is the suite's smallest case; gcc is
+    // its largest, under every scheme (instrumentation grows the blocks
+    // decode lowers).
+    let mut g = c.benchmark_group("decode");
+    let mcf = generate(profile_by_name("505.mcf_r").expect("profile"));
+    let gcc = generate(profile_by_name("502.gcc_r").expect("profile"));
+    let cases = std::iter::once(("mcf", &mcf, Scheme::Pythia))
+        .chain(Scheme::ALL.into_iter().map(|s| ("gcc", &gcc, s)));
+    for (name, m, scheme) in cases {
+        let inst = instrument(m, scheme);
+        g.bench_function(format!("{name}_{}", scheme.name()), |b| {
+            b.iter(|| std::hint::black_box(DecodedModule::eager(&inst.module)))
+        });
+    }
+    g.finish();
 }
 
 fn bench_vm_construct(c: &mut Criterion) {

@@ -228,9 +228,55 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
-    /// The block containing instruction `id`, if any.
+    /// The block containing instruction `id`, if any. Scans the whole
+    /// function; loops that ask for many values build a [`Placement`]
+    /// once instead.
     pub fn block_of(&self, id: ValueId) -> Option<BlockId> {
         self.block_ids().find(|&bb| self.block(bb).insts.contains(&id))
+    }
+
+    /// The value → home-block index of this function, built in one pass.
+    pub fn placement(&self) -> Placement {
+        Placement::of(self)
+    }
+}
+
+/// Constant-time [`Function::block_of`]: the home block of every value of
+/// one function, indexed by value id. On malformed IR that lists a value
+/// in several blocks, the first block in block order wins, exactly as
+/// `block_of` answers. The index is a snapshot: editing the function's
+/// blocks afterwards leaves it stale.
+#[derive(Debug, Clone)]
+pub struct Placement {
+    /// `home[v]` is the block index of value `v`, or [`Self::UNPLACED`].
+    home: Vec<u32>,
+}
+
+impl Placement {
+    const UNPLACED: u32 = u32::MAX;
+
+    /// Index every placed value of `f`.
+    pub fn of(f: &Function) -> Self {
+        let mut home = vec![Self::UNPLACED; f.num_values()];
+        for (b, block) in f.blocks.iter().enumerate() {
+            for &iv in &block.insts {
+                if let Some(slot) = home.get_mut(iv.0 as usize) {
+                    if *slot == Self::UNPLACED {
+                        *slot = b as u32;
+                    }
+                }
+            }
+        }
+        Placement { home }
+    }
+
+    /// The block containing `v`; `None` for values no block lists
+    /// (arguments, constants, unplaced instructions, out-of-range ids).
+    pub fn block_of(&self, v: ValueId) -> Option<BlockId> {
+        match self.home.get(v.0 as usize) {
+            Some(&b) if b != Self::UNPLACED => Some(BlockId(b)),
+            _ => None,
+        }
     }
 }
 
@@ -296,5 +342,23 @@ mod tests {
         let order = f.inst_order();
         assert_eq!(f.block_of(order[0]), Some(BlockId(0)));
         assert_eq!(f.block_of(*order.last().unwrap()), Some(BlockId(2)));
+    }
+
+    #[test]
+    fn placement_agrees_with_block_of_even_on_malformed_ir() {
+        let mut f = two_block_fn();
+        // Malformed: list the entry's icmp in the `else` block too, and an
+        // argument in the `then` block. `block_of` answers the first
+        // block in block order; the index must answer the same.
+        let icmp = f.block(BlockId(0)).insts[0];
+        f.block_mut(BlockId(2)).insts.insert(0, icmp);
+        let arg = f.arg(0);
+        f.block_mut(BlockId(1)).insts.insert(0, arg);
+        let p = f.placement();
+        for v in f.value_ids() {
+            assert_eq!(p.block_of(v), f.block_of(v), "value {v}");
+        }
+        assert_eq!(p.block_of(icmp), Some(BlockId(0)));
+        assert_eq!(p.block_of(ValueId(u32::MAX - 1)), None);
     }
 }

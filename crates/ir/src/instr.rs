@@ -351,37 +351,60 @@ impl Inst {
 
     /// Value operands of this instruction, in a stable order.
     pub fn operands(&self) -> Vec<ValueId> {
+        let mut ops = Vec::new();
+        self.for_each_operand(|v| ops.push(v));
+        ops
+    }
+
+    /// Visit the value operands in [`Self::operands`] order without
+    /// allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(ValueId)) {
         match self {
-            Inst::Alloca { .. } | Inst::Unreachable | Inst::Jmp { .. } => vec![],
-            Inst::Load { ptr } => vec![*ptr],
-            Inst::Store { ptr, value } => vec![*value, *ptr],
-            Inst::Gep { base, index, .. } => vec![*base, *index],
-            Inst::FieldAddr { base, .. } => vec![*base],
-            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Cast { value, .. } => vec![*value],
+            Inst::Alloca { .. } | Inst::Unreachable | Inst::Jmp { .. } => {}
+            Inst::Load { ptr } => f(*ptr),
+            Inst::Store { ptr, value } => {
+                f(*value);
+                f(*ptr);
+            }
+            Inst::Gep { base, index, .. } => {
+                f(*base);
+                f(*index);
+            }
+            Inst::FieldAddr { base, .. } => f(*base),
+            Inst::Bin { lhs, rhs, .. } | Inst::Icmp { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Inst::Cast { value, .. } => f(*value),
             Inst::Select {
                 cond,
                 on_true,
                 on_false,
-            } => vec![*cond, *on_true, *on_false],
-            Inst::Phi { incomings } => incomings.iter().map(|(_, v)| *v).collect(),
+            } => {
+                f(*cond);
+                f(*on_true);
+                f(*on_false);
+            }
+            Inst::Phi { incomings } => incomings.iter().for_each(|(_, v)| f(*v)),
             Inst::Call { callee, args } => {
-                let mut ops = args.clone();
                 if let Callee::Indirect(v) = callee {
-                    ops.insert(0, *v);
+                    f(*v);
                 }
-                ops
+                args.iter().for_each(|&a| f(a));
             }
             Inst::PacSign {
                 value, modifier, ..
             }
             | Inst::PacAuth {
                 value, modifier, ..
-            } => vec![*value, *modifier],
-            Inst::PacStrip { value } => vec![*value],
-            Inst::SetDef { ptr, .. } | Inst::ChkDef { ptr, .. } => vec![*ptr],
-            Inst::Br { cond, .. } => vec![*cond],
-            Inst::Ret { value } => value.iter().copied().collect(),
+            } => {
+                f(*value);
+                f(*modifier);
+            }
+            Inst::PacStrip { value } => f(*value),
+            Inst::SetDef { ptr, .. } | Inst::ChkDef { ptr, .. } => f(*ptr),
+            Inst::Br { cond, .. } => f(*cond),
+            Inst::Ret { value } => value.iter().for_each(|&v| f(v)),
         }
     }
 

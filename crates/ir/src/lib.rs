@@ -55,7 +55,7 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use error::{DetectionKind, ErrorContext, PythiaError};
-pub use function::{Block, Function, ValueData, ValueKind};
+pub use function::{Block, Function, Placement, ValueData, ValueKind};
 pub use instr::{
     dfi_def_id, BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, GlobalId, Inst, PaKey, ValueId,
 };

@@ -103,13 +103,19 @@ pub fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
         }
     }
 
+    // Use-before-def within a block: an operand homed in the current
+    // block must already have been defined in it (or be always
+    // available). `defined_in[v]` is `bb + 1` once `v` was defined in
+    // block `bb`, so no per-block set is rebuilt.
+    let home = f.placement();
+    let mut defined_in: Vec<u32> = vec![0; f.num_values()];
     for bb in f.block_ids() {
         let block = f.block(bb);
         if block.insts.is_empty() {
             err(Some(bb), None, "empty block".into());
             continue;
         }
-        let mut local_seen = seen.clone();
+        let stamp = bb.0 + 1;
         for (pos, &iv) in block.insts.iter().enumerate() {
             let data = f.value(iv);
             let inst = match &data.kind {
@@ -155,7 +161,10 @@ pub fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                     }
                 } else if !defined_anywhere.contains(&op) {
                     err(Some(bb), Some(iv), format!("{iv}: use of undefined value {op}"));
-                } else if f.block_of(op) == Some(bb) && !local_seen.contains(&op) {
+                } else if home.block_of(op) == Some(bb)
+                    && !seen.contains(&op)
+                    && defined_in[op.0 as usize] != stamp
+                {
                     err(
                         Some(bb),
                         Some(iv),
@@ -169,7 +178,7 @@ pub fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                 }
             }
             check_types(m, f, iv, inst, &data.ty, bb, &mut err);
-            local_seen.insert(iv);
+            defined_in[iv.0 as usize] = stamp;
         }
         if let Some(last) = block.insts.last() {
             if f.inst(*last).map(|i| !i.is_terminator()).unwrap_or(true) {

@@ -44,7 +44,8 @@ use pythia_analysis::{
     SliceMode, SolveResult, VulnerabilityReport,
 };
 use pythia_ir::{
-    dfi_def_id, BlockId, Callee, FuncId, Function, Inst, Module, PaKey, PythiaError, Ty, ValueId,
+    dfi_def_id, BlockId, Callee, FuncId, Function, Inst, Module, PaKey, Placement, PythiaError, Ty,
+    ValueId,
 };
 use pythia_passes::common::{collect_accesses, stable_signable};
 use pythia_passes::{instrument_with, prune_obligations, Instrumented, Scheme};
@@ -392,6 +393,7 @@ impl<'a> Certifier<'a> {
             ctx: self.ctx,
             report,
             instrumented,
+            homes: HashMap::new(),
             checks: 0,
             diagnostics: Vec::new(),
         };
@@ -413,7 +415,11 @@ impl<'a> Certifier<'a> {
         }
     }
 
-    fn reach(&self) -> &OverflowReach {
+    /// The certifier's own overflow-reach fixpoint, computed on first
+    /// use. It runs its own taint and reach state; only the in-bounds
+    /// proof answers come from the context's memo, which the pruner's
+    /// fixpoint over the same context already filled.
+    pub fn reach(&self) -> &OverflowReach {
         self.reach.get_or_init(|| OverflowReach::compute(self.ctx))
     }
 }
@@ -555,21 +561,33 @@ struct Linter<'a> {
     ctx: &'a SliceContext<'a>,
     report: &'a VulnerabilityReport,
     instrumented: &'a Module,
+    /// Value → block index of each instrumented function, built on first
+    /// lookup.
+    homes: HashMap<FuncId, Placement>,
     checks: usize,
     diagnostics: Vec<Diagnostic>,
 }
 
 impl<'a> Linter<'a> {
     fn diag(&mut self, code: RuleCode, fid: FuncId, iv: Option<ValueId>, message: String) {
-        let f = self.instrumented.func(fid);
+        let block = iv.and_then(|v| self.home(fid, v));
         self.diagnostics.push(Diagnostic {
             code,
             severity: Severity::Error,
-            function: f.name.clone(),
-            block: iv.and_then(|v| f.block_of(v)),
+            function: self.instrumented.func(fid).name.clone(),
+            block,
             instruction: iv,
             message,
         });
+    }
+
+    /// The block of the instrumented function `fid` that holds `v`.
+    fn home(&mut self, fid: FuncId, v: ValueId) -> Option<BlockId> {
+        let f = self.instrumented.func(fid);
+        self.homes
+            .entry(fid)
+            .or_insert_with(|| f.placement())
+            .block_of(v)
     }
 
     // -----------------------------------------------------------------
@@ -673,9 +691,9 @@ impl<'a> Linter<'a> {
 
     /// Is `site.call` followed, within its block, by a store of a
     /// `key`-signed value (the re-sign emitted after writing channels)?
-    fn resigned_after(&self, site: &IcSite, key: PaKey) -> bool {
+    fn resigned_after(&mut self, site: &IcSite, key: PaKey) -> bool {
         let f = self.instrumented.func(site.func);
-        let Some(bb) = f.block_of(site.call) else {
+        let Some(bb) = self.home(site.func, site.call) else {
             return false;
         };
         let insts = &f.block(bb).insts;
@@ -794,7 +812,7 @@ impl<'a> Linter<'a> {
                     if site.func != fid || !seen.insert(site.call) {
                         continue;
                     }
-                    let Some(bb) = f.block_of(site.call) else {
+                    let Some(bb) = self.home(fid, site.call) else {
                         continue;
                     };
                     // PY-02: the canary must hold a fresh random value on
@@ -873,7 +891,7 @@ impl<'a> Linter<'a> {
                 let ptr = *ptr;
                 self.checks += 1;
                 let f = self.instrumented.func(fid);
-                let tagged = f.block_of(st).is_some_and(|bb| {
+                let tagged = self.home(fid, st).is_some_and(|bb| {
                     let insts = &f.block(bb).insts;
                     let pos = insts
                         .iter()
@@ -923,7 +941,7 @@ impl<'a> Linter<'a> {
 
                 self.checks += 1;
                 let f = self.instrumented.func(fid);
-                let guard = f.block_of(ld).and_then(|bb| {
+                let guard = self.home(fid, ld).and_then(|bb| {
                     let insts = &f.block(bb).insts;
                     let pos = insts
                         .iter()
@@ -983,7 +1001,7 @@ impl<'a> Linter<'a> {
                         by_ptr.get(&p).cloned().unwrap_or_default()
                     })
                 });
-                let Some(bb) = self.ctx.module.func(fid).block_of(ld) else {
+                let Some(bb) = self.ctx.placement(fid).block_of(ld) else {
                     continue;
                 };
                 let escaped = pts

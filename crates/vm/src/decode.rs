@@ -389,6 +389,11 @@ pub struct DecodedFunction {
     /// (exactly as `Vm::value_of` would) and written into the frame at
     /// call setup, so operand reads need no const-vs-slot distinction.
     pub(crate) consts: Box<[(u32, i64)]>,
+    /// Per block: its predecessors, in block order (one phi prologue
+    /// each when the block heads a superblock).
+    preds: Box<[Box<[BlockId]>]>,
+    /// Per block: whether it holds a chain barrier ([`has_barrier`]).
+    barrier: Box<[bool]>,
     blocks: Vec<OnceLock<DecodedBlock>>,
 }
 
@@ -442,6 +447,8 @@ impl DecodedModule {
                         Some((i, c))
                     })
                     .collect(),
+                preds: predecessors(f),
+                barrier: f.block_ids().map(|bb| has_barrier(f, bb)).collect(),
                 blocks: (0..f.num_blocks()).map(|_| OnceLock::new()).collect(),
             })
             .collect();
@@ -537,6 +544,21 @@ fn entry_prologue(f: &Function, bb: BlockId) -> PhiPrologue {
         },
         None => PhiPrologue::Copies(Box::new([])),
     }
+}
+
+/// `Function::predecessors`, skipping successors that name no block:
+/// construction must not fail on IR that only a decoded block (or
+/// never) trips over.
+fn predecessors(f: &Function) -> Box<[Box<[BlockId]>]> {
+    let mut preds = vec![Vec::new(); f.num_blocks()];
+    for bb in f.block_ids() {
+        for s in f.successors(bb) {
+            if let Some(p) = preds.get_mut(s.0 as usize) {
+                p.push(bb);
+            }
+        }
+    }
+    preds.into_iter().map(Vec::into_boxed_slice).collect()
 }
 
 /// Whether a block contains a chain barrier: any call (function,
@@ -784,15 +806,11 @@ fn decode_superblock(
     head: BlockId,
 ) -> DecodedBlock {
     let f = module.func(fid);
-    let preds = f.predecessors();
-    let prologues: Box<[(u32, PhiPrologue)]> = preds
-        .get(head.0 as usize)
-        .map(|ps| {
-            ps.iter()
-                .map(|&p| (p.0, prologue_for_pred(f, head, p)))
-                .collect()
-        })
-        .unwrap_or_default();
+    let df = &dm.funcs[fid.0 as usize];
+    let prologues: Box<[(u32, PhiPrologue)]> = df.preds[head.0 as usize]
+        .iter()
+        .map(|&p| (p.0, prologue_for_pred(f, head, p)))
+        .collect();
     let entry = entry_prologue(f, head);
 
     let mut ops = Vec::new();
@@ -803,8 +821,8 @@ fn decode_superblock(
         let Some((jmp_idx, target)) = jmp else { break };
         if chain.len() >= MAX_CHAIN
             || chain.contains(&target)
-            || has_barrier(f, cur)
-            || has_barrier(f, target)
+            || df.barrier[cur.0 as usize]
+            || df.barrier[target.0 as usize]
         {
             break;
         }

@@ -49,7 +49,22 @@ echo "== pythia-lint --all-schemes =="
 # every scheme, must satisfy all protection invariants (DESIGN.md §5c).
 # Any diagnostic is fatal — a violation means a pass emitted unsound
 # instrumentation, which would invalidate every downstream measurement.
-target/release/pythia-lint --all-schemes
+lint_status=0
+target/release/pythia-lint --all-schemes > "$OUT/lint-all-schemes.txt" || lint_status=$?
+if [ "$lint_status" -ne 0 ]; then
+    cat "$OUT/lint-all-schemes.txt" >&2
+    echo "FAIL: pythia-lint --all-schemes exited $lint_status" >&2
+    exit 1
+fi
+# Golden gate: the per-report obligation counts must match the committed
+# file exactly, so a change that silently drops (or adds) certifier
+# checks fails here. A change that alters the rules on purpose
+# regenerates scripts/golden/lint-all-schemes.txt and says why.
+if ! diff -u scripts/golden/lint-all-schemes.txt "$OUT/lint-all-schemes.txt"; then
+    echo "FAIL: pythia-lint --all-schemes differs from scripts/golden/lint-all-schemes.txt" >&2
+    exit 1
+fi
+tail -1 "$OUT/lint-all-schemes.txt"
 
 echo "== reproduce --smoke --bench-json =="
 smoke_status=0
