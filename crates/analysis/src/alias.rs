@@ -506,7 +506,10 @@ fn gather_inst(
                 // was carrying (ptrtoint round trips).
                 out.push(LocalConstraint::SeedUnknown { dst: v });
             }
-            out.push(LocalConstraint::Copy { src: *value, dst: v });
+            out.push(LocalConstraint::Copy {
+                src: *value,
+                dst: v,
+            });
         }
         Inst::Select {
             on_true, on_false, ..
@@ -521,7 +524,10 @@ fn gather_inst(
             }
         }
         Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } | Inst::PacStrip { value } => {
-            out.push(LocalConstraint::Copy { src: *value, dst: v });
+            out.push(LocalConstraint::Copy {
+                src: *value,
+                dst: v,
+            });
         }
         Inst::Call { callee, args } => match callee {
             Callee::Func(target) => out.push(LocalConstraint::Call {
@@ -614,11 +620,7 @@ enum Constraint {
     /// `pts(dst) ⊇ { field(o, field) | o ∈ pts(base) }`, where `field(o, f)`
     /// is the interned field object when `o` is struct-typed and `o` itself
     /// otherwise (the safe fallback). Only emitted in field-sensitive mode.
-    FieldOf {
-        base: usize,
-        dst: usize,
-        field: u32,
-    },
+    FieldOf { base: usize, dst: usize, field: u32 },
 }
 
 struct Builder<'m> {

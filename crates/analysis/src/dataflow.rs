@@ -30,8 +30,8 @@
 //! so a buggy non-monotone client degrades into a detectable
 //! non-convergence instead of an infinite loop.
 
-use pythia_ir::{BlockId, Function};
 use crate::cfg::reverse_postorder;
+use pythia_ir::{BlockId, Function};
 
 /// Which way facts flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -650,9 +650,7 @@ pub fn index_in_bounds(
     if let ValueKind::ConstInt(c) = f.value(index).kind {
         return c >= 0 && (c as u64) < count;
     }
-    ranges
-        .range_before(f, gep_inst, index)
-        .within_bounds(count)
+    ranges.range_before(f, gep_inst, index).within_bounds(count)
 }
 
 #[cfg(test)]

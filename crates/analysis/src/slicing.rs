@@ -293,13 +293,15 @@ impl<'m> SliceContext<'m> {
     /// Def-use chains of `fid`, computed once per context and shared by
     /// every forward slice.
     pub fn def_use(&self, fid: FuncId) -> &crate::defuse::DefUse {
-        self.du[fid.0 as usize].get_or_init(|| crate::defuse::DefUse::compute(self.module.func(fid)))
+        self.du[fid.0 as usize]
+            .get_or_init(|| crate::defuse::DefUse::compute(self.module.func(fid)))
     }
 
     /// Control-dependence sets of `fid` (per block), computed once per
     /// context and shared by every control-dependence extension.
     pub fn control_deps(&self, fid: FuncId) -> &[Vec<BlockId>] {
-        self.cd[fid.0 as usize].get_or_init(|| crate::cfg::control_dependence(self.module.func(fid)))
+        self.cd[fid.0 as usize]
+            .get_or_init(|| crate::cfg::control_dependence(self.module.func(fid)))
     }
 
     /// The value → block index of `fid`, computed once per context.

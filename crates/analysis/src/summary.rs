@@ -48,8 +48,7 @@
 //! solving strategies, not the kill heuristic.
 
 use crate::alias::{
-    collect_address_taken, gather_function, LocalConstraint, MemObjectKind, ObjId, ObjSet,
-    PointsTo,
+    collect_address_taken, gather_function, LocalConstraint, MemObjectKind, ObjId, ObjSet, PointsTo,
 };
 use crate::callgraph::CallGraph;
 use crate::reaching::ReachingStores;
@@ -235,7 +234,10 @@ impl KPlan {
         let mut total = 0usize;
         for fid in m.func_ids() {
             let f = m.func(fid);
-            let cs: Vec<Chain> = chains_of_scc[scc_of[fid.0 as usize]].iter().cloned().collect();
+            let cs: Vec<Chain> = chains_of_scc[scc_of[fid.0 as usize]]
+                .iter()
+                .cloned()
+                .collect();
             let mut b = Vec::with_capacity(cs.len());
             for _ in &cs {
                 b.push(total as u32);
@@ -571,8 +573,7 @@ impl<'a> SolveState<'a> {
                     LocalConstraint::Load { ptr, dst } => {
                         let p = plan.node(fid, ctx, *ptr);
                         let d = plan.node(fid, ctx, *dst);
-                        let objs: Vec<ObjId> =
-                            self.value_pts[p].objects.iter().copied().collect();
+                        let objs: Vec<ObjId> = self.value_pts[p].objects.iter().copied().collect();
                         let ptr_unknown = self.value_pts[p].unknown;
                         for o in objs {
                             for o2 in base.overlapping_objects(o) {
@@ -596,8 +597,7 @@ impl<'a> SolveState<'a> {
                         }
                         let p = plan.node(fid, ctx, *ptr);
                         let s = plan.node(fid, ctx, *src);
-                        let objs: Vec<ObjId> =
-                            self.value_pts[p].objects.iter().copied().collect();
+                        let objs: Vec<ObjId> = self.value_pts[p].objects.iter().copied().collect();
                         let val = self.value_pts[s].clone();
                         for o in objs {
                             if self.mem[o as usize].merge(&val) {
@@ -606,11 +606,14 @@ impl<'a> SolveState<'a> {
                             }
                         }
                     }
-                    LocalConstraint::FieldOf { base: b, dst, field } => {
+                    LocalConstraint::FieldOf {
+                        base: b,
+                        dst,
+                        field,
+                    } => {
                         let bn = plan.node(fid, ctx, *b);
                         let d = plan.node(fid, ctx, *dst);
-                        let objs: Vec<ObjId> =
-                            self.value_pts[bn].objects.iter().copied().collect();
+                        let objs: Vec<ObjId> = self.value_pts[bn].objects.iter().copied().collect();
                         let base_unknown = self.value_pts[bn].unknown;
                         for o in objs {
                             let target = base.resolve_field(o, *field).unwrap_or(o);
@@ -1263,7 +1266,10 @@ mod tests {
         }
         for bad in ["objsens", "1cfa", "2cfa", "bogus", ""] {
             let err = bad.parse::<CtxPolicy>().unwrap_err();
-            assert!(err.contains("insensitive|summary-1cfa|summary-2cfa"), "{err}");
+            assert!(
+                err.contains("insensitive|summary-1cfa|summary-2cfa"),
+                "{err}"
+            );
         }
     }
 

@@ -81,8 +81,20 @@ use pythia_core::{CtxPolicy, Engine, RunConfig, VmConfig};
 
 /// The sections rendered from the evaluated suite.
 const SUITE_SECTIONS: [&str; 14] = [
-    "fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "fig7a", "fig7b", "dist", "precision",
-    "dynpa", "heap", "models", "profile",
+    "fig4a",
+    "fig4b",
+    "fig5a",
+    "fig5b",
+    "fig6a",
+    "fig6b",
+    "fig7a",
+    "fig7b",
+    "dist",
+    "precision",
+    "dynpa",
+    "heap",
+    "models",
+    "profile",
 ];
 
 /// The sections that analyze or run modules of their own.
@@ -156,7 +168,9 @@ fn take_value(args: &mut Vec<String>, flag: &str, scenario_active: bool) -> Opti
     }
     match v.parse::<u64>() {
         Ok(n) if n > 0 => Some(n),
-        _ => usage_error(&format!("{flag}: bad value `{v}` (expected a positive integer)")),
+        _ => usage_error(&format!(
+            "{flag}: bad value `{v}` (expected a positive integer)"
+        )),
     }
 }
 
@@ -207,7 +221,11 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--out <dir>` writes the report to <dir>/report.md instead of stdout.
     let out_dir = take_flag(&mut args, "--out", "--out needs a directory");
-    let engine = match take_flag(&mut args, "--engine", "--engine needs a value (legacy|block)") {
+    let engine = match take_flag(
+        &mut args,
+        "--engine",
+        "--engine needs a value (legacy|block)",
+    ) {
         None => Engine::Block,
         Some(name) => match name.as_str() {
             "legacy" => Engine::Legacy,
@@ -216,28 +234,34 @@ fn main() {
         },
     };
     let run = run_config(engine);
-    let tier = match take_flag(&mut args, "--tier", "--tier needs a value (smoke|standard|ref)") {
+    let tier = match take_flag(
+        &mut args,
+        "--tier",
+        "--tier needs a value (smoke|standard|ref)",
+    ) {
         None => pythia_workloads::SizeTier::Standard,
         Some(t) => pythia_workloads::SizeTier::parse(&t).unwrap_or_else(|| {
             usage_error(&format!("unknown tier `{t}` (expected smoke|standard|ref)"))
         }),
     };
-    let only: Option<Vec<String>> =
-        take_flag(&mut args, "--only", "--only needs a comma-separated benchmark list").map(
-            |names| {
-                let names: Vec<String> = names.split(',').map(str::to_owned).collect();
-                // Reject unknown names up front, before any benchmark runs —
-                // a typo'd --only must not burn a whole suite pass to report
-                // one "unknown profile" row.
-                if let Err(bad) = exp::validate_only_names(&names) {
-                    usage_error(&format!(
-                        "unknown benchmark `{bad}` for --only (partial SPEC names match); valid names: {}",
-                        exp::valid_only_names().join(", ")
-                    ));
-                }
-                names
-            },
-        );
+    let only: Option<Vec<String>> = take_flag(
+        &mut args,
+        "--only",
+        "--only needs a comma-separated benchmark list",
+    )
+    .map(|names| {
+        let names: Vec<String> = names.split(',').map(str::to_owned).collect();
+        // Reject unknown names up front, before any benchmark runs —
+        // a typo'd --only must not burn a whole suite pass to report
+        // one "unknown profile" row.
+        if let Err(bad) = exp::validate_only_names(&names) {
+            usage_error(&format!(
+                "unknown benchmark `{bad}` for --only (partial SPEC names match); valid names: {}",
+                exp::valid_only_names().join(", ")
+            ));
+        }
+        names
+    });
     // `--scenario server [--connections N] [--requests M] [--seed S]`
     // runs the event-loop server scenario (DESIGN.md §5i) instead of the
     // suite: writes BENCH_server.json, prints the detection-vs-offset

@@ -597,8 +597,18 @@ fn render_profile(suite: &[SuiteEntry], engine: Engine) -> String {
     // executed-PA reduction the field-sensitive points-to + bounds
     // proofs buy.
     let mut t = Table::new(vec![
-        "scheme", "pa sign", "pa auth", "pa strip", "pa static", "pa unpruned", "pruned",
-        "dfi setdef", "dfi chkdef", "heap allocs", "coalesces", "resident KiB",
+        "scheme",
+        "pa sign",
+        "pa auth",
+        "pa strip",
+        "pa static",
+        "pa unpruned",
+        "pruned",
+        "dfi setdef",
+        "dfi chkdef",
+        "heap allocs",
+        "coalesces",
+        "resident KiB",
     ]);
     let results = || evs.iter().flat_map(|e| &e.results);
     for scheme in Scheme::ALL {
@@ -1295,7 +1305,10 @@ pub fn precision(suite: &[BenchEvaluation]) -> String {
     };
     t.row(vec![
         "TOTAL".to_owned(),
-        format!("{:.2}", mean(suite.iter().map(|e| e.analysis.avg_points_to))),
+        format!(
+            "{:.2}",
+            mean(suite.iter().map(|e| e.analysis.avg_points_to))
+        ),
         String::new(),
         String::new(),
         ctx_total.to_string(),

@@ -62,7 +62,12 @@ impl Default for ServerScenarioSpec {
 impl ServerScenarioSpec {
     /// The event-loop configuration every scheme's loop runs with.
     pub fn loop_config(&self) -> EventLoopConfig {
-        EventLoopConfig::standard(self.connections, self.requests, self.seed, self.run.vm.engine)
+        EventLoopConfig::standard(
+            self.connections,
+            self.requests,
+            self.seed,
+            self.run.vm.engine,
+        )
     }
 }
 
@@ -181,7 +186,10 @@ fn render_json(cfg: &EventLoopConfig, runs: &[SchemeServerRun]) -> String {
         out.push_str(&format!("      \"slices\": {},\n", s.slices));
         out.push_str(&format!("      \"epochs\": {},\n", s.epochs));
         out.push_str(&format!("      \"closed\": {},\n", s.closed));
-        out.push_str(&format!("      \"internal_errors\": {},\n", s.internal_errors));
+        out.push_str(&format!(
+            "      \"internal_errors\": {},\n",
+            s.internal_errors
+        ));
         out.push_str(&format!("      \"response_sum\": {},\n", s.response_sum));
         out.push_str(&format!("      \"insts\": {},\n", s.insts));
         out.push_str(&format!("      \"cycles\": {},\n", s.cycles));
@@ -269,11 +277,7 @@ fn render_table(cfg: &EventLoopConfig, runs: &[SchemeServerRun]) -> String {
             s.retired.to_string(),
             s.cancelled.to_string(),
             s.multi_slice.to_string(),
-            s.offsets
-                .iter()
-                .map(|o| o.dop)
-                .sum::<u64>()
-                .to_string(),
+            s.offsets.iter().map(|o| o.dop).sum::<u64>().to_string(),
             format!("{:.0}", s.sim_rps()),
             s.arena_shared.fastbin_hits.to_string(),
             format!("{} KiB", s.peak_resident_bytes / 1024),

@@ -32,7 +32,11 @@ fn serial_and_parallel_evaluations_are_identical() {
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.name, b.name, "output order must be deterministic");
-        assert_eq!(a.analysis, b.analysis, "{}: analysis summary differs", a.name);
+        assert_eq!(
+            a.analysis, b.analysis,
+            "{}: analysis summary differs",
+            a.name
+        );
         assert_eq!(a.results.len(), b.results.len());
         for (ra, rb) in a.results.iter().zip(&b.results) {
             assert_eq!(ra.scheme, rb.scheme, "{}: scheme order differs", a.name);
@@ -75,7 +79,10 @@ fn profiling_toggle_never_changes_results() {
         for (ra, rb) in ev_on.results.iter().zip(&off.results) {
             assert_eq!(ra.scheme, rb.scheme);
             assert_eq!(ra.exit, rb.exit, "exit must not depend on profiling");
-            assert_eq!(ra.metrics, rb.metrics, "metrics must not depend on profiling");
+            assert_eq!(
+                ra.metrics, rb.metrics,
+                "metrics must not depend on profiling"
+            );
             // With profiling off the dynamic counters stay zero.
             assert_eq!(rb.profile.pa.executed(), 0);
             assert_eq!(rb.profile.total_ops(), 0);

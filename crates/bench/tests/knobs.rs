@@ -43,7 +43,10 @@ fn bad_thread_counts_exit_2() {
     for bad in ["0", "abc"] {
         let (code, _, err) = reproduce(&["eq6"], &[("PYTHIA_THREADS", bad)]);
         assert_eq!(code, Some(2), "PYTHIA_THREADS={bad}: {err}");
-        assert!(err.contains("positive integer"), "PYTHIA_THREADS={bad}: {err}");
+        assert!(
+            err.contains("positive integer"),
+            "PYTHIA_THREADS={bad}: {err}"
+        );
     }
 }
 
@@ -70,8 +73,14 @@ fn removed_switches_exit_2() {
     for removed in ["--lint", "--profile"] {
         let (code, out, err) = reproduce(&["--smoke", removed, "eq6"], &[]);
         assert_eq!(code, Some(2), "{removed}: {err}");
-        assert!(out.is_empty(), "{removed}: nothing may reach stdout:\n{out}");
-        assert!(err.contains(&format!("unknown option `{removed}`")), "{err}");
+        assert!(
+            out.is_empty(),
+            "{removed}: nothing may reach stdout:\n{out}"
+        );
+        assert!(
+            err.contains(&format!("unknown option `{removed}`")),
+            "{err}"
+        );
     }
 }
 

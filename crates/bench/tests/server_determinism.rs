@@ -32,7 +32,10 @@ fn server_json_is_byte_identical_across_runs_and_engines() {
     let b = run_server_scenario(&small_spec(Engine::Legacy, 1)).unwrap();
     let c = run_server_scenario(&small_spec(Engine::Block, 1)).unwrap();
     assert_eq!(a.json, b.json, "repeated runs must emit identical JSON");
-    assert_eq!(a.json, c.json, "legacy and block engines must emit identical JSON");
+    assert_eq!(
+        a.json, c.json,
+        "legacy and block engines must emit identical JSON"
+    );
     assert_eq!(a.table, c.table);
     assert_eq!(a.internal_errors, 0);
     // 4 schemes x `requests` each, all retired.
@@ -54,10 +57,23 @@ fn scheme_detection_matches_window_model() {
     for r in &run.runs {
         let s = &r.stats;
         assert!(s.attacks > 0, "{}: no attacks fired", r.scheme);
-        assert!(s.cancelled > 0, "{}: cancellation path never exercised", r.scheme);
-        assert!(s.multi_slice > 0, "{}: budget slicing never exercised", r.scheme);
+        assert!(
+            s.cancelled > 0,
+            "{}: cancellation path never exercised",
+            r.scheme
+        );
+        assert!(
+            s.multi_slice > 0,
+            "{}: budget slicing never exercised",
+            r.scheme
+        );
         for o in &s.offsets {
-            assert!(o.attacks > 0, "{}: empty offset bucket {}", r.scheme, o.label);
+            assert!(
+                o.attacks > 0,
+                "{}: empty offset bucket {}",
+                r.scheme,
+                o.label
+            );
             match r.scheme.name() {
                 // No defense: every attack escalates to the DOP exit.
                 "vanilla" => {

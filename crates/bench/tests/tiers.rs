@@ -48,7 +48,11 @@ fn ref_tier_report_is_byte_identical_across_worker_counts() {
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.name, b.name, "output order must be deterministic");
-        assert_eq!(a.analysis, b.analysis, "{}: analysis summary differs", a.name);
+        assert_eq!(
+            a.analysis, b.analysis,
+            "{}: analysis summary differs",
+            a.name
+        );
         for (ra, rb) in a.results.iter().zip(&b.results) {
             assert_eq!(ra.stats, rb.stats, "{}: instrumentation differs", a.name);
             assert_eq!(ra.exit, rb.exit, "{}: exit differs", a.name);

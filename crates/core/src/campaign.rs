@@ -117,7 +117,16 @@ pub fn run_campaign(
 ) -> Result<CampaignResult, PythiaError> {
     let build = VariantBuilder::new(module, CtxPolicy::default());
     let (ctx, pruned) = (build.ctx(), build.pruned());
-    run_campaign_with(module, ctx, pruned, scheme, seed, payload_len, max_attacks, cfg)
+    run_campaign_with(
+        module,
+        ctx,
+        pruned,
+        scheme,
+        seed,
+        payload_len,
+        max_attacks,
+        cfg,
+    )
 }
 
 /// [`run_campaign`] against a caller-supplied analysis/report — the hook

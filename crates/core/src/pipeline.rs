@@ -614,7 +614,10 @@ mod tests {
         let m = generate(profile_by_name("lbm").unwrap());
         let ev = evaluate(&m, &[Scheme::Pythia], 1, &VmConfig::default()).unwrap();
         let a = &ev.analysis;
-        assert!(a.memo_misses > 0, "analysis must compute at least one slice");
+        assert!(
+            a.memo_misses > 0,
+            "analysis must compute at least one slice"
+        );
         assert_eq!(a.memo_hits, 0, "some slice was computed twice");
         // The counters are schedule-independent: misses count distinct
         // keys (only the inserting computation counts one), so a rerun

@@ -70,7 +70,10 @@ pub fn adjudicate(
 /// # Errors
 ///
 /// The first [`PythiaError`] [`adjudicate`] would return.
-pub fn adjudicate_all(scenario: &Scenario, run: &RunConfig) -> Result<Vec<ScenarioOutcome>, PythiaError> {
+pub fn adjudicate_all(
+    scenario: &Scenario,
+    run: &RunConfig,
+) -> Result<Vec<ScenarioOutcome>, PythiaError> {
     let build = VariantBuilder::new(&scenario.module, run.ctx_policy);
     let cert = build.certifier();
     Scheme::ALL

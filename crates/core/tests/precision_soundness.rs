@@ -273,8 +273,7 @@ fn pruned_and_unpruned_campaigns_are_byte_identical() {
         for scheme in [Scheme::Cpa, Scheme::Pythia, Scheme::Dfi] {
             let before =
                 run_campaign_with(&m, &ctx, &report, scheme, p.seed, 64, 12, &cfg).unwrap();
-            let after =
-                run_campaign_with(&m, &ctx, &pruned, scheme, p.seed, 64, 12, &cfg).unwrap();
+            let after = run_campaign_with(&m, &ctx, &pruned, scheme, p.seed, 64, 12, &cfg).unwrap();
             assert_eq!(before.attacks, after.attacks, "{name}/{scheme:?}");
             assert_eq!(
                 before.outcomes, after.outcomes,

@@ -63,7 +63,11 @@ fn pa_execution_counters_match_metrics_per_scheme() {
             match r.scheme {
                 Scheme::Vanilla => {
                     assert_eq!(r.profile.pa.executed(), 0, "vanilla executes no PA ops");
-                    assert_eq!(r.profile.pa.static_sign_auth(), 0, "vanilla contains no PA ops");
+                    assert_eq!(
+                        r.profile.pa.static_sign_auth(),
+                        0,
+                        "vanilla contains no PA ops"
+                    );
                 }
                 Scheme::Dfi => {
                     assert_eq!(r.profile.pa.executed(), 0, "DFI uses shadow memory, not PA");

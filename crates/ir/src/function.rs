@@ -232,7 +232,8 @@ impl Function {
     /// function; loops that ask for many values build a [`Placement`]
     /// once instead.
     pub fn block_of(&self, id: ValueId) -> Option<BlockId> {
-        self.block_ids().find(|&bb| self.block(bb).insts.contains(&id))
+        self.block_ids()
+            .find(|&bb| self.block(bb).insts.contains(&id))
     }
 
     /// The value → home-block index of this function, built in one pass.

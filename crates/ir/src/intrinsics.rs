@@ -398,7 +398,10 @@ mod tests {
 
     #[test]
     fn signatures_cover_every_intrinsic() {
-        for i in Intrinsic::ALL.into_iter().chain([Intrinsic::HeapSectionInit]) {
+        for i in Intrinsic::ALL
+            .into_iter()
+            .chain([Intrinsic::HeapSectionInit])
+        {
             let sig = i.signature();
             assert!(
                 sig.ptr_args.iter().all(|&p| p < sig.min_args),

@@ -141,14 +141,22 @@ pub fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                 );
             }
             if matches!(inst, Inst::Alloca { .. }) && bb != f.entry() {
-                err(Some(bb), Some(iv), format!("{iv}: alloca outside entry block"));
+                err(
+                    Some(bb),
+                    Some(iv),
+                    format!("{iv}: alloca outside entry block"),
+                );
             }
             if matches!(inst, Inst::Phi { .. }) && bb == f.entry() {
                 err(Some(bb), Some(iv), format!("{iv}: phi in entry block"));
             }
             for op in inst.operands() {
                 if !in_range(op) {
-                    err(Some(bb), Some(iv), format!("{iv}: operand {op} out of range"));
+                    err(
+                        Some(bb),
+                        Some(iv),
+                        format!("{iv}: operand {op} out of range"),
+                    );
                     continue;
                 }
                 if matches!(inst, Inst::Phi { .. }) {
@@ -160,7 +168,11 @@ pub fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                         );
                     }
                 } else if !defined_anywhere.contains(&op) {
-                    err(Some(bb), Some(iv), format!("{iv}: use of undefined value {op}"));
+                    err(
+                        Some(bb),
+                        Some(iv),
+                        format!("{iv}: use of undefined value {op}"),
+                    );
                 } else if home.block_of(op) == Some(bb)
                     && !seen.contains(&op)
                     && defined_in[op.0 as usize] != stamp
@@ -174,7 +186,11 @@ pub fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
             }
             for s in inst.successors() {
                 if s.0 >= num_blocks {
-                    err(Some(bb), Some(iv), format!("{iv}: branch to missing block {s}"));
+                    err(
+                        Some(bb),
+                        Some(iv),
+                        format!("{iv}: branch to missing block {s}"),
+                    );
                 }
             }
             check_types(m, f, iv, inst, &data.ty, bb, &mut err);
@@ -239,7 +255,11 @@ fn check_types(
                 );
             }
             Some(_) => {}
-            None => err(Some(bb), Some(iv), format!("{iv}: load through non-pointer")),
+            None => err(
+                Some(bb),
+                Some(iv),
+                format!("{iv}: load through non-pointer"),
+            ),
         },
         Inst::Store { ptr, value } => match vty(*ptr).pointee() {
             Some(p) if !slot_compatible(p, &vty(*value)) => {
@@ -250,20 +270,36 @@ fn check_types(
                 );
             }
             Some(_) => {}
-            None => err(Some(bb), Some(iv), format!("{iv}: store through non-pointer")),
+            None => err(
+                Some(bb),
+                Some(iv),
+                format!("{iv}: store through non-pointer"),
+            ),
         },
         Inst::Gep { base, index, .. } => {
             if !vty(*base).is_ptr() {
-                err(Some(bb), Some(iv), format!("{iv}: gep base is not a pointer"));
+                err(
+                    Some(bb),
+                    Some(iv),
+                    format!("{iv}: gep base is not a pointer"),
+                );
             }
             if !vty(*index).is_int() {
-                err(Some(bb), Some(iv), format!("{iv}: gep index is not an integer"));
+                err(
+                    Some(bb),
+                    Some(iv),
+                    format!("{iv}: gep index is not an integer"),
+                );
             }
         }
         Inst::FieldAddr { base, field } => match vty(*base).pointee() {
             Some(Ty::Struct(fields)) => {
                 if *field as usize >= fields.len() {
-                    err(Some(bb), Some(iv), format!("{iv}: field index out of range"));
+                    err(
+                        Some(bb),
+                        Some(iv),
+                        format!("{iv}: field index out of range"),
+                    );
                 }
             }
             _ => err(
@@ -281,10 +317,18 @@ fn check_types(
             }
         }
         Inst::Icmp { lhs, rhs, .. } if vty(*lhs).is_aggregate() || vty(*rhs).is_aggregate() => {
-            err(Some(bb), Some(iv), format!("{iv}: comparison of aggregates"));
+            err(
+                Some(bb),
+                Some(iv),
+                format!("{iv}: comparison of aggregates"),
+            );
         }
         Inst::Br { cond, .. } if vty(*cond) != Ty::I1 => {
-            err(Some(bb), Some(iv), format!("{iv}: branch condition is not i1"));
+            err(
+                Some(bb),
+                Some(iv),
+                format!("{iv}: branch condition is not i1"),
+            );
         }
         Inst::Ret { value } => {
             match value {
@@ -314,7 +358,11 @@ fn check_types(
         Inst::Call { callee, args } => match callee {
             Callee::Func(fid) => {
                 if (fid.0 as usize) >= m.functions().len() {
-                    err(Some(bb), Some(iv), format!("{iv}: call to missing function"));
+                    err(
+                        Some(bb),
+                        Some(iv),
+                        format!("{iv}: call to missing function"),
+                    );
                 } else {
                     let callee_f = m.func(*fid);
                     if callee_f.params.len() != args.len() {
@@ -548,9 +596,8 @@ mod tests {
         m.add_function(b.finish());
         let errs = verify_module(&m).unwrap_err();
         assert!(
-            errs.iter()
-                .any(|e| e.message.contains("`memcpy`")
-                    && e.message.contains("argument 1 must be a pointer")),
+            errs.iter().any(|e| e.message.contains("`memcpy`")
+                && e.message.contains("argument 1 must be a pointer")),
             "{errs:?}"
         );
     }

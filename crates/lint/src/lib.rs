@@ -552,7 +552,10 @@ fn opt02_verdict(
 ) -> (CtxPolicy, Option<bool>) {
     let policy = ctx.ctx_policy();
     let cap = OPT02_NODE_CAP;
-    (policy, opt02_equivalence(original, &ctx.points_to, policy, cap, mutation))
+    (
+        policy,
+        opt02_equivalence(original, &ctx.points_to, policy, cap, mutation),
+    )
 }
 
 struct Linter<'a> {
@@ -796,8 +799,18 @@ impl<'a> Linter<'a> {
             }
 
             let canaries: BTreeSet<ValueId> = canary_of.values().copied().collect();
-            let checked = solve(f, &CanaryChecked { canaries: &canaries });
-            let fresh = solve(f, &CanaryFresh { canaries: &canaries });
+            let checked = solve(
+                f,
+                &CanaryChecked {
+                    canaries: &canaries,
+                },
+            );
+            let fresh = solve(
+                f,
+                &CanaryFresh {
+                    canaries: &canaries,
+                },
+            );
 
             for &v in &vuln_set {
                 // Mirror the pass: the first vuln entry for this alloca
@@ -1043,8 +1056,7 @@ impl<'a> Linter<'a> {
 
     fn check_pruning(&mut self, scheme: Scheme) {
         let baseline = self.cert.baseline;
-        let (mode, candidates, kept): (SliceMode, BTreeSet<ObjId>, BTreeSet<ObjId>) = match scheme
-        {
+        let (mode, candidates, kept): (SliceMode, BTreeSet<ObjId>, BTreeSet<ObjId>) = match scheme {
             Scheme::Cpa => (
                 SliceMode::Pythia,
                 baseline.cpa_slot_objects.clone(),
@@ -1058,10 +1070,7 @@ impl<'a> Linter<'a> {
                     .iter()
                     .copied()
                     .filter(|&o| {
-                        matches!(
-                            self.ctx.points_to.obj_kind(o),
-                            MemObjectKind::Heap { .. }
-                        )
+                        matches!(self.ctx.points_to.obj_kind(o), MemObjectKind::Heap { .. })
                     })
                     .collect();
                 (SliceMode::Pythia, heap, self.report.pythia_objects.clone())
@@ -1285,7 +1294,12 @@ impl DataflowAnalysis for CanaryChecked<'_> {
     }
 }
 
-fn checked_step(f: &Function, canaries: &BTreeSet<ValueId>, iv: ValueId, fact: &mut BTreeSet<ValueId>) {
+fn checked_step(
+    f: &Function,
+    canaries: &BTreeSet<ValueId>,
+    iv: ValueId,
+    fact: &mut BTreeSet<ValueId>,
+) {
     if let Some(Inst::PacAuth {
         key: PaKey::Ga,
         modifier,
@@ -1351,7 +1365,12 @@ impl DataflowAnalysis for CanaryFresh<'_> {
     }
 }
 
-fn fresh_step(f: &Function, canaries: &BTreeSet<ValueId>, iv: ValueId, fact: &mut BTreeSet<ValueId>) {
+fn fresh_step(
+    f: &Function,
+    canaries: &BTreeSet<ValueId>,
+    iv: ValueId,
+    fact: &mut BTreeSet<ValueId>,
+) {
     match f.inst(iv) {
         Some(Inst::Store { ptr, value }) if canaries.contains(ptr) => {
             let signed = matches!(

@@ -18,9 +18,7 @@
 
 use proptest::prelude::*;
 use pythia_analysis::{CtxPolicy, SliceContext, VulnerabilityReport};
-use pythia_ir::{
-    CmpPred, FuncId, FunctionBuilder, Inst, Intrinsic, Module, PaKey, Ty, ValueId,
-};
+use pythia_ir::{CmpPred, FuncId, FunctionBuilder, Inst, Intrinsic, Module, PaKey, Ty, ValueId};
 use pythia_lint::{lint_instrumented, lint_module, Certifier, RuleCode, VariantBuilder};
 use pythia_passes::{instrument_with, prune_obligations, Scheme};
 use pythia_workloads::{generate, generate_scaled, nginx_module, SPEC_PROFILES};
@@ -110,10 +108,7 @@ fn demo_module() -> Module {
 /// Instrument `m` under `scheme`, hand the instrumented module to
 /// `sabotage`, lint it through a certifier that has already certified
 /// every other scheme's clean variant, and return the diagnostics.
-fn lint_after(
-    scheme: Scheme,
-    sabotage: impl FnOnce(&mut Module),
-) -> Vec<pythia_lint::Diagnostic> {
+fn lint_after(scheme: Scheme, sabotage: impl FnOnce(&mut Module)) -> Vec<pythia_lint::Diagnostic> {
     let m = demo_module();
     let ctx = SliceContext::new(&m);
     let report = VulnerabilityReport::analyze(&ctx);
@@ -136,7 +131,11 @@ fn certify_others_clean(
     for s in INSTRUMENTED.into_iter().filter(|&s| s != except) {
         let inst = instrument_with(m, ctx, report, s).module;
         let lint = cert.check(report, &inst, s);
-        assert!(lint.is_clean(), "clean {s:?} variant flagged:\n{}", lint.render());
+        assert!(
+            lint.is_clean(),
+            "clean {s:?} variant flagged:\n{}",
+            lint.render()
+        );
     }
 }
 
@@ -200,11 +199,7 @@ fn unauthenticated_load_use_is_flagged_as_cpa02() {
             .expect("CPA authenticates at least one load");
         let consumer = f
             .value_ids()
-            .find(|&iv| {
-                iv != auth
-                    && f.inst(iv)
-                        .is_some_and(|i| i.operands().contains(&auth))
-            })
+            .find(|&iv| iv != auth && f.inst(iv).is_some_and(|i| i.operands().contains(&auth)))
             .expect("the authenticated value has a consumer");
         if let Some(inst) = f.inst_mut(consumer) {
             inst.map_operands(|op| if op == auth { ld } else { op });
@@ -533,7 +528,11 @@ fn shared_certifier_matches_a_fresh_lint_per_variant() {
             let inst = build.instrument(scheme).module;
             let shared = cert.check(build.pruned(), &inst, scheme);
             let fresh = lint_instrumented(m, build.ctx(), build.pruned(), &inst, scheme);
-            assert!(shared.checks > 0, "{} under {scheme:?} checked nothing", m.name);
+            assert!(
+                shared.checks > 0,
+                "{} under {scheme:?} checked nothing",
+                m.name
+            );
             assert_eq!(
                 shared.to_json(),
                 fresh.to_json(),

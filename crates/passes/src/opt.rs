@@ -120,15 +120,16 @@ pub fn prune_obligations(
     let pt = &ctx.points_to;
     let m = ctx.module;
     let before = report.cpa_sign_values.len();
-    out.cpa_sign_values.retain(|&(fid, v)| match m.func(fid).inst(v) {
-        Some(Inst::Load { ptr }) => {
-            let pts = pt.points_to(fid, *ptr);
-            pts.unknown
-                || pts.objects.is_empty()
-                || pts.objects.iter().any(|&o| reach.is_reachable(pt, o))
-        }
-        _ => true,
-    });
+    out.cpa_sign_values
+        .retain(|&(fid, v)| match m.func(fid).inst(v) {
+            Some(Inst::Load { ptr }) => {
+                let pts = pt.points_to(fid, *ptr);
+                pts.unknown
+                    || pts.objects.is_empty()
+                    || pts.objects.iter().any(|&o| reach.is_reachable(pt, o))
+            }
+            _ => true,
+        });
     out.pruned.cpa_sign_values = before - out.cpa_sign_values.len();
 
     // Pythia heap sectioning: only the PA-signed heap objects are

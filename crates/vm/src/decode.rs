@@ -122,15 +122,15 @@ pub(crate) fn cost_table(cost: &CostModel) -> [u64; 256] {
     let mut tbl = [0u64; 256];
     for (i, t) in tbl.iter_mut().take(N_MNEMONICS).enumerate() {
         *t = match i {
-            0..=16 | 20..=23 => cost.alu,   // bin, cast, gep, fieldaddr, icmp, select
-            17 | 24 => cost.copy,           // alloca, phi
-            18 => cost.load_l1,             // load
-            19 => cost.store,               // store
-            25 | 33 => cost.call,           // call, ret
-            26..=28 => cost.pa_op,          // pacsign, pacauth, pacstrip
-            29 | 30 => cost.dfi_op,         // setdef, chkdef
-            31 | 32 => cost.branch,         // br, jmp
-            _ => 0,                         // unreachable
+            0..=16 | 20..=23 => cost.alu, // bin, cast, gep, fieldaddr, icmp, select
+            17 | 24 => cost.copy,         // alloca, phi
+            18 => cost.load_l1,           // load
+            19 => cost.store,             // store
+            25 | 33 => cost.call,         // call, ret
+            26..=28 => cost.pa_op,        // pacsign, pacauth, pacstrip
+            29 | 30 => cost.dfi_op,       // setdef, chkdef
+            31 | 32 => cost.branch,       // br, jmp
+            _ => 0,                       // unreachable
         };
     }
     tbl
@@ -218,7 +218,9 @@ pub(crate) struct DecodedOp {
 #[derive(Debug, Clone)]
 pub(crate) enum OpKind {
     /// Frame-relative alloca: address = frame base + `off`.
-    Alloca { off: u64 },
+    Alloca {
+        off: u64,
+    },
     /// An alloca outside the entry block (not in the frame layout):
     /// metered like any alloca, then an internal error — exactly the
     /// legacy `alloca missing from frame layout` path.
@@ -689,10 +691,7 @@ fn emit_block(
             Inst::Phi { incomings } => (
                 MN_PHI as u8,
                 OpKind::LatePhi {
-                    incomings: incomings
-                        .iter()
-                        .map(|(b, v)| (*b, slot(*v)))
-                        .collect(),
+                    incomings: incomings.iter().map(|(b, v)| (*b, slot(*v))).collect(),
                 },
             ),
             Inst::Call { callee, args } => (

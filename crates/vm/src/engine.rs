@@ -302,7 +302,12 @@ impl<'m> Vm<'m> {
                         let b = read(values, *base) as u64;
                         values[op.iv.0 as usize] = b.wrapping_add(*off) as i64;
                     }
-                    OpKind::Bin { op: bop, wrap, lhs, rhs } => {
+                    OpKind::Bin {
+                        op: bop,
+                        wrap,
+                        lhs,
+                        rhs,
+                    } => {
                         meter!(op);
                         let a = read(values, *lhs);
                         let b = read(values, *rhs);

@@ -182,7 +182,10 @@ mod tests {
         // Regression: a hard-coded `.min(32)` used to clamp every benign
         // input to 32 bytes, so big vulnerable buffers were never filled.
         let mut p = InputPlan::benign(11);
-        let longest = (0..200).map(|n| p.string_input(n, 512).len()).max().unwrap();
+        let longest = (0..200)
+            .map(|n| p.string_input(n, 512).len())
+            .max()
+            .unwrap();
         assert!(
             longest > 32,
             "benign inputs must exercise capacities beyond 32 bytes (got {longest})"

@@ -322,8 +322,7 @@ impl Memory {
             let v = match self.page(addr / PAGE_SIZE) {
                 Some(p) => {
                     let mut buf = [0u8; 8];
-                    buf[..size as usize]
-                        .copy_from_slice(&p[off as usize..(off + size) as usize]);
+                    buf[..size as usize].copy_from_slice(&p[off as usize..(off + size) as usize]);
                     u64::from_le_bytes(buf)
                 }
                 None => 0,

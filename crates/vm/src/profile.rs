@@ -124,8 +124,7 @@ impl Profile {
     /// The `n` most-executed opcodes, most frequent first (ties break by
     /// mnemonic, so the order is deterministic).
     pub fn top_opcodes(&self, n: usize) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<(&'static str, u64)> =
-            self.opcodes.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut v: Vec<(&'static str, u64)> = self.opcodes.iter().map(|(&k, &c)| (k, c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v.truncate(n);
         v

@@ -630,10 +630,10 @@ impl<'m> Vm<'m> {
             .filter(|f| f.name == entry)
             .count();
         if matches > 1 {
-            return Err(PythiaError::setup(format!(
-                "{matches} functions named `{entry}`"
-            ))
-            .with_function(entry));
+            return Err(
+                PythiaError::setup(format!("{matches} functions named `{entry}`"))
+                    .with_function(entry),
+            );
         }
         let Some(fid) = self.module.func_by_name(entry) else {
             return Err(
@@ -1222,9 +1222,7 @@ impl<'m> Vm<'m> {
                 } else {
                     uarg(0)
                 };
-                let s = self
-                    .mem
-                    .read_cstr(fmt_addr, 256)?;
+                let s = self.mem.read_cstr(fmt_addr, 256)?;
                 self.charge(self.cost.bulk_per_byte * s.len() as u64);
                 Ok(s.len() as i64)
             }
@@ -1294,9 +1292,7 @@ impl<'m> Vm<'m> {
                 self.witness_ic_write(n, dst, len);
                 let bytes = match self.plan.attack_for(n) {
                     Some(a) => a.payload.clone(),
-                    None => self
-                        .mem
-                        .read_bytes(src, len)?,
+                    None => self.mem.read_bytes(src, len)?,
                 };
                 let extra = self.cache_range(src, bytes.len() as u64);
                 self.charge(extra);
@@ -1309,9 +1305,7 @@ impl<'m> Vm<'m> {
                 let n = next_ic(self);
                 let bytes = match self.plan.attack_for(n) {
                     Some(a) => a.payload.clone(),
-                    None => self
-                        .mem
-                        .read_cstr(src, 1 << 16)?,
+                    None => self.mem.read_cstr(src, 1 << 16)?,
                 };
                 let extra = self.cache_range(src, bytes.len() as u64);
                 self.charge(extra);
@@ -1325,9 +1319,7 @@ impl<'m> Vm<'m> {
                 let n = next_ic(self);
                 let mut bytes = match self.plan.attack_for(n) {
                     Some(a) => a.payload.clone(),
-                    None => self
-                        .mem
-                        .read_cstr(src, 1 << 16)?,
+                    None => self.mem.read_cstr(src, 1 << 16)?,
                 };
                 if self.plan.attack_for(n).is_none() {
                     bytes.truncate(limit as usize);
@@ -1342,14 +1334,10 @@ impl<'m> Vm<'m> {
                 let dst = uarg(0);
                 let src = uarg(1);
                 let n = next_ic(self);
-                let existing = self
-                    .mem
-                    .read_cstr(dst, 1 << 16)?;
+                let existing = self.mem.read_cstr(dst, 1 << 16)?;
                 let mut bytes = match self.plan.attack_for(n) {
                     Some(a) => a.payload.clone(),
-                    None => self
-                        .mem
-                        .read_cstr(src, 1 << 16)?,
+                    None => self.mem.read_cstr(src, 1 << 16)?,
                 };
                 if i == Intrinsic::Strncat && self.plan.attack_for(n).is_none() {
                     bytes.truncate(uarg(2) as usize);
@@ -1436,21 +1424,15 @@ impl<'m> Vm<'m> {
             // ---- string helpers ----
             Intrinsic::Strlen => {
                 let p = uarg(0);
-                let s = self
-                    .mem
-                    .read_cstr(p, 1 << 20)?;
+                let s = self.mem.read_cstr(p, 1 << 20)?;
                 self.charge(self.cost.bulk_per_byte * s.len() as u64);
                 let extra = self.cache_range(p, s.len() as u64 + 1);
                 self.charge(extra);
                 Ok(s.len() as i64)
             }
             Intrinsic::Strcmp | Intrinsic::Strncmp => {
-                let a = self
-                    .mem
-                    .read_cstr(uarg(0), 1 << 16)?;
-                let b = self
-                    .mem
-                    .read_cstr(uarg(1), 1 << 16)?;
+                let a = self.mem.read_cstr(uarg(0), 1 << 16)?;
+                let b = self.mem.read_cstr(uarg(1), 1 << 16)?;
                 let (a, b) = if i == Intrinsic::Strncmp {
                     let n = uarg(2) as usize;
                     (a[..a.len().min(n)].to_vec(), b[..b.len().min(n)].to_vec())

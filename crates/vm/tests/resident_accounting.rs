@@ -48,13 +48,21 @@ fn reads_never_map_pages() {
     let mut m = Memory::new();
     // Reads of unwritten-but-valid memory return zeroes without mapping.
     assert_eq!(m.read_scalar(base(), 8).unwrap(), 0);
-    assert_eq!(m.read_bytes(base(), 3 * PAGE_SIZE).unwrap(), vec![0u8; 3 * PAGE_SIZE as usize]);
+    assert_eq!(
+        m.read_bytes(base(), 3 * PAGE_SIZE).unwrap(),
+        vec![0u8; 3 * PAGE_SIZE as usize]
+    );
     assert_eq!(m.resident_pages(), 0);
     // One byte written: exactly one page, and reading it back (plus its
     // unmapped neighbours) still maps nothing new.
     m.write_u8(base() + PAGE_SIZE - 1, 7).unwrap();
     assert_eq!(m.read_u8(base() + PAGE_SIZE - 1).unwrap(), 7);
-    assert_eq!(m.read_bytes(base() - PAGE_SIZE, 3 * PAGE_SIZE).unwrap().len(), 3 * PAGE_SIZE as usize);
+    assert_eq!(
+        m.read_bytes(base() - PAGE_SIZE, 3 * PAGE_SIZE)
+            .unwrap()
+            .len(),
+        3 * PAGE_SIZE as usize
+    );
     assert_eq!(m.resident_pages(), 1);
 }
 
@@ -66,7 +74,9 @@ fn resident_matches_distinct_pages_touched_under_mixed_churn() {
     let mut touched = std::collections::HashSet::new();
     let mut x = 0x9E37_79B9u64;
     for _ in 0..500 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let addr = base() + (x >> 33) % (64 * PAGE_SIZE);
         if x & 1 == 0 {
             let len = 1 + (x >> 8) % 300;

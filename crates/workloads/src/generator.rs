@@ -891,7 +891,11 @@ mod tests {
         assert!(m.num_insts() > std_m.num_insts() * 2, "static scale-up");
         let mut vm = Vm::new(&m, VmConfig::default(), InputPlan::benign(1));
         let res = vm.run("main", &[]).unwrap();
-        assert!(matches!(res.exit, ExitReason::Returned(_)), "{:?}", res.exit);
+        assert!(
+            matches!(res.exit, ExitReason::Returned(_)),
+            "{:?}",
+            res.exit
+        );
         let mut vm_std = Vm::new(&std_m, VmConfig::default(), InputPlan::benign(1));
         let res_std = vm_std.run("main", &[]).unwrap();
         assert!(

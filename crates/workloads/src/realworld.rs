@@ -203,7 +203,8 @@ pub fn dop_chain() -> Scenario {
 
     Scenario {
         name: "dop_chain",
-        description: "two-stage DOP: overflow a length field, let the program's own memcpy smash the flag",
+        description:
+            "two-stage DOP: overflow a length field, let the program's own memcpy smash the flag",
         module: m,
         benign: InputPlan::benign(0x66),
         attack,

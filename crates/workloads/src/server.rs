@@ -34,7 +34,9 @@ pub mod sched;
 
 use crate::server::sched::{attack_timetable, AttackSlot, EpochClock};
 use pythia_heap::{AllocStats, Section, SectionConfig, SectionedHeap, GRANULE};
-use pythia_ir::{BinOp, CastKind, CmpPred, FunctionBuilder, Inst, Intrinsic, Module, PythiaError, Ty};
+use pythia_ir::{
+    BinOp, CastKind, CmpPred, FunctionBuilder, Inst, Intrinsic, Module, PythiaError, Ty,
+};
 use pythia_vm::{
     AttackSpec, DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan, RunResult, Trap,
     Vm, VmConfig,
@@ -160,7 +162,11 @@ pub fn server_module() -> Module {
         let hb = b.load(h0);
         let hwide = b.cast(CastKind::Sext, hb, Ty::I64);
         let hc = b.icmp(CmpPred::Sge, hwide, zero);
-        let (hok, hbad, hjoin) = (b.new_block("hok"), b.new_block("hbad"), b.new_block("hjoin"));
+        let (hok, hbad, hjoin) = (
+            b.new_block("hok"),
+            b.new_block("hbad"),
+            b.new_block("hjoin"),
+        );
         b.br(hc, hok, hbad);
         b.switch_to(hok);
         b.jmp(hjoin);
@@ -264,10 +270,15 @@ impl EventLoopConfig {
     pub fn validate(&self) -> Result<(), PythiaError> {
         let (max, epoch_len) = (Self::max_connections(), self.epoch_len());
         let what = if !(1..=max).contains(&self.connections) {
-            format!("server needs 1..={max} connections (got {})", self.connections)
+            format!(
+                "server needs 1..={max} connections (got {})",
+                self.connections
+            )
         } else if self.requests < 4 * epoch_len {
             let got = self.requests;
-            format!("server needs requests >= 4 * epoch_len (got {got} requests, epoch {epoch_len})")
+            format!(
+                "server needs requests >= 4 * epoch_len (got {got} requests, epoch {epoch_len})"
+            )
         } else {
             return Ok(());
         };
@@ -431,7 +442,9 @@ pub fn run_event_loop(
     let offsets: Vec<u64> = stats.offsets.iter().map(|o| o.offset_events).collect();
     // Every delivery lands before event `requests`; the loop needs at
     // least one event per retired request, so all scheduled attacks fire.
-    let mut timetable = attack_timetable(&clock, &offsets, cfg.requests).into_iter().peekable();
+    let mut timetable = attack_timetable(&clock, &offsets, cfg.requests)
+        .into_iter()
+        .peekable();
 
     let mut heap = SectionedHeap::default();
     let mut churn = SmallRng::seed_from_u64(sched::stream_seed(cfg.seed, 0xC0C0_C0C0));
@@ -580,7 +593,12 @@ impl<'m> Handler<'m> {
         } else {
             MAX_SLICES * SLICE_INSTS
         };
-        let mut vm = self.vm(req.vm_seed, budget, false, InputPlan::benign(req.input_seed));
+        let mut vm = self.vm(
+            req.vm_seed,
+            budget,
+            false,
+            InputPlan::benign(req.input_seed),
+        );
         // A setup or VM-internal error counts on the first turn, which
         // matches the restart model only while there are none (§5i).
         let Ok(r) = vm.run("handle_request", &req.args) else {
@@ -717,7 +735,10 @@ mod tests {
         // i.e. the requests still in flight; everything else was freed.
         let in_flight = s.admitted - s.retired - s.cancelled;
         assert_eq!(s.arena_shared.allocs, s.arena_shared.frees + in_flight);
-        assert!(s.arena_shared.fastbin_hits > 0, "arena churn must reuse sections");
+        assert!(
+            s.arena_shared.fastbin_hits > 0,
+            "arena churn must reuse sections"
+        );
     }
 
     #[test]

@@ -147,7 +147,10 @@ mod tests {
         }
         for s in &slots {
             assert!(s.delivery_event < 4096);
-            assert!(epochs.insert(s.delivery_event / 128), "one attack per epoch");
+            assert!(
+                epochs.insert(s.delivery_event / 128),
+                "one attack per epoch"
+            );
             assert!(s.jitter >= 1 && s.jitter <= 64);
         }
     }

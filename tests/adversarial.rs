@@ -77,12 +77,12 @@ fn mutate(text: &str, kind: u8, pos: usize, byte: u8) -> String {
     let at = pos % bytes.len();
     let mut out = bytes.to_vec();
     match kind % 6 {
-        0 => out.truncate(at),                   // cut off mid-token
+        0 => out.truncate(at), // cut off mid-token
         1 => {
-            out.remove(at);                      // drop one byte
+            out.remove(at); // drop one byte
         }
-        2 => out.insert(at, byte),               // inject one byte
-        3 => out[at] = byte,                     // overwrite one byte
+        2 => out.insert(at, byte), // inject one byte
+        3 => out[at] = byte,       // overwrite one byte
         4 => {
             // duplicate one line (duplicate labels, duplicate values)
             let lines: Vec<&str> = text.lines().collect();
