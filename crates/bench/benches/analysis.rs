@@ -53,12 +53,11 @@ fn bench_reach(c: &mut Criterion) {
         ctx
     };
     let mut g = c.benchmark_group("reach");
-    g.sample_size(3);
     g.bench_function("first_gcc", |b| {
         b.iter_batched(
             solved,
             |ctx| OverflowReach::compute(&ctx),
-            BatchSize::SmallInput,
+            BatchSize::LargeInput,
         )
     });
     let warm = solved();

@@ -48,7 +48,7 @@ use pythia_ir::{
     ValueId,
 };
 use pythia_passes::common::{collect_accesses, stable_signable};
-use pythia_passes::{instrument_with, prune_obligations, Instrumented, Scheme};
+use pythia_passes::{instrument_with, prune_obligations, Instrumented, ObligationPlan, Scheme};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -507,6 +507,19 @@ impl<'m> VariantBuilder<'m> {
         instrument_with(self.module, &self.ctx, &self.pruned, scheme)
     }
 
+    /// The static PA count of `scheme`'s variant had nothing been pruned
+    /// (the "pa_static before" column): the PA counter of the unpruned
+    /// report's [`ObligationPlan`]. No module is built. Vanilla and DFI
+    /// add no PA instruction by construction, so they derive nothing.
+    pub fn unpruned_pa(&self, scheme: Scheme) -> usize {
+        match scheme {
+            Scheme::Vanilla | Scheme::Dfi => 0,
+            Scheme::Cpa | Scheme::Pythia => ObligationPlan::derive(&self.ctx, &self.report, scheme)
+                .stats()
+                .pa_total(),
+        }
+    }
+
     /// Certify a variant [`Self::instrument`] produced against `cert`
     /// (from [`Self::certifier`]), returning the number of protection
     /// obligations checked.
@@ -881,7 +894,7 @@ impl<'a> Linter<'a> {
     // -----------------------------------------------------------------
     // DFI (Castro et al.): every protected store is tagged, every
     // protected load checks exactly the static reaching-writer set.
-    // Mirrors `run_dfi`: all queries run against the field-insensitive
+    // Mirrors `dfi::derive`: all queries run against the field-insensitive
     // relation ([`SliceMode::Dfi`]), whose object ids are the roots the
     // protected set is expressed in.
     // -----------------------------------------------------------------

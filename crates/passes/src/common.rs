@@ -1,7 +1,8 @@
 //! Shared helpers for the instrumentation passes.
 
+use crate::plan::{EditKind, ObligationPlan};
 use pythia_analysis::{object_byte_size, ObjId, SliceContext};
-use pythia_ir::{FuncId, Inst, ValueId};
+use pythia_ir::{FuncId, Inst, PaKey, ValueId};
 use std::collections::BTreeSet;
 
 /// Compute the *stably signable* subset of `candidates`.
@@ -107,23 +108,33 @@ pub fn collect_accesses(ctx: &SliceContext<'_>, objs: &BTreeSet<ObjId>) -> Acces
     plan
 }
 
+/// Require a `pacsign` of the written value before every store and a
+/// `pacauth` of the result after every load in `accesses`, under `key`
+/// with the access's pointer as the modifier.
+pub(crate) fn sign_accesses(accesses: &AccessPlan, key: PaKey, plan: &mut ObligationPlan) {
+    for &(fid, st, ptr, value) in &accesses.stores {
+        plan.push(fid, st, EditKind::SignStore { key, ptr, value });
+        plan.stats.pa_signs += 1;
+    }
+    for &(fid, ld, ptr) in &accesses.loads {
+        plan.push(fid, ld, EditKind::AuthLoad { key, ptr });
+        plan.stats.pa_auths += 1;
+    }
+}
+
 /// For every memory-writing input channel whose destination lies in the
-/// signed object set, insert `v = load dest; store pacsign(v, key, dest)`
+/// signed object set, require `v = load dest; store pacsign(v, key, dest)`
 /// *after* the channel call. Input channels write raw bytes; without this
 /// re-signing, the next authenticated load of a legitimately-written
 /// variable would trap (the paper's CPA accounting includes exactly this
 /// "encryption at store after the input channel" step, §6.2).
-pub fn resign_after_ics(
-    out: &mut pythia_ir::Module,
+pub(crate) fn resign_after_ics(
     ctx: &SliceContext<'_>,
     signed: &BTreeSet<ObjId>,
-    key: pythia_ir::PaKey,
-    plans: &mut std::collections::HashMap<FuncId, crate::editor::EditPlan>,
-    stats: &mut crate::stats::InstrumentationStats,
+    key: PaKey,
+    plan: &mut ObligationPlan,
 ) {
-    use crate::editor::EditPlan;
-    use pythia_ir::Ty;
-    for site in ctx.channels.sites.clone() {
+    for site in &ctx.channels.sites {
         if !site.writes_memory() {
             continue;
         }
@@ -137,40 +148,7 @@ pub fn resign_after_ics(
         if !pts.objects.iter().all(|o| signed.contains(o)) {
             continue;
         }
-        let f = out.func_mut(site.func);
-        // View the (8-byte) destination as an i64 slot for the round trip.
-        let slot = EditPlan::new_inst(
-            f,
-            Inst::Cast {
-                kind: pythia_ir::CastKind::Bitcast,
-                value: dest,
-                to: Ty::ptr(Ty::I64),
-            },
-            Ty::ptr(Ty::I64),
-        );
-        let ld = EditPlan::new_inst(f, Inst::Load { ptr: slot }, Ty::I64);
-        let sign = EditPlan::new_inst(
-            f,
-            Inst::PacSign {
-                value: ld,
-                key,
-                modifier: slot,
-            },
-            Ty::I64,
-        );
-        let st = EditPlan::new_inst(
-            f,
-            Inst::Store {
-                ptr: slot,
-                value: sign,
-            },
-            Ty::Void,
-        );
-        let plan = plans.entry(site.func).or_default();
-        plan.insert_after(site.call, slot);
-        plan.insert_after(site.call, ld);
-        plan.insert_after(site.call, sign);
-        plan.insert_after(site.call, st);
-        stats.pa_signs += 1;
+        plan.push(site.func, site.call, EditKind::ResignAfterIc { key, dest });
+        plan.stats.pa_signs += 1;
     }
 }

@@ -10,69 +10,34 @@
 //! authentication) and the identical instruction count (one `pacsign` per
 //! store, one `pacauth` per load).
 
-use crate::common::{collect_accesses, stable_signable};
-use crate::editor::EditPlan;
-use crate::stats::InstrumentationStats;
+use crate::common::{collect_accesses, resign_after_ics, sign_accesses, stable_signable};
+use crate::plan::{EditKind, ObligationPlan, Side};
+use crate::stats::Scheme;
 use pythia_analysis::{SliceContext, VulnerabilityReport};
-use pythia_ir::{FuncId, Inst, Module, PaKey, Ty, ValueData, ValueId, ValueKind};
-use std::collections::{BTreeSet, HashMap};
+use pythia_ir::{FuncId, Inst, PaKey, Ty, ValueId};
+use std::collections::HashMap;
 
-/// Apply CPA to `out` (a clone of the analyzed module).
-pub fn run_cpa(
-    out: &mut Module,
-    ctx: &SliceContext<'_>,
-    report: &VulnerabilityReport,
-    stats: &mut InstrumentationStats,
-) {
+/// Derive CPA's obligations: sign every store and authenticate every load
+/// of the stably signable slot objects, sign every vulnerable SSA value,
+/// and re-sign the slots input channels write.
+pub(crate) fn derive(ctx: &SliceContext<'_>, report: &VulnerabilityReport) -> ObligationPlan {
+    let mut plan = ObligationPlan::empty(Scheme::Cpa, report);
     let signable = stable_signable(ctx, &report.cpa_slot_objects);
-    let plan = collect_accesses(ctx, &signable);
+    let accesses = collect_accesses(ctx, &signable);
 
-    let mut per_func: HashMap<FuncId, EditPlan> = HashMap::new();
+    sign_accesses(&accesses, PaKey::Da, &mut plan);
 
-    for (fid, st, ptr, value) in plan.stores {
-        let f = out.func_mut(fid);
-        let sign = EditPlan::new_inst(
-            f,
-            Inst::PacSign {
-                value,
-                key: PaKey::Da,
-                modifier: ptr,
-            },
-            Ty::I64,
-        );
-        if let Some(Inst::Store { value: v, .. }) = f.inst_mut(st) {
-            *v = sign;
-        }
-        per_func.entry(fid).or_default().insert_before(st, sign);
-        stats.pa_signs += 1;
+    // A signed store writes its `pacsign` instead of the original value,
+    // so that use no longer counts for Eq. 1.
+    let mut signed_stores: HashMap<FuncId, Vec<(ValueId, ValueId)>> = HashMap::new();
+    for &(fid, st, _, value) in &accesses.stores {
+        signed_stores.entry(fid).or_default().push((st, value));
     }
+    sign_ssa_variables(ctx, report, &signed_stores, &mut plan);
 
-    for (fid, ld, ptr) in plan.loads {
-        let f = out.func_mut(fid);
-        let ty = f.value(ld).ty.clone();
-        let auth = EditPlan::new_inst(
-            f,
-            Inst::PacAuth {
-                value: ld,
-                key: PaKey::Da,
-                modifier: ptr,
-            },
-            ty,
-        );
-        let p = per_func.entry(fid).or_default();
-        p.insert_after(ld, auth);
-        p.replace_uses(ld, auth, &[auth]);
-        stats.pa_auths += 1;
-    }
-
-    sign_ssa_variables(out, ctx, report, &mut per_func, stats);
-
-    crate::common::resign_after_ics(out, ctx, &signable, PaKey::Da, &mut per_func, stats);
-
-    for (fid, plan) in per_func {
-        plan.apply(out.func_mut(fid));
-    }
-    stats.protected_objects = signable.len();
+    resign_after_ics(ctx, &signable, PaKey::Da, &mut plan);
+    plan.stats.protected_objects = signable.len();
+    plan
 }
 
 /// The paper's Eq. 1 instrumentation: every vulnerable *variable* is
@@ -83,39 +48,45 @@ pub fn run_cpa(
 /// authenticates before every use; semantics are preserved exactly
 /// (`auth(sign(v)) == v`), only the PA work is added — which is the whole
 /// point of the conservative scheme.
+///
+/// A value qualifies when it is a placed, 64-bit, non-memory,
+/// non-terminator, non-PA instruction with at least one use left after
+/// `signed_stores` (per function: `(store, value written)`) stopped
+/// reading it.
 fn sign_ssa_variables(
-    out: &mut Module,
-    _ctx: &SliceContext<'_>,
+    ctx: &SliceContext<'_>,
     report: &VulnerabilityReport,
-    per_func: &mut HashMap<FuncId, EditPlan>,
-    stats: &mut InstrumentationStats,
+    signed_stores: &HashMap<FuncId, Vec<(ValueId, ValueId)>>,
+    plan: &mut ObligationPlan,
 ) {
-    // Group candidate values per function.
-    let mut by_func: HashMap<FuncId, BTreeSet<ValueId>> = HashMap::new();
-    for &(fid, v) in &report.cpa_sign_values {
-        by_func.entry(fid).or_default().insert(v);
-    }
-    for (fid, vals) in by_func {
-        let f = out.func_mut(fid);
-        // Placement index and use counts, computed once per function.
-        let mut home: HashMap<ValueId, (pythia_ir::BlockId, usize)> = HashMap::new();
-        for bb in f.block_ids() {
-            for (pos, &iv) in f.block(bb).insts.iter().enumerate() {
-                home.insert(iv, (bb, pos));
+    // `cpa_sign_values` is ordered by function, then value: each run of
+    // one function's values is handled with one placement and one
+    // use-count pass.
+    let values: Vec<(FuncId, ValueId)> = report.cpa_sign_values.iter().copied().collect();
+    for run in values.chunk_by(|a, b| a.0 == b.0) {
+        let fid = run[0].0;
+        let f = ctx.module.func(fid);
+        let home = f.placement();
+        let mut uses = vec![0u32; f.num_values()];
+        for v in f.value_ids() {
+            if home.block_of(v).is_none() {
+                continue; // only placed instructions use anything
+            }
+            if let Some(inst) = f.inst(v) {
+                inst.for_each_operand(|op| uses[op.0 as usize] += 1);
             }
         }
-        let du = pythia_analysis::DefUse::compute(f);
-        let zero = f.add_value(ValueData {
-            kind: ValueKind::ConstInt(0),
-            ty: Ty::I64,
-            name: None,
-        });
-        for v in vals {
-            let Some((bb, _)) = home.get(&v).copied() else {
+        for &(st, value) in signed_stores.get(&fid).into_iter().flatten() {
+            if home.block_of(st).is_some() {
+                uses[value.0 as usize] -= 1;
+            }
+        }
+        for &(_, v) in run {
+            let Some(bb) = home.block_of(v) else {
                 continue; // arguments/constants: no definition point
             };
-            let eligible = match &f.value(v).kind {
-                ValueKind::Inst(inst) => {
+            let eligible = match f.inst(v) {
+                Some(inst) => {
                     !matches!(
                         inst,
                         Inst::Alloca { .. } | Inst::Load { .. } | Inst::Store { .. }
@@ -123,34 +94,14 @@ fn sign_ssa_variables(
                         && !inst.is_pa()
                         && matches!(f.value(v).ty, Ty::I64 | Ty::Ptr(_))
                 }
-                _ => false,
+                None => false,
             };
-            if !eligible || du.num_uses(v) == 0 {
+            if !eligible || uses[v.0 as usize] == 0 {
                 continue;
             }
-            let ty = f.value(v).ty.clone();
-            let sign = EditPlan::new_inst(
-                f,
-                Inst::PacSign {
-                    value: v,
-                    key: PaKey::Da,
-                    modifier: zero,
-                },
-                ty.clone(),
-            );
-            let auth = EditPlan::new_inst(
-                f,
-                Inst::PacAuth {
-                    value: sign,
-                    key: PaKey::Da,
-                    modifier: zero,
-                },
-                ty,
-            );
-            let plan = per_func.entry(fid).or_default();
             if matches!(f.inst(v), Some(Inst::Phi { .. })) {
-                // Keep the phi group contiguous: insert after the last
-                // leading phi of the block.
+                // Keep the phi group contiguous: insert before the block's
+                // first non-phi.
                 let anchor = f
                     .block(bb)
                     .insts
@@ -158,15 +109,26 @@ fn sign_ssa_variables(
                     .copied()
                     .find(|iv| !matches!(f.inst(*iv), Some(Inst::Phi { .. })))
                     .expect("block has a terminator");
-                plan.insert_before(anchor, sign);
-                plan.insert_before(anchor, auth);
+                plan.push(
+                    fid,
+                    anchor,
+                    EditKind::SignValue {
+                        value: v,
+                        side: Side::Before,
+                    },
+                );
             } else {
-                plan.insert_after(v, sign);
-                plan.insert_after(v, auth);
+                plan.push(
+                    fid,
+                    v,
+                    EditKind::SignValue {
+                        value: v,
+                        side: Side::After,
+                    },
+                );
             }
-            plan.replace_uses(v, auth, &[sign, auth]);
-            stats.pa_signs += 1;
-            stats.pa_auths += 1;
+            plan.stats.pa_signs += 1;
+            plan.stats.pa_auths += 1;
         }
     }
 }

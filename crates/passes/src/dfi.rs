@@ -14,27 +14,23 @@
 //! faithfully to the paper's critique — terminates at pointer arithmetic
 //! and field accesses, leaving those branches unprotected (Fig. 7b).
 
-use crate::editor::EditPlan;
-use crate::stats::InstrumentationStats;
+use crate::plan::{EditKind, ObligationPlan};
+use crate::stats::Scheme;
 use pythia_analysis::{SliceContext, SliceMode, VulnerabilityReport};
-use pythia_ir::{dfi_def_id, FuncId, Inst, Module, Ty, ValueId};
-use std::collections::{BTreeSet, HashMap};
+use pythia_ir::{dfi_def_id, FuncId, Inst, ValueId};
+use std::collections::BTreeSet;
 
-/// Apply DFI to `out` (a clone of the analyzed module).
+/// Derive DFI's obligations: a `setdef` after every store and a `chkdef`
+/// before every load that may touch a protected object.
 ///
 /// All queries run against the **field-insensitive** relation
 /// ([`SliceMode::Dfi`]): the paper's DFI does not distinguish struct
 /// fields, and its protected set comes from DFI-mode slices whose object
 /// ids are field-insensitive roots.
-pub fn run_dfi(
-    out: &mut Module,
-    ctx: &SliceContext<'_>,
-    report: &VulnerabilityReport,
-    stats: &mut InstrumentationStats,
-) {
+pub(crate) fn derive(ctx: &SliceContext<'_>, report: &VulnerabilityReport) -> ObligationPlan {
     const MODE: SliceMode = SliceMode::Dfi;
+    let mut plan = ObligationPlan::empty(Scheme::Dfi, report);
     let protected = &report.dfi_objects;
-    let mut per_func: HashMap<FuncId, EditPlan> = HashMap::new();
     let mut done_stores: BTreeSet<(FuncId, ValueId)> = BTreeSet::new();
     let mut done_loads: BTreeSet<(FuncId, ValueId)> = BTreeSet::new();
 
@@ -48,17 +44,9 @@ pub fn run_dfi(
                 Some(Inst::Store { ptr, .. }) => *ptr,
                 _ => continue,
             };
-            let f = out.func_mut(fid);
-            let sd = EditPlan::new_inst(
-                f,
-                Inst::SetDef {
-                    ptr,
-                    def_id: dfi_def_id(fid, st),
-                },
-                Ty::Void,
-            );
-            per_func.entry(fid).or_default().insert_after(st, sd);
-            stats.setdefs += 1;
+            let def_id = dfi_def_id(fid, st);
+            plan.push(fid, st, EditKind::SetDef { ptr, def_id });
+            plan.stats.setdefs += 1;
         }
 
         // Guard every load with the static reaching-writer set.
@@ -82,22 +70,11 @@ pub fn run_dfi(
                     allowed.insert(dfi_def_id(site.func, site.call));
                 }
             }
-            let f = out.func_mut(fid);
-            let chk = EditPlan::new_inst(
-                f,
-                Inst::ChkDef {
-                    ptr,
-                    allowed: allowed.into_iter().collect(),
-                },
-                Ty::Void,
-            );
-            per_func.entry(fid).or_default().insert_before(ld, chk);
-            stats.chkdefs += 1;
+            let allowed = allowed.into_iter().collect();
+            plan.push(fid, ld, EditKind::ChkDef { ptr, allowed });
+            plan.stats.chkdefs += 1;
         }
     }
-
-    for (fid, plan) in per_func {
-        plan.apply(out.func_mut(fid));
-    }
-    stats.protected_objects = protected.len();
+    plan.stats.protected_objects = protected.len();
+    plan
 }

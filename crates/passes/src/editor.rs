@@ -6,7 +6,7 @@
 //! [`EditPlan::apply`] rebuilds the affected blocks in one pass.
 
 use pythia_ir::{Function, Inst, Ty, ValueData, ValueId, ValueKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A batch of pending edits against one function.
 #[derive(Debug, Default)]
@@ -14,7 +14,7 @@ pub struct EditPlan {
     before: HashMap<ValueId, Vec<ValueId>>,
     after: HashMap<ValueId, Vec<ValueId>>,
     /// old -> (new, uses exempt from rewriting)
-    replacements: Vec<(ValueId, ValueId, HashSet<ValueId>)>,
+    replacements: Vec<(ValueId, ValueId, Vec<ValueId>)>,
 }
 
 impl EditPlan {
@@ -44,10 +44,13 @@ impl EditPlan {
     }
 
     /// Queue a use-rewrite: every operand reference to `old` becomes `new`,
-    /// except inside the instructions in `exempt` (typically `new` itself).
+    /// except inside `new` and the instructions in `exempt`.
+    ///
+    /// Each value may be replaced once per plan, and no replacement's
+    /// `new` may be another's `old`: rewrites never chain, so applying
+    /// them all in one pass is the same as applying them one by one.
     pub fn replace_uses(&mut self, old: ValueId, new: ValueId, exempt: &[ValueId]) {
-        self.replacements
-            .push((old, new, exempt.iter().copied().collect()));
+        self.replacements.push((old, new, exempt.to_vec()));
     }
 
     /// Whether the plan is empty.
@@ -75,16 +78,41 @@ impl EditPlan {
                 f.block_mut(bb).insts = rebuilt;
             }
         }
-        // 2. Rewrite uses.
-        for (old, new, exempt) in &self.replacements {
-            for v in f.value_ids().collect::<Vec<_>>() {
-                if exempt.contains(&v) || v == *new {
-                    continue;
-                }
-                if let Some(inst) = f.inst_mut(v) {
-                    inst.map_operands(|op| if op == *old { *new } else { op });
-                }
+        // 2. Rewrite uses in one pass over the values, looking each
+        //    operand up in an old -> replacement index.
+        if self.replacements.is_empty() {
+            return;
+        }
+        const NONE: u32 = u32::MAX;
+        let mut index = vec![NONE; f.num_values()];
+        for (i, (old, _, _)) in self.replacements.iter().enumerate() {
+            if let Some(slot) = index.get_mut(old.0 as usize) {
+                debug_assert_eq!(*slot, NONE, "{old:?} is replaced twice");
+                *slot = i as u32;
             }
+        }
+        debug_assert!(
+            self.replacements
+                .iter()
+                .all(|(_, new, _)| index.get(new.0 as usize).is_none_or(|&i| i == NONE)),
+            "a replacement's new value is another's old: the rewrites would chain"
+        );
+        for v in 0..f.num_values() {
+            let v = ValueId(v as u32);
+            let Some(inst) = f.inst_mut(v) else {
+                continue;
+            };
+            inst.map_operands(|op| match index.get(op.0 as usize) {
+                Some(&i) if i != NONE => {
+                    let (_, new, exempt) = &self.replacements[i as usize];
+                    if v == *new || exempt.contains(&v) {
+                        op
+                    } else {
+                        *new
+                    }
+                }
+                _ => op,
+            });
         }
     }
 }
@@ -167,6 +195,113 @@ mod tests {
                 value: ld,
                 key: PaKey::Da,
                 modifier: slot
+            })
+        );
+    }
+
+    /// Apply `reps` one after another, each with its own full pass over
+    /// the values: the meaning a plan's use-rewrites are defined by.
+    fn rewrite_sequentially(f: &mut Function, reps: &[(ValueId, ValueId, Vec<ValueId>)]) {
+        for (old, new, exempt) in reps {
+            for v in f.value_ids().collect::<Vec<_>>() {
+                if exempt.contains(&v) || v == *new {
+                    continue;
+                }
+                if let Some(inst) = f.inst_mut(v) {
+                    inst.map_operands(|op| if op == *old { *new } else { op });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_rewrite_matches_sequential_rewrites() {
+        // A chain of loads and adds, each add feeding the next: every load
+        // is authenticated (auth exempt) and every add signed and
+        // authenticated (sign and auth exempt), as CPA's load and SSA
+        // signing queue them.
+        let mut b = FunctionBuilder::new("f", vec![Ty::I64], Ty::I64);
+        let x = b.func().arg(0);
+        let slot = b.alloca(Ty::I64);
+        b.store(x, slot);
+        let mut acc = b.load(slot);
+        let mut loads = vec![acc];
+        let mut adds = Vec::new();
+        for _ in 0..40 {
+            let ld = b.load(slot);
+            loads.push(ld);
+            acc = b.add(acc, ld);
+            adds.push(acc);
+        }
+        b.ret(Some(acc));
+        let mut f = b.finish();
+        let zero = f.add_value(ValueData {
+            kind: ValueKind::ConstInt(0),
+            ty: Ty::I64,
+            name: None,
+        });
+
+        let mut plan = EditPlan::new();
+        let mut inserts_only = EditPlan::new();
+        let mut reps = Vec::new();
+        for &ld in &loads {
+            let auth = EditPlan::new_inst(
+                &mut f,
+                Inst::PacAuth {
+                    value: ld,
+                    key: PaKey::Da,
+                    modifier: slot,
+                },
+                Ty::I64,
+            );
+            for p in [&mut plan, &mut inserts_only] {
+                p.insert_after(ld, auth);
+            }
+            plan.replace_uses(ld, auth, &[auth]);
+            reps.push((ld, auth, vec![auth]));
+        }
+        for &a in &adds {
+            let sign = EditPlan::new_inst(
+                &mut f,
+                Inst::PacSign {
+                    value: a,
+                    key: PaKey::Da,
+                    modifier: zero,
+                },
+                Ty::I64,
+            );
+            let auth = EditPlan::new_inst(
+                &mut f,
+                Inst::PacAuth {
+                    value: sign,
+                    key: PaKey::Da,
+                    modifier: zero,
+                },
+                Ty::I64,
+            );
+            for p in [&mut plan, &mut inserts_only] {
+                p.insert_after(a, sign);
+                p.insert_after(a, auth);
+            }
+            plan.replace_uses(a, auth, &[sign, auth]);
+            reps.push((a, auth, vec![sign, auth]));
+        }
+
+        let mut expected = f.clone();
+        inserts_only.apply(&mut expected);
+        rewrite_sequentially(&mut expected, &reps);
+        plan.apply(&mut f);
+        assert_eq!(f, expected);
+
+        // The rewrite did something: the return reads the last add's
+        // authenticated value, not the add itself.
+        let (_, last_auth, _) = reps.last().unwrap();
+        let entry = f.entry();
+        let ret = *f.block(entry).insts.last().unwrap();
+        assert_eq!(
+            f.inst(ret),
+            Some(&Inst::Ret {
+                value: Some(*last_auth)
             })
         );
     }

@@ -11,6 +11,15 @@
 //!   comparison);
 //! - [`Scheme::Vanilla`] — untouched baseline.
 //!
+//! Each pass runs in two steps. *Derive* ([`ObligationPlan::derive`],
+//! built from `cpa::derive`, `pythia::derive` and `dfi::derive`) reads
+//! only the analysis and lists the scheme's obligations as data: every
+//! edit's function, anchor instruction and kind, plus the
+//! [`InstrumentationStats`] counters. *Apply* ([`ObligationPlan::apply`])
+//! carries a plan out on a clone of the module through [`EditPlan`]. A
+//! static PA count is therefore a derived plan's counter; no module is
+//! built to learn it.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,15 +48,17 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod cpa;
-pub mod dfi;
+mod cpa;
+mod dfi;
 pub mod editor;
 pub mod opt;
+pub mod plan;
 pub mod pythia;
 pub mod stats;
 
 pub use editor::EditPlan;
 pub use opt::{optimize_module, prune_obligations, OptStats};
+pub use plan::ObligationPlan;
 pub use pythia::PythiaConfig;
 pub use stats::{InstrumentationStats, Scheme};
 
@@ -77,57 +88,19 @@ pub fn instrument(m: &Module, scheme: Scheme) -> Instrumented {
 pub fn instrument_pythia_ablated(m: &Module, config: PythiaConfig) -> Instrumented {
     let ctx = SliceContext::new(m);
     let report = VulnerabilityReport::analyze(&ctx);
-    let mut out = m.clone();
-    let mut stats = InstrumentationStats {
-        insts_before: m.num_insts(),
-        ..Default::default()
-    };
-    pythia::run_pythia_with(&mut out, &ctx, &report, &mut stats, config);
-    stats.insts_after = out.num_insts();
-    Instrumented {
-        module: out,
-        stats,
-        scheme: Scheme::Pythia,
-    }
+    pythia::derive(&ctx, &report, config).apply(m)
 }
 
 /// Instrument using a pre-computed analysis (lets the benchmark harness
-/// analyze once and derive every scheme from the same report).
+/// analyze once and derive every scheme from the same report): derive
+/// `scheme`'s [`ObligationPlan`] and apply it to a clone of `m`.
 pub fn instrument_with(
     m: &Module,
     ctx: &SliceContext<'_>,
     report: &VulnerabilityReport,
     scheme: Scheme,
 ) -> Instrumented {
-    let mut out = m.clone();
-    let mut stats = InstrumentationStats {
-        insts_before: m.num_insts(),
-        obligations_pruned: report.pruned.total(),
-        ..Default::default()
-    };
-    match scheme {
-        Scheme::Vanilla => {}
-        Scheme::Cpa => cpa::run_cpa(&mut out, ctx, report, &mut stats),
-        Scheme::Pythia => pythia::run_pythia(&mut out, ctx, report, &mut stats),
-        Scheme::Dfi => dfi::run_dfi(&mut out, ctx, report, &mut stats),
-    }
-    stats.insts_after = out.num_insts();
-    // Instrumentation must never produce ill-formed IR; catch it at the
-    // source in debug builds rather than as a VM misbehaviour later.
-    debug_assert!(
-        pythia_ir::verify::verify_module(&out).is_ok(),
-        "{scheme} produced IR that does not verify: {:?}",
-        pythia_ir::verify::verify_module(&out).err().map(|e| e
-            .into_iter()
-            .take(3)
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>())
-    );
-    Instrumented {
-        module: out,
-        stats,
-        scheme,
-    }
+    ObligationPlan::derive(ctx, report, scheme).apply(m)
 }
 
 #[cfg(test)]

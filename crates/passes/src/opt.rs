@@ -109,7 +109,7 @@ pub fn prune_obligations(
         return out;
     }
 
-    // CPA slot signing (field-sensitive relation, like run_cpa).
+    // CPA slot signing (field-sensitive relation, like cpa::derive).
     let keep = keep_components(ctx, SliceMode::Pythia, &reach, &report.cpa_slot_objects);
     out.pruned.cpa_slots = report.cpa_slot_objects.len() - keep.len();
     out.cpa_slot_objects = keep;
@@ -146,7 +146,7 @@ pub fn prune_obligations(
     out.pythia_objects
         .retain(|o| !heap_candidates.contains(o) || keep_heap.contains(o));
 
-    // DFI chkdef/setdef objects (field-insensitive relation, like run_dfi).
+    // DFI chkdef/setdef objects (field-insensitive relation, like dfi::derive).
     let keep_dfi = keep_components(ctx, SliceMode::Dfi, &reach, &report.dfi_objects);
     out.pruned.dfi_objects = report.dfi_objects.len() - keep_dfi.len();
     out.dfi_objects = keep_dfi;

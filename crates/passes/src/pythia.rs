@@ -14,10 +14,11 @@
 //! triggered inside a callee is caught when the owning frame exits at the
 //! latest (same detection guarantee, possibly later detection point).
 
-use crate::editor::EditPlan;
-use crate::stats::InstrumentationStats;
+use crate::common::{collect_accesses, resign_after_ics, sign_accesses, stable_signable};
+use crate::plan::{EditKind, ObligationPlan, Side};
+use crate::stats::Scheme;
 use pythia_analysis::{MemObjectKind, SliceContext, VulnerabilityReport};
-use pythia_ir::{Callee, FuncId, Inst, Intrinsic, Module, PaKey, Ty, ValueId};
+use pythia_ir::{Callee, FuncId, Inst, Intrinsic, PaKey, ValueId};
 use std::collections::BTreeSet;
 
 /// Ablation switches for the Pythia pass (all on by default; DESIGN.md §4
@@ -50,141 +51,90 @@ impl Default for PythiaConfig {
     }
 }
 
-/// Apply the Pythia scheme to `out` (a clone of the analyzed module).
-pub fn run_pythia(
-    out: &mut Module,
+/// Derive Pythia's obligations under `config`: the frame edits of every
+/// function with vulnerable stack buffers, then the heap edits, then the
+/// one-time heap-section initialization.
+pub(crate) fn derive(
     ctx: &SliceContext<'_>,
     report: &VulnerabilityReport,
-    stats: &mut InstrumentationStats,
-) {
-    run_pythia_with(out, ctx, report, stats, PythiaConfig::default());
-}
-
-/// Apply the Pythia scheme with explicit ablation switches.
-pub fn run_pythia_with(
-    out: &mut Module,
-    ctx: &SliceContext<'_>,
-    report: &VulnerabilityReport,
-    stats: &mut InstrumentationStats,
     config: PythiaConfig,
-) {
-    instrument_stack(out, report, stats, config);
+) -> ObligationPlan {
+    let mut plan = ObligationPlan::empty(Scheme::Pythia, report);
+    derive_stack(ctx, report, config, &mut plan);
     if config.heap_sectioning {
-        instrument_heap(out, ctx, report, stats);
+        derive_heap(ctx, report, &mut plan);
     }
-    insert_section_init(out, stats);
+    derive_section_init(ctx, &mut plan);
+    plan
 }
 
 // ---------------------------------------------------------------------
 // Stack: re-layout + canaries (Algorithm 3)
 // ---------------------------------------------------------------------
 
-fn instrument_stack(
-    out: &mut Module,
+fn derive_stack(
+    ctx: &SliceContext<'_>,
     report: &VulnerabilityReport,
-    stats: &mut InstrumentationStats,
     config: PythiaConfig,
+    plan: &mut ObligationPlan,
 ) {
     for (&fid, vulns) in &report.stack_vulns {
         if vulns.is_empty() {
             continue;
         }
-        let f = out.func_mut(fid);
-        let vuln_set: BTreeSet<ValueId> = vulns.iter().map(|v| v.alloca).collect();
+        let f = ctx.module.func(fid);
+        let buffers: Vec<ValueId> = vulns
+            .iter()
+            .map(|v| v.alloca)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
 
-        // 1. Create one canary alloca per vulnerable variable.
-        let mut canaries: Vec<(ValueId, ValueId)> = Vec::new(); // (vuln, canary)
-        for v in &vuln_set {
-            let can = EditPlan::new_inst(
-                f,
-                Inst::Alloca {
-                    elem: Ty::I64,
-                    count: 1,
-                },
-                Ty::ptr(Ty::I64),
-            );
-            canaries.push((*v, can));
-            stats.canaries += 1;
-        }
-
-        // 2. Stack re-layout: hoist allocas to the top of the entry block,
-        //    non-vulnerable first, then each vulnerable buffer immediately
-        //    followed by its canary. Entry-block order *is* frame order.
-        let entry = f.entry();
-        let old = f.block(entry).insts.clone();
-        let mut non_vuln_allocas = Vec::new();
-        let mut rest = Vec::new();
-        for iv in old {
-            if matches!(f.inst(iv), Some(Inst::Alloca { .. })) {
-                if !vuln_set.contains(&iv) {
-                    non_vuln_allocas.push(iv);
-                }
-            } else {
-                rest.push(iv);
-            }
-        }
-        let mut rebuilt = if config.relayout {
-            let mut r = non_vuln_allocas;
-            for (v, c) in &canaries {
-                r.push(*v);
-                r.push(*c);
-            }
-            r
-        } else {
-            // Ablation: keep the original order; canary allocas are merely
-            // appended, losing the adjacency that makes them tripwires.
-            let mut r: Vec<_> = f
-                .block(entry)
-                .insts
-                .iter()
-                .copied()
-                .filter(|iv| matches!(f.inst(*iv), Some(Inst::Alloca { .. })))
-                .collect();
-            for (_, c) in &canaries {
-                r.push(*c);
-            }
-            r
-        };
-        rebuilt.extend(rest.iter().copied());
-        f.block_mut(entry).insts = rebuilt;
-
-        // 3. Canary lifecycle: initialize at entry, re-randomize before
-        //    each input-channel use, authenticate after it and before
-        //    every return.
-        let anchor_entry = *f
-            .block(entry)
+        // 1. One canary per vulnerable buffer; the re-layout hoists the
+        //    entry block's allocas, so its first non-alloca stays first.
+        let entry = *f
+            .block(f.entry())
             .insts
             .iter()
             .find(|iv| !matches!(f.inst(**iv), Some(Inst::Alloca { .. })))
             .expect("entry block has a terminator");
+        plan.stats.canaries += buffers.len();
+        plan.push(
+            fid,
+            entry,
+            EditKind::Frame {
+                buffers: buffers.clone(),
+                adjacent: config.relayout,
+            },
+        );
         let rets: Vec<ValueId> = f
             .block_ids()
-            .flat_map(|bb| f.block(bb).insts.clone())
+            .flat_map(|bb| f.block(bb).insts.iter().copied())
             .filter(|iv| matches!(f.inst(*iv), Some(Inst::Ret { .. })))
             .collect();
 
-        let mut plan = EditPlan::new();
-        for (vuln, can) in &canaries {
-            let vuln_info = vulns
+        // 2. Canary lifecycle: initialize at entry, re-randomize before
+        //    each input-channel use, authenticate after it and before
+        //    every return.
+        for buffer in buffers {
+            let vuln = vulns
                 .iter()
-                .find(|s| s.alloca == *vuln)
-                .expect("canary built from vulns");
+                .find(|s| s.alloca == buffer)
+                .expect("buffer taken from vulns");
 
             // Entry initialization.
-            push_randomize(f, &mut plan, *can, anchor_entry, stats);
-            stats.randomize_sites += 1;
+            randomize(plan, fid, entry, buffer);
 
             // Around same-function input-channel uses.
             let mut seen_sites: BTreeSet<ValueId> = BTreeSet::new();
-            for site in &vuln_info.ic_uses {
+            for site in &vuln.ic_uses {
                 if site.func != fid || !seen_sites.insert(site.call) {
                     continue;
                 }
                 if config.rerandomize {
-                    push_randomize(f, &mut plan, *can, site.call, stats);
-                    stats.randomize_sites += 1;
+                    randomize(plan, fid, site.call, buffer);
                 }
-                push_check_after(f, &mut plan, *can, site.call, stats);
+                check(plan, fid, site.call, buffer, Side::After);
             }
 
             // Before every return — but only when some channel that can
@@ -192,121 +142,49 @@ fn instrument_stack(
             // interprocedural-overflow case §4.4 handles with global
             // pointer canaries; same-function channels are already
             // checked right after the call).
-            let interproc = vuln_info.ic_uses.iter().any(|s| s.func != fid);
+            let interproc = vuln.ic_uses.iter().any(|s| s.func != fid);
             if interproc && config.ret_checks {
                 for &r in &rets {
-                    push_check_before(f, &mut plan, *can, r, stats);
+                    check(plan, fid, r, buffer, Side::Before);
                 }
             }
         }
-        plan.apply(f);
     }
 }
 
-/// Queue `rnd = pythia_random(); store pacsign(rnd, ga, can) -> can`
-/// before `anchor`.
-fn push_randomize(
-    f: &mut pythia_ir::Function,
-    plan: &mut EditPlan,
-    can: ValueId,
-    anchor: ValueId,
-    stats: &mut InstrumentationStats,
-) {
-    let rnd = EditPlan::new_inst(
-        f,
-        Inst::Call {
-            callee: Callee::Intrinsic(Intrinsic::PythiaRandom),
-            args: vec![],
-        },
-        Ty::I64,
-    );
-    let sign = EditPlan::new_inst(
-        f,
-        Inst::PacSign {
-            value: rnd,
-            key: PaKey::Ga,
-            modifier: can,
-        },
-        Ty::I64,
-    );
-    let st = EditPlan::new_inst(
-        f,
-        Inst::Store {
-            ptr: can,
-            value: sign,
-        },
-        Ty::Void,
-    );
-    plan.insert_before(anchor, rnd);
-    plan.insert_before(anchor, sign);
-    plan.insert_before(anchor, st);
-    stats.pa_signs += 1;
+/// Require `rnd = pythia_random(); store pacsign(rnd, ga, can) -> can`
+/// before `anchor`, for `buffer`'s canary.
+fn randomize(plan: &mut ObligationPlan, fid: FuncId, anchor: ValueId, buffer: ValueId) {
+    plan.push(fid, anchor, EditKind::RandomizeCanary { buffer });
+    plan.stats.randomize_sites += 1;
+    plan.stats.pa_signs += 1;
 }
 
-/// Queue `pacauth(load can, ga, can)` after `anchor`.
-fn push_check_after(
-    f: &mut pythia_ir::Function,
-    plan: &mut EditPlan,
-    can: ValueId,
-    anchor: ValueId,
-    stats: &mut InstrumentationStats,
-) {
-    let ld = EditPlan::new_inst(f, Inst::Load { ptr: can }, Ty::I64);
-    let auth = EditPlan::new_inst(
-        f,
-        Inst::PacAuth {
-            value: ld,
-            key: PaKey::Ga,
-            modifier: can,
-        },
-        Ty::I64,
-    );
-    plan.insert_after(anchor, ld);
-    plan.insert_after(anchor, auth);
-    stats.pa_auths += 1;
-}
-
-/// Queue `pacauth(load can, ga, can)` before `anchor`.
-fn push_check_before(
-    f: &mut pythia_ir::Function,
-    plan: &mut EditPlan,
-    can: ValueId,
-    anchor: ValueId,
-    stats: &mut InstrumentationStats,
-) {
-    let ld = EditPlan::new_inst(f, Inst::Load { ptr: can }, Ty::I64);
-    let auth = EditPlan::new_inst(
-        f,
-        Inst::PacAuth {
-            value: ld,
-            key: PaKey::Ga,
-            modifier: can,
-        },
-        Ty::I64,
-    );
-    plan.insert_before(anchor, ld);
-    plan.insert_before(anchor, auth);
-    stats.pa_auths += 1;
+/// Require `pacauth(load can, ga, can)` on `side` of `anchor`, for
+/// `buffer`'s canary.
+fn check(plan: &mut ObligationPlan, fid: FuncId, anchor: ValueId, buffer: ValueId, side: Side) {
+    plan.push(fid, anchor, EditKind::CheckCanary { buffer, side });
+    plan.stats.pa_auths += 1;
 }
 
 // ---------------------------------------------------------------------
 // Heap: sectioning + PA on uses (Algorithm 4)
 // ---------------------------------------------------------------------
 
-fn instrument_heap(
-    out: &mut Module,
-    ctx: &SliceContext<'_>,
-    report: &VulnerabilityReport,
-    stats: &mut InstrumentationStats,
-) {
+fn derive_heap(ctx: &SliceContext<'_>, report: &VulnerabilityReport, plan: &mut ObligationPlan) {
     // 1. Redirect vulnerable allocation sites into the isolated section.
+    let mut redirected = BTreeSet::new();
     for hv in &report.heap_vulns {
-        let f = out.func_mut(hv.func);
-        if let Some(Inst::Call { callee, .. }) = f.inst_mut(hv.site) {
-            if *callee == Callee::Intrinsic(Intrinsic::Malloc) {
-                *callee = Callee::Intrinsic(Intrinsic::SecureMalloc);
-                stats.secure_malloc_rewrites += 1;
-            }
+        let is_malloc = matches!(
+            ctx.module.func(hv.func).inst(hv.site),
+            Some(Inst::Call {
+                callee: Callee::Intrinsic(Intrinsic::Malloc),
+                ..
+            })
+        );
+        if is_malloc && redirected.insert((hv.func, hv.site)) {
+            plan.push(hv.func, hv.site, EditKind::SecureMalloc);
+            plan.stats.secure_malloc_rewrites += 1;
         }
     }
 
@@ -317,72 +195,23 @@ fn instrument_heap(
         .copied()
         .filter(|&o| matches!(ctx.points_to.obj_kind(o), MemObjectKind::Heap { .. }))
         .collect();
-    let signable = crate::common::stable_signable(ctx, &heap_objs);
-    let plan = crate::common::collect_accesses(ctx, &signable);
-
-    let mut per_func: std::collections::HashMap<FuncId, EditPlan> = Default::default();
-    for (fid, st, ptr, value) in plan.stores {
-        let f = out.func_mut(fid);
-        let sign = EditPlan::new_inst(
-            f,
-            Inst::PacSign {
-                value,
-                key: PaKey::Db,
-                modifier: ptr,
-            },
-            Ty::I64,
-        );
-        if let Some(Inst::Store { value: v, .. }) = f.inst_mut(st) {
-            *v = sign;
-        }
-        per_func.entry(fid).or_default().insert_before(st, sign);
-        stats.pa_signs += 1;
-    }
-    for (fid, ld, ptr) in plan.loads {
-        let f = out.func_mut(fid);
-        let ty = f.value(ld).ty.clone();
-        let auth = EditPlan::new_inst(
-            f,
-            Inst::PacAuth {
-                value: ld,
-                key: PaKey::Db,
-                modifier: ptr,
-            },
-            ty,
-        );
-        let p = per_func.entry(fid).or_default();
-        p.insert_after(ld, auth);
-        p.replace_uses(ld, auth, &[auth]);
-        stats.pa_auths += 1;
-    }
-    crate::common::resign_after_ics(out, ctx, &signable, PaKey::Db, &mut per_func, stats);
-
-    for (fid, plan) in per_func {
-        plan.apply(out.func_mut(fid));
-    }
-    stats.protected_objects = report.pythia_objects.len();
+    let signable = stable_signable(ctx, &heap_objs);
+    let accesses = collect_accesses(ctx, &signable);
+    sign_accesses(&accesses, PaKey::Db, plan);
+    resign_after_ics(ctx, &signable, PaKey::Db, plan);
+    plan.stats.protected_objects = report.pythia_objects.len();
 }
 
-/// Insert the one-time `heap_section_init()` library call at program
+/// Require the one-time `heap_section_init()` library call at program
 /// entry — every Pythia-compiled program pays this, even with zero
 /// vulnerable heap variables (§6.2).
-fn insert_section_init(out: &mut Module, _stats: &mut InstrumentationStats) {
-    let entry_fid = out.func_by_name("main").or_else(|| out.func_ids().next());
-    let Some(fid) = entry_fid else { return };
-    let f = out.func_mut(fid);
-    let call = EditPlan::new_inst(
-        f,
-        Inst::Call {
-            callee: Callee::Intrinsic(Intrinsic::HeapSectionInit),
-            args: vec![],
-        },
-        Ty::Void,
-    );
-    let entry = f.entry();
-    let anchor = f.block(entry).insts.first().copied();
-    if let Some(anchor) = anchor {
-        let mut plan = EditPlan::new();
-        plan.insert_before(anchor, call);
-        plan.apply(f);
+fn derive_section_init(ctx: &SliceContext<'_>, plan: &mut ObligationPlan) {
+    let m = ctx.module;
+    let Some(fid) = m.func_by_name("main").or_else(|| m.func_ids().next()) else {
+        return;
+    };
+    let f = m.func(fid);
+    if let Some(&head) = f.block(f.entry()).insts.first() {
+        plan.push(fid, head, EditKind::SectionInit);
     }
 }

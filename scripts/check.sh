@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Graceful-degradation gate: build, lint (clippy at -D warnings), test,
-# statically certify every instrumented suite variant (pythia-lint), then
-# smoke-run the reproduce binary and fail on any `internal` error — the
-# one taxonomy variant that means the harness itself is broken
-# (DESIGN.md, "Error taxonomy") — and on any `ERROR` cell in the motiv,
-# nginx and campaign tables.
+# Graceful-degradation gate: build, format check (rustfmt), lint (clippy
+# at -D warnings), test, statically certify every instrumented suite
+# variant (pythia-lint), then smoke-run the reproduce binary and fail on
+# any `internal` error — the one taxonomy variant that means the harness
+# itself is broken (DESIGN.md, "Error taxonomy") — and on any `ERROR`
+# cell in the motiv, nginx and campaign tables.
 #
 # `setup`/`fault`/`detection` statuses in the smoke JSON are data, not CI
 # failures; they still flip reproduce's exit code, which this script
@@ -22,6 +22,11 @@ echo "== cargo build --release --workspace =="
 # bare `cargo build` would only build the root package — leaving the
 # `reproduce` and `pythia-lint` binaries this script runs stale.
 cargo build --release --workspace
+
+echo "== cargo fmt --all --check =="
+# The tree is rustfmt-clean; an unformatted change fails here instead of
+# leaving unrelated hunks for the next `cargo fmt` to rewrite.
+cargo fmt --all --check
 
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
