@@ -143,3 +143,19 @@ fn engines_produce_identical_profiles() {
         }
     }
 }
+
+#[test]
+fn engines_count_the_same_executed_pa_sites_on_cpa_gcc() {
+    // gcc under CPA has the suite's most PA sites, spread over many
+    // functions: both engines number them through the decode cache's
+    // per-function site bases, and must count the same distinct set.
+    let p = profile_by_name("502.gcc_r").expect("profile");
+    let module = generate(p);
+    let sites = [Engine::Legacy, Engine::Block].map(|engine| {
+        let ev = evaluate(&module, &[Scheme::Cpa], p.seed, &cfg_for(engine)).expect("gcc");
+        let cpa = ev.results.iter().find(|r| r.scheme == Scheme::Cpa);
+        cpa.expect("a CPA result").metrics.pa_sites
+    });
+    assert!(sites[0] > 0, "CPA gcc executed no PA site");
+    assert_eq!(sites[0], sites[1], "legacy vs block executed PA sites");
+}

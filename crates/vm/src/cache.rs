@@ -125,10 +125,18 @@ impl CacheStats {
 }
 
 /// The two-level cache hierarchy.
+///
+/// `l1_mru` mirrors the MRU tag of every L1 set as `line + 1` (0: none
+/// yet). Every access leaves its line at the MRU end of its L1 set, hit
+/// or miss, so a repeat access that finds its line in the mirror is an
+/// L1 hit that changes no LRU state: it is counted and answered without
+/// touching the level. A line whose `+ 1` wraps to 0 never matches and
+/// always takes the full path.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
     l1: Level,
     llc: Level,
+    l1_mru: Box<[u64]>,
     line: u64,
     stats: CacheStats,
 }
@@ -150,8 +158,10 @@ impl CacheSim {
     /// Panics if `capacity / line / ways` is not a power of two after
     /// adjustment.
     pub fn new(l1_capacity: u64, llc_capacity: u64, line: u64) -> Self {
+        let l1 = Level::new(l1_capacity, line, 8);
         CacheSim {
-            l1: Level::new(l1_capacity, line, 8),
+            l1_mru: vec![0; l1.set_mask as usize + 1].into_boxed_slice(),
+            l1,
             llc: Level::new(llc_capacity, line, 12),
             line,
             stats: CacheStats::default(),
@@ -166,6 +176,13 @@ impl CacheSim {
     /// Access one address.
     pub fn access(&mut self, addr: u64) -> CacheOutcome {
         self.stats.accesses += 1;
+        let line = addr >> self.l1.set_shift;
+        let mru = &mut self.l1_mru[(line & self.l1.set_mask) as usize];
+        if *mru == line.wrapping_add(1) {
+            self.stats.l1_hits += 1;
+            return CacheOutcome::L1Hit;
+        }
+        *mru = line.wrapping_add(1);
         if self.l1.access(addr) {
             self.stats.l1_hits += 1;
             return CacheOutcome::L1Hit;
@@ -329,10 +346,11 @@ mod tests {
         }
     }
 
-    /// [`CacheSim`]'s hierarchy over [`FlatLevel`]s.
+    /// [`CacheSim`]'s hierarchy over [`FlatLevel`]s, with no MRU mirror.
     struct FlatSim {
         l1: FlatLevel,
         llc: FlatLevel,
+        line: u64,
         stats: CacheStats,
     }
 
@@ -341,8 +359,23 @@ mod tests {
             FlatSim {
                 l1: FlatLevel::new(l1_capacity, line, 8),
                 llc: FlatLevel::new(llc_capacity, line, 12),
+                line,
                 stats: CacheStats::default(),
             }
+        }
+
+        /// Every line of the range in order; the worst outcome wins.
+        fn access_range(&mut self, addr: u64, len: u64) -> CacheOutcome {
+            let end = addr + len.max(1) - 1;
+            let rank = |o| match o {
+                CacheOutcome::L1Hit => 0,
+                CacheOutcome::LlcHit => 1,
+                CacheOutcome::Miss => 2,
+            };
+            (addr / self.line..=end / self.line)
+                .map(|l| self.access(l * self.line))
+                .max_by_key(|&o| rank(o))
+                .expect("a range covers at least one line")
         }
 
         fn access(&mut self, addr: u64) -> CacheOutcome {
@@ -383,20 +416,39 @@ mod tests {
                     line * (chunked.l1.set_mask + 1),
                     line * (chunked.llc.set_mask + 1),
                 ];
+                // The last two addresses, for repeated-line and ping-pong
+                // streams (which the L1 MRU mirror answers).
+                let (mut prev, mut last) = (bases[0], bases[0]);
                 for _ in 0..20_000 {
                     let base = bases[rng.gen_range(0..bases.len())];
-                    let addr = match rng.gen_range(0u32..3) {
+                    let addr = match rng.gen_range(0u32..6) {
                         0 => base + rng.gen_range(0u64..1 << 20),
                         1 => {
                             base + strides[0] * rng.gen_range(0u64..24) + rng.gen_range(0u64..line)
                         }
-                        _ => base + strides[1] * rng.gen_range(0u64..32),
+                        2 => base + strides[1] * rng.gen_range(0u64..32),
+                        // The same line again.
+                        3 => last - last % line + rng.gen_range(0u64..line),
+                        // Back to the line before: a ping-pong between two
+                        // lines, often of one L1 set.
+                        4 => prev,
+                        _ => {
+                            let len = rng.gen_range(1u64..4 * line);
+                            assert_eq!(
+                                chunked.access_range(base, len),
+                                flat.access_range(base, len),
+                                "range {base:#x}+{len} seed {seed}"
+                            );
+                            (prev, last) = (last, base + len - 1);
+                            continue;
+                        }
                     };
                     assert_eq!(
                         chunked.access(addr),
                         flat.access(addr),
                         "{addr:#x} seed {seed}"
                     );
+                    (prev, last) = (last, addr);
                 }
                 assert_eq!(chunked.stats(), flat.stats);
             }

@@ -8,9 +8,11 @@
 //! - per-op base cost and mnemonic are reduced to a small class index
 //!   (`mn`) into `MNEMONICS` / a per-VM cost table, so metering is two
 //!   array reads;
-//! - leading phis are compiled into a parallel-copy prologue keyed by
+//! - leading phis are compiled into a parallel-copy prologue per
 //!   predecessor (`PhiPrologue`), specialized statically where the
-//!   predecessor is known;
+//!   predecessor is known; each `br`/`jmp` carries the index of its own
+//!   block's prologue in the target's list, so no lookup runs at
+//!   execute time;
 //! - alloca addresses are resolved against a dense per-function
 //!   [`FrameLayout`] (no `HashMap` in the hot loop);
 //! - unconditional `jmp` successors are chained into superblocks: the
@@ -291,18 +293,25 @@ pub(crate) enum OpKind {
         allowed: Box<[u32]>,
     },
     Call(Box<CallData>),
+    /// `then_pl`/`else_pl` index the branch's own block in the target's
+    /// prologue list ([`DecodedBlock::prologues`]), or are
+    /// [`NO_PROLOGUE`] when the target has no entry for it.
     Br {
         cond: Operand,
         then_bb: BlockId,
         else_bb: BlockId,
+        then_pl: u32,
+        else_pl: u32,
     },
     /// `chained` means the superblock continues: the next op is the
     /// target's [`OpKind::Enter`] marker and execution falls through
     /// instead of re-entering the block scheduler. The jmp itself stays a
-    /// fully metered instruction either way.
+    /// fully metered instruction either way. `pl` is the target prologue
+    /// index, as for [`OpKind::Br`] (read only when not chained).
     Jmp {
         target: BlockId,
         chained: bool,
+        pl: u32,
     },
     Ret {
         value: Operand,
@@ -339,8 +348,7 @@ pub struct FrameLayout {
 pub(crate) struct AllocaSlot {
     pub(crate) id: ValueId,
     pub(crate) off: u64,
-    /// Object size ([`pythia_ir::layout::object_size`]), as registered
-    /// in the VM's `stack_objects` map.
+    /// Object size ([`pythia_ir::layout::object_size`], never 0).
     pub(crate) size: u64,
 }
 
@@ -367,12 +375,17 @@ impl FrameLayout {
     }
 }
 
+/// A prologue index meaning "run none": the branch's block is not among
+/// the target's predecessors, so the target has no prologue for it.
+pub(crate) const NO_PROLOGUE: u32 = u32::MAX;
+
 /// A decoded superblock: the op buffer for one head block plus any chained
-/// `jmp` successors, and the head's phi prologues keyed by predecessor.
+/// `jmp` successors, and the head's phi prologues by predecessor.
 #[derive(Debug)]
 pub(crate) struct DecodedBlock {
-    /// Prologue per static predecessor of the head block.
-    pub(crate) prologues: Box<[(u32, PhiPrologue)]>,
+    /// Prologue per static predecessor of the head block, in the order of
+    /// the head's predecessor list; `Br`/`Jmp` ops index into it.
+    pub(crate) prologues: Box<[PhiPrologue]>,
     /// Prologue when the head is entered as the function entry
     /// (no predecessor).
     pub(crate) entry: PhiPrologue,
@@ -386,6 +399,10 @@ pub struct DecodedFunction {
     pub(crate) name: String,
     pub(crate) num_values: usize,
     pub(crate) num_params: usize,
+    /// PA-site number of this function's value 0: the values of all
+    /// lower-numbered functions, so `site_base + iv` numbers every
+    /// instruction of the module densely (see [`DecodedModule::pa_site`]).
+    pub(crate) site_base: usize,
     pub(crate) layout: FrameLayout,
     /// `(slot, value)` for every constant-kind value: folded once here
     /// (exactly as `Vm::value_of` would) and written into the frame at
@@ -410,6 +427,8 @@ pub struct DecodedFunction {
 #[derive(Debug)]
 pub struct DecodedModule {
     pub(crate) funcs: Vec<DecodedFunction>,
+    /// Values across all functions: the number of PA-site numbers.
+    sites: usize,
 }
 
 /// Chain-length bound for superblock formation (incl. the head block).
@@ -429,13 +448,23 @@ impl DecodedModule {
                 .iter()
                 .map(|s| s.start)
                 .collect();
+        // Site numbers: each function's values follow the values of the
+        // functions before it.
+        let site_bases = module.functions().iter().scan(0, |next, f| {
+            let base = *next;
+            *next += f.num_values();
+            Some(base)
+        });
+        let sites = module.functions().iter().map(Function::num_values).sum();
         let funcs = module
             .functions()
             .iter()
-            .map(|f| DecodedFunction {
+            .zip(site_bases)
+            .map(|(f, site_base)| DecodedFunction {
                 name: f.name.clone(),
                 num_values: f.num_values(),
                 num_params: f.params.len(),
+                site_base,
                 layout: FrameLayout::of(f),
                 consts: (0..f.num_values() as u32)
                     .filter_map(|i| {
@@ -454,7 +483,7 @@ impl DecodedModule {
                 blocks: (0..f.num_blocks()).map(|_| OnceLock::new()).collect(),
             })
             .collect();
-        DecodedModule { funcs }
+        DecodedModule { funcs, sites }
     }
 
     /// The decoded superblock headed at `(fid, bb)`, decoding it on first
@@ -489,6 +518,17 @@ impl DecodedModule {
     /// Per-function frame layout (shared with the legacy interpreter).
     pub(crate) fn layout(&self, fid: FuncId) -> &FrameLayout {
         &self.funcs[fid.0 as usize].layout
+    }
+
+    /// The dense site number of instruction `iv` of function `fid`:
+    /// distinct per `(fid, iv)`, and less than 64 × [`Self::site_words`].
+    pub(crate) fn pa_site(&self, fid: FuncId, iv: ValueId) -> usize {
+        self.funcs[fid.0 as usize].site_base + iv.0 as usize
+    }
+
+    /// `u64` words of a bitset with one bit per site number.
+    pub(crate) fn site_words(&self) -> usize {
+        self.sites.div_ceil(64)
     }
 }
 
@@ -563,6 +603,16 @@ fn predecessors(f: &Function) -> Box<[Box<[BlockId]>]> {
     preds.into_iter().map(Vec::into_boxed_slice).collect()
 }
 
+/// Where `own` sits in `target`'s predecessor list (the first position,
+/// as a search of the list finds it), or [`NO_PROLOGUE`] when it is not
+/// there — including a target that names no block.
+fn prologue_index(preds: &[Box<[BlockId]>], own: BlockId, target: BlockId) -> u32 {
+    preds
+        .get(target.0 as usize)
+        .and_then(|p| p.iter().position(|&b| b == own))
+        .map_or(NO_PROLOGUE, |i| i as u32)
+}
+
 /// Whether a block contains a chain barrier: any call (function,
 /// intrinsic — and therefore every input channel) or a canary (`Ga`-key)
 /// authentication. Superblocks never chain across these (DESIGN.md §5f).
@@ -587,6 +637,7 @@ fn emit_block(
 ) -> Option<(usize, BlockId)> {
     let insts = &f.block(bb).insts;
     let skip = leading_phis(f, bb).len();
+    let preds = &dm.funcs[fid.0 as usize].preds;
     for &iv in &insts[skip..] {
         let Some(inst) = f.inst(iv) else {
             // Execution stops at the runtime error; anything after is
@@ -759,6 +810,8 @@ fn emit_block(
                     cond: slot(*cond),
                     then_bb: *then_bb,
                     else_bb: *else_bb,
+                    then_pl: prologue_index(preds, bb, *then_bb),
+                    else_pl: prologue_index(preds, bb, *else_bb),
                 },
             ),
             Inst::Jmp { target } => (
@@ -766,6 +819,7 @@ fn emit_block(
                 OpKind::Jmp {
                     target: *target,
                     chained: false,
+                    pl: prologue_index(preds, bb, *target),
                 },
             ),
             Inst::Ret { value } => (
@@ -806,9 +860,9 @@ fn decode_superblock(
 ) -> DecodedBlock {
     let f = module.func(fid);
     let df = &dm.funcs[fid.0 as usize];
-    let prologues: Box<[(u32, PhiPrologue)]> = df.preds[head.0 as usize]
+    let prologues: Box<[PhiPrologue]> = df.preds[head.0 as usize]
         .iter()
-        .map(|&p| (p.0, prologue_for_pred(f, head, p)))
+        .map(|&p| prologue_for_pred(f, head, p))
         .collect();
     let entry = entry_prologue(f, head);
 
@@ -846,5 +900,81 @@ fn decode_superblock(
         prologues,
         entry,
         ops: ops.into_boxed_slice(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pythia_analysis::{SliceContext, VulnerabilityReport};
+    use pythia_passes::{instrument_with, Scheme};
+    use pythia_workloads::{generate, nginx_module, SPEC_PROFILES};
+
+    /// Every `br`/`jmp` of every decoded superblock of the 17 standard
+    /// modules under all four schemes names the prologue that a search
+    /// of the target's `(predecessor, prologue)` list would find for the
+    /// branch's own block, or none exactly when that search finds none.
+    #[test]
+    fn branch_prologue_indices_match_a_predecessor_search() {
+        let modules = SPEC_PROFILES.iter().map(generate).chain([nginx_module(60)]);
+        let mut checked = 0;
+        for m in modules {
+            let ctx = SliceContext::new(&m);
+            let report = VulnerabilityReport::analyze(&ctx);
+            for scheme in Scheme::ALL {
+                let inst = instrument_with(&m, &ctx, &report, scheme).module;
+                let dm = DecodedModule::eager(&inst);
+                for fid in inst.func_ids() {
+                    let f = inst.func(fid);
+                    let df = &dm.funcs[fid.0 as usize];
+                    for head in f.block_ids() {
+                        let mut own = head;
+                        for op in dm.block(&inst, fid, head).ops.iter() {
+                            let edges = match op.kind {
+                                OpKind::Enter { block, .. } => {
+                                    own = block;
+                                    continue;
+                                }
+                                OpKind::Br {
+                                    then_bb,
+                                    else_bb,
+                                    then_pl,
+                                    else_pl,
+                                    ..
+                                } => vec![(then_bb, then_pl), (else_bb, else_pl)],
+                                OpKind::Jmp {
+                                    target,
+                                    chained: false,
+                                    pl,
+                                } => vec![(target, pl)],
+                                _ => continue,
+                            };
+                            for (target, pl) in edges {
+                                let keyed: Vec<(u32, PhiPrologue)> = df.preds[target.0 as usize]
+                                    .iter()
+                                    .map(|&p| (p.0, prologue_for_pred(f, target, p)))
+                                    .collect();
+                                let searched = keyed.iter().find(|(b, _)| *b == own.0);
+                                let indexed =
+                                    dm.block(&inst, fid, target).prologues.get(pl as usize);
+                                assert_eq!(
+                                    searched.map(|(_, p)| format!("{p:?}")),
+                                    indexed.map(|p| format!("{p:?}")),
+                                    "{}/{}: {} bb{} -> bb{}",
+                                    m.name,
+                                    scheme.name(),
+                                    f.name,
+                                    own.0,
+                                    target.0
+                                );
+                                assert_eq!(searched.is_none(), pl == NO_PROLOGUE);
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} edges checked");
     }
 }

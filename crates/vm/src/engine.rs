@@ -10,9 +10,11 @@
 //! (`tests/determinism.rs`, `core/tests/profile_invariants.rs`) and the
 //! `scripts/check.sh` engine gate hold it to that.
 
-use crate::decode::{wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PHI};
+use crate::decode::{
+    wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PHI, NO_PROLOGUE,
+};
 use crate::memory::layout;
-use crate::vm::{eval_bin, pa_site_key, Halt, Trap, Vm};
+use crate::vm::{eval_bin, Halt, Trap, Vm};
 use pythia_ir::{BlockId, FuncId, PythiaError};
 
 /// Read one pre-resolved operand: an unconditional indexed load
@@ -61,10 +63,7 @@ impl<'m> Vm<'m> {
         if size > 0 {
             self.write_zeros(base, size)?;
         }
-        for slot in &df.layout.objects {
-            self.stack_objects
-                .insert(base.saturating_add(slot.off), slot.size);
-        }
+        self.frames.push((base, fid));
         for (i, &a) in args.iter().enumerate().take(df.num_params) {
             values[i] = a;
         }
@@ -74,9 +73,7 @@ impl<'m> Vm<'m> {
 
         let result = self.exec_blocks_decoded(fid, dm, &mut values, base, depth);
 
-        for slot in &df.layout.objects {
-            self.stack_objects.remove(&base.saturating_add(slot.off));
-        }
+        self.frames.pop();
         // Removing granules from an empty shadow map is a no-op; skipping
         // it keeps the non-DFI schemes off the hash path entirely.
         if size > 0 && !self.shadow.is_empty() {
@@ -103,19 +100,31 @@ impl<'m> Vm<'m> {
                 if copies.is_empty() {
                     return Ok(());
                 }
-                let mut scratch = std::mem::take(&mut self.phi_scratch);
-                scratch.clear();
-                for (_, src) in copies.iter() {
-                    scratch.push(read(values, *src));
+                // Up to four sources are read into a stack array; longer
+                // prologues borrow the VM's scratch vector.
+                let mut small = [0i64; 4];
+                let mut big = Vec::new();
+                let buf = if copies.len() <= small.len() {
+                    &mut small[..copies.len()]
+                } else {
+                    big = std::mem::take(&mut self.phi_scratch);
+                    big.clear();
+                    big.resize(copies.len(), 0);
+                    &mut big[..]
+                };
+                for (b, (_, src)) in buf.iter_mut().zip(copies.iter()) {
+                    *b = read(values, *src);
                 }
                 let n = copies.len() as u64;
                 self.metrics.insts += n;
                 self.charge(self.cost.copy * n);
                 self.op_counts[MN_PHI] += n;
-                for ((dst, _), v) in copies.iter().zip(scratch.iter()) {
+                for ((dst, _), v) in copies.iter().zip(buf.iter()) {
                     values[*dst as usize] = *v;
                 }
-                self.phi_scratch = scratch;
+                if copies.len() > small.len() {
+                    self.phi_scratch = big;
+                }
                 Ok(())
             }
             PhiPrologue::Error {
@@ -154,22 +163,20 @@ impl<'m> Vm<'m> {
     ) -> Result<i64, Halt> {
         let m = self.module;
         let df = &dm.funcs[fid.0 as usize];
+        let site_base = df.site_base;
         let mut block = BlockId(0);
         let mut prev: Option<BlockId> = None;
+        // The prologue to run on entering `block`: the index its
+        // terminator pre-resolved, or none. The function entry runs the
+        // entry prologue instead, before the loop.
+        let mut pl = NO_PROLOGUE;
+        self.run_prologue(&dm.block(m, fid, block).entry, values, &df.name)?;
 
         let mut trace_on = self.trace_on;
         'blocks: loop {
             let db = dm.block(m, fid, block);
-            match prev {
-                None => self.run_prologue(&db.entry, values, &df.name)?,
-                Some(p) => {
-                    // `prev` always comes from an executed terminator in a
-                    // real predecessor, so the lookup only misses when the
-                    // block has no phis (empty prologue) anyway.
-                    if let Some((_, pl)) = db.prologues.iter().find(|(b, _)| *b == p.0) {
-                        self.run_prologue(pl, values, &df.name)?;
-                    }
-                }
+            if pl != NO_PROLOGUE {
+                self.run_prologue(&db.prologues[pl as usize], values, &df.name)?;
             }
 
             let mut cur = block;
@@ -356,7 +363,7 @@ impl<'m> Vm<'m> {
                     } => {
                         meter!(op);
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert(pa_site_key(fid.0, op.iv.0));
+                        self.mark_pa_site(site_base + op.iv.0 as usize);
                         if self.cfg.profile {
                             self.profile.pa.signs += 1;
                         }
@@ -374,7 +381,7 @@ impl<'m> Vm<'m> {
                     } => {
                         meter!(op);
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert(pa_site_key(fid.0, op.iv.0));
+                        self.mark_pa_site(site_base + op.iv.0 as usize);
                         if self.cfg.profile {
                             self.profile.pa.auths += 1;
                         }
@@ -395,7 +402,7 @@ impl<'m> Vm<'m> {
                     OpKind::PacStrip { value } => {
                         meter!(op);
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert(pa_site_key(fid.0, op.iv.0));
+                        self.mark_pa_site(site_base + op.iv.0 as usize);
                         if self.cfg.profile {
                             self.profile.pa.strips += 1;
                         }
@@ -464,23 +471,33 @@ impl<'m> Vm<'m> {
                         cond,
                         then_bb,
                         else_bb,
+                        then_pl,
+                        else_pl,
                     } => {
                         meter!(op);
                         self.metrics.branches += 1;
                         let c = read(values, *cond);
                         prev = Some(cur);
-                        block = if c != 0 { *then_bb } else { *else_bb };
+                        (block, pl) = if c != 0 {
+                            (*then_bb, *then_pl)
+                        } else {
+                            (*else_bb, *else_pl)
+                        };
                         flush!();
                         continue 'blocks;
                     }
-                    OpKind::Jmp { target, chained } => {
+                    OpKind::Jmp {
+                        target,
+                        chained,
+                        pl: target_pl,
+                    } => {
                         meter!(op);
                         if *chained {
                             // The next op is the target's Enter marker.
                             continue;
                         }
                         prev = Some(cur);
-                        block = *target;
+                        (block, pl) = (*target, *target_pl);
                         flush!();
                         continue 'blocks;
                     }

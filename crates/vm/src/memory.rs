@@ -83,10 +83,10 @@ impl fmt::Display for MemoryError {
 impl std::error::Error for MemoryError {}
 
 /// Deterministic single-`u64`-key hasher (splitmix64 finalizer). The
-/// interpreter does one shadow-granule lookup per DFI-checked access and
-/// one PA-site insert per PA op; SipHash would dominate that cost. Maps
-/// and sets keyed with it are only ever point-queried or counted — never
-/// iterated — so hash order is unobservable.
+/// interpreter does one shadow-granule lookup per DFI-checked access;
+/// SipHash would dominate that cost. Maps keyed with it are only ever
+/// point-queried or counted — never iterated — so hash order is
+/// unobservable.
 #[derive(Default)]
 pub struct FastKeyHasher(u64);
 
@@ -112,9 +112,6 @@ impl std::hash::Hasher for FastKeyHasher {
 
 /// A `u64`-keyed hash map using [`FastKeyHasher`].
 pub type FastMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<FastKeyHasher>>;
-
-/// A `u64` set using [`FastKeyHasher`].
-pub type FastSet = std::collections::HashSet<u64, std::hash::BuildHasherDefault<FastKeyHasher>>;
 
 /// One 4 KiB backing page.
 type Page = Box<[u8; PAGE_SIZE as usize]>;
@@ -319,15 +316,18 @@ impl Memory {
         // within one page — a single lookup, no intermediate Vec.
         let off = addr % PAGE_SIZE;
         if (NULL_GUARD..(1 << VA_BITS) - 8).contains(&addr) && off + size <= PAGE_SIZE {
-            let v = match self.page(addr / PAGE_SIZE) {
-                Some(p) => {
-                    let mut buf = [0u8; 8];
-                    buf[..size as usize].copy_from_slice(&p[off as usize..(off + size) as usize]);
-                    u64::from_le_bytes(buf)
-                }
-                None => 0,
+            let Some(p) = self.page(addr / PAGE_SIZE) else {
+                return Ok(0);
             };
-            return Ok(Self::sign_extend(v, size));
+            // One fixed-width load per size: a copy of `size` bytes
+            // would be a `memcpy` call on every interpreted load.
+            let o = off as usize;
+            return Ok(match size {
+                1 => i64::from(p[o] as i8),
+                2 => i64::from(i16::from_le_bytes([p[o], p[o + 1]])),
+                4 => i64::from(i32::from_le_bytes(p[o..o + 4].try_into().expect("4 bytes"))),
+                _ => i64::from_le_bytes(p[o..o + 8].try_into().expect("8 bytes")),
+            });
         }
         let bytes = self.read_bytes(addr, size)?;
         let mut v: u64 = 0;
@@ -361,9 +361,15 @@ impl Memory {
         // Fast path mirror of [`Memory::read_scalar`]: one map entry.
         let off = addr % PAGE_SIZE;
         if (NULL_GUARD..(1 << VA_BITS) - 8).contains(&addr) && off + size <= PAGE_SIZE {
-            let slot = self.page_mut(addr / PAGE_SIZE);
-            slot[off as usize..(off + size) as usize]
-                .copy_from_slice(&v.to_le_bytes()[..size as usize]);
+            let p = self.page_mut(addr / PAGE_SIZE);
+            // Fixed-width stores, for the same reason as in `read_scalar`.
+            let o = off as usize;
+            match size {
+                1 => p[o] = v as u8,
+                2 => p[o..o + 2].copy_from_slice(&(v as u16).to_le_bytes()),
+                4 => p[o..o + 4].copy_from_slice(&(v as u32).to_le_bytes()),
+                _ => p[o..o + 8].copy_from_slice(&v.to_le_bytes()),
+            }
             return Ok(());
         }
         self.write_bytes(addr, &v.to_le_bytes()[..size as usize])?;

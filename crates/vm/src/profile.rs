@@ -107,12 +107,6 @@ impl Profile {
         *self.opcode_mc.entry(mnemonic).or_insert(0) += base_mc;
     }
 
-    /// Record one intrinsic dispatch.
-    #[inline]
-    pub fn record_intrinsic(&mut self, name: &'static str) {
-        *self.intrinsics.entry(name).or_insert(0) += 1;
-    }
-
     /// Scan `module` and fill the static PA instruction counters.
     pub fn scan_static_pa(&mut self, module: &Module) {
         let (signs, auths, strips) = static_pa_counts(module);

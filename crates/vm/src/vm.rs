@@ -18,7 +18,7 @@ use crate::cache::{CacheSim, CacheStats};
 use crate::cost::CostModel;
 use crate::decode::{cost_table, DecodedModule, FrameLayout, MNEMONICS, N_MNEMONICS};
 use crate::input::{InputPlan, IntOrPayload};
-use crate::memory::{layout, FastMap, FastSet, Memory, MemoryError, MemoryFault};
+use crate::memory::{layout, FastMap, Memory, MemoryError, MemoryFault};
 use crate::profile::Profile;
 use pythia_heap::{AllocStats, Section, SectionedHeap};
 use pythia_ir::{
@@ -417,11 +417,15 @@ pub struct Vm<'m> {
     pub(crate) sp: u64,
     pub(crate) globals_addr: Vec<u64>,
     pub(crate) globals_map: BTreeMap<u64, u64>,
-    pub(crate) stack_objects: BTreeMap<u64, u64>,
+    /// Live call frames, outermost first: `(frame base, function)`.
+    /// Pushed and popped by both engines; only [`Vm::capacity_at`] reads
+    /// it, through the function's [`FrameLayout`].
+    pub(crate) frames: Vec<(u64, FuncId)>,
     pub(crate) ic_write_counter: u64,
     pub(crate) halted: Option<i64>,
-    /// Executed PA sites, keyed by [`pa_site_key`].
-    pub(crate) pa_site_set: FastSet,
+    /// Executed PA sites, one bit per [`DecodedModule::pa_site`] number;
+    /// empty until the first PA op runs.
+    pub(crate) pa_site_bits: Vec<u64>,
     pub(crate) profile: Profile,
     pub(crate) trace: Vec<TraceEvent>,
     /// A setup problem found during construction, reported by the next
@@ -439,11 +443,15 @@ pub struct Vm<'m> {
     pub(crate) op_counts: [u64; 256],
     /// Block-engine PA-key histogram, folded into `Profile::pa.by_key`.
     pub(crate) pa_key_counts: [u64; 5],
+    /// Intrinsic calls by [`intrinsic_slot`] (both engines), folded into
+    /// [`Profile::intrinsics`] at the end of [`Vm::run`].
+    intrinsic_counts: [u64; N_INTRINSICS],
     /// Whether the next executed instruction should be traced. Starts as
     /// `trace_limit > 0` and is flipped off once the limit is reached, so
     /// a disabled/full trace costs one boolean test per instruction.
     pub(crate) trace_on: bool,
-    /// Scratch for parallel-copy phi prologues (block engine).
+    /// Scratch for parallel-copy phi prologues of more than four copies
+    /// (block engine).
     pub(crate) phi_scratch: Vec<i64>,
     /// Retired frame value arrays, reused by the block engine so a call
     /// costs a memset instead of a malloc + memset (pure optimization:
@@ -501,10 +509,10 @@ impl<'m> Vm<'m> {
             sp: layout::STACK_BASE,
             globals_addr: Vec::new(),
             globals_map: BTreeMap::new(),
-            stack_objects: BTreeMap::new(),
+            frames: Vec::new(),
             ic_write_counter: 0,
             halted: None,
-            pa_site_set: FastSet::default(),
+            pa_site_bits: Vec::new(),
             profile: Profile::default(),
             trace: Vec::new(),
             setup_error: None,
@@ -513,6 +521,7 @@ impl<'m> Vm<'m> {
             cost_tbl: cost_table(&cost),
             op_counts: [0; 256],
             pa_key_counts: [0; 5],
+            intrinsic_counts: [0; N_INTRINSICS],
             trace_on: cfg.trace_limit > 0,
             phi_scratch: Vec::new(),
             frame_pool: Vec::new(),
@@ -652,7 +661,11 @@ impl<'m> Vm<'m> {
         self.metrics.heap_shared = self.heap.stats(Section::Shared);
         self.metrics.heap_isolated = self.heap.stats(Section::Isolated);
         self.metrics.heap_init_calls = self.heap.init_calls();
-        self.metrics.pa_sites = self.pa_site_set.len() as u64;
+        self.metrics.pa_sites = self
+            .pa_site_bits
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
         if self.cfg.profile {
             // Fold the block engine's dense histograms into the Profile
             // maps. Valid because the base cost of an instruction depends
@@ -674,6 +687,12 @@ impl<'m> Vm<'m> {
                         .by_key
                         .entry(PaKey::ALL[k].mnemonic())
                         .or_insert(0) += n;
+                }
+            }
+            for i in INTRINSICS {
+                let n = self.intrinsic_counts[intrinsic_slot(i)];
+                if n > 0 {
+                    *self.profile.intrinsics.entry(i.name()).or_insert(0) += n;
                 }
             }
             self.profile.scan_static_pa(self.module);
@@ -783,13 +802,22 @@ impl<'m> Vm<'m> {
         Ok(self.mem.write_scalar(addr, size, value)?)
     }
 
+    /// Mark PA site `site` ([`DecodedModule::pa_site`]) executed. The
+    /// bitset is allocated by the first PA op, so a PA-free run never
+    /// pays for it.
+    #[inline]
+    pub(crate) fn mark_pa_site(&mut self, site: usize) {
+        if self.pa_site_bits.is_empty() {
+            self.pa_site_bits = vec![0; self.decoded.site_words()];
+        }
+        self.pa_site_bits[site / 64] |= 1 << (site % 64);
+    }
+
     /// Remaining capacity of the object containing `addr` (for benign
     /// input sizing). Unknown addresses get a conservative 64.
     fn capacity_at(&self, addr: u64) -> u64 {
-        if let Some((&base, &size)) = self.stack_objects.range(..=addr).next_back() {
-            if addr < base + size {
-                return base + size - addr;
-            }
+        if let Some(end) = self.stack_object_end(addr) {
+            return end - addr;
         }
         if let Some((base, size)) = self.heap.find_containing(addr) {
             return base + size - addr;
@@ -800,6 +828,22 @@ impl<'m> Vm<'m> {
             }
         }
         64
+    }
+
+    /// End address of the live stack object containing `addr`, if any.
+    ///
+    /// Frames are contiguous and pushed at rising bases, and each frame's
+    /// objects are disjoint, at least a byte long, and in rising offset
+    /// order inside its `frame_size`. So the only object that can contain
+    /// `addr` is the one with the greatest start `<= addr` in the topmost
+    /// frame whose base is `<= addr`: two binary searches.
+    fn stack_object_end(&self, addr: u64) -> Option<u64> {
+        let top = self.frames.partition_point(|&(base, _)| base <= addr);
+        let &(base, fid) = self.frames.get(top.checked_sub(1)?)?;
+        let objects = &self.decoded.layout(fid).objects;
+        let off = addr - base;
+        let slot = objects[..objects.partition_point(|s| s.off <= off)].last()?;
+        (off < slot.off + slot.size).then(|| base + slot.off + slot.size)
     }
 
     fn shadow_tag(&mut self, addr: u64, len: u64, def_id: u32) {
@@ -852,10 +896,7 @@ impl<'m> Vm<'m> {
         if frame.size > 0 {
             self.write_zeros(frame.base, frame.size)?;
         }
-        for slot in &flayout.objects {
-            self.stack_objects
-                .insert(frame.base.saturating_add(slot.off), slot.size);
-        }
+        self.frames.push((frame.base, fid));
         for (i, &a) in args.iter().enumerate().take(f.params.len()) {
             frame.values[i] = a;
         }
@@ -863,10 +904,7 @@ impl<'m> Vm<'m> {
         let result = self.exec_blocks(fid, &mut frame, flayout, depth);
 
         // --- frame teardown ---------------------------------------------
-        for slot in &flayout.objects {
-            self.stack_objects
-                .remove(&frame.base.saturating_add(slot.off));
-        }
+        self.frames.pop();
         if frame.size > 0 {
             for g in (frame.base >> 3)..=((frame.base + frame.size - 1) >> 3) {
                 self.shadow.remove(&g);
@@ -1038,7 +1076,7 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert(pa_site_key(fid.0, iv.0));
+                        self.mark_pa_site(self.decoded.pa_site(fid, iv));
                         if self.cfg.profile {
                             self.profile.pa.signs += 1;
                             *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
@@ -1055,7 +1093,7 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert(pa_site_key(fid.0, iv.0));
+                        self.mark_pa_site(self.decoded.pa_site(fid, iv));
                         if self.cfg.profile {
                             self.profile.pa.auths += 1;
                             *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
@@ -1074,7 +1112,7 @@ impl<'m> Vm<'m> {
                     }
                     Inst::PacStrip { value } => {
                         self.metrics.pa_insts += 1;
-                        self.pa_site_set.insert(pa_site_key(fid.0, iv.0));
+                        self.mark_pa_site(self.decoded.pa_site(fid, iv));
                         if self.cfg.profile {
                             self.profile.pa.strips += 1;
                         }
@@ -1171,9 +1209,7 @@ impl<'m> Vm<'m> {
         args: &[i64],
     ) -> Result<i64, Halt> {
         self.charge(self.cost.libcall);
-        if self.cfg.profile {
-            self.profile.record_intrinsic(i.name());
-        }
+        self.intrinsic_counts[intrinsic_slot(i)] += 1;
         if i.is_input_channel() {
             self.metrics.ic_calls += 1;
         }
@@ -1481,10 +1517,26 @@ impl<'m> Vm<'m> {
     }
 }
 
-/// The key of PA site `iv` in function `fid` in [`Vm::pa_site_set`].
+/// Slots of the dense intrinsic histogram: one per [`Intrinsic`]
+/// discriminant, `heap_section_init` being the last.
+const N_INTRINSICS: usize = Intrinsic::HeapSectionInit as usize + 1;
+
+/// Every intrinsic the histogram folds, in slot order: [`Intrinsic::ALL`]
+/// (the library functions) plus the instrumentation's section setup call.
+const INTRINSICS: [Intrinsic; N_INTRINSICS] = {
+    let mut all = [Intrinsic::HeapSectionInit; N_INTRINSICS];
+    let mut k = 0;
+    while k < Intrinsic::ALL.len() {
+        all[k] = Intrinsic::ALL[k];
+        k += 1;
+    }
+    all
+};
+
+/// The histogram slot of intrinsic `i`.
 #[inline]
-pub(crate) fn pa_site_key(fid: u32, iv: u32) -> u64 {
-    (u64::from(fid) << 32) | u64::from(iv)
+fn intrinsic_slot(i: Intrinsic) -> usize {
+    i as usize
 }
 
 pub(crate) fn eval_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
@@ -1776,6 +1828,36 @@ mod tests {
         b.ret(Some(len));
         m.add_function(b.finish());
         assert_eq!(run_module(&m, "main", &[]).exit, ExitReason::Returned(5));
+    }
+
+    #[test]
+    fn intrinsic_histogram_folds_every_slot() {
+        for (k, i) in INTRINSICS.into_iter().enumerate() {
+            assert_eq!(intrinsic_slot(i), k, "{}", i.name());
+        }
+        let mut m = Module::new("m");
+        let g = m.add_str_global("src", "hi");
+        let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
+        let dst = b.alloca(Ty::array(Ty::I8, 16));
+        let ga = b.global_addr(g, Ty::array(Ty::I8, 3));
+        for _ in 0..2 {
+            b.call_intrinsic(Intrinsic::Strcpy, vec![dst, ga], Ty::ptr(Ty::I8));
+        }
+        b.call_intrinsic(Intrinsic::HeapSectionInit, vec![], Ty::Void);
+        let len = b.call_intrinsic(Intrinsic::Strlen, vec![dst], Ty::I64);
+        b.ret(Some(len));
+        m.add_function(b.finish());
+        for engine in [Engine::Legacy, Engine::Block] {
+            let cfg = VmConfig {
+                engine,
+                ..VmConfig::default()
+            };
+            let r = Vm::new(&m, cfg, InputPlan::benign(1))
+                .run("main", &[])
+                .unwrap();
+            let want = BTreeMap::from([("heap_section_init", 1), ("strcpy", 2), ("strlen", 1)]);
+            assert_eq!(r.profile.intrinsics, want, "{engine:?}");
+        }
     }
 
     #[test]
@@ -2115,6 +2197,119 @@ mod tests {
             run_module(&m, "main", &[]).exit,
             ExitReason::Trapped(Trap::MemoryFault { .. })
         ));
+    }
+}
+
+#[cfg(test)]
+mod capacity_tests {
+    use super::*;
+    use pythia_ir::FunctionBuilder;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `capacity_at` as it was with a live-object map: the greatest
+    /// stack object start `<= addr` across every live frame, then the
+    /// heap, then the globals.
+    fn reference(vm: &Vm<'_>, objects: &BTreeMap<u64, u64>, addr: u64) -> u64 {
+        if let Some((&base, &size)) = objects.range(..=addr).next_back() {
+            if addr < base + size {
+                return base + size - addr;
+            }
+        }
+        if let Some((base, size)) = vm.heap.find_containing(addr) {
+            return base + size - addr;
+        }
+        if let Some((&base, &size)) = vm.globals_map.range(..=addr).next_back() {
+            if addr < base + size {
+                return base + size - addr;
+            }
+        }
+        64
+    }
+
+    /// Functions whose frames have no object, padding gaps between
+    /// mixed-alignment objects, arrays and a single small object.
+    fn module() -> Module {
+        let mut m = Module::new("frames");
+        m.add_str_global("greeting", "hello, frames");
+        m.add_str_global("other", "x");
+        let frames: [&[(Ty, u32)]; 4] = [
+            &[],
+            &[
+                (Ty::I8, 1),
+                (Ty::I64, 1),
+                (Ty::array(Ty::I8, 5), 1),
+                (Ty::I32, 1),
+            ],
+            &[(Ty::array(Ty::I8, 13), 3), (Ty::I16, 1), (Ty::I64, 2)],
+            &[(Ty::I16, 1)],
+        ];
+        for (k, objects) in frames.into_iter().enumerate() {
+            let mut b = FunctionBuilder::new(format!("f{k}"), vec![], Ty::Void);
+            for (elem, count) in objects {
+                b.alloca_n(elem.clone(), *count);
+            }
+            b.ret(None);
+            m.add_function(b.finish());
+        }
+        m
+    }
+
+    #[test]
+    fn frame_stack_capacity_matches_the_live_object_map() {
+        let m = module();
+        let n_funcs = m.functions().len() as u32;
+        for seed in 0..8 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut vm = Vm::new(&m, VmConfig::default(), InputPlan::benign(1));
+            let chunks: Vec<u64> = (0..4)
+                .filter_map(|i| vm.heap.alloc(Section::Shared, 8 + 24 * i))
+                .collect();
+            let mut objects = BTreeMap::new();
+            let mut sp = layout::STACK_BASE;
+            for _ in 0..300 {
+                // Push (as a call does) or pop (as its return does).
+                if vm.frames.is_empty() || rng.gen_range(0u32..3) > 0 {
+                    let fid = FuncId(rng.gen_range(0..n_funcs));
+                    let fl = vm.decoded.layout(fid);
+                    for s in &fl.objects {
+                        objects.insert(sp + s.off, s.size);
+                    }
+                    vm.frames.push((sp, fid));
+                    sp += fl.frame_size;
+                } else {
+                    let (base, fid) = vm.frames.pop().expect("a live frame");
+                    for s in &vm.decoded.layout(fid).objects {
+                        objects.remove(&(base + s.off));
+                    }
+                    sp = base;
+                }
+                // Probe every object edge, the frame bases, above the top
+                // frame, the heap chunks, the globals and random stack
+                // addresses.
+                let mut probes: Vec<u64> = objects
+                    .iter()
+                    .flat_map(|(&b, &s)| [b - 1, b, b + s / 2, b + s - 1, b + s])
+                    .collect();
+                probes.extend(vm.frames.iter().map(|&(b, _)| b));
+                probes.extend([sp, sp + 1, sp + 4096]);
+                probes.extend(chunks.iter().flat_map(|&c| [c, c + 7, c - 1]));
+                probes.extend(vm.globals_addr.iter().flat_map(|&g| [g, g + 3]));
+                probes.extend(
+                    (0..8).map(|_| {
+                        layout::STACK_BASE + rng.gen_range(0..sp + 64 - layout::STACK_BASE)
+                    }),
+                );
+                for addr in probes {
+                    assert_eq!(
+                        vm.capacity_at(addr),
+                        reference(&vm, &objects, addr),
+                        "seed {seed}, {addr:#x}, frames {:?}",
+                        vm.frames
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -140,14 +140,26 @@ fi
 # profiles) goes through the VM, so a byte-identical report means the
 # block engine reproduced every observable of the legacy interpreter.
 echo "== engine differential gate (legacy vs block, smoke) =="
-target/release/reproduce --smoke --engine legacy --out "$OUT/engine-legacy" >/dev/null || true
-target/release/reproduce --smoke --engine block --out "$OUT/engine-block" >/dev/null || true
+target/release/reproduce --smoke --engine legacy --bench-json --out "$OUT/engine-legacy" >/dev/null || true
+target/release/reproduce --smoke --engine block --bench-json --out "$OUT/engine-block" >/dev/null || true
 if ! diff -q "$OUT/engine-legacy/report.md" "$OUT/engine-block/report.md"; then
     echo "FAIL: legacy and block engines render different reports" >&2
     diff -u "$OUT/engine-legacy/report.md" "$OUT/engine-block/report.md" | head -50 >&2
     exit 1
 fi
-echo "OK: legacy and block engine reports are byte-identical"
+# The report shows no profile counter, so the engines' BENCH_suite.json
+# must match too once the timing fields (`*_secs`, `*_share`, the
+# retirement rates, `per_phase`) and the run's `engine` and `threads`
+# are masked: that pins the opcode histograms (`top_opcodes`),
+# `intrinsic_calls`, and the PA, DFI and heap counters of every run.
+MASK_TIMING='s/("[a-z_]+_(secs|share)"|"retirement_minsts_per_sec"|"threads"): [0-9.]+/\1: _/g; s/"per_phase": \{[^}]*\}/"per_phase": _/; s/"engine": "[a-z]+"/"engine": _/'
+if ! diff -u <(sed -E "$MASK_TIMING" "$OUT/engine-legacy/BENCH_suite.json") \
+    <(sed -E "$MASK_TIMING" "$OUT/engine-block/BENCH_suite.json") > "$OUT/engine-json.diff"; then
+    echo "FAIL: legacy and block engines record different counters in BENCH_suite.json" >&2
+    head -30 "$OUT/engine-json.diff" >&2
+    exit 1
+fi
+echo "OK: legacy and block engine reports and masked BENCH_suite.json are byte-identical"
 
 # Precision-stage gate: the field-sensitive points-to + bounds-proof
 # pruner must drop at least one obligation on at least one smoke
