@@ -1,5 +1,5 @@
-//! Control-flow graph utilities: orderings, dominators, post-dominators,
-//! and loop-ish structure helpers used by the cost model.
+//! Control-flow graph ordering: the reverse postorder every dataflow
+//! fixpoint ([`crate::dataflow::solve`]) iterates in.
 
 use pythia_ir::{BlockId, Function};
 
@@ -34,145 +34,6 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     post
 }
 
-/// Immediate-dominator tree (Cooper–Harvey–Kennedy).
-///
-/// `idom[entry] == entry`; unreachable blocks have `idom == None`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dominators {
-    idom: Vec<Option<BlockId>>,
-    rpo_index: Vec<usize>,
-}
-
-impl Dominators {
-    /// Compute dominators for `f`.
-    pub fn compute(f: &Function) -> Self {
-        let rpo = reverse_postorder(f);
-        let n = f.num_blocks();
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, bb) in rpo.iter().enumerate() {
-            rpo_index[bb.0 as usize] = i;
-        }
-        let preds = f.predecessors();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[f.entry().0 as usize] = Some(f.entry());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &bb in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[bb.0 as usize] {
-                    if idom[p.0 as usize].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[bb.0 as usize] != Some(ni) {
-                        idom[bb.0 as usize] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        Dominators { idom, rpo_index }
-    }
-
-    /// Immediate dominator of `bb` (`bb` itself for the entry; `None` for
-    /// unreachable blocks).
-    pub fn idom(&self, bb: BlockId) -> Option<BlockId> {
-        self.idom[bb.0 as usize]
-    }
-
-    /// Whether `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.0 as usize] {
-                Some(d) if d != cur => cur = d,
-                _ => return false,
-            }
-        }
-    }
-
-    /// Whether `bb` is reachable from the entry.
-    pub fn is_reachable(&self, bb: BlockId) -> bool {
-        self.idom[bb.0 as usize].is_some()
-    }
-}
-
-fn intersect(
-    idom: &[Option<BlockId>],
-    rpo_index: &[usize],
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
-    while a != b {
-        while rpo_index[a.0 as usize] > rpo_index[b.0 as usize] {
-            a = idom[a.0 as usize].expect("processed pred must have idom");
-        }
-        while rpo_index[b.0 as usize] > rpo_index[a.0 as usize] {
-            b = idom[b.0 as usize].expect("processed pred must have idom");
-        }
-    }
-    a
-}
-
-/// Back edges `(from, to)` where `to` dominates `from` — natural-loop
-/// indicators.
-pub fn back_edges(f: &Function) -> Vec<(BlockId, BlockId)> {
-    let doms = Dominators::compute(f);
-    let mut out = Vec::new();
-    for bb in f.block_ids() {
-        if !doms.is_reachable(bb) {
-            continue;
-        }
-        for s in f.successors(bb) {
-            if doms.dominates(s, bb) {
-                out.push((bb, s));
-            }
-        }
-    }
-    out
-}
-
-/// Static loop-nesting depth per block, estimated from natural loops.
-///
-/// Blocks belonging to `k` nested natural loops get depth `k` — the static
-/// counterpart of the "PA instructions inside loop nests execute
-/// repeatedly" effect the paper reports (§6.1).
-pub fn loop_depths(f: &Function) -> Vec<u32> {
-    let n = f.num_blocks();
-    let mut depth = vec![0u32; n];
-    let preds = f.predecessors();
-    for (latch, header) in back_edges(f) {
-        // Collect the natural loop body of (latch -> header).
-        let mut body = vec![false; n];
-        body[header.0 as usize] = true;
-        let mut stack = vec![latch];
-        while let Some(bb) = stack.pop() {
-            if body[bb.0 as usize] {
-                continue;
-            }
-            body[bb.0 as usize] = true;
-            for &p in &preds[bb.0 as usize] {
-                stack.push(p);
-            }
-        }
-        for (i, in_body) in body.iter().enumerate() {
-            if *in_body {
-                depth[i] += 1;
-            }
-        }
-    }
-    depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,364 +58,24 @@ mod tests {
         b.finish()
     }
 
-    /// entry -> loop; loop -> loop | exit
-    fn simple_loop() -> pythia_ir::Function {
-        let mut b = FunctionBuilder::new("l", vec![Ty::I64], Ty::I64);
-        let body = b.new_block("body");
-        let exit = b.new_block("exit");
-        b.jmp(body);
-        b.switch_to(body);
-        let x = b.func().arg(0);
-        let zero = b.const_i64(0);
-        let cond = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(cond, body, exit);
-        b.switch_to(exit);
-        b.ret(Some(x));
-        b.finish()
-    }
-
     #[test]
     fn rpo_starts_at_entry_and_covers_reachable() {
         let f = diamond();
         let rpo = reverse_postorder(&f);
         assert_eq!(rpo[0], f.entry());
         assert_eq!(rpo.len(), 4);
+        // The join comes after both arms.
+        assert_eq!(rpo[3], BlockId(3));
     }
 
     #[test]
-    fn diamond_dominators() {
-        let f = diamond();
-        let d = Dominators::compute(&f);
-        let e = f.entry();
-        assert_eq!(d.idom(BlockId(1)), Some(e));
-        assert_eq!(d.idom(BlockId(2)), Some(e));
-        // join's idom is the entry, not either arm.
-        assert_eq!(d.idom(BlockId(3)), Some(e));
-        assert!(d.dominates(e, BlockId(3)));
-        assert!(!d.dominates(BlockId(1), BlockId(3)));
-        assert!(d.dominates(BlockId(3), BlockId(3)));
-    }
-
-    #[test]
-    fn loop_back_edge_detected() {
-        let f = simple_loop();
-        let be = back_edges(&f);
-        assert_eq!(be, vec![(BlockId(1), BlockId(1))]);
-        let depths = loop_depths(&f);
-        assert_eq!(depths[1], 1);
-        assert_eq!(depths[0], 0);
-        assert_eq!(depths[2], 0);
-    }
-
-    #[test]
-    fn unreachable_blocks_have_no_idom() {
+    fn unreachable_blocks_are_left_out() {
         let mut b = FunctionBuilder::new("u", vec![], Ty::Void);
         let dead = b.new_block("dead");
         b.ret(None);
         b.switch_to(dead);
         b.ret(None);
         let f = b.finish();
-        let d = Dominators::compute(&f);
-        assert!(!d.is_reachable(dead));
-        assert!(d.is_reachable(f.entry()));
-    }
-}
-
-/// Post-dominator tree, computed on the reverse CFG with a virtual exit
-/// joining every `ret`/`unreachable` block.
-///
-/// Used for control-dependence (below), which in turn lets branch
-/// decomposition include the *conditions governing* a definition, not just
-/// its data inputs — full program slicing in the Ottenstein sense.
-#[derive(Debug, Clone)]
-pub struct PostDominators {
-    /// ipdom over node indices 0..n (real blocks) and n (the virtual
-    /// exit). `usize::MAX` marks "not computed" (cannot reach an exit).
-    ipdom: Vec<usize>,
-    n: usize,
-}
-
-impl PostDominators {
-    /// Compute post-dominators for `f`.
-    pub fn compute(f: &Function) -> Self {
-        let n = f.num_blocks();
-        let virt = n; // the virtual exit node
-        let succs: Vec<Vec<BlockId>> = f.block_ids().map(|b| f.successors(b)).collect();
-        let preds = f.predecessors();
-        let is_exit: Vec<bool> = (0..n).map(|b| succs[b].is_empty()).collect();
-
-        // Postorder of the reverse CFG from the virtual exit (whose
-        // reverse-successors are the exit blocks).
-        let mut order: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut visited = vec![false; n + 1];
-        // Iterative DFS over reverse edges.
-        let rev_succs = |node: usize| -> Vec<usize> {
-            if node == virt {
-                (0..n).filter(|&b| is_exit[b]).collect()
-            } else {
-                preds[node].iter().map(|b| b.0 as usize).collect()
-            }
-        };
-        let mut stack: Vec<(usize, usize)> = vec![(virt, 0)];
-        visited[virt] = true;
-        while !stack.is_empty() {
-            let (node, idx) = {
-                let top = stack.last_mut().expect("non-empty");
-                let pair = (top.0, top.1);
-                top.1 += 1;
-                pair
-            };
-            let rs = rev_succs(node);
-            if idx < rs.len() {
-                let s = rs[idx];
-                if !visited[s] {
-                    visited[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                order.push(node);
-                stack.pop();
-            }
-        }
-        order.reverse(); // reverse postorder; order[0] == virt
-        let mut rpo_index = vec![usize::MAX; n + 1];
-        for (i, node) in order.iter().enumerate() {
-            rpo_index[*node] = i;
-        }
-
-        let mut ipdom = vec![usize::MAX; n + 1];
-        ipdom[virt] = virt;
-        let intersect = |ipdom: &[usize], mut a: usize, mut b: usize| -> usize {
-            while a != b {
-                while rpo_index[a] > rpo_index[b] {
-                    a = ipdom[a];
-                }
-                while rpo_index[b] > rpo_index[a] {
-                    b = ipdom[b];
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &node in order.iter().skip(1) {
-                // Reverse-CFG predecessors of `node` = its real successors
-                // (plus the virtual exit for exit blocks).
-                let rpreds: Vec<usize> = if node == virt {
-                    vec![]
-                } else if is_exit[node] {
-                    vec![virt]
-                } else {
-                    succs[node].iter().map(|b| b.0 as usize).collect()
-                };
-                let mut new = usize::MAX;
-                for p in rpreds {
-                    if ipdom[p] == usize::MAX {
-                        continue;
-                    }
-                    new = if new == usize::MAX {
-                        p
-                    } else {
-                        intersect(&ipdom, p, new)
-                    };
-                }
-                if new != usize::MAX && ipdom[node] != new {
-                    ipdom[node] = new;
-                    changed = true;
-                }
-            }
-        }
-        PostDominators { ipdom, n }
-    }
-
-    /// Immediate post-dominator of `b`: `None` when it is the virtual exit
-    /// (i.e. `b` exits directly) or when `b` cannot reach an exit.
-    pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
-        let d = self.ipdom[b.0 as usize];
-        if d == usize::MAX || d == self.n {
-            None
-        } else {
-            Some(BlockId(d as u32))
-        }
-    }
-
-    /// Whether `a` post-dominates `b` (reflexive).
-    pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let target = a.0 as usize;
-        let mut cur = b.0 as usize;
-        loop {
-            if cur == target {
-                return true;
-            }
-            let d = self.ipdom[cur];
-            if d == usize::MAX || d == self.n || d == cur {
-                return false;
-            }
-            cur = d;
-        }
-    }
-}
-
-/// Control-dependence: block `b` is control-dependent on branch block `a`
-/// when `a` has one successor through which `b` is always reached (i.e. it
-/// post-dominates that successor) and another through which it may be
-/// avoided (it does not post-dominate `a`).
-///
-/// Returns, for each block, the set of blocks it is control-dependent on.
-pub fn control_dependence(f: &Function) -> Vec<Vec<BlockId>> {
-    let pd = PostDominators::compute(f);
-    let mut deps: Vec<Vec<BlockId>> = vec![Vec::new(); f.num_blocks()];
-    for a in f.block_ids() {
-        let succs = f.successors(a);
-        if succs.len() < 2 {
-            continue;
-        }
-        // Ferrante–Ottenstein–Warren: for each edge a -> s, every block on
-        // the post-dominator-tree path from s up to (but excluding)
-        // ipdom(a) is control-dependent on a.
-        let stop = pd.ipdom(a);
-        for &s in &succs {
-            let mut cur = Some(s);
-            while let Some(b) = cur {
-                if Some(b) == stop {
-                    break;
-                }
-                if !deps[b.0 as usize].contains(&a) {
-                    deps[b.0 as usize].push(a);
-                }
-                cur = match pd.ipdom(b) {
-                    Some(d) if d != b => Some(d),
-                    _ => None, // reached an exit (virtual root)
-                };
-            }
-        }
-    }
-    deps
-}
-
-#[cfg(test)]
-mod postdom_tests {
-    use super::*;
-    use pythia_ir::{CmpPred, FunctionBuilder, Ty};
-
-    /// entry -> (a, b); a -> join; b -> join; join -> ret
-    fn diamond() -> pythia_ir::Function {
-        let mut b = FunctionBuilder::new("d", vec![Ty::I64], Ty::I64);
-        let a = b.new_block("a");
-        let c = b.new_block("c");
-        let j = b.new_block("j");
-        let x = b.func().arg(0);
-        let zero = b.const_i64(0);
-        let cond = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(cond, a, c);
-        b.switch_to(a);
-        b.jmp(j);
-        b.switch_to(c);
-        b.jmp(j);
-        b.switch_to(j);
-        b.ret(Some(x));
-        b.finish()
-    }
-
-    #[test]
-    fn join_postdominates_everything_in_the_diamond() {
-        let f = diamond();
-        let pd = PostDominators::compute(&f);
-        let j = BlockId(3);
-        assert!(pd.post_dominates(j, f.entry()));
-        assert!(pd.post_dominates(j, BlockId(1)));
-        assert!(pd.post_dominates(j, BlockId(2)));
-        assert!(pd.post_dominates(j, j));
-        // Neither arm post-dominates the entry.
-        assert!(!pd.post_dominates(BlockId(1), f.entry()));
-        assert_eq!(pd.ipdom(f.entry()), Some(j));
-    }
-
-    #[test]
-    fn diamond_arms_control_depend_on_the_branch() {
-        let f = diamond();
-        let cd = control_dependence(&f);
-        assert_eq!(cd[1], vec![f.entry()], "then-arm depends on the branch");
-        assert_eq!(cd[2], vec![f.entry()], "else-arm depends on the branch");
-        assert!(cd[3].is_empty(), "the join is control-independent");
-        assert!(cd[0].is_empty(), "the entry is control-independent");
-    }
-
-    #[test]
-    fn loop_body_depends_on_its_own_exit_branch() {
-        // entry -> body; body -> body | exit
-        let mut b = FunctionBuilder::new("l", vec![Ty::I64], Ty::I64);
-        let body = b.new_block("body");
-        let exit = b.new_block("exit");
-        b.jmp(body);
-        b.switch_to(body);
-        let x = b.func().arg(0);
-        let zero = b.const_i64(0);
-        let cond = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(cond, body, exit);
-        b.switch_to(exit);
-        b.ret(Some(x));
-        let f = b.finish();
-        let cd = control_dependence(&f);
-        assert_eq!(cd[1], vec![BlockId(1)], "loop body depends on itself");
-        assert!(cd[2].is_empty(), "exit always runs");
-    }
-
-    #[test]
-    fn nested_diamonds_stack_dependences() {
-        // entry -> (outer_t, join); outer_t -> (inner_t, inner_j);
-        // inner_t -> inner_j; inner_j -> join; join -> ret
-        let mut b = FunctionBuilder::new("n", vec![Ty::I64], Ty::I64);
-        let outer_t = b.new_block("outer_t");
-        let inner_t = b.new_block("inner_t");
-        let inner_j = b.new_block("inner_j");
-        let join = b.new_block("join");
-        let x = b.func().arg(0);
-        let zero = b.const_i64(0);
-        let c1 = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(c1, outer_t, join);
-        b.switch_to(outer_t);
-        let ten = b.const_i64(10);
-        let c2 = b.icmp(CmpPred::Slt, x, ten);
-        b.br(c2, inner_t, inner_j);
-        b.switch_to(inner_t);
-        b.jmp(inner_j);
-        b.switch_to(inner_j);
-        b.jmp(join);
-        b.switch_to(join);
-        b.ret(Some(x));
-        let f = b.finish();
-
-        let cd = control_dependence(&f);
-        // inner_t depends on the inner branch (outer_t)…
-        assert!(cd[inner_t.0 as usize].contains(&outer_t));
-        // …and outer_t + inner_j depend on the entry branch.
-        assert!(cd[outer_t.0 as usize].contains(&f.entry()));
-        assert!(cd[inner_j.0 as usize].contains(&f.entry()));
-        assert!(cd[join.0 as usize].is_empty());
-    }
-
-    #[test]
-    fn multiple_rets_share_the_virtual_exit() {
-        let mut b = FunctionBuilder::new("m", vec![Ty::I64], Ty::I64);
-        let t = b.new_block("t");
-        let e = b.new_block("e");
-        let x = b.func().arg(0);
-        let zero = b.const_i64(0);
-        let c = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(c, t, e);
-        b.switch_to(t);
-        b.ret(Some(x));
-        b.switch_to(e);
-        b.ret(Some(zero));
-        let f = b.finish();
-        let pd = PostDominators::compute(&f);
-        // Neither ret block post-dominates the entry (each can be avoided).
-        assert!(!pd.post_dominates(t, f.entry()));
-        assert!(!pd.post_dominates(e, f.entry()));
-        let cd = control_dependence(&f);
-        assert_eq!(cd[t.0 as usize], vec![f.entry()]);
-        assert_eq!(cd[e.0 as usize], vec![f.entry()]);
+        assert_eq!(reverse_postorder(&f), vec![f.entry()]);
     }
 }

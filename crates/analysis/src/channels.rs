@@ -75,11 +75,6 @@ impl InputChannels {
         self.sites.len()
     }
 
-    /// Sites within one function.
-    pub fn in_function(&self, fid: FuncId) -> impl Iterator<Item = &IcSite> + '_ {
-        self.sites.iter().filter(move |s| s.func == fid)
-    }
-
     /// Category histogram (Fig. 5b).
     pub fn histogram(&self) -> BTreeMap<IcCategory, usize> {
         let mut h = BTreeMap::new();
@@ -136,7 +131,7 @@ mod tests {
         assert_eq!(h.get(&IcCategory::Print), Some(&1));
         assert_eq!(h.get(&IcCategory::MoveCopy), Some(&2));
         assert_eq!(h.get(&IcCategory::Get), Some(&1));
-        assert_eq!(ics.in_function(fid).count(), 4);
+        assert!(ics.sites.iter().all(|s| s.func == fid));
         assert!((ics.fraction(IcCategory::MoveCopy) - 0.5).abs() < 1e-9);
     }
 

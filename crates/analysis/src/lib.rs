@@ -3,8 +3,7 @@
 //! Implements the static machinery of "Pythia: Compiler-Guided Defense
 //! Against Non-Control Data Attacks" (ASPLOS 2024):
 //!
-//! - [`mod@cfg`] — orderings, dominators, post-dominators,
-//!   control dependence, natural-loop depths;
+//! - [`mod@cfg`] — the reverse postorder the dataflow solver iterates in;
 //! - [`callgraph`] — direct/indirect call edges, reachability, Tarjan SCC
 //!   recursion detection;
 //! - [`dataflow`] — a generic forward/backward worklist solver every
@@ -77,9 +76,7 @@ pub mod vulnerability;
 
 pub use alias::{MemObjectKind, ObjId, ObjSet, PointsTo, Precision};
 pub use callgraph::CallGraph;
-pub use cfg::{
-    back_edges, control_dependence, loop_depths, reverse_postorder, Dominators, PostDominators,
-};
+pub use cfg::reverse_postorder;
 pub use channels::{IcSite, InputChannels};
 pub use dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
 pub use defuse::DefUse;

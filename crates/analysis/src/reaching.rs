@@ -13,9 +13,8 @@ use std::collections::{HashMap, HashSet};
 /// entry. This is the textbook analysis behind DFI's static def-sets
 /// (Castro et al. compute it with their "reaching definitions analysis");
 /// our DFI pass uses the cheaper flow-insensitive object sets, and this
-/// analysis exists both to *measure* how much precision that costs
-/// (see `flow_sensitivity_gain`) and to let the linter cross-check the
-/// pass's emitted check-sets against a flow-sensitive ground truth.
+/// analysis exists to let the linter cross-check the pass's emitted
+/// check-sets against a flow-sensitive ground truth.
 #[derive(Debug, Clone)]
 pub struct ReachingStores {
     /// block -> object -> set of store instruction values
@@ -85,46 +84,12 @@ impl ReachingStores {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// How much smaller the flow-sensitive def-set at `bb` is compared to
-    /// the flow-insensitive set `all_defs` (1.0 = no gain).
-    pub fn flow_sensitivity_gain(&self, bb: BlockId, obj: u32, all_defs: usize) -> f64 {
-        if all_defs == 0 {
-            return 1.0;
-        }
-        self.reaching(bb, obj).len() as f64 / all_defs as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pythia_ir::{CmpPred, FunctionBuilder, Ty};
-
-    /// entry: v = x+1; branch; t: a = v+1 -> j; e: b = v+2 -> j; j: ret phi
-    fn diamond_with_shared_value() -> (Function, ValueId) {
-        let mut b = FunctionBuilder::new("f", vec![Ty::I64], Ty::I64);
-        let t = b.new_block("t");
-        let e = b.new_block("e");
-        let j = b.new_block("j");
-        let x = b.func().arg(0);
-        let one = b.const_i64(1);
-        let v = b.add(x, one);
-        let zero = b.const_i64(0);
-        let c = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(c, t, e);
-        b.switch_to(t);
-        let a = b.add(v, one);
-        b.jmp(j);
-        b.switch_to(e);
-        let two = b.const_i64(2);
-        let bb = b.add(v, two);
-        b.jmp(j);
-        b.switch_to(j);
-        let ph = b.phi(vec![(t, a), (e, bb)]);
-        b.ret(Some(ph));
-        (b.finish(), v)
-    }
 
     #[test]
     fn reaching_stores_flow_sensitively() {
@@ -182,13 +147,5 @@ mod tests {
         let at_next = rs.reaching(BlockId(1), 0);
         assert_eq!(at_next.len(), 1, "strong update must kill store#1");
         assert!(at_next.contains(&st2));
-    }
-
-    #[test]
-    fn gain_metric_bounded() {
-        let (f, _) = diamond_with_shared_value();
-        let rs = ReachingStores::compute(&f, |_| vec![]);
-        assert_eq!(rs.flow_sensitivity_gain(BlockId(0), 0, 0), 1.0);
-        assert_eq!(rs.flow_sensitivity_gain(BlockId(0), 0, 4), 0.0);
     }
 }

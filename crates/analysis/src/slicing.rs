@@ -16,19 +16,9 @@ use crate::alias::{ObjId, PointsTo, Precision};
 use crate::channels::{IcSite, InputChannels};
 use crate::reach::ProofMemo;
 use crate::summary::{CtxPolicy, CtxSolve};
-use pythia_ir::{BlockId, Callee, FuncId, Inst, Intrinsic, Module, Placement, ValueId, ValueKind};
-use std::cell::{Cell, OnceCell, RefCell};
+use pythia_ir::{Callee, FuncId, Inst, Intrinsic, Module, Placement, ValueId, ValueKind};
+use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-
-/// Default capacity of the backward-slice memo table (entries). Far
-/// above any real suite's distinct-branch count — even the ref tier's
-/// largest module stays in the low thousands of branches × 2 modes — so
-/// the bound only matters as a guarantee: whole memoized slices are the
-/// analysis side's largest retained allocation, and an unbounded table
-/// would grow with module size forever. At capacity, queries for
-/// uncached keys compute without inserting (no eviction, so cached
-/// entries stay valid and results stay deterministic).
-pub const SLICE_MEMO_CAPACITY: usize = 65_536;
 
 /// Which technique's slicing rules to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,21 +174,8 @@ pub struct SliceContext<'m> {
     /// Lazily computed def-use chains, one slot per function. Shared by
     /// every forward slice instead of being rebuilt per query.
     du: Vec<OnceCell<crate::defuse::DefUse>>,
-    /// Lazily computed control-dependence sets, one slot per function.
-    cd: Vec<OnceCell<Vec<Vec<BlockId>>>>,
-    /// Memo table for whole backward slices, keyed by (func, branch, mode).
-    /// CPA/Pythia/DFI and the control-dependence extension all re-query the
-    /// same branches; each is computed once per context. Bounded by
-    /// [`Self::memo_capacity`]: at capacity, further keys compute without
-    /// inserting.
-    slice_memo: RefCell<HashMap<(FuncId, ValueId, SliceMode), BackwardSlice>>,
-    /// Maximum number of memoized slices ([`SLICE_MEMO_CAPACITY`] by
-    /// default).
-    memo_capacity: usize,
-    /// Memo-table hits (served without recomputation).
-    memo_hits: Cell<u64>,
-    /// Memo-table misses (full traversals performed).
-    memo_misses: Cell<u64>,
+    /// Backward slices computed ([`Self::backward_slice`] calls).
+    slices: Cell<u64>,
     /// The context policy [`Self::ctx_points_to`] solves under.
     policy: CtxPolicy,
     /// Lazily computed context-sensitive points-to layer over
@@ -221,17 +198,6 @@ impl<'m> SliceContext<'m> {
 
     /// [`Self::new`] under an explicit context policy.
     pub fn with_policy(module: &'m Module, policy: CtxPolicy) -> Self {
-        Self::build(module, policy, SLICE_MEMO_CAPACITY)
-    }
-
-    /// [`Self::new`] with an explicit slice-memo bound. Mostly for tests:
-    /// a tiny capacity exercises the compute-without-insert path that a
-    /// real suite never reaches.
-    pub fn with_memo_capacity(module: &'m Module, memo_capacity: usize) -> Self {
-        Self::build(module, CtxPolicy::default(), memo_capacity)
-    }
-
-    fn build(module: &'m Module, policy: CtxPolicy, memo_capacity: usize) -> Self {
         let points_to = PointsTo::analyze(module);
         let points_to_fi = PointsTo::analyze_with(module, Precision::FieldInsensitive);
         let channels = InputChannels::find(module);
@@ -264,11 +230,7 @@ impl<'m> SliceContext<'m> {
             maps_fi,
             callers,
             du: (0..nfuncs).map(|_| OnceCell::new()).collect(),
-            cd: (0..nfuncs).map(|_| OnceCell::new()).collect(),
-            slice_memo: RefCell::new(HashMap::new()),
-            memo_capacity,
-            memo_hits: Cell::new(0),
-            memo_misses: Cell::new(0),
+            slices: Cell::new(0),
             policy,
             ctx1: OnceCell::new(),
             homes: (0..nfuncs).map(|_| OnceCell::new()).collect(),
@@ -297,21 +259,20 @@ impl<'m> SliceContext<'m> {
             .get_or_init(|| crate::defuse::DefUse::compute(self.module.func(fid)))
     }
 
-    /// Control-dependence sets of `fid` (per block), computed once per
-    /// context and shared by every control-dependence extension.
-    pub fn control_deps(&self, fid: FuncId) -> &[Vec<BlockId>] {
-        self.cd[fid.0 as usize]
-            .get_or_init(|| crate::cfg::control_dependence(self.module.func(fid)))
-    }
-
     /// The value → block index of `fid`, computed once per context.
     pub fn placement(&self, fid: FuncId) -> &Placement {
         self.homes[fid.0 as usize].get_or_init(|| self.module.func(fid).placement())
     }
 
-    /// (hits, misses) of the backward-slice memo table.
+    /// Backward slices computed so far on this context.
+    pub fn slices(&self) -> u64 {
+        self.slices.get()
+    }
+
+    /// `(0, slices)`, in the `(hits, misses)` shape that external
+    /// callers still read: every query computes, so there are no hits.
     pub fn memo_stats(&self) -> (u64, u64) {
-        (self.memo_hits.get(), self.memo_misses.get())
+        (0, self.slices())
     }
 
     /// The points-to relation a slicing mode assumes: field-sensitive for
@@ -358,12 +319,6 @@ impl<'m> SliceContext<'m> {
             .unwrap_or(&[])
     }
 
-    /// Memory-writing input channels that may write `obj` (field-sensitive
-    /// relation).
-    pub fn ics_writing(&self, obj: ObjId) -> &[IcSite] {
-        self.ics_writing_in(SliceMode::Pythia, obj)
-    }
-
     /// Memory-writing input channels that may write `obj` under `mode`'s
     /// relation.
     pub fn ics_writing_in(&self, mode: SliceMode, obj: ObjId) -> &[IcSite] {
@@ -394,42 +349,15 @@ impl<'m> SliceContext<'m> {
     }
 
     /// Backward slice of one branch (paper Alg. 1 generalized with memory
-    /// and interprocedural edges).
-    ///
-    /// Results are memoized per `(func, branch, mode)`: CPA, Pythia and
-    /// DFI evaluation — and the control-dependence extension — re-query
-    /// the same branches, so each slice is traversed at most once per
-    /// context.
+    /// and interprocedural edges). Each call is a full traversal; a
+    /// pipeline evaluation slices each branch once per mode, and its
+    /// consumers read the resulting report.
     ///
     /// # Panics
     ///
     /// Panics if `branch` is not a `br` instruction of `func`.
     pub fn backward_slice(&self, func: FuncId, branch: ValueId, mode: SliceMode) -> BackwardSlice {
-        let key = (func, branch, mode);
-        if let Some(hit) = self.slice_memo.borrow().get(&key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
-            return hit.clone();
-        }
-        let slice = self.compute_backward_slice(func, branch, mode);
-        // At capacity the result is returned without caching (no
-        // eviction: the table never exceeds the bound); the recomputation
-        // still counts as a miss, so hits + misses = queries holds at any
-        // capacity and `misses` = slices computed.
-        let mut memo = self.slice_memo.borrow_mut();
-        if memo.len() < self.memo_capacity {
-            memo.insert(key, slice.clone());
-        }
-        self.memo_misses.set(self.memo_misses.get() + 1);
-        slice
-    }
-
-    /// The uncached traversal behind [`Self::backward_slice`].
-    fn compute_backward_slice(
-        &self,
-        func: FuncId,
-        branch: ValueId,
-        mode: SliceMode,
-    ) -> BackwardSlice {
+        self.slices.set(self.slices.get() + 1);
         let f = self.module.func(func);
         let cond = match f.inst(branch) {
             Some(Inst::Br { cond, .. }) => *cond,
@@ -587,63 +515,6 @@ impl<'m> SliceContext<'m> {
             }
         }
         slice
-    }
-
-    /// Extend a backward slice with *control dependencies*: the branch
-    /// conditions governing whether each slice member executes, and (by
-    /// transitive data slicing) everything those conditions depend on.
-    /// This is Ottenstein-complete slicing; the paper's Algorithm 1 is the
-    /// data-only core, and the extension strictly grows coverage — an
-    /// attacker who can flip a *governing* branch controls the guarded
-    /// definitions too.
-    pub fn extend_with_control_deps(&self, slice: &mut BackwardSlice, mode: SliceMode) {
-        for _round in 0..8 {
-            // Collect governing branch instructions not yet in the slice.
-            // Both slice *values* and the *stores* that write slice objects
-            // are governed sites: flipping the branch that guards a store
-            // changes the loaded value just as surely as tainting it.
-            let mut sites: Vec<(FuncId, ValueId)> = slice.values.iter().copied().collect();
-            for &o in &slice.objects {
-                sites.extend(self.stores_of(o).iter().copied());
-            }
-            let mut new_branches: Vec<(FuncId, ValueId)> = Vec::new();
-            for (fid, v) in sites {
-                let f = self.module.func(fid);
-                let Some(bb) = self.placement(fid).block_of(v) else {
-                    continue;
-                };
-                let cd = self.control_deps(fid);
-                for &gov in &cd[bb.0 as usize] {
-                    if let Some(&term) = f.block(gov).insts.last() {
-                        if matches!(f.inst(term), Some(Inst::Br { .. }))
-                            && !slice.values.contains(&(fid, term))
-                            && !new_branches.contains(&(fid, term))
-                        {
-                            new_branches.push((fid, term));
-                        }
-                    }
-                }
-            }
-            if new_branches.is_empty() {
-                break;
-            }
-            for (fid, br) in new_branches {
-                slice.values.insert((fid, br));
-                let sub = self.backward_slice(fid, br, mode);
-                slice.values.extend(sub.values.iter().copied());
-                slice.objects.extend(sub.objects.iter().copied());
-                slice.complete &= sub.complete;
-                for ic in sub.tainting_ics {
-                    if !slice
-                        .tainting_ics
-                        .iter()
-                        .any(|s| s.func == ic.func && s.call == ic.call)
-                    {
-                        slice.tainting_ics.push(ic);
-                    }
-                }
-            }
-        }
     }
 
     /// Forward slice from one memory-writing input channel (input channel
@@ -926,49 +797,21 @@ mod tests {
     }
 
     #[test]
-    fn backward_slice_is_memoized() {
+    fn every_query_is_counted_as_one_slice() {
         let (m, fid) = listing1_like();
         let ctx = SliceContext::new(&m);
         let br = ctx.branches_in(fid)[0];
         assert_eq!(ctx.memo_stats(), (0, 0));
         let first = ctx.backward_slice(fid, br, SliceMode::Pythia);
-        assert_eq!(ctx.memo_stats(), (0, 1));
-        // A second identical query is served from the memo table without
-        // recomputation, and with an identical result.
+        assert_eq!(ctx.slices(), 1);
+        // A second identical query recomputes the same result.
         let second = ctx.backward_slice(fid, br, SliceMode::Pythia);
-        assert_eq!(ctx.memo_stats(), (1, 1));
+        assert_eq!(ctx.slices(), 2);
         assert_eq!(first.values, second.values);
         assert_eq!(first.objects, second.objects);
         assert_eq!(first.complete, second.complete);
-        // A different mode is a different key: one more miss, no new hit.
         ctx.backward_slice(fid, br, SliceMode::Dfi);
-        assert_eq!(ctx.memo_stats(), (1, 2));
-    }
-
-    #[test]
-    fn memo_capacity_bounds_the_table_without_changing_results() {
-        let (m, fid) = listing1_like();
-        let unbounded = SliceContext::new(&m);
-        let bounded = SliceContext::with_memo_capacity(&m, 1);
-        let br = bounded.branches_in(fid)[0];
-        // First key fills the table.
-        let a1 = bounded.backward_slice(fid, br, SliceMode::Pythia);
-        assert_eq!(bounded.memo_stats(), (0, 1));
-        // Second key finds the table full: computed, not cached, still a
-        // miss — and the result matches an unbounded context's.
-        let b1 = bounded.backward_slice(fid, br, SliceMode::Dfi);
-        assert_eq!(bounded.memo_stats(), (0, 2));
-        let b2 = bounded.backward_slice(fid, br, SliceMode::Dfi);
-        assert_eq!(bounded.memo_stats(), (0, 3), "uncached key recomputes");
-        assert_eq!(b1.values, b2.values);
-        assert_eq!(
-            b1.values,
-            unbounded.backward_slice(fid, br, SliceMode::Dfi).values
-        );
-        // The cached key still hits.
-        let a2 = bounded.backward_slice(fid, br, SliceMode::Pythia);
-        assert_eq!(bounded.memo_stats(), (1, 3));
-        assert_eq!(a1.values, a2.values);
+        assert_eq!(ctx.memo_stats(), (0, 3));
     }
 
     #[test]
@@ -991,87 +834,5 @@ mod tests {
         let slice = ctx.backward_slice(fid, br, SliceMode::Pythia);
         assert!(!slice.ic_affected());
         assert!(slice.objects.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod control_slice_tests {
-    use super::*;
-    use pythia_ir::{CmpPred, FunctionBuilder, Module, Ty};
-
-    /// `if (guard_from_channel) { flag = 1 }; if (flag) privileged` —
-    /// the second branch's *data* slice sees only `flag`; with control
-    /// dependencies it must also absorb the guard and its channel.
-    #[test]
-    fn control_extension_reaches_the_governing_channel() {
-        let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
-        let (gt, gj) = (b.new_block("gt"), b.new_block("gj"));
-        let (pt, pe) = (b.new_block("pt"), b.new_block("pe"));
-        let guard_slot = b.alloca(Ty::I64);
-        let flag = b.alloca(Ty::I64);
-        let zero = b.const_i64(0);
-        b.store(zero, flag);
-        b.call_intrinsic(Intrinsic::Gets, vec![guard_slot], Ty::ptr(Ty::I8));
-        let g = b.load(guard_slot);
-        let c1 = b.icmp(CmpPred::Sgt, g, zero);
-        b.br(c1, gt, gj);
-        b.switch_to(gt);
-        let one = b.const_i64(1);
-        b.store(one, flag);
-        b.jmp(gj);
-        b.switch_to(gj);
-        let fv = b.load(flag);
-        let c2 = b.icmp(CmpPred::Eq, fv, one);
-        b.br(c2, pt, pe);
-        b.switch_to(pt);
-        b.ret(Some(one));
-        b.switch_to(pe);
-        b.ret(Some(zero));
-        let fid = m.add_function(b.finish());
-
-        let ctx = SliceContext::new(&m);
-        let branches = ctx.branches_in(fid);
-        let second = branches[1];
-        let mut slice = ctx.backward_slice(fid, second, SliceMode::Pythia);
-        // Data-only: the store `flag = 1` is in the slice (a writer of
-        // flag), but not the *guard condition* governing it…
-        let data_values = slice.values.len();
-        ctx.extend_with_control_deps(&mut slice, SliceMode::Pythia);
-        assert!(
-            slice.values.len() > data_values,
-            "control extension must grow the slice"
-        );
-        // …after extension the gets-written guard object is included and
-        // its channel appears among the tainting ICs.
-        assert!(slice
-            .tainting_ics
-            .iter()
-            .any(|s| s.intrinsic == Intrinsic::Gets));
-    }
-
-    #[test]
-    fn control_extension_is_monotone_and_idempotent() {
-        let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("main", vec![Ty::I64], Ty::I64);
-        let (t, e) = (b.new_block("t"), b.new_block("e"));
-        let x = b.func().arg(0);
-        let zero = b.const_i64(0);
-        let c = b.icmp(CmpPred::Sgt, x, zero);
-        b.br(c, t, e);
-        b.switch_to(t);
-        b.ret(Some(x));
-        b.switch_to(e);
-        b.ret(Some(zero));
-        let fid = m.add_function(b.finish());
-        let ctx = SliceContext::new(&m);
-        let br = ctx.branches_in(fid)[0];
-        let base = ctx.backward_slice(fid, br, SliceMode::Pythia);
-        let mut once = base.clone();
-        ctx.extend_with_control_deps(&mut once, SliceMode::Pythia);
-        assert!(once.values.is_superset(&base.values));
-        let mut twice = once.clone();
-        ctx.extend_with_control_deps(&mut twice, SliceMode::Pythia);
-        assert_eq!(once.values, twice.values, "second extension is a no-op");
     }
 }

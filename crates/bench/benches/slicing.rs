@@ -1,7 +1,5 @@
-//! Slice-cache benchmarks: cold (fresh `SliceContext`, every query computes)
-//! vs warm (shared context, queries served from the memo table) backward
-//! slicing on the nginx module. Warm should win by well over an order of
-//! magnitude — that gap is what the suite-wide shared cache buys.
+//! Backward-slicing benchmark: every Pythia-mode branch slice of the
+//! nginx module, each query a full traversal on a fresh `SliceContext`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pythia_analysis::{SliceContext, SliceMode};
@@ -29,18 +27,6 @@ fn bench_slicing(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         )
-    });
-
-    // Prime the memo table once, then measure pure cache hits.
-    for &(fid, br) in &targets {
-        ctx.backward_slice(fid, br, SliceMode::Pythia);
-    }
-    group.bench_function("backward_slice_warm", |b| {
-        b.iter(|| {
-            for &(fid, br) in &targets {
-                std::hint::black_box(ctx.backward_slice(fid, br, SliceMode::Pythia));
-            }
-        })
     });
     group.finish();
 }

@@ -42,7 +42,7 @@
 //! rejected a variant, `"not-reached"` when an earlier error stopped the
 //! benchmark) and its execution profile (per-scheme PA sign/auth/strip
 //! counters with the static-site cross-check, opcode histograms, heap
-//! allocator stats, slice-memo hit rates — DESIGN.md §5d).
+//! allocator stats, backward slices computed — DESIGN.md §5d).
 //! `profile.md` is the human-readable cost-attribution section, which
 //! the `profile` section also prints. `report.md` never includes it, so
 //! determinism diffs keep working.

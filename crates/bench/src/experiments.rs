@@ -368,7 +368,7 @@ fn scheme_profile_json(r: &pythia_core::SchemeResult) -> String {
 
 /// Version of the `BENCH_suite.json` layout (DESIGN.md §5g lists the
 /// fields). Bumped whenever a field is added, removed or renamed.
-pub const SUITE_SCHEMA: u32 = 2;
+pub const SUITE_SCHEMA: u32 = 3;
 
 /// Render one benchmark's JSON record (no trailing comma/newline).
 fn json_row(entry: &SuiteEntry) -> String {
@@ -431,8 +431,8 @@ fn json_row(entry: &SuiteEntry) -> String {
         ev.lint_checks(),
     );
     out.push_str(&format!(
-        "      \"profile\": {{ \"memo\": {{ \"hits\": {}, \"misses\": {} }}, \"schemes\": [\n",
-        ev.analysis.memo_hits, ev.analysis.memo_misses
+        "      \"profile\": {{ \"slices\": {}, \"schemes\": [\n",
+        ev.analysis.slices
     ));
     for (j, r) in ev.results.iter().enumerate() {
         let c = if j + 1 < ev.results.len() { "," } else { "" };
@@ -447,7 +447,7 @@ fn json_row(entry: &SuiteEntry) -> String {
 /// or the error's taxonomy variant — `scripts/check.sh` fails the build
 /// on any `internal`), its certification status, peak resident bytes,
 /// analysis/execute wall-clock shares, and a `profile` block: the
-/// slice-memo counters and one line per scheme with PA/DFI/shadow/heap
+/// backward-slice count and one line per scheme with PA/DFI/shadow/heap
 /// counters plus the top-5 opcode histogram. DESIGN.md §5g lists every
 /// field. Hand-rolled JSON — the workspace is offline and carries no
 /// serde.
@@ -529,8 +529,8 @@ impl SchemeSums {
 
 /// Human-readable cost-attribution report from the VM profiles: phase
 /// wall-clock, per-scheme PA/DFI/heap counters, the pooled opcode
-/// histogram, and slice-memo hit rates, labelled with the `engine` the
-/// suite ran under. Rendered *outside* `report.md` (wall-clock seconds
+/// histogram, and backward slices per benchmark, labelled with the
+/// `engine` the suite ran under. Rendered *outside* `report.md` (wall-clock seconds
 /// are not deterministic) — `reproduce --bench-json` writes it to
 /// `profile.md` next to `BENCH_suite.json`.
 fn render_profile(suite: &[SuiteEntry], engine: Engine) -> String {
@@ -722,34 +722,23 @@ fn render_profile(suite: &[SuiteEntry], engine: Engine) -> String {
         t.render()
     ));
 
-    // Slice-memo cache effectiveness per benchmark (misses = distinct
-    // slices computed, hits = warm re-queries by the passes + lint).
-    let mut t = Table::new(vec!["benchmark", "memo hits", "memo misses", "hit rate"]);
-    let (mut th, mut tm) = (0u64, 0u64);
+    // Backward slices per benchmark: the analysis slices each branch once
+    // per mode (Pythia and DFI) and every consumer reads its report.
+    let mut t = Table::new(vec!["benchmark", "branches", "slices"]);
+    let (mut tb, mut ts) = (0u64, 0u64);
     for ev in &evs {
         let a = &ev.analysis;
-        th += a.memo_hits;
-        tm += a.memo_misses;
+        tb += a.branches as u64;
+        ts += a.slices;
         t.row(vec![
             ev.name.clone(),
-            count(a.memo_hits),
-            count(a.memo_misses),
-            frac(a.memo_hit_rate()),
+            count(a.branches as u64),
+            count(a.slices),
         ]);
     }
-    let total_rate = if th + tm == 0 {
-        0.0
-    } else {
-        th as f64 / (th + tm) as f64
-    };
-    t.row(vec![
-        "TOTAL".to_owned(),
-        count(th),
-        count(tm),
-        frac(total_rate),
-    ]);
+    t.row(vec!["TOTAL".to_owned(), count(tb), count(ts)]);
     out.push_str(&format!(
-        "### backward-slice memo cache (misses = distinct slices, hits = warm re-queries)\n\n{}",
+        "### backward slices (one per branch and slicing mode)\n\n{}",
         t.render()
     ));
     out

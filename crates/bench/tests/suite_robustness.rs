@@ -149,10 +149,21 @@ fn bench_json_records_status_lint_and_profile() {
     assert!(json.contains("\"lint\": \"not-reached\""));
     // Every ok benchmark carries the profile block with one line per
     // scheme, and the dynamic-vs-static PA cross-check holds everywhere.
-    let ok = exp::ok_evaluations(&suite.entries).len();
+    let evals = exp::ok_evaluations(&suite.entries);
+    let ok = evals.len();
     assert_eq!(ok, SPEC_PROFILES.len() - 1);
     assert_eq!(json.matches("\"profile\": {").count(), ok);
-    assert_eq!(json.matches("\"memo\": {").count(), ok);
+    assert_eq!(json.matches("\"profile\": { \"slices\": ").count(), ok);
+    for ev in &evals {
+        assert!(
+            json.contains(&format!(
+                "\"profile\": {{ \"slices\": {},",
+                ev.analysis.slices
+            )),
+            "{} lacks its slice count",
+            ev.name
+        );
+    }
     for scheme in ["vanilla", "cpa", "pythia", "dfi"] {
         assert_eq!(
             json.matches(&format!("\"scheme\": \"{scheme}\"")).count(),
@@ -163,7 +174,7 @@ fn bench_json_records_status_lint_and_profile() {
     assert_eq!(json.matches("\"pa_static_match\": true").count(), 4 * ok);
     assert!(!json.contains("\"pa_static_match\": false"));
     // The human renderer has a row for each of the five phases and the
-    // memo table.
+    // backward-slice table.
     for phase in ["analysis", "instrument", "lint", "decode", "execute"] {
         assert!(
             suite
@@ -174,5 +185,5 @@ fn bench_json_records_status_lint_and_profile() {
             suite.profile_md
         );
     }
-    assert!(suite.profile_md.contains("memo"));
+    assert!(suite.profile_md.contains("### backward slices"));
 }

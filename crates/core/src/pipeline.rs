@@ -28,8 +28,9 @@ pub struct SchemeResult {
     /// before the variant was allowed to execute (0 for vanilla).
     pub lint_checks: usize,
     /// Static PA instructions the scheme would have emitted *without*
-    /// obligation pruning (a dry instrumentation run against the unpruned
-    /// report). `stats.pa_total()` vs this is the precision win.
+    /// obligation pruning, counted from the scheme's obligation plan
+    /// (`VariantBuilder::unpruned_pa`). `stats.pa_total()` vs this is the
+    /// precision win.
     pub pa_static_unpruned: usize,
 }
 
@@ -71,18 +72,11 @@ pub struct AnalysisSummary {
     pub heap_vulns: usize,
     /// Static instruction count.
     pub insts: usize,
-    /// Backward-slice memo-table hits (warm re-queries of an already
-    /// computed `(func, branch, mode)` key) across the whole evaluation.
-    ///
-    /// Zero on the suite: analysis computes each slice once and the
-    /// instrumentation passes and lint gate consume the resulting
-    /// report instead of re-slicing — surfacing the counter is what
-    /// makes that claim checkable. Deterministic: one evaluation owns
-    /// its `SliceContext`, so hits are warm re-queries and misses are
-    /// slices computed.
-    pub memo_hits: u64,
-    /// Backward-slice memo-table misses (distinct slices computed).
-    pub memo_misses: u64,
+    /// Backward slices computed across the whole evaluation: one per
+    /// branch and slicing mode. The instrumentation passes and the lint
+    /// gate consume the resulting report instead of re-slicing, so this
+    /// is `2 × branches`.
+    pub slices: u64,
     /// Mean points-to set size under the field-sensitive relation (set
     /// sizes of values with at least one pointee).
     pub avg_points_to: f64,
@@ -92,18 +86,6 @@ pub struct AnalysisSummary {
     /// What obligation pruning removed and the provenance behind it
     /// (overflow reach, proven geps, the context solve that ran).
     pub pruned: PrunedObligations,
-}
-
-impl AnalysisSummary {
-    /// Memo-table hit rate of the analysis phase, in `[0, 1]`.
-    pub fn memo_hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / total as f64
-        }
-    }
 }
 
 /// One phase of a benchmark evaluation.
@@ -446,9 +428,8 @@ pub fn evaluate_with(
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    // Snapshot the memo counters once every consumer is done.
+    // Snapshot the slice counter once every consumer is done.
     let (ctx, report) = (build.ctx(), build.report());
-    let (memo_hits, memo_misses) = ctx.memo_stats();
     let analysis = AnalysisSummary {
         branches: report.num_branches(),
         unaffected: report.effect_fraction(pythia_analysis::IcEffect::Unaffected),
@@ -467,8 +448,7 @@ pub fn evaluate_with(
         stack_vulns: report.num_stack_vulns(),
         heap_vulns: report.heap_vulns.len(),
         insts: module.num_insts(),
-        memo_hits,
-        memo_misses,
+        slices: ctx.slices(),
         avg_points_to: ctx.points_to.avg_points_to_size(),
         field_objects: ctx.points_to.num_field_objects(),
         pruned: build.pruned().pruned,
@@ -579,29 +559,31 @@ mod tests {
     }
 
     #[test]
-    fn memo_counters_surface_in_analysis_summary() {
-        // Regression for the PR 1 cache claim being unobservable: the
-        // slice-memo counters must reach AnalysisSummary. Surfacing them
-        // is the point — it makes cache effectiveness *measurable*
-        // instead of assumed (downstream consumers, the certifier's
-        // baseline included, read the one VulnerabilityReport rather
-        // than re-slicing, so a pipeline evaluation reports zero hits;
-        // the direct second-identical-slice regression is
-        // `backward_slice_is_memoized` in pythia-analysis).
-        let m = generate(profile_by_name("lbm").unwrap());
-        let ev = evaluate(&m, &[Scheme::Pythia], 1, &VmConfig::default()).unwrap();
-        let a = &ev.analysis;
-        assert!(
-            a.memo_misses > 0,
-            "analysis must compute at least one slice"
-        );
-        assert_eq!(a.memo_hits, 0, "some slice was computed twice");
-        // The counters are schedule-independent: misses count distinct
-        // keys (only the inserting computation counts one), so a rerun
-        // agrees exactly.
-        let again = evaluate(&m, &[Scheme::Pythia], 1, &VmConfig::default()).unwrap();
-        assert_eq!(a.memo_hits, again.analysis.memo_hits);
-        assert_eq!(a.memo_misses, again.analysis.memo_misses);
+    fn every_branch_is_sliced_once_per_mode() {
+        // The analysis slices each branch once for Pythia and once for
+        // DFI; the instrumentation passes and the lint gate read the one
+        // VulnerabilityReport instead of re-slicing. A consumer that
+        // re-queried a slice would push the count above 2 × branches.
+        let mut modules: Vec<Module> = pythia_workloads::generate_all()
+            .into_iter()
+            .map(|(_, m)| m)
+            .collect();
+        modules.push(pythia_workloads::nginx_module(20));
+        for m in &modules {
+            let ev = evaluate(m, &Scheme::ALL, 1, &VmConfig::default()).unwrap();
+            let a = &ev.analysis;
+            assert_eq!(
+                a.slices,
+                2 * a.branches as u64,
+                "{}: {} slices for {} branches",
+                m.name,
+                a.slices,
+                a.branches
+            );
+            // The count is schedule-independent: a rerun agrees exactly.
+            let again = evaluate(m, &Scheme::ALL, 1, &VmConfig::default()).unwrap();
+            assert_eq!(a.slices, again.analysis.slices);
+        }
     }
 
     #[test]

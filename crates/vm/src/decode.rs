@@ -26,7 +26,7 @@
 //! Decoded blocks are cached in [`DecodedModule`] behind `OnceLock`s keyed
 //! by block address, so a module decoded once is shared by every VM that
 //! executes it (the campaign runner reuses one [`DecodedModule`] across
-//! benign + attack runs, like the PR-1 slice memo).
+//! benign + attack runs).
 //!
 //! The decoder is *purely structural*: it depends only on the [`Module`],
 //! never on a `VmConfig`, which is what makes the cache shareable between

@@ -123,6 +123,18 @@ if ! grep -q '"profile": {' "$JSON"; then
     echo "FAIL: smoke JSON lacks the profile block" >&2
     exit 1
 fi
+if ! grep -qE '^  "schema": 3,$' "$JSON"; then
+    echo "FAIL: smoke JSON is not BENCH_suite.json schema 3:" >&2
+    grep '"schema"' "$JSON" >&2
+    exit 1
+fi
+# Every ok benchmark's profile block opens with its slice count.
+ok_rows=$(grep -c '"status": "ok"' "$JSON" || true)
+slice_rows=$(grep -cE '"profile": \{ "slices": [0-9]+,' "$JSON" || true)
+if [ "$ok_rows" -ne "$slice_rows" ]; then
+    echo "FAIL: $ok_rows ok benchmarks but $slice_rows profile blocks with \"slices\"" >&2
+    exit 1
+fi
 if grep -E '"scheme": "(cpa|pythia)"' "$JSON" | grep -q '"pa_executed": 0'; then
     echo "FAIL: a PA-instrumented scheme executed zero PA operations:" >&2
     grep -E '"scheme": "(cpa|pythia)"' "$JSON" >&2
