@@ -79,27 +79,6 @@
 use pythia_bench::experiments as exp;
 use pythia_core::{CtxPolicy, Engine, RunConfig, VmConfig};
 
-/// The sections rendered from the evaluated suite.
-const SUITE_SECTIONS: [&str; 14] = [
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "fig7a",
-    "fig7b",
-    "dist",
-    "precision",
-    "dynpa",
-    "heap",
-    "models",
-    "profile",
-];
-
-/// The sections that analyze or run modules of their own.
-const OTHER_SECTIONS: [&str; 6] = ["policies", "nginx", "motiv", "campaign", "eq6", "ablations"];
-
 /// Print `msg` and exit with the usage status.
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -284,10 +263,8 @@ fn main() {
     let smoke = take_switch(&mut args, "--smoke");
     // Every remaining argument must name a section; check them all before
     // any work, so a typo (or a removed switch) costs nothing.
-    if let Some(bad) = args
-        .iter()
-        .find(|a| !SUITE_SECTIONS.contains(&a.as_str()) && !OTHER_SECTIONS.contains(&a.as_str()))
-    {
+    let sections: Vec<exp::Render> = args.iter().map_while(|a| exp::section(a)).collect();
+    if let Some(bad) = args.get(sections.len()) {
         let kind = if bad.starts_with('-') {
             "option"
         } else {
@@ -306,8 +283,7 @@ fn main() {
     }
 
     // Experiments that need the evaluated suite share one run.
-    let run_suite_now =
-        args.is_empty() || bench_json || args.iter().any(|a| SUITE_SECTIONS.contains(&a.as_str()));
+    let run_suite_now = args.is_empty() || bench_json || sections.iter().any(|r| r.needs_suite());
     let suite = run_suite_now.then(|| {
         let selection = match only {
             Some(names) => exp::Selection::Only(names),
@@ -376,32 +352,13 @@ fn main() {
         }
         std::process::exit(i32::from(failed));
     }
-    let evals = suite.as_ref().map(|s| exp::ok_evaluations(&s.entries));
-    for a in &args {
-        let section = match a.as_str() {
-            "fig4a" => exp::fig4a(evals.as_ref().unwrap()),
-            "fig4b" => exp::fig4b(evals.as_ref().unwrap()),
-            "fig5a" => exp::fig5a(evals.as_ref().unwrap()),
-            "fig5b" => exp::fig5b(evals.as_ref().unwrap()),
-            "fig6a" => exp::fig6a(evals.as_ref().unwrap()),
-            "fig6b" => exp::fig6b(evals.as_ref().unwrap()),
-            "fig7a" => exp::fig7a(evals.as_ref().unwrap()),
-            "fig7b" => exp::fig7b(evals.as_ref().unwrap()),
-            "dist" => exp::dist(evals.as_ref().unwrap()),
-            "precision" => exp::precision(evals.as_ref().unwrap()),
-            "policies" => exp::policies(),
-            "dynpa" => exp::dynpa(evals.as_ref().unwrap()),
-            "heap" => exp::heap(evals.as_ref().unwrap()),
-            "models" => exp::models(evals.as_ref().unwrap()),
-            "profile" => suite.as_ref().unwrap().profile_md.clone(),
-            "nginx" => exp::nginx(&run),
-            "motiv" => exp::motiv(&run),
-            "campaign" => exp::campaign(&run),
-            "eq6" => exp::eq6(),
-            "ablations" => exp::ablations(&run),
-            _ => unreachable!("sections are validated up front"),
-        };
-        println!("{section}");
+    let evals = suite
+        .as_ref()
+        .map(|s| exp::ok_evaluations(&s.entries))
+        .unwrap_or_default();
+    let profile_md = suite.as_ref().map_or("", |s| s.profile_md.as_str());
+    for r in sections {
+        println!("{}", r.render(&evals, profile_md, &run));
     }
     std::process::exit(i32::from(failed));
 }

@@ -292,8 +292,21 @@ pub fn run_suite(spec: &SuiteSpec) -> SuiteRun {
     }
 }
 
+/// `s` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped (error rows can carry multi-line panic payloads).
 fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Instructions retired by one evaluation, summed across its schemes.
@@ -332,7 +345,7 @@ pub fn retirement_minsts_per_sec(suite: &[SuiteEntry]) -> f64 {
 /// e.g. `"scheme": "cpa"` together with `"pa_executed": 0` or
 /// `"pa_static_match": false` without a JSON parser.
 fn scheme_profile_json(r: &pythia_core::SchemeResult) -> String {
-    let p = &r.profile;
+    let (p, m) = (&r.profile, &r.metrics);
     let top: Vec<String> = p
         .top_opcodes(5)
         .into_iter()
@@ -356,11 +369,11 @@ fn scheme_profile_json(r: &pythia_core::SchemeResult) -> String {
         p.shadow.bulk_tags,
         p.mem_faults,
         p.resident_bytes,
-        p.heap_shared.allocs + p.heap_isolated.allocs,
-        p.heap_shared.frees + p.heap_isolated.frees,
-        p.heap_shared.peak_bytes + p.heap_isolated.peak_bytes,
-        p.heap_shared.fastbin_hits + p.heap_isolated.fastbin_hits,
-        p.heap_shared.coalesces + p.heap_isolated.coalesces,
+        m.heap_shared.allocs + m.heap_isolated.allocs,
+        m.heap_shared.frees + m.heap_isolated.frees,
+        m.heap_shared.peak_bytes + m.heap_isolated.peak_bytes,
+        m.heap_shared.fastbin_hits + m.heap_isolated.fastbin_hits,
+        m.heap_shared.coalesces + m.heap_isolated.coalesces,
         p.intrinsics.values().sum::<u64>(),
         top.join(", "),
     )
@@ -511,7 +524,7 @@ struct SchemeSums {
 
 impl SchemeSums {
     fn add(&mut self, r: &pythia_core::SchemeResult) {
-        let p = &r.profile;
+        let (p, m) = (&r.profile, &r.metrics);
         self.n += 1;
         self.signs += p.pa.signs;
         self.auths += p.pa.auths;
@@ -521,8 +534,8 @@ impl SchemeSums {
         self.pruned += r.stats.obligations_pruned as u64;
         self.setdefs += p.shadow.setdefs;
         self.chkdefs += p.shadow.chkdefs;
-        self.allocs += p.heap_shared.allocs + p.heap_isolated.allocs;
-        self.coalesces += p.heap_shared.coalesces + p.heap_isolated.coalesces;
+        self.allocs += m.heap_shared.allocs + m.heap_isolated.allocs;
+        self.coalesces += m.heap_shared.coalesces + m.heap_isolated.coalesces;
         self.resident += p.resident_bytes;
     }
 }
@@ -1578,55 +1591,96 @@ pub fn campaign(run: &RunConfig) -> String {
     )
 }
 
+/// What a `reproduce` section is rendered from.
+#[derive(Debug, Clone, Copy)]
+pub enum Render {
+    /// The evaluated suite's successful benchmarks.
+    Suite(fn(&[BenchEvaluation]) -> String),
+    /// The suite run's cost attribution (`profile.md`); never part of
+    /// the report, whose bytes must not carry wall-clock seconds.
+    Profile,
+    /// Modules of its own, analyzed and run under the run's config.
+    Run(fn(&RunConfig) -> String),
+    /// Closed-form numbers only.
+    Fixed(fn() -> String),
+}
+
+impl Render {
+    /// Whether the section needs the evaluated suite.
+    pub fn needs_suite(self) -> bool {
+        matches!(self, Render::Suite(_) | Render::Profile)
+    }
+
+    /// Render the section. `suite` and `profile_md` come from the suite
+    /// run and are read only by the variants that need it.
+    pub fn render(self, suite: &[BenchEvaluation], profile_md: &str, run: &RunConfig) -> String {
+        match self {
+            Render::Suite(f) => f(suite),
+            Render::Profile => profile_md.to_owned(),
+            Render::Run(f) => f(run),
+            Render::Fixed(f) => f(),
+        }
+    }
+}
+
+/// Every `reproduce` section by name, in report order. The table drives
+/// section-name validation, single-section output and [`render_all`].
+pub const SECTIONS: [(&str, Render); 20] = [
+    ("fig4a", Render::Suite(fig4a)),
+    ("fig4b", Render::Suite(fig4b)),
+    ("fig5a", Render::Suite(fig5a)),
+    ("fig5b", Render::Suite(fig5b)),
+    ("fig6a", Render::Suite(fig6a)),
+    ("fig6b", Render::Suite(fig6b)),
+    ("fig7a", Render::Suite(fig7a)),
+    ("fig7b", Render::Suite(fig7b)),
+    ("dist", Render::Suite(dist)),
+    ("precision", Render::Suite(precision)),
+    ("policies", Render::Fixed(policies)),
+    ("dynpa", Render::Suite(dynpa)),
+    ("heap", Render::Suite(heap)),
+    ("models", Render::Suite(models)),
+    ("nginx", Render::Run(nginx)),
+    ("motiv", Render::Run(motiv)),
+    ("campaign", Render::Run(campaign)),
+    ("eq6", Render::Fixed(eq6)),
+    ("ablations", Render::Run(ablations)),
+    ("profile", Render::Profile),
+];
+
+/// The renderer of section `name`, if there is such a section.
+pub fn section(name: &str) -> Option<Render> {
+    SECTIONS.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
+}
+
 /// Render the full report from an already-evaluated suite (lets callers
-/// reuse one suite run for both the report and `BENCH_suite.json`); the
-/// sections that analyze or run modules of their own do so under `run`.
-/// Benchmarks that failed appear in a leading error section; every figure
-/// is rendered from the survivors.
+/// reuse one suite run for both the report and `BENCH_suite.json`): a
+/// leading error section when a benchmark failed, then every section of
+/// [`SECTIONS`] but the profile, one blank line apart. Figures render
+/// from the survivors; the sections that analyze or run modules of their
+/// own do so under `run`.
 pub fn render_all(entries: &[SuiteEntry], run: &RunConfig) -> String {
     let suite = ok_evaluations(entries);
-    let mut out = String::new();
     let errors = errors_section(entries);
-    if !errors.is_empty() {
-        out.push_str(&errors);
-        out.push('\n');
+    let mut parts: Vec<String> = (!errors.is_empty()).then_some(errors).into_iter().collect();
+    parts.extend(
+        SECTIONS
+            .iter()
+            .filter(|(_, r)| !matches!(r, Render::Profile))
+            .map(|&(_, r)| r.render(&suite, "", run)),
+    );
+    parts.join("\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_escape;
+
+    #[test]
+    fn json_escape_escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(
+            json_escape("a \"b\" \\ c\nd\te\u{1}f é"),
+            "a \\\"b\\\" \\\\ c\\nd\\te\\u0001f é"
+        );
     }
-    out.push_str(&fig4a(&suite));
-    out.push('\n');
-    out.push_str(&fig4b(&suite));
-    out.push('\n');
-    out.push_str(&fig5a(&suite));
-    out.push('\n');
-    out.push_str(&fig5b(&suite));
-    out.push('\n');
-    out.push_str(&fig6a(&suite));
-    out.push('\n');
-    out.push_str(&fig6b(&suite));
-    out.push('\n');
-    out.push_str(&fig7a(&suite));
-    out.push('\n');
-    out.push_str(&fig7b(&suite));
-    out.push('\n');
-    out.push_str(&dist(&suite));
-    out.push('\n');
-    out.push_str(&precision(&suite));
-    out.push('\n');
-    out.push_str(&policies());
-    out.push('\n');
-    out.push_str(&dynpa(&suite));
-    out.push('\n');
-    out.push_str(&heap(&suite));
-    out.push('\n');
-    out.push_str(&models(&suite));
-    out.push('\n');
-    out.push_str(&nginx(run));
-    out.push('\n');
-    out.push_str(&motiv(run));
-    out.push('\n');
-    out.push_str(&campaign(run));
-    out.push('\n');
-    out.push_str(&eq6());
-    out.push('\n');
-    out.push_str(&ablations(run));
-    out
 }

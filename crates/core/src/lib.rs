@@ -48,4 +48,4 @@ pub use pythia_vm::{
     DecodedModule, DetectionMechanism, Engine, ExitReason, InputPlan, Profile, RunMetrics, Vm,
     VmConfig,
 };
-pub use security::{adjudicate, adjudicate_all, ScenarioOutcome};
+pub use security::{adjudicate, ScenarioOutcome};

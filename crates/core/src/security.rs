@@ -3,9 +3,9 @@
 
 use crate::pipeline::RunConfig;
 use pythia_ir::PythiaError;
-use pythia_lint::{Certifier, VariantBuilder};
+use pythia_lint::VariantBuilder;
 use pythia_passes::Scheme;
-use pythia_vm::{DetectionMechanism, ExitReason, Vm, VmConfig};
+use pythia_vm::{DetectionMechanism, ExitReason, Vm};
 use pythia_workloads::Scenario;
 
 /// What happened when a scenario ran under a scheme.
@@ -62,38 +62,11 @@ pub fn adjudicate(
     run: &RunConfig,
 ) -> Result<ScenarioOutcome, PythiaError> {
     let build = VariantBuilder::new(&scenario.module, run.ctx_policy);
-    classify(scenario, &build, &build.certifier(), scheme, &run.vm)
-}
-
-/// Adjudicate a scenario under every scheme, analyzing it once.
-///
-/// # Errors
-///
-/// The first [`PythiaError`] [`adjudicate`] would return.
-pub fn adjudicate_all(
-    scenario: &Scenario,
-    run: &RunConfig,
-) -> Result<Vec<ScenarioOutcome>, PythiaError> {
-    let build = VariantBuilder::new(&scenario.module, run.ctx_policy);
-    let cert = build.certifier();
-    Scheme::ALL
-        .iter()
-        .map(|&s| classify(scenario, &build, &cert, s, &run.vm))
-        .collect()
-}
-
-/// Build and certify `scheme`'s variant, then run it benign and attacked.
-fn classify(
-    scenario: &Scenario,
-    build: &VariantBuilder<'_>,
-    cert: &Certifier<'_>,
-    scheme: Scheme,
-    cfg: &VmConfig,
-) -> Result<ScenarioOutcome, PythiaError> {
     let inst = build.instrument(scheme);
     build
-        .certify(cert, &inst)
+        .certify(&build.certifier(), &inst)
         .map_err(|e| e.with_function(scenario.name))?;
+    let cfg = &run.vm;
 
     let benign_exit = {
         let mut vm = Vm::new(&inst.module, cfg.clone(), scenario.benign.clone());

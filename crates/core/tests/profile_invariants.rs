@@ -8,9 +8,9 @@
 //!
 //! Every invariant is checked under *both* execution engines — the
 //! legacy per-instruction interpreter and the block-cached translated
-//! engine — because the block engine folds its dense opcode/PA-key
-//! counters into the profile maps at run end, and that fold must land
-//! on exactly the numbers the legacy path records directly.
+//! engine. Each engine keeps its own per-op-class and per-PA-key counts,
+//! from which the VM fills the profile once at run end, so the engines'
+//! profiles must agree counter for counter.
 
 use pythia_core::{evaluate, Engine, Scheme, VmConfig};
 use pythia_workloads::{generate, profile_by_name};

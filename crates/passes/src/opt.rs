@@ -3,11 +3,11 @@
 //! feeds the overflow-reach + interval analyses into the instrumentation.
 //!
 //! The paper instruments LLVM IR after `mem2reg`/`-O3` (§5); generated PIR
-//! is already register-promoted, but workload generators and hand-written
-//! programs still leave foldable arithmetic and dead paths around. These
-//! passes bring a module to the form the instrumentation expects, and they
-//! power an ablation: instrumenting unoptimized code inflates the
-//! vulnerable-variable counts without improving protection.
+//! is already register-promoted, but hand-written programs can still leave
+//! foldable arithmetic and dead paths around. [`optimize_module`] cleans
+//! such a module up on request: `pythia-cli opt` and the `textual_ir`
+//! example call it. The suite, the campaign and the server scenario
+//! instrument generated modules as they are and never run it.
 //!
 //! [`prune_obligations`] is different in kind: it does not touch the
 //! module at all. It shrinks a [`VulnerabilityReport`]'s obligation sets

@@ -44,12 +44,23 @@ use std::sync::{Arc, OnceLock};
 /// Number of distinct op classes (= distinct instruction mnemonics).
 pub(crate) const N_MNEMONICS: usize = 35;
 
-/// Index of the `phi` class (used by prologue metering).
+/// Op classes that something besides the dispatch loop reads: phi
+/// prologue metering, and the counters `Vm::run` derives from
+/// `op_counts` at run end.
+pub(crate) const MN_LOAD: usize = 18;
+pub(crate) const MN_STORE: usize = 19;
 pub(crate) const MN_PHI: usize = 24;
+pub(crate) const MN_CALL: usize = 25;
+pub(crate) const MN_PACSIGN: usize = 26;
+pub(crate) const MN_PACAUTH: usize = 27;
+pub(crate) const MN_PACSTRIP: usize = 28;
+pub(crate) const MN_SETDEF: usize = 29;
+pub(crate) const MN_CHKDEF: usize = 30;
+pub(crate) const MN_BR: usize = 31;
 
 /// Op-class index -> mnemonic. Must agree exactly with
-/// `pythia_ir::Inst::mnemonic` (the profile-histogram equality tests
-/// compare legacy and block engines through these strings).
+/// `pythia_ir::Inst::mnemonic` through [`op_class`] (pinned by
+/// `op_class_names_every_instructions_mnemonic`).
 pub(crate) const MNEMONICS: [&str; N_MNEMONICS] = [
     "add",
     "sub",
@@ -69,50 +80,72 @@ pub(crate) const MNEMONICS: [&str; N_MNEMONICS] = [
     "inttoptr",
     "bitcast",
     "alloca",
-    "load",
-    "store",
+    "load",  // MN_LOAD
+    "store", // MN_STORE
     "gep",
     "fieldaddr",
     "icmp",
     "select",
-    "phi", // MN_PHI
-    "call",
-    "pacsign",
-    "pacauth",
-    "pacstrip",
-    "setdef",
-    "chkdef",
-    "br",
+    "phi",      // MN_PHI
+    "call",     // MN_CALL
+    "pacsign",  // MN_PACSIGN
+    "pacauth",  // MN_PACAUTH
+    "pacstrip", // MN_PACSTRIP
+    "setdef",   // MN_SETDEF
+    "chkdef",   // MN_CHKDEF
+    "br",       // MN_BR
     "jmp",
     "ret",
     "unreachable",
 ];
 
-fn bin_idx(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Sdiv => 3,
-        BinOp::Srem => 4,
-        BinOp::And => 5,
-        BinOp::Or => 6,
-        BinOp::Xor => 7,
-        BinOp::Shl => 8,
-        BinOp::Ashr => 9,
-        BinOp::Lshr => 10,
-    }
-}
-
-fn cast_idx(kind: CastKind) -> u8 {
-    match kind {
-        CastKind::Zext => 11,
-        CastKind::Sext => 12,
-        CastKind::Trunc => 13,
-        CastKind::PtrToInt => 14,
-        CastKind::IntToPtr => 15,
-        CastKind::Bitcast => 16,
-    }
+/// The op class of `inst`: its index into [`MNEMONICS`], the per-VM
+/// cost table and `Vm::op_counts`. Both engines count executed
+/// instructions through it; `Bin`/`Cast` classes follow their
+/// sub-mnemonic.
+pub(crate) fn op_class(inst: &Inst) -> u8 {
+    let mn = match inst {
+        Inst::Bin { op, .. } => match op {
+            BinOp::Add => 0,
+            BinOp::Sub => 1,
+            BinOp::Mul => 2,
+            BinOp::Sdiv => 3,
+            BinOp::Srem => 4,
+            BinOp::And => 5,
+            BinOp::Or => 6,
+            BinOp::Xor => 7,
+            BinOp::Shl => 8,
+            BinOp::Ashr => 9,
+            BinOp::Lshr => 10,
+        },
+        Inst::Cast { kind, .. } => match kind {
+            CastKind::Zext => 11,
+            CastKind::Sext => 12,
+            CastKind::Trunc => 13,
+            CastKind::PtrToInt => 14,
+            CastKind::IntToPtr => 15,
+            CastKind::Bitcast => 16,
+        },
+        Inst::Alloca { .. } => 17,
+        Inst::Load { .. } => MN_LOAD,
+        Inst::Store { .. } => MN_STORE,
+        Inst::Gep { .. } => 20,
+        Inst::FieldAddr { .. } => 21,
+        Inst::Icmp { .. } => 22,
+        Inst::Select { .. } => 23,
+        Inst::Phi { .. } => MN_PHI,
+        Inst::Call { .. } => MN_CALL,
+        Inst::PacSign { .. } => MN_PACSIGN,
+        Inst::PacAuth { .. } => MN_PACAUTH,
+        Inst::PacStrip { .. } => MN_PACSTRIP,
+        Inst::SetDef { .. } => MN_SETDEF,
+        Inst::ChkDef { .. } => MN_CHKDEF,
+        Inst::Br { .. } => MN_BR,
+        Inst::Jmp { .. } => 32,
+        Inst::Ret { .. } => 33,
+        Inst::Unreachable => 34,
+    };
+    mn as u8
 }
 
 /// Per-class base cost table for one `CostModel`. Valid because the base
@@ -649,37 +682,25 @@ fn emit_block(
             });
             return None;
         };
-        let (mn, kind) = match inst {
-            Inst::Alloca { .. } => (
-                17,
-                match dm.layout(fid).offset_of(iv) {
-                    Some(off) => OpKind::Alloca { off },
-                    None => OpKind::AllocaMissing,
-                },
-            ),
-            Inst::Load { ptr } => (
-                18,
-                OpKind::Load {
-                    ptr: slot(*ptr),
-                    size: f.value(iv).ty.size().clamp(1, 8) as u8,
-                },
-            ),
-            Inst::Store { ptr, value } => (
-                19,
-                OpKind::Store {
-                    ptr: slot(*ptr),
-                    value: slot(*value),
-                    size: f.value(*value).ty.size().clamp(1, 8) as u8,
-                },
-            ),
-            Inst::Gep { base, index, elem } => (
-                20,
-                OpKind::Gep {
-                    base: slot(*base),
-                    index: slot(*index),
-                    scale: elem.size().max(1) as i64,
-                },
-            ),
+        let kind = match inst {
+            Inst::Alloca { .. } => match dm.layout(fid).offset_of(iv) {
+                Some(off) => OpKind::Alloca { off },
+                None => OpKind::AllocaMissing,
+            },
+            Inst::Load { ptr } => OpKind::Load {
+                ptr: slot(*ptr),
+                size: f.value(iv).ty.size().clamp(1, 8) as u8,
+            },
+            Inst::Store { ptr, value } => OpKind::Store {
+                ptr: slot(*ptr),
+                value: slot(*value),
+                size: f.value(*value).ty.size().clamp(1, 8) as u8,
+            },
+            Inst::Gep { base, index, elem } => OpKind::Gep {
+                base: slot(*base),
+                index: slot(*index),
+                scale: elem.size().max(1) as i64,
+            },
             Inst::FieldAddr { base, field } => {
                 // Same fold as the legacy arm, including the flat fallback
                 // for out-of-range field indices on unverified input.
@@ -689,149 +710,104 @@ fn emit_block(
                     }
                     _ => u64::from(*field).saturating_mul(8),
                 };
-                (
-                    21,
-                    OpKind::FieldAddr {
-                        base: slot(*base),
-                        off,
-                    },
-                )
+                OpKind::FieldAddr {
+                    base: slot(*base),
+                    off,
+                }
             }
-            Inst::Bin { op: bop, lhs, rhs } => (
-                bin_idx(*bop),
-                OpKind::Bin {
-                    op: *bop,
-                    wrap: wrap_class(&f.value(iv).ty),
-                    lhs: slot(*lhs),
-                    rhs: slot(*rhs),
-                },
-            ),
-            Inst::Icmp { pred, lhs, rhs } => (
-                22,
-                OpKind::Icmp {
-                    pred: *pred,
-                    lhs: slot(*lhs),
-                    rhs: slot(*rhs),
-                },
-            ),
+            Inst::Bin { op: bop, lhs, rhs } => OpKind::Bin {
+                op: *bop,
+                wrap: wrap_class(&f.value(iv).ty),
+                lhs: slot(*lhs),
+                rhs: slot(*rhs),
+            },
+            Inst::Icmp { pred, lhs, rhs } => OpKind::Icmp {
+                pred: *pred,
+                lhs: slot(*lhs),
+                rhs: slot(*rhs),
+            },
             // `eval_cast` is identity for zext (values are narrowed at
             // the producer), ptrtoint, inttoptr and bitcast; sext/trunc
             // wrap to the target width. The wrap class captures all of it.
-            Inst::Cast { kind, value, to } => (
-                cast_idx(*kind),
-                OpKind::Cast {
-                    value: slot(*value),
-                    wrap: match kind {
-                        CastKind::Sext | CastKind::Trunc => wrap_class(to),
-                        _ => 0,
-                    },
+            Inst::Cast { kind, value, to } => OpKind::Cast {
+                value: slot(*value),
+                wrap: match kind {
+                    CastKind::Sext | CastKind::Trunc => wrap_class(to),
+                    _ => 0,
                 },
-            ),
+            },
             Inst::Select {
                 cond,
                 on_true,
                 on_false,
-            } => (
-                23,
-                OpKind::Select {
-                    cond: slot(*cond),
-                    on_true: slot(*on_true),
-                    on_false: slot(*on_false),
+            } => OpKind::Select {
+                cond: slot(*cond),
+                on_true: slot(*on_true),
+                on_false: slot(*on_false),
+            },
+            Inst::Phi { incomings } => OpKind::LatePhi {
+                incomings: incomings.iter().map(|(b, v)| (*b, slot(*v))).collect(),
+            },
+            Inst::Call { callee, args } => OpKind::Call(Box::new(CallData {
+                callee: match callee {
+                    Callee::Func(t) => DecodedCallee::Func(*t),
+                    Callee::Intrinsic(i) => DecodedCallee::Intrinsic(*i),
+                    Callee::Indirect(v) => DecodedCallee::Indirect(slot(*v)),
                 },
-            ),
-            Inst::Phi { incomings } => (
-                MN_PHI as u8,
-                OpKind::LatePhi {
-                    incomings: incomings.iter().map(|(b, v)| (*b, slot(*v))).collect(),
-                },
-            ),
-            Inst::Call { callee, args } => (
-                25,
-                OpKind::Call(Box::new(CallData {
-                    callee: match callee {
-                        Callee::Func(t) => DecodedCallee::Func(*t),
-                        Callee::Intrinsic(i) => DecodedCallee::Intrinsic(*i),
-                        Callee::Indirect(v) => DecodedCallee::Indirect(slot(*v)),
-                    },
-                    args: args.iter().map(|a| slot(*a)).collect(),
-                })),
-            ),
+                args: args.iter().map(|a| slot(*a)).collect(),
+            })),
             Inst::PacSign {
                 value,
                 key,
                 modifier,
-            } => (
-                26,
-                OpKind::PacSign {
-                    value: slot(*value),
-                    key: *key,
-                    modifier: slot(*modifier),
-                },
-            ),
+            } => OpKind::PacSign {
+                value: slot(*value),
+                key: *key,
+                modifier: slot(*modifier),
+            },
             Inst::PacAuth {
                 value,
                 key,
                 modifier,
-            } => (
-                27,
-                OpKind::PacAuth {
-                    value: slot(*value),
-                    key: *key,
-                    modifier: slot(*modifier),
-                },
-            ),
-            Inst::PacStrip { value } => (
-                28,
-                OpKind::PacStrip {
-                    value: slot(*value),
-                },
-            ),
-            Inst::SetDef { ptr, def_id } => (
-                29,
-                OpKind::SetDef {
-                    ptr: slot(*ptr),
-                    def_id: *def_id,
-                },
-            ),
-            Inst::ChkDef { ptr, allowed } => (
-                30,
-                OpKind::ChkDef {
-                    ptr: slot(*ptr),
-                    allowed: allowed.clone().into_boxed_slice(),
-                },
-            ),
+            } => OpKind::PacAuth {
+                value: slot(*value),
+                key: *key,
+                modifier: slot(*modifier),
+            },
+            Inst::PacStrip { value } => OpKind::PacStrip {
+                value: slot(*value),
+            },
+            Inst::SetDef { ptr, def_id } => OpKind::SetDef {
+                ptr: slot(*ptr),
+                def_id: *def_id,
+            },
+            Inst::ChkDef { ptr, allowed } => OpKind::ChkDef {
+                ptr: slot(*ptr),
+                allowed: allowed.clone().into_boxed_slice(),
+            },
             Inst::Br {
                 cond,
                 then_bb,
                 else_bb,
-            } => (
-                31,
-                OpKind::Br {
-                    cond: slot(*cond),
-                    then_bb: *then_bb,
-                    else_bb: *else_bb,
-                    then_pl: prologue_index(preds, bb, *then_bb),
-                    else_pl: prologue_index(preds, bb, *else_bb),
-                },
-            ),
-            Inst::Jmp { target } => (
-                32,
-                OpKind::Jmp {
-                    target: *target,
-                    chained: false,
-                    pl: prologue_index(preds, bb, *target),
-                },
-            ),
-            Inst::Ret { value } => (
-                33,
-                OpKind::Ret {
-                    // A void `ret` returns 0: the ret's own (void) slot is
-                    // zero-initialized and never written, so reading it
-                    // yields exactly that without an Option in the op.
-                    value: value.map(slot).unwrap_or(iv.0),
-                },
-            ),
-            Inst::Unreachable => (34, OpKind::Unreachable),
+            } => OpKind::Br {
+                cond: slot(*cond),
+                then_bb: *then_bb,
+                else_bb: *else_bb,
+                then_pl: prologue_index(preds, bb, *then_bb),
+                else_pl: prologue_index(preds, bb, *else_bb),
+            },
+            Inst::Jmp { target } => OpKind::Jmp {
+                target: *target,
+                chained: false,
+                pl: prologue_index(preds, bb, *target),
+            },
+            // A void `ret` returns 0: the ret's own (void) slot is
+            // zero-initialized and never written, so reading it yields
+            // exactly that without an Option in the op.
+            Inst::Ret { value } => OpKind::Ret {
+                value: value.map(slot).unwrap_or(iv.0),
+            },
+            Inst::Unreachable => OpKind::Unreachable,
         };
         let terminator = inst.is_terminator();
         let jmp_target = if let Inst::Jmp { target } = inst {
@@ -839,7 +815,11 @@ fn emit_block(
         } else {
             None
         };
-        ops.push(DecodedOp { iv, mn, kind });
+        ops.push(DecodedOp {
+            iv,
+            mn: op_class(inst),
+            kind,
+        });
         if terminator {
             // Anything after the first executed terminator is dead in the
             // legacy interpreter too (it `continue`s/returns); stop here so
@@ -909,6 +889,115 @@ mod tests {
     use pythia_analysis::{SliceContext, VulnerabilityReport};
     use pythia_passes::{instrument_with, Scheme};
     use pythia_workloads::{generate, nginx_module, SPEC_PROFILES};
+
+    /// `op_class` names each instruction's own mnemonic: one instance of
+    /// every `Inst` variant (every `BinOp` and `CastKind`), then every
+    /// instruction of the 17 standard modules under all four schemes.
+    #[test]
+    fn op_class_names_every_instructions_mnemonic() {
+        let v = ValueId(0);
+        let casts = [
+            CastKind::Zext,
+            CastKind::Sext,
+            CastKind::Trunc,
+            CastKind::PtrToInt,
+            CastKind::IntToPtr,
+            CastKind::Bitcast,
+        ];
+        let mut insts: Vec<Inst> = BinOp::ALL
+            .iter()
+            .map(|&op| Inst::Bin { op, lhs: v, rhs: v })
+            .chain(casts.iter().map(|&kind| Inst::Cast {
+                kind,
+                value: v,
+                to: Ty::I64,
+            }))
+            .collect();
+        insts.extend([
+            Inst::Alloca {
+                elem: Ty::I64,
+                count: 1,
+            },
+            Inst::Load { ptr: v },
+            Inst::Store { ptr: v, value: v },
+            Inst::Gep {
+                base: v,
+                index: v,
+                elem: Ty::I64,
+            },
+            Inst::FieldAddr { base: v, field: 0 },
+            Inst::Icmp {
+                pred: CmpPred::Eq,
+                lhs: v,
+                rhs: v,
+            },
+            Inst::Select {
+                cond: v,
+                on_true: v,
+                on_false: v,
+            },
+            Inst::Phi { incomings: vec![] },
+            Inst::Call {
+                callee: Callee::Indirect(v),
+                args: vec![],
+            },
+            Inst::PacSign {
+                value: v,
+                key: PaKey::Da,
+                modifier: v,
+            },
+            Inst::PacAuth {
+                value: v,
+                key: PaKey::Da,
+                modifier: v,
+            },
+            Inst::PacStrip { value: v },
+            Inst::SetDef { ptr: v, def_id: 1 },
+            Inst::ChkDef {
+                ptr: v,
+                allowed: vec![],
+            },
+            Inst::Br {
+                cond: v,
+                then_bb: BlockId(0),
+                else_bb: BlockId(0),
+            },
+            Inst::Jmp { target: BlockId(0) },
+            Inst::Ret { value: None },
+            Inst::Unreachable,
+        ]);
+        let classes: std::collections::BTreeSet<u8> = insts.iter().map(op_class).collect();
+        assert_eq!(classes.len(), N_MNEMONICS, "every class is some variant's");
+        for inst in &insts {
+            assert_eq!(MNEMONICS[op_class(inst) as usize], inst.mnemonic());
+        }
+
+        let modules = SPEC_PROFILES.iter().map(generate).chain([nginx_module(60)]);
+        let mut checked = 0;
+        for m in modules {
+            let ctx = SliceContext::new(&m);
+            let report = VulnerabilityReport::analyze(&ctx);
+            for scheme in Scheme::ALL {
+                let inst = instrument_with(&m, &ctx, &report, scheme).module;
+                for f in inst.functions() {
+                    for bb in f.block_ids() {
+                        for i in f.block(bb).insts.iter().filter_map(|&iv| f.inst(iv)) {
+                            assert_eq!(
+                                MNEMONICS[op_class(i) as usize],
+                                i.mnemonic(),
+                                "{}/{}: {}",
+                                m.name,
+                                scheme.name(),
+                                f.name
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "only {checked} instructions checked");
+    }
 
     /// Every `br`/`jmp` of every decoded superblock of the 17 standard
     /// modules under all four schemes names the prologue that a search

@@ -4,16 +4,16 @@
 //! Observation preservation relative to `Vm::exec_blocks` (the legacy
 //! per-instruction interpreter) is the contract here: identical metering
 //! order (budget check → instruction count → trace event → base charge →
-//! profile), identical trap points and error payloads, identical memory /
-//! cache / shadow / PA side-effect order. Anything the legacy interpreter
-//! can observe, this tier reproduces bit for bit; the differential tests
-//! (`tests/determinism.rs`, `core/tests/profile_invariants.rs`) and the
-//! `scripts/check.sh` engine gate hold it to that.
+//! op-class count), identical trap points and error payloads, identical
+//! memory / cache / shadow / PA side-effect order. Anything the legacy
+//! interpreter can observe, this tier reproduces bit for bit; the
+//! differential tests (`tests/determinism.rs`,
+//! `core/tests/profile_invariants.rs`) and the `scripts/check.sh` engine
+//! gate hold it to that.
 
 use crate::decode::{
     wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PHI, NO_PROLOGUE,
 };
-use crate::memory::layout;
 use crate::vm::{eval_bin, Halt, Trap, Vm};
 use pythia_ir::{BlockId, FuncId, PythiaError};
 
@@ -51,19 +51,11 @@ impl<'m> Vm<'m> {
             return Err(Trap::CallDepthExceeded.into());
         }
         let df = &dm.funcs[fid.0 as usize];
+        let size = df.layout.frame_size;
+        let base = self.push_frame(fid, size)?;
         let mut values = self.frame_pool.pop().unwrap_or_default();
         values.clear();
         values.resize(df.num_values, 0);
-        let base = self.sp;
-        let size = df.layout.frame_size;
-        if base.saturating_add(size) > layout::STACK_BASE + layout::STACK_SIZE {
-            return Err(Trap::StackOverflow.into());
-        }
-        self.sp = base + size;
-        if size > 0 {
-            self.write_zeros(base, size)?;
-        }
-        self.frames.push((base, fid));
         for (i, &a) in args.iter().enumerate().take(df.num_params) {
             values[i] = a;
         }
@@ -73,22 +65,15 @@ impl<'m> Vm<'m> {
 
         let result = self.exec_blocks_decoded(fid, dm, &mut values, base, depth);
 
-        self.frames.pop();
-        // Removing granules from an empty shadow map is a no-op; skipping
-        // it keeps the non-DFI schemes off the hash path entirely.
-        if size > 0 && !self.shadow.is_empty() {
-            for g in (base >> 3)..=((base + size - 1) >> 3) {
-                self.shadow.remove(&g);
-            }
-        }
-        self.sp = base;
+        self.pop_frame(base, size);
         self.frame_pool.push(values);
         result
     }
 
     /// Run one phi prologue. Metering per phi matches the legacy phase-1
-    /// loop: instruction count + copy charge + profile, no budget check,
-    /// no trace event; sources all read before any destination is written.
+    /// loop: instruction count + copy charge + op-class count, no budget
+    /// check, no trace event; sources all read before any destination is
+    /// written.
     fn run_prologue(
         &mut self,
         p: &PhiPrologue,
@@ -219,9 +204,9 @@ impl<'m> Vm<'m> {
                 };
             }
             // Standard metering in legacy order (budget check →
-            // instruction count → trace event → base charge → profile),
-            // expanded at the top of every instruction arm so the loop
-            // dispatches each op exactly once. `Enter` (a superblock
+            // instruction count → trace event → base charge → op-class
+            // count), expanded at the top of every instruction arm so the
+            // loop dispatches each op exactly once. `Enter` (a superblock
             // boundary, not an instruction) is the only unmetered arm.
             macro_rules! meter {
                 ($op:expr) => {
@@ -362,11 +347,7 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         meter!(op);
-                        self.metrics.pa_insts += 1;
                         self.mark_pa_site(site_base + op.iv.0 as usize);
-                        if self.cfg.profile {
-                            self.profile.pa.signs += 1;
-                        }
                         self.pa_key_counts[*key as usize] += 1;
                         let v = read(values, *value) as u64;
                         let md = read(values, *modifier) as u64;
@@ -380,20 +361,13 @@ impl<'m> Vm<'m> {
                         modifier,
                     } => {
                         meter!(op);
-                        self.metrics.pa_insts += 1;
                         self.mark_pa_site(site_base + op.iv.0 as usize);
-                        if self.cfg.profile {
-                            self.profile.pa.auths += 1;
-                        }
                         self.pa_key_counts[*key as usize] += 1;
                         let v = read(values, *value) as u64;
                         let md = read(values, *modifier) as u64;
                         match self.pa.auth(*key, v, md) {
                             Ok(raw) => values[op.iv.0 as usize] = raw as i64,
                             Err(_) => {
-                                if self.cfg.profile {
-                                    self.profile.pa.auth_failures += 1;
-                                }
                                 flush!();
                                 return Err(Trap::PacAuthFailure { key: *key }.into());
                             }
@@ -401,29 +375,17 @@ impl<'m> Vm<'m> {
                     }
                     OpKind::PacStrip { value } => {
                         meter!(op);
-                        self.metrics.pa_insts += 1;
                         self.mark_pa_site(site_base + op.iv.0 as usize);
-                        if self.cfg.profile {
-                            self.profile.pa.strips += 1;
-                        }
                         let v = read(values, *value) as u64;
                         values[op.iv.0 as usize] = self.pa.strip(v) as i64;
                     }
                     OpKind::SetDef { ptr, def_id } => {
                         meter!(op);
-                        self.metrics.dfi_insts += 1;
-                        if self.cfg.profile {
-                            self.profile.shadow.setdefs += 1;
-                        }
                         let addr = read(values, *ptr) as u64;
                         self.shadow.insert(addr >> 3, *def_id);
                     }
                     OpKind::ChkDef { ptr, allowed } => {
                         meter!(op);
-                        self.metrics.dfi_insts += 1;
-                        if self.cfg.profile {
-                            self.profile.shadow.chkdefs += 1;
-                        }
                         let addr = read(values, *ptr) as u64;
                         if let Some(&found) = self.shadow.get(&(addr >> 3)) {
                             if !allowed.contains(&found) {
@@ -434,7 +396,6 @@ impl<'m> Vm<'m> {
                     }
                     OpKind::Call(call) => {
                         meter!(op);
-                        self.metrics.calls += 1;
                         let mut argv = self.argv_pool.pop().unwrap_or_default();
                         argv.clear();
                         argv.extend(call.args.iter().map(|&a| read(values, a)));
@@ -475,7 +436,6 @@ impl<'m> Vm<'m> {
                         else_pl,
                     } => {
                         meter!(op);
-                        self.metrics.branches += 1;
                         let c = read(values, *cond);
                         prev = Some(cur);
                         (block, pl) = if c != 0 {

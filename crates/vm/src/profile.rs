@@ -1,13 +1,15 @@
 //! The execution profile: where a run's cost went.
 //!
-//! [`Profile`] is populated by the VM while it interprets (gated on
-//! [`VmConfig::profile`](crate::VmConfig)): per-opcode and per-intrinsic
-//! execution histograms with attributed base millicycles, PA
-//! sign/auth/strip counters (dynamic executions *and* a static scan of the
-//! module, so profiled runs can be cross-checked against the
-//! instrumentation pass's own accounting), shadow-memory traffic,
-//! memory-fault counts, resident footprint and the per-section heap
-//! [`AllocStats`].
+//! [`Profile`] is filled by the VM once, at the end of a run (gated on
+//! [`VmConfig::profile`](crate::VmConfig)), from the per-op-class,
+//! per-PA-key and per-intrinsic counts both engines keep while they
+//! interpret: per-opcode and per-intrinsic execution histograms with
+//! attributed base millicycles, PA sign/auth/strip counters (dynamic
+//! executions *and* a static scan of the module, so profiled runs can be
+//! cross-checked against the instrumentation pass's own accounting),
+//! shadow-memory traffic, memory-fault counts and the resident
+//! footprint. The per-section heap counters live in
+//! [`RunMetrics`](crate::RunMetrics).
 //!
 //! Everything in here is deterministic for a fixed module/seed/config:
 //! histograms are `BTreeMap`s keyed by `&'static str` mnemonics, counters
@@ -15,7 +17,6 @@
 //! serial and parallel suite runs compare equal, and enabling profiling
 //! cannot change any reported measurement (it only observes).
 
-use pythia_heap::AllocStats;
 use pythia_ir::{Inst, Module};
 use std::collections::BTreeMap;
 
@@ -93,20 +94,9 @@ pub struct Profile {
     pub mem_faults: u64,
     /// Simulated memory touched by the run, in bytes (page granularity).
     pub resident_bytes: u64,
-    /// Shared-section heap counters at exit.
-    pub heap_shared: AllocStats,
-    /// Isolated-section heap counters at exit.
-    pub heap_isolated: AllocStats,
 }
 
 impl Profile {
-    /// Record one executed instruction with its base cost.
-    #[inline]
-    pub fn record_op(&mut self, mnemonic: &'static str, base_mc: u64) {
-        *self.opcodes.entry(mnemonic).or_insert(0) += 1;
-        *self.opcode_mc.entry(mnemonic).or_insert(0) += base_mc;
-    }
-
     /// Scan `module` and fill the static PA instruction counters.
     pub fn scan_static_pa(&mut self, module: &Module) {
         let (signs, auths, strips) = static_pa_counts(module);
@@ -154,23 +144,15 @@ mod tests {
     use pythia_ir::{FunctionBuilder, PaKey, Ty};
 
     #[test]
-    fn histogram_and_cost_accumulate() {
+    fn top_opcodes_ranks_by_count_and_breaks_ties_by_mnemonic() {
         let mut p = Profile::default();
-        p.record_op("load", 1100);
-        p.record_op("load", 1100);
-        p.record_op("add", 350);
-        assert_eq!(p.opcodes["load"], 2);
-        assert_eq!(p.opcode_mc["load"], 2200);
-        assert_eq!(p.total_ops(), 3);
+        p.opcodes.extend([("store", 1), ("load", 2), ("add", 1)]);
+        assert_eq!(p.total_ops(), 4);
         assert_eq!(p.top_opcodes(1), vec![("load", 2)]);
-    }
-
-    #[test]
-    fn top_opcodes_breaks_ties_deterministically() {
-        let mut p = Profile::default();
-        p.record_op("store", 1);
-        p.record_op("load", 1);
-        assert_eq!(p.top_opcodes(2), vec![("load", 1), ("store", 1)]);
+        assert_eq!(
+            p.top_opcodes(3),
+            vec![("load", 2), ("add", 1), ("store", 1)]
+        );
     }
 
     #[test]

@@ -16,7 +16,10 @@
 
 use crate::cache::{CacheSim, CacheStats};
 use crate::cost::CostModel;
-use crate::decode::{cost_table, DecodedModule, FrameLayout, MNEMONICS, N_MNEMONICS};
+use crate::decode::{
+    cost_table, op_class, DecodedModule, FrameLayout, MNEMONICS, MN_BR, MN_CALL, MN_CHKDEF,
+    MN_LOAD, MN_PACAUTH, MN_PACSIGN, MN_PACSTRIP, MN_PHI, MN_SETDEF, MN_STORE, N_MNEMONICS,
+};
 use crate::input::{InputPlan, IntOrPayload};
 use crate::memory::{layout, FastMap, Memory, MemoryError, MemoryFault};
 use crate::profile::Profile;
@@ -330,8 +333,8 @@ pub struct VmConfig {
     /// Record the first N executed instructions as a [`TraceEvent`] list
     /// (0 disables tracing).
     pub trace_limit: u64,
-    /// Populate the execution [`Profile`] (opcode/intrinsic histograms,
-    /// PA/shadow counters, heap stats). Purely observational: toggling it
+    /// Fill the execution [`Profile`] at run end (opcode/intrinsic
+    /// histograms, PA/shadow counters). Purely observational: toggling it
     /// never changes [`RunMetrics`] or the exit reason.
     pub profile: bool,
     /// Which execution engine to use ([`Engine::Block`] by default).
@@ -384,7 +387,6 @@ pub struct Witness {
 struct Frame {
     values: Vec<i64>,
     base: u64,
-    size: u64,
 }
 
 /// One recorded instruction execution (see [`VmConfig::trace_limit`]).
@@ -438,10 +440,12 @@ pub struct Vm<'m> {
     pub(crate) cost: CostModel,
     /// Per-class base costs of [`Self::cost`].
     pub(crate) cost_tbl: [u64; 256],
-    /// Block-engine opcode histogram (dense; folded into
-    /// [`Profile::opcodes`]/`opcode_mc` once at the end of [`Vm::run`]).
+    /// Executed instructions per op class ([`op_class`], both engines):
+    /// the one record of what ran. [`Vm::run`] derives every per-class
+    /// counter of [`RunMetrics`] and [`Profile`] from it at run end.
     pub(crate) op_counts: [u64; 256],
-    /// Block-engine PA-key histogram, folded into `Profile::pa.by_key`.
+    /// Executed signs and auths per PA key (both engines), folded into
+    /// `Profile::pa.by_key`.
     pub(crate) pa_key_counts: [u64; 5],
     /// Intrinsic calls by [`intrinsic_slot`] (both engines), folded into
     /// [`Profile::intrinsics`] at the end of [`Vm::run`].
@@ -657,6 +661,21 @@ impl<'m> Vm<'m> {
             Err(Halt::Trap(t)) => ExitReason::Trapped(t),
             Err(Halt::Error(e)) => return Err(*e),
         };
+        // Every counter below equals an op-class or intrinsic count: each
+        // was bumped right after its instruction was metered, before
+        // anything that could fail, so deriving it here is exact.
+        let c = &self.op_counts;
+        self.metrics.loads = c[MN_LOAD];
+        self.metrics.stores = c[MN_STORE];
+        self.metrics.calls = c[MN_CALL];
+        self.metrics.branches = c[MN_BR];
+        self.metrics.pa_insts = c[MN_PACSIGN] + c[MN_PACAUTH] + c[MN_PACSTRIP];
+        self.metrics.dfi_insts = c[MN_SETDEF] + c[MN_CHKDEF];
+        self.metrics.ic_calls = INTRINSICS
+            .iter()
+            .filter(|i| i.is_input_channel())
+            .map(|&i| self.intrinsic_counts[intrinsic_slot(i)])
+            .sum();
         self.metrics.cache = self.cache.stats();
         self.metrics.heap_shared = self.heap.stats(Section::Shared);
         self.metrics.heap_isolated = self.heap.stats(Section::Isolated);
@@ -667,41 +686,42 @@ impl<'m> Vm<'m> {
             .map(|w| u64::from(w.count_ones()))
             .sum();
         if self.cfg.profile {
-            // Fold the block engine's dense histograms into the Profile
-            // maps. Valid because the base cost of an instruction depends
-            // only on its mnemonic class, so `sum(base) == count * base`.
-            // Under the legacy engine both arrays stay zero (it records
-            // straight into the maps) and this is a no-op.
+            // The opcode histogram and its base millicycles: the base
+            // cost of an instruction depends only on its class, so
+            // `sum(base) == count * base`.
             for (i, &n) in self.op_counts.iter().take(N_MNEMONICS).enumerate() {
                 if n > 0 {
-                    *self.profile.opcodes.entry(MNEMONICS[i]).or_insert(0) += n;
-                    *self.profile.opcode_mc.entry(MNEMONICS[i]).or_insert(0) +=
-                        n * self.cost_tbl[i];
+                    self.profile.opcodes.insert(MNEMONICS[i], n);
+                    self.profile
+                        .opcode_mc
+                        .insert(MNEMONICS[i], n * self.cost_tbl[i]);
                 }
             }
             for (k, &n) in self.pa_key_counts.iter().enumerate() {
                 if n > 0 {
-                    *self
-                        .profile
-                        .pa
-                        .by_key
-                        .entry(PaKey::ALL[k].mnemonic())
-                        .or_insert(0) += n;
+                    self.profile.pa.by_key.insert(PaKey::ALL[k].mnemonic(), n);
                 }
             }
             for i in INTRINSICS {
                 let n = self.intrinsic_counts[intrinsic_slot(i)];
                 if n > 0 {
-                    *self.profile.intrinsics.entry(i.name()).or_insert(0) += n;
+                    self.profile.intrinsics.insert(i.name(), n);
                 }
             }
+            let c = &self.op_counts;
+            self.profile.pa.signs = c[MN_PACSIGN];
+            self.profile.pa.auths = c[MN_PACAUTH];
+            self.profile.pa.strips = c[MN_PACSTRIP];
+            self.profile.shadow.setdefs = c[MN_SETDEF];
+            self.profile.shadow.chkdefs = c[MN_CHKDEF];
+            // A failed auth or a fault halts the run, so there is at most
+            // one of either, and it is the exit reason.
+            let trap = exit.trap();
+            self.profile.pa.auth_failures =
+                u64::from(matches!(trap, Some(Trap::PacAuthFailure { .. })));
+            self.profile.mem_faults = u64::from(matches!(trap, Some(Trap::MemoryFault { .. })));
             self.profile.scan_static_pa(self.module);
-            if matches!(exit, ExitReason::Trapped(Trap::MemoryFault { .. })) {
-                self.profile.mem_faults += 1;
-            }
             self.profile.resident_bytes = self.mem.resident_bytes();
-            self.profile.heap_shared = self.metrics.heap_shared;
-            self.profile.heap_isolated = self.metrics.heap_isolated;
         }
         Ok(RunResult {
             exit,
@@ -789,17 +809,46 @@ impl<'m> Vm<'m> {
     }
 
     pub(crate) fn mem_read(&mut self, addr: u64, size: u64) -> Result<i64, Halt> {
-        self.metrics.loads += 1;
         let extra = self.cache_access(addr);
         self.charge(extra);
         Ok(self.mem.read_scalar(addr, size)?)
     }
 
     pub(crate) fn mem_write(&mut self, addr: u64, size: u64, value: i64) -> Result<(), Halt> {
-        self.metrics.stores += 1;
         let extra = self.cache_access(addr);
         self.charge(extra);
         Ok(self.mem.write_scalar(addr, size, value)?)
+    }
+
+    /// Open a zeroed `size`-byte frame for `fid` at the stack pointer
+    /// and return its base (both engines).
+    pub(crate) fn push_frame(&mut self, fid: FuncId, size: u64) -> Result<u64, Halt> {
+        let base = self.sp;
+        if base.saturating_add(size) > layout::STACK_BASE + layout::STACK_SIZE {
+            return Err(Trap::StackOverflow.into());
+        }
+        self.sp = base + size;
+        // Zero the frame (stack reuse would otherwise leak prior frames).
+        if size > 0 {
+            self.write_zeros(base, size)?;
+        }
+        self.frames.push((base, fid));
+        Ok(base)
+    }
+
+    /// Close the innermost frame, opened at `base` with `size` bytes:
+    /// drop the shadow tags of its granules and reset the stack pointer
+    /// (both engines).
+    pub(crate) fn pop_frame(&mut self, base: u64, size: u64) {
+        self.frames.pop();
+        // Removing granules from an empty shadow map is a no-op; skipping
+        // it keeps the non-DFI schemes off the hash path entirely.
+        if size > 0 && !self.shadow.is_empty() {
+            for g in (base >> 3)..=((base + size - 1) >> 3) {
+                self.shadow.remove(&g);
+            }
+        }
+        self.sp = base;
     }
 
     /// Mark PA site `site` ([`DecodedModule::pa_site`]) executed. The
@@ -879,38 +928,22 @@ impl<'m> Vm<'m> {
         let m = self.module;
         let f = m.func(fid);
 
-        // --- frame layout: the dense per-function table (allocas in
-        // entry-block order, low to high), computed once at decode time --
+        // The dense per-function frame layout (allocas in entry-block
+        // order, low to high), computed once at decode time.
         let dm = self.decoded.clone();
         let flayout = dm.layout(fid);
+        let size = flayout.frame_size;
+        let base = self.push_frame(fid, size)?;
         let mut frame = Frame {
             values: vec![0i64; f.num_values()],
-            base: self.sp,
-            size: flayout.frame_size,
+            base,
         };
-        if frame.base.saturating_add(frame.size) > layout::STACK_BASE + layout::STACK_SIZE {
-            return Err(Trap::StackOverflow.into());
-        }
-        self.sp = frame.base + frame.size;
-        // Zero the frame (stack reuse would otherwise leak prior frames).
-        if frame.size > 0 {
-            self.write_zeros(frame.base, frame.size)?;
-        }
-        self.frames.push((frame.base, fid));
         for (i, &a) in args.iter().enumerate().take(f.params.len()) {
             frame.values[i] = a;
         }
 
         let result = self.exec_blocks(fid, &mut frame, flayout, depth);
-
-        // --- frame teardown ---------------------------------------------
-        self.frames.pop();
-        if frame.size > 0 {
-            for g in (frame.base >> 3)..=((frame.base + frame.size - 1) >> 3) {
-                self.shadow.remove(&g);
-            }
-        }
-        self.sp = frame.base;
+        self.pop_frame(base, size);
         result
     }
 
@@ -959,9 +992,7 @@ impl<'m> Vm<'m> {
                         phi_writes.push((iv, v));
                         self.metrics.insts += 1;
                         self.charge(self.cost.copy);
-                        if self.cfg.profile {
-                            self.profile.record_op("phi", self.cost.copy);
-                        }
+                        self.op_counts[MN_PHI] += 1;
                         idx += 1;
                     }
                     _ => break,
@@ -987,11 +1018,8 @@ impl<'m> Vm<'m> {
                 if self.trace_on {
                     self.push_trace(fid, iv, inst.mnemonic());
                 }
-                let base = self.cost.base_cost(inst);
-                self.charge(base);
-                if self.cfg.profile {
-                    self.profile.record_op(inst.mnemonic(), base);
-                }
+                self.charge(self.cost.base_cost(inst));
+                self.op_counts[op_class(inst) as usize] += 1;
 
                 match inst {
                     Inst::Alloca { .. } => {
@@ -1075,12 +1103,8 @@ impl<'m> Vm<'m> {
                         key,
                         modifier,
                     } => {
-                        self.metrics.pa_insts += 1;
                         self.mark_pa_site(self.decoded.pa_site(fid, iv));
-                        if self.cfg.profile {
-                            self.profile.pa.signs += 1;
-                            *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
-                        }
+                        self.pa_key_counts[*key as usize] += 1;
                         let v = self.value_of(f, &frame.values, *value) as u64;
                         let md = self.value_of(f, &frame.values, *modifier) as u64;
                         let signed = self.pa.sign(*key, v, md);
@@ -1092,46 +1116,25 @@ impl<'m> Vm<'m> {
                         key,
                         modifier,
                     } => {
-                        self.metrics.pa_insts += 1;
                         self.mark_pa_site(self.decoded.pa_site(fid, iv));
-                        if self.cfg.profile {
-                            self.profile.pa.auths += 1;
-                            *self.profile.pa.by_key.entry(key.mnemonic()).or_insert(0) += 1;
-                        }
+                        self.pa_key_counts[*key as usize] += 1;
                         let v = self.value_of(f, &frame.values, *value) as u64;
                         let md = self.value_of(f, &frame.values, *modifier) as u64;
                         match self.pa.auth(*key, v, md) {
                             Ok(raw) => frame.values[iv.0 as usize] = raw as i64,
-                            Err(_) => {
-                                if self.cfg.profile {
-                                    self.profile.pa.auth_failures += 1;
-                                }
-                                return Err(Trap::PacAuthFailure { key: *key }.into());
-                            }
+                            Err(_) => return Err(Trap::PacAuthFailure { key: *key }.into()),
                         }
                     }
                     Inst::PacStrip { value } => {
-                        self.metrics.pa_insts += 1;
                         self.mark_pa_site(self.decoded.pa_site(fid, iv));
-                        if self.cfg.profile {
-                            self.profile.pa.strips += 1;
-                        }
                         let v = self.value_of(f, &frame.values, *value) as u64;
                         frame.values[iv.0 as usize] = self.pa.strip(v) as i64;
                     }
                     Inst::SetDef { ptr, def_id } => {
-                        self.metrics.dfi_insts += 1;
-                        if self.cfg.profile {
-                            self.profile.shadow.setdefs += 1;
-                        }
                         let addr = self.value_of(f, &frame.values, *ptr) as u64;
                         self.shadow.insert(addr >> 3, *def_id);
                     }
                     Inst::ChkDef { ptr, allowed } => {
-                        self.metrics.dfi_insts += 1;
-                        if self.cfg.profile {
-                            self.profile.shadow.chkdefs += 1;
-                        }
                         let addr = self.value_of(f, &frame.values, *ptr) as u64;
                         if let Some(&found) = self.shadow.get(&(addr >> 3)) {
                             if !allowed.contains(&found) {
@@ -1140,7 +1143,6 @@ impl<'m> Vm<'m> {
                         }
                     }
                     Inst::Call { callee, args } => {
-                        self.metrics.calls += 1;
                         let argv: Vec<i64> = args
                             .iter()
                             .map(|a| self.value_of(f, &frame.values, *a))
@@ -1172,7 +1174,6 @@ impl<'m> Vm<'m> {
                         then_bb,
                         else_bb,
                     } => {
-                        self.metrics.branches += 1;
                         let c = self.value_of(f, &frame.values, *cond);
                         prev = Some(block);
                         block = if c != 0 { *then_bb } else { *else_bb };
@@ -1210,9 +1211,6 @@ impl<'m> Vm<'m> {
     ) -> Result<i64, Halt> {
         self.charge(self.cost.libcall);
         self.intrinsic_counts[intrinsic_slot(i)] += 1;
-        if i.is_input_channel() {
-            self.metrics.ic_calls += 1;
-        }
         let arg = |n: usize| args.get(n).copied().unwrap_or(0);
         let uarg = |n: usize| arg(n) as u64;
         // Bulk lengths beyond the instruction budget would materialize

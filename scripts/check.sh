@@ -4,7 +4,9 @@
 # variant (pythia-lint), then smoke-run the reproduce binary and fail on
 # any `internal` error — the one taxonomy variant that means the harness
 # itself is broken (DESIGN.md, "Error taxonomy") — and on any `ERROR`
-# cell in the motiv, nginx and campaign tables.
+# cell in the motiv, nginx and campaign tables. Every JSON output it
+# gates on (smoke and ref-tier BENCH_suite.json, BENCH_server.json,
+# pythia-lint --json) must parse under `jq empty`.
 #
 # `setup`/`fault`/`detection` statuses in the smoke JSON are data, not CI
 # failures; they still flip reproduce's exit code, which this script
@@ -16,6 +18,19 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-check-out}"
 mkdir -p "$OUT"
+
+# Every JSON file this script gates on must parse; a missing jq is a
+# failure, not a skipped check.
+if ! command -v jq >/dev/null; then
+    echo "FAIL: jq is not installed; it validates the JSON outputs checked below" >&2
+    exit 1
+fi
+require_json() {
+    if ! jq empty "$1"; then
+        echo "FAIL: $1 is not valid JSON" >&2
+        exit 1
+    fi
+}
 
 echo "== cargo build --release --workspace =="
 # --workspace: the root manifest is both a package and a workspace, so a
@@ -70,6 +85,8 @@ if ! diff -u scripts/golden/lint-all-schemes.txt "$OUT/lint-all-schemes.txt"; th
     exit 1
 fi
 tail -1 "$OUT/lint-all-schemes.txt"
+target/release/pythia-lint --all-schemes --json > "$OUT/lint-all-schemes.json"
+require_json "$OUT/lint-all-schemes.json"
 
 echo "== reproduce --smoke --bench-json =="
 smoke_status=0
@@ -80,6 +97,7 @@ if [ ! -f "$JSON" ]; then
     echo "FAIL: smoke run produced no $JSON" >&2
     exit 1
 fi
+require_json "$JSON"
 if [ ! -f "$OUT/profile.md" ]; then
     echo "FAIL: smoke run wrote no profile.md next to $JSON" >&2
     exit 1
@@ -276,6 +294,7 @@ echo "== ref-tier single-benchmark gate (lbm) =="
 # which dwarf the single benchmark this gate actually measures.
 target/release/reproduce --only 519.lbm_r --tier ref --bench-json --out "$OUT/ref-gate" fig4a >/dev/null
 REFJSON="$OUT/ref-gate/BENCH_suite.json"
+require_json "$REFJSON"
 if ! grep -q '"tier": "ref"' "$REFJSON"; then
     echo "FAIL: ref-tier run did not report tier=ref" >&2
     exit 1
@@ -328,6 +347,7 @@ if [ ! -f "$SRVJSON" ]; then
     echo "FAIL: server scenario produced no $SRVJSON" >&2
     exit 1
 fi
+require_json "$SRVJSON"
 if grep -qE '"internal_errors": [1-9]' "$SRVJSON"; then
     echo "FAIL: server scenario recorded internal errors:" >&2
     grep '"internal_errors"' "$SRVJSON" >&2
