@@ -17,8 +17,12 @@
 //! - [`DataflowAnalysis::boundary`], the fact holding at the CFG boundary
 //!   (function entry for forward analyses; each exiting block for
 //!   backward analyses),
-//! - [`DataflowAnalysis::meet`], combining facts where paths join,
-//! - [`DataflowAnalysis::transfer`], pushing a fact through one block.
+//! - [`DataflowAnalysis::meet_into`], combining facts where paths join,
+//! - [`DataflowAnalysis::transfer_into`], pushing a fact through one block.
+//!
+//! Both work in place on a fact the solver owns, so a client whose fact
+//! is a flat vector reuses its storage from visit to visit instead of
+//! allocating a fresh fact per join and per block.
 //!
 //! Termination is the standard argument: if the fact lattice has finite
 //! height (every chain of strictly descending facts is finite — true for
@@ -32,6 +36,9 @@
 
 use crate::cfg::reverse_postorder;
 use pythia_ir::{BlockId, Function};
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Which way facts flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,22 +65,21 @@ pub trait DataflowAnalysis {
     /// The optimistic initial fact for interior program points.
     fn top(&self, f: &Function) -> Self::Fact;
 
-    /// Combine two facts where control-flow paths join.
-    fn meet(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact;
+    /// Combine `other` into `acc` where control-flow paths join.
+    fn meet_into(&self, acc: &mut Self::Fact, other: &Self::Fact);
 
-    /// Push `fact` through block `bb`: for forward analyses `fact` holds
-    /// at the block's entry and the result at its exit; for backward
-    /// analyses `fact` holds at the block's exit and the result at its
-    /// entry.
-    fn transfer(&self, f: &Function, bb: BlockId, fact: &Self::Fact) -> Self::Fact;
+    /// Push `fact` through block `bb` into `out`: for forward analyses
+    /// `fact` holds at the block's entry and `out` receives its exit; for
+    /// backward analyses `fact` holds at the block's exit and `out`
+    /// receives its entry. `out` holds a stale fact whose storage may be
+    /// reused; every bit of it must be overwritten.
+    fn transfer_into(&self, f: &Function, bb: BlockId, fact: &Self::Fact, out: &mut Self::Fact);
 
-    /// Adjust a fact as it crosses the CFG edge `from -> to` (called with
-    /// the flow-source block's post-transfer fact). The default is the
-    /// identity; the interval analysis overrides this to refine facts
-    /// by the branch condition an edge is taken under.
-    fn edge(&self, _f: &Function, _from: BlockId, _to: BlockId, fact: &Self::Fact) -> Self::Fact {
-        fact.clone()
-    }
+    /// Adjust, in place, a fact crossing the CFG edge `from -> to` (it
+    /// starts as the flow-source block's post-transfer fact). The default
+    /// is the identity; the interval analysis overrides this to refine
+    /// facts by the branch condition an edge is taken under.
+    fn edge(&self, _f: &Function, _from: BlockId, _to: BlockId, _fact: &mut Self::Fact) {}
 }
 
 /// The fixpoint the solver reached.
@@ -82,8 +88,8 @@ pub struct SolveResult<F> {
     /// Per-block fact on the side facts flow *in from*: block entry for
     /// forward analyses, block exit for backward analyses.
     pub input: Vec<F>,
-    /// Per-block fact after [`DataflowAnalysis::transfer`]: block exit
-    /// for forward analyses, block entry for backward analyses.
+    /// Per-block fact after [`DataflowAnalysis::transfer_into`]: block
+    /// exit for forward analyses, block entry for backward analyses.
     pub output: Vec<F>,
     /// Whether the worklist drained before the iteration fuse blew. Only
     /// a non-monotone transfer function can make this `false`.
@@ -104,17 +110,67 @@ impl<F> SolveResult<F> {
     }
 }
 
+/// Per-block neighbour lists in one flat array: the neighbours of block
+/// `b` are `blocks[start[b]..start[b + 1]]`.
+struct Adjacency {
+    start: Vec<u32>,
+    blocks: Vec<BlockId>,
+}
+
+impl Adjacency {
+    fn of(&self, bb: BlockId) -> &[BlockId] {
+        let b = bb.0 as usize;
+        &self.blocks[self.start[b] as usize..self.start[b + 1] as usize]
+    }
+}
+
+/// Successor and predecessor lists of `f`. Each block's predecessors are
+/// in ascending block order (a block branching twice to the same target
+/// is listed twice), the order [`Function::predecessors`] gives.
+fn adjacency(f: &Function) -> (Adjacency, Adjacency) {
+    let nb = f.num_blocks();
+    let mut succs = Adjacency {
+        start: Vec::with_capacity(nb + 1),
+        blocks: Vec::with_capacity(2 * nb),
+    };
+    let mut indegree = vec![0u32; nb + 1];
+    succs.start.push(0);
+    for bb in f.block_ids() {
+        for s in f.successors(bb) {
+            succs.blocks.push(s);
+            indegree[s.0 as usize + 1] += 1;
+        }
+        succs.start.push(succs.blocks.len() as u32);
+    }
+    for b in 0..nb {
+        indegree[b + 1] += indegree[b];
+    }
+    let mut fill = indegree.clone();
+    let mut blocks = vec![BlockId(0); succs.blocks.len()];
+    for bb in f.block_ids() {
+        for &s in succs.of(bb) {
+            let slot = &mut fill[s.0 as usize];
+            blocks[*slot as usize] = bb;
+            *slot += 1;
+        }
+    }
+    let preds = Adjacency {
+        start: indegree,
+        blocks,
+    };
+    (succs, preds)
+}
+
 /// Run `analysis` over `f` to a fixpoint with a worklist seeded in
 /// (reverse) reverse-postorder, so acyclic flow converges in one sweep.
 pub fn solve<A: DataflowAnalysis>(f: &Function, analysis: &A) -> SolveResult<A::Fact> {
     let nb = f.num_blocks();
     let dir = analysis.direction();
 
-    // Flow-order neighbor maps: `sources[b]` feeds b, `sinks[b]` is fed
-    // by b. For forward flow these are predecessors/successors; for
+    // Flow-order neighbor lists: `sources` feed a block, `sinks` are fed
+    // by it. For forward flow these are predecessors/successors; for
     // backward flow, the reverse.
-    let preds = f.predecessors();
-    let succs: Vec<Vec<BlockId>> = f.block_ids().map(|bb| f.successors(bb)).collect();
+    let (succs, preds) = adjacency(f);
     let (sources, sinks) = match dir {
         Direction::Forward => (&preds, &succs),
         Direction::Backward => (&succs, &preds),
@@ -124,7 +180,7 @@ pub fn solve<A: DataflowAnalysis>(f: &Function, analysis: &A) -> SolveResult<A::
     let entry = f.entry();
     let is_boundary = |bb: BlockId| match dir {
         Direction::Forward => bb == entry,
-        Direction::Backward => succs[bb.0 as usize].is_empty(),
+        Direction::Backward => succs.of(bb).is_empty(),
     };
 
     let mut input: Vec<A::Fact> = f
@@ -139,7 +195,11 @@ pub fn solve<A: DataflowAnalysis>(f: &Function, analysis: &A) -> SolveResult<A::
         .collect();
     let mut output: Vec<A::Fact> = f
         .block_ids()
-        .map(|bb| analysis.transfer(f, bb, &input[bb.0 as usize]))
+        .map(|bb| {
+            let mut out = analysis.top(f);
+            analysis.transfer_into(f, bb, &input[bb.0 as usize], &mut out);
+            out
+        })
         .collect();
 
     // Seed the worklist in flow order: RPO for forward, reverse RPO for
@@ -152,8 +212,12 @@ pub fn solve<A: DataflowAnalysis>(f: &Function, analysis: &A) -> SolveResult<A::
     // Unreachable blocks still get facts (initialized above) but are not
     // re-queued by neighbors of reachable ones; include them in the seed
     // so their transfer output stabilizes too.
+    let mut seen = vec![false; nb];
+    for &bb in &order {
+        seen[bb.0 as usize] = true;
+    }
     for bb in f.block_ids() {
-        if !order.contains(&bb) {
+        if !seen[bb.0 as usize] {
             order.push(bb);
         }
     }
@@ -167,46 +231,55 @@ pub fn solve<A: DataflowAnalysis>(f: &Function, analysis: &A) -> SolveResult<A::
     let mut fuel = (nb.max(1)) * (f.num_values() + 2) * 4 + 64;
     let mut converged = true;
 
+    // Scratch facts, reused across visits: a visit swaps its results into
+    // `input`/`output` and keeps the displaced facts' storage here.
+    let mut new_in = analysis.top(f);
+    let mut new_out = analysis.top(f);
+    let mut contrib = analysis.top(f);
+
     while let Some(bb) = worklist.pop_front() {
-        on_list[bb.0 as usize] = false;
+        let b = bb.0 as usize;
+        on_list[b] = false;
         if fuel == 0 {
             converged = false;
             break;
         }
         fuel -= 1;
 
-        // Recompute the input-side fact from the flow sources.
-        let new_in = if is_boundary(bb) && sources[bb.0 as usize].is_empty() {
-            analysis.boundary(f, bb)
-        } else {
-            let mut acc: Option<A::Fact> = if is_boundary(bb) {
-                // A boundary block with sources (e.g. a backward exit
-                // block that is also a loop participant) meets the
-                // boundary fact with its incoming facts.
-                Some(analysis.boundary(f, bb))
-            } else {
-                None
+        // Recompute the input-side fact from the flow sources. A boundary
+        // block with sources (e.g. a backward exit block that is also a
+        // loop participant) meets the boundary fact with its incoming
+        // facts; a block with neither keeps the optimistic top.
+        let mut have = is_boundary(bb);
+        if have {
+            new_in = analysis.boundary(f, bb);
+        }
+        for &src in sources.of(bb) {
+            let (from, to) = match dir {
+                Direction::Forward => (src, bb),
+                Direction::Backward => (bb, src),
             };
-            for &src in &sources[bb.0 as usize] {
-                let (from, to) = match dir {
-                    Direction::Forward => (src, bb),
-                    Direction::Backward => (bb, src),
-                };
-                let contrib = analysis.edge(f, from, to, &output[src.0 as usize]);
-                acc = Some(match acc {
-                    None => contrib,
-                    Some(a) => analysis.meet(&a, &contrib),
-                });
+            let s = src.0 as usize;
+            if have {
+                contrib.clone_from(&output[s]);
+                analysis.edge(f, from, to, &mut contrib);
+                analysis.meet_into(&mut new_in, &contrib);
+            } else {
+                new_in.clone_from(&output[s]);
+                analysis.edge(f, from, to, &mut new_in);
+                have = true;
             }
-            acc.unwrap_or_else(|| analysis.top(f))
-        };
+        }
+        if !have {
+            new_in = analysis.top(f);
+        }
 
-        let new_out = analysis.transfer(f, bb, &new_in);
-        let changed = new_in != input[bb.0 as usize] || new_out != output[bb.0 as usize];
-        input[bb.0 as usize] = new_in;
+        analysis.transfer_into(f, bb, &new_in, &mut new_out);
+        let changed = new_in != input[b] || new_out != output[b];
+        std::mem::swap(&mut input[b], &mut new_in);
         if changed {
-            output[bb.0 as usize] = new_out;
-            for &sink in &sinks[bb.0 as usize] {
+            std::mem::swap(&mut output[b], &mut new_out);
+            for &sink in sinks.of(bb) {
                 if !on_list[sink.0 as usize] {
                     on_list[sink.0 as usize] = true;
                     worklist.push_back(sink);
@@ -245,20 +318,27 @@ mod tests {
         fn top(&self, _f: &Function) -> Self::Fact {
             None
         }
-        fn meet(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-            match (a, b) {
-                (None, x) | (x, None) => x.clone(),
-                (Some(a), Some(b)) => Some(a.intersection(b).copied().collect()),
+        fn meet_into(&self, acc: &mut Self::Fact, other: &Self::Fact) {
+            match (acc.as_mut(), other) {
+                (_, None) => {}
+                (None, Some(_)) => acc.clone_from(other),
+                (Some(a), Some(b)) => a.retain(|v| b.contains(v)),
             }
         }
-        fn transfer(&self, f: &Function, bb: BlockId, fact: &Self::Fact) -> Self::Fact {
-            let mut out = fact.clone()?;
+        fn transfer_into(
+            &self,
+            f: &Function,
+            bb: BlockId,
+            fact: &Self::Fact,
+            out: &mut Self::Fact,
+        ) {
+            out.clone_from(fact);
+            let Some(out) = out else { return };
             for &iv in &f.block(bb).insts {
                 if let Some(pythia_ir::Inst::Store { value, .. }) = f.inst(iv) {
                     out.insert(*value);
                 }
             }
-            Some(out)
         }
     }
 
@@ -295,6 +375,35 @@ mod tests {
         assert!(!at_join.contains(&two));
         let in_then = sol.output(BlockId(1)).as_ref().unwrap();
         assert!(in_then.contains(&two));
+    }
+
+    #[test]
+    fn adjacency_lists_match_the_function_cfg() {
+        // entry -> (head, head): a branch whose arms coincide is listed
+        // twice; head -> (body | exit); body -> head.
+        let mut b = FunctionBuilder::new("f", vec![Ty::I64], Ty::I64);
+        let head = b.new_block("head");
+        let body = b.new_block("body");
+        let exit = b.new_block("exit");
+        let x = b.func().arg(0);
+        let zero = b.const_i64(0);
+        let c = b.icmp(CmpPred::Sgt, x, zero);
+        b.br(c, head, head);
+        b.switch_to(head);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        b.jmp(head);
+        b.switch_to(exit);
+        b.ret(Some(zero));
+        let f = b.finish();
+
+        let (succs, preds) = adjacency(&f);
+        let fpreds = f.predecessors();
+        for bb in f.block_ids() {
+            assert_eq!(succs.of(bb), &*f.successors(bb));
+            assert_eq!(preds.of(bb), fpreds[bb.0 as usize].as_slice());
+        }
+        assert_eq!(preds.of(BlockId(1)), [BlockId(0), BlockId(0), BlockId(2)]);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! A fact is `None` (unreachable — the optimistic ⊤) or an `Env`: a map
 //! from [`ValueId`] to [`Interval`] (an absent key means the full range,
 //! the per-variable ⊥) plus a map of *relational upper bounds* `v ≤ w + k`
-//! against non-constant SSA values `w`. The interval join widens with a
+//! against non-constant SSA values `w`. Both maps are sorted vectors —
+//! `(v, interval)` pairs and `(v, w, k)` triples in `(v, w)` order — so
+//! an environment is two allocations, the solver reuses them from visit
+//! to visit, and the join is a linear merge. The interval join widens with a
 //! *threshold set* harvested from the function's integer constants (each
 //! `c` contributes `c−1`, `c`, `c+1`, plus 0 and the i64 extremes):
 //! unequal bounds snap outward to the nearest threshold, so every
@@ -54,7 +57,10 @@
 
 use crate::dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
 use pythia_ir::{BinOp, BlockId, CmpPred, Function, Inst, Placement, ValueId, ValueKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod reference;
 
 /// Largest |k| kept in a relational fact `v ≤ w + k`. Clamping the offset
 /// bounds the relational lattice height (the join takes the max offset, so
@@ -128,36 +134,104 @@ impl Interval {
     }
 }
 
-/// Relational upper bounds of one value: `v ≤ w + k` for each entry
-/// `(w, k)`. `w` is always a non-constant SSA value.
-type UpperBounds = BTreeMap<ValueId, i64>;
+/// A relational upper bound `v ≤ w + k`, as `(v, w, k)`. `w` is always a
+/// non-constant SSA value.
+type Relation = (ValueId, ValueId, i64);
 
 /// The reachable-path fact: per-value intervals plus relational upper
 /// bounds. Absent interval key = full range; absent relation = no bound.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq)]
 struct Env {
-    iv: BTreeMap<ValueId, Interval>,
-    ub: BTreeMap<ValueId, UpperBounds>,
+    /// Tracked intervals, sorted by value.
+    iv: Vec<(ValueId, Interval)>,
+    /// Relations sorted by `(v, w)`, at most [`REL_MAX_TERMS`] per `v`.
+    ub: Vec<Relation>,
+}
+
+impl Clone for Env {
+    fn clone(&self) -> Self {
+        Env {
+            iv: self.iv.clone(),
+            ub: self.ub.clone(),
+        }
+    }
+
+    /// Reuses both vectors' storage: the solver's per-visit copy.
+    fn clone_from(&mut self, source: &Self) {
+        self.iv.clone_from(&source.iv);
+        self.ub.clone_from(&source.ub);
+    }
 }
 
 impl Env {
+    fn get(&self, v: ValueId) -> Option<Interval> {
+        self.iv
+            .binary_search_by_key(&v, |e| e.0)
+            .ok()
+            .map(|i| self.iv[i].1)
+    }
+
+    fn set(&mut self, v: ValueId, r: Interval) {
+        match self.iv.binary_search_by_key(&v, |e| e.0) {
+            Ok(i) => self.iv[i].1 = r,
+            Err(i) => self.iv.insert(i, (v, r)),
+        }
+    }
+
+    fn unset(&mut self, v: ValueId) {
+        if let Ok(i) = self.iv.binary_search_by_key(&v, |e| e.0) {
+            self.iv.remove(i);
+        }
+    }
+
+    /// Index range of `v`'s relations in `ub`.
+    fn run(&self, v: ValueId) -> std::ops::Range<usize> {
+        let start = self.ub.partition_point(|r| r.0 < v);
+        let len = self.ub[start..].partition_point(|r| r.0 == v);
+        start..start + len
+    }
+
+    /// `v`'s relations as `(w, k)` pairs, copied out so `ub` can change
+    /// while they are applied.
+    fn terms(&self, v: ValueId) -> ([(ValueId, i64); REL_MAX_TERMS], usize) {
+        let run = self.run(v);
+        debug_assert!(run.len() <= REL_MAX_TERMS);
+        let mut out = [(ValueId(0), 0); REL_MAX_TERMS];
+        for (slot, &(_, w, k)) in out.iter_mut().zip(&self.ub[run.clone()]) {
+            *slot = (w, k);
+        }
+        (out, run.len().min(REL_MAX_TERMS))
+    }
+
+    /// Drop every relation of `v`.
+    fn unbound(&mut self, v: ValueId) {
+        let run = self.run(v);
+        self.ub.drain(run);
+    }
+
     /// Record `v ≤ w + k`, clamping the offset and the per-value term
     /// count (both for lattice-height reasons, both weakening-only).
     fn bound(&mut self, v: ValueId, w: ValueId, k: i64) {
         if k.abs() > REL_K_MAX {
             return;
         }
-        let terms = self.ub.entry(v).or_default();
-        match terms.get(&w) {
+        let mut run = self.run(v);
+        match self.ub[run.clone()].binary_search_by_key(&w, |r| r.1) {
             // Keep the tighter (smaller) offset on in-path re-derivation.
-            Some(&old) if old <= k => {}
-            _ => {
-                terms.insert(w, k);
+            Ok(i) => {
+                let old = &mut self.ub[run.start + i].2;
+                if *old > k {
+                    *old = k;
+                }
+            }
+            Err(i) => {
+                self.ub.insert(run.start + i, (v, w, k));
+                run.end += 1;
             }
         }
-        while terms.len() > REL_MAX_TERMS {
-            let last = *terms.keys().next_back().expect("non-empty");
-            terms.remove(&last);
+        // Over the cap: drop the largest `w`, the run's last entry.
+        if run.len() > REL_MAX_TERMS {
+            self.ub.remove(run.end - 1);
         }
     }
 }
@@ -170,20 +244,19 @@ struct RangeAnalysis {
     /// `i64::MAX`).
     thresholds: Vec<i64>,
     /// Intervals assumed for specific values (typically parameters, seeded
-    /// from a calling context's constant arguments) at function entry.
-    param_seeds: BTreeMap<ValueId, Interval>,
+    /// from a calling context's constant arguments) at function entry,
+    /// sorted by value.
+    param_seeds: Vec<(ValueId, Interval)>,
 }
 
 impl RangeAnalysis {
-    fn for_function(f: &Function, param_seeds: BTreeMap<ValueId, Interval>) -> Self {
-        let mut ts: BTreeSet<i64> = BTreeSet::new();
-        ts.insert(i64::MIN);
-        ts.insert(0);
-        ts.insert(i64::MAX);
+    /// The analysis of `f` under `seeds`; a value seeded twice takes its
+    /// last interval.
+    fn for_function(f: &Function, seeds: &[(ValueId, Interval)]) -> Self {
+        let param_seeds: BTreeMap<ValueId, Interval> = seeds.iter().copied().collect();
+        let mut thresholds = vec![i64::MIN, 0, i64::MAX];
         let mut thresholds_around = |c: i64| {
-            ts.insert(c.saturating_sub(1));
-            ts.insert(c);
-            ts.insert(c.saturating_add(1));
+            thresholds.extend([c.saturating_sub(1), c, c.saturating_add(1)]);
         };
         for v in f.value_ids() {
             if let ValueKind::ConstInt(c) = f.value(v).kind {
@@ -197,9 +270,11 @@ impl RangeAnalysis {
             thresholds_around(iv.lo);
             thresholds_around(iv.hi);
         }
+        thresholds.sort_unstable();
+        thresholds.dedup();
         RangeAnalysis {
-            thresholds: ts.into_iter().collect(),
-            param_seeds,
+            thresholds,
+            param_seeds: param_seeds.into_iter().collect(),
         }
     }
 
@@ -242,7 +317,7 @@ impl RangeAnalysis {
     fn range_of(f: &Function, env: &Env, v: ValueId) -> Interval {
         match f.value(v).kind {
             ValueKind::ConstInt(c) => Interval::exact(c),
-            _ => env.iv.get(&v).copied().unwrap_or(Interval::FULL),
+            _ => env.get(v).unwrap_or(Interval::FULL),
         }
     }
 
@@ -253,11 +328,8 @@ impl RangeAnalysis {
     /// time.
     fn resolved_range(f: &Function, env: &Env, v: ValueId) -> Interval {
         let base = Self::range_of(f, env, v);
-        let Some(terms) = env.ub.get(&v) else {
-            return base;
-        };
         let mut hi = base.hi;
-        for (&w, &k) in terms {
+        for &(_, w, k) in &env.ub[env.run(v)] {
             let wr = Self::range_of(f, env, w);
             if wr.hi != i64::MAX {
                 hi = hi.min(wr.hi.saturating_add(k));
@@ -289,14 +361,10 @@ impl RangeAnalysis {
                 };
                 if let Some((w, c)) = shifted {
                     if !matches!(f.value(w).kind, ValueKind::ConstInt(_)) {
-                        let inherited: Vec<(ValueId, i64)> = env
-                            .ub
-                            .get(&w)
-                            .map(|ts| ts.iter().map(|(&u, &k)| (u, k.saturating_add(c))).collect())
-                            .unwrap_or_default();
+                        let (inherited, n) = env.terms(w);
                         env.bound(iv, w, c);
-                        for (u, k) in inherited {
-                            env.bound(iv, u, k);
+                        for &(u, k) in &inherited[..n] {
+                            env.bound(iv, u, k.saturating_add(c));
                         }
                     }
                 }
@@ -326,12 +394,8 @@ impl RangeAnalysis {
             _ => None,
         };
         match range {
-            Some(r) if !r.is_full() && f.value(iv).ty.is_int() => {
-                env.iv.insert(iv, r);
-            }
-            _ => {
-                env.iv.remove(&iv);
-            }
+            Some(r) if !r.is_full() && f.value(iv).ty.is_int() => env.set(iv, r),
+            _ => env.unset(iv),
         }
     }
 
@@ -445,7 +509,7 @@ impl DataflowAnalysis for RangeAnalysis {
     fn boundary(&self, _f: &Function, _bb: BlockId) -> Fact {
         Some(Env {
             iv: self.param_seeds.clone(),
-            ub: BTreeMap::new(),
+            ub: Vec::new(),
         })
     }
 
@@ -453,53 +517,51 @@ impl DataflowAnalysis for RangeAnalysis {
         None
     }
 
-    fn meet(&self, a: &Fact, b: &Fact) -> Fact {
-        match (a, b) {
-            (None, x) | (x, None) => x.clone(),
+    fn meet_into(&self, acc: &mut Fact, other: &Fact) {
+        match (acc.as_mut(), other) {
+            (_, None) => {}
+            (None, Some(_)) => acc.clone_from(other),
             (Some(a), Some(b)) => {
                 // Pointwise widened join; keys absent on either side are
                 // full there, so the join is full (drop the key).
-                let mut iv = BTreeMap::new();
-                for (v, ia) in &a.iv {
-                    if let Some(ib) = b.iv.get(v) {
-                        let j = self.join(*ia, *ib);
-                        if !j.is_full() {
-                            iv.insert(*v, j);
-                        }
+                let mut j = 0;
+                a.iv.retain_mut(|(v, ia)| {
+                    while j < b.iv.len() && b.iv[j].0 < *v {
+                        j += 1;
                     }
-                }
+                    if j == b.iv.len() || b.iv[j].0 != *v {
+                        return false;
+                    }
+                    *ia = self.join(*ia, b.iv[j].1);
+                    !ia.is_full()
+                });
                 // Relations survive a join only when both paths carry
                 // them; the joined offset is the weaker (larger) one.
-                let mut ub = BTreeMap::new();
-                for (v, ta) in &a.ub {
-                    if let Some(tb) = b.ub.get(v) {
-                        let mut terms = UpperBounds::new();
-                        for (w, ka) in ta {
-                            if let Some(kb) = tb.get(w) {
-                                terms.insert(*w, (*ka).max(*kb));
-                            }
-                        }
-                        if !terms.is_empty() {
-                            ub.insert(*v, terms);
-                        }
+                let mut j = 0;
+                a.ub.retain_mut(|(v, w, ka)| {
+                    while j < b.ub.len() && (b.ub[j].0, b.ub[j].1) < (*v, *w) {
+                        j += 1;
                     }
-                }
-                Some(Env { iv, ub })
+                    if j == b.ub.len() || (b.ub[j].0, b.ub[j].1) != (*v, *w) {
+                        return false;
+                    }
+                    *ka = (*ka).max(b.ub[j].2);
+                    true
+                });
             }
         }
     }
 
-    fn transfer(&self, f: &Function, bb: BlockId, fact: &Fact) -> Fact {
-        let mut out = fact.clone()?;
+    fn transfer_into(&self, f: &Function, bb: BlockId, fact: &Fact, out: &mut Fact) {
+        out.clone_from(fact);
+        let Some(env) = out else { return };
         for &iv in &f.block(bb).insts {
-            self.transfer_inst(f, &mut out, iv);
+            self.transfer_inst(f, env, iv);
         }
-        Some(out)
     }
 
-    fn edge(&self, f: &Function, from: BlockId, to: BlockId, fact: &Fact) -> Fact {
-        let Some(env) = fact else { return None };
-        let mut out = env.clone();
+    fn edge(&self, f: &Function, from: BlockId, to: BlockId, fact: &mut Fact) {
+        let Some(out) = fact else { return };
 
         // Branch-condition refinement: the edge taken tells us the
         // condition's outcome (unless both targets coincide).
@@ -516,23 +578,24 @@ impl DataflowAnalysis for RangeAnalysis {
                     } else {
                         Self::negate(*pred)
                     };
-                    let l = Self::range_of(f, &out, *lhs);
-                    let r = Self::range_of(f, &out, *rhs);
+                    let l = Self::range_of(f, out, *lhs);
+                    let r = Self::range_of(f, out, *rhs);
                     if let Some((nl, nr)) = Self::refine(effective, l, r) {
                         for (v, iv) in [(*lhs, nl), (*rhs, nr)] {
                             if !matches!(f.value(v).kind, ValueKind::ConstInt(_)) && !iv.is_full() {
-                                out.iv.insert(v, iv);
+                                out.set(v, iv);
                             }
                         }
                     }
-                    Self::relate(effective, &mut out, f, *lhs, *rhs);
+                    Self::relate(effective, out, f, *lhs, *rhs);
                 }
             }
         }
 
         // Phi selection: in `to`, each phi takes exactly the operand
         // flowing along this edge; bind its (refined) range and, for a
-        // non-constant operand, its relations plus `phi ≤ operand`.
+        // non-constant operand, its relations plus `phi ≤ operand`. The
+        // ranges are all read before any phi is bound.
         let mut phi_bindings: Vec<(ValueId, ValueId, Interval)> = Vec::new();
         for &iv in &f.block(to).insts {
             if let Some(Inst::Phi { incomings }) = f.inst(iv) {
@@ -541,31 +604,26 @@ impl DataflowAnalysis for RangeAnalysis {
                 }
                 for (pb, pv) in incomings {
                     if *pb == from {
-                        phi_bindings.push((iv, *pv, Self::range_of(f, &out, *pv)));
+                        phi_bindings.push((iv, *pv, Self::range_of(f, out, *pv)));
                     }
                 }
             }
         }
         for (v, pv, r) in phi_bindings {
             if r.is_full() {
-                out.iv.remove(&v);
+                out.unset(v);
             } else {
-                out.iv.insert(v, r);
+                out.set(v, r);
             }
-            out.ub.remove(&v);
+            out.unbound(v);
             if !matches!(f.value(pv).kind, ValueKind::ConstInt(_)) {
-                let inherited: Vec<(ValueId, i64)> = out
-                    .ub
-                    .get(&pv)
-                    .map(|ts| ts.iter().map(|(&u, &k)| (u, k)).collect())
-                    .unwrap_or_default();
+                let (inherited, n) = out.terms(pv);
                 out.bound(v, pv, 0);
-                for (u, k) in inherited {
+                for &(u, k) in &inherited[..n] {
                     out.bound(v, u, k);
                 }
             }
         }
-        Some(out)
     }
 }
 
@@ -588,7 +646,7 @@ pub fn value_ranges(f: &Function) -> ValueRanges {
 /// arguments). Passing seeds that over-approximate every caller keeps the
 /// result sound for that caller set; the unseeded form assumes nothing.
 pub fn value_ranges_seeded(f: &Function, seeds: &[(ValueId, Interval)]) -> ValueRanges {
-    let analysis = RangeAnalysis::for_function(f, seeds.iter().copied().collect());
+    let analysis = RangeAnalysis::for_function(f, seeds);
     let result = solve(f, &analysis);
     ValueRanges {
         analysis,

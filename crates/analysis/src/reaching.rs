@@ -5,7 +5,14 @@
 
 use crate::dataflow::{solve, DataflowAnalysis, Direction};
 use pythia_ir::{BlockId, Function, Inst, ValueId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
+
+#[cfg(test)]
+mod reference;
+
+/// A reaching fact: the `(object, store)` pairs that may reach a point,
+/// sorted, so one object's stores form a contiguous run.
+type Defs = Vec<(u32, ValueId)>;
 
 /// Flow-sensitive reaching definitions over *memory objects*.
 ///
@@ -17,52 +24,118 @@ use std::collections::{HashMap, HashSet};
 /// check-sets against a flow-sensitive ground truth.
 #[derive(Debug, Clone)]
 pub struct ReachingStores {
-    /// block -> object -> set of store instruction values
-    reach_in: Vec<HashMap<u32, HashSet<ValueId>>>,
+    /// Per block, the `(object, store)` pairs reaching its entry.
+    reach_in: Vec<Defs>,
 }
 
 /// Forward may-analysis: store instructions walk their block in order, a
 /// single-object store strongly updates (replaces) that object's def set,
-/// a multi-object store weakly extends every candidate.
-struct ReachingProblem<F: Fn(ValueId) -> Vec<u32>> {
-    objects_of: F,
+/// a multi-object store weakly extends every candidate. Each block's
+/// stores are summarized once as gen/kill sets, so a visit is one merge.
+struct ReachingProblem {
+    /// Block `b`'s summary is `gens[gen_start[b]..gen_start[b + 1]]` and
+    /// `kills[kill_start[b]..kill_start[b + 1]]`.
+    gen_start: Vec<usize>,
+    kill_start: Vec<usize>,
+    /// Pairs the block leaves reaching its exit, sorted.
+    gens: Defs,
+    /// Objects whose incoming stores the block strongly overwrites,
+    /// sorted.
+    kills: Vec<u32>,
 }
 
-impl<F: Fn(ValueId) -> Vec<u32>> DataflowAnalysis for ReachingProblem<F> {
-    type Fact = HashMap<u32, HashSet<ValueId>>;
+impl ReachingProblem {
+    /// Summarize every block's stores. `objects_of` is asked once per
+    /// store.
+    fn new(f: &Function, objects_of: impl Fn(ValueId) -> Vec<u32>) -> Self {
+        let mut p = ReachingProblem {
+            gen_start: vec![0],
+            kill_start: vec![0],
+            gens: Vec::new(),
+            kills: Vec::new(),
+        };
+        for bb in f.block_ids() {
+            // object -> (strongly overwritten in this block, its stores
+            // since the last overwrite)
+            let mut effect: BTreeMap<u32, (bool, Vec<ValueId>)> = BTreeMap::new();
+            for &iv in &f.block(bb).insts {
+                if let Some(Inst::Store { ptr, .. }) = f.inst(iv) {
+                    let objs = objects_of(*ptr);
+                    let strong = objs.len() == 1;
+                    for o in objs {
+                        let (killed, stores) = effect.entry(o).or_default();
+                        if strong {
+                            *killed = true;
+                            stores.clear();
+                        }
+                        stores.push(iv);
+                    }
+                }
+            }
+            for (o, (killed, mut stores)) in effect {
+                if killed {
+                    p.kills.push(o);
+                }
+                stores.sort_unstable();
+                stores.dedup();
+                p.gens.extend(stores.into_iter().map(|s| (o, s)));
+            }
+            p.gen_start.push(p.gens.len());
+            p.kill_start.push(p.kills.len());
+        }
+        p
+    }
+}
+
+impl DataflowAnalysis for ReachingProblem {
+    type Fact = Defs;
 
     fn direction(&self) -> Direction {
         Direction::Forward
     }
-    fn boundary(&self, _f: &Function, _bb: BlockId) -> Self::Fact {
-        HashMap::new()
+    fn boundary(&self, _f: &Function, _bb: BlockId) -> Defs {
+        Vec::new()
     }
-    fn top(&self, _f: &Function) -> Self::Fact {
-        HashMap::new()
+    fn top(&self, _f: &Function) -> Defs {
+        Vec::new()
     }
-    fn meet(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        let mut out = a.clone();
-        for (o, defs) in b {
-            out.entry(*o).or_default().extend(defs.iter().copied());
-        }
-        out
-    }
-    fn transfer(&self, f: &Function, bb: BlockId, inn: &Self::Fact) -> Self::Fact {
-        let mut out = inn.clone();
-        for &iv in &f.block(bb).insts {
-            if let Some(Inst::Store { ptr, .. }) = f.inst(iv) {
-                let objs = (self.objects_of)(*ptr);
-                let strong = objs.len() == 1;
-                for o in objs {
-                    let entry = out.entry(o).or_default();
-                    if strong {
-                        entry.clear();
-                    }
-                    entry.insert(iv);
-                }
+    /// Sorted union, merged in place from the back.
+    fn meet_into(&self, acc: &mut Defs, other: &Defs) {
+        let (n, m) = (acc.len(), other.len());
+        acc.extend_from_slice(other);
+        let (mut i, mut j, mut k) = (n, m, n + m);
+        while j > 0 {
+            k -= 1;
+            if i > 0 && acc[i - 1] > other[j - 1] {
+                i -= 1;
+                acc[k] = acc[i];
+            } else {
+                j -= 1;
+                acc[k] = other[j];
             }
         }
-        out
+        acc.dedup();
+    }
+    /// `out = gens ∪ (fact − kills)`, one sorted merge.
+    fn transfer_into(&self, _f: &Function, bb: BlockId, fact: &Defs, out: &mut Defs) {
+        let b = bb.0 as usize;
+        let gens = &self.gens[self.gen_start[b]..self.gen_start[b + 1]];
+        let kills = &self.kills[self.kill_start[b]..self.kill_start[b + 1]];
+        out.clear();
+        let mut kills = kills.iter().peekable();
+        let mut gens = gens.iter().peekable();
+        for &d in fact {
+            while kills.next_if(|&&o| o < d.0).is_some() {}
+            if kills.peek() == Some(&&d.0) {
+                continue;
+            }
+            while let Some(&g) = gens.next_if(|&&g| g < d) {
+                out.push(g);
+            }
+            gens.next_if_eq(&&d);
+            out.push(d);
+        }
+        out.extend(gens);
     }
 }
 
@@ -71,7 +144,7 @@ impl ReachingStores {
     /// the object ids it may write (points-to abstraction, supplied by
     /// the caller so this module stays independent of the alias crate).
     pub fn compute(f: &Function, objects_of: impl Fn(ValueId) -> Vec<u32>) -> Self {
-        let sol = solve(f, &ReachingProblem { objects_of });
+        let sol = solve(f, &ReachingProblem::new(f, objects_of));
         ReachingStores {
             reach_in: sol.input,
         }
@@ -79,10 +152,13 @@ impl ReachingStores {
 
     /// Stores of `obj` that may reach the entry of `bb`.
     pub fn reaching(&self, bb: BlockId, obj: u32) -> HashSet<ValueId> {
-        self.reach_in[bb.0 as usize]
-            .get(&obj)
-            .cloned()
-            .unwrap_or_default()
+        let defs = &self.reach_in[bb.0 as usize];
+        let start = defs.partition_point(|d| d.0 < obj);
+        defs[start..]
+            .iter()
+            .take_while(|d| d.0 == obj)
+            .map(|d| d.1)
+            .collect()
     }
 }
 

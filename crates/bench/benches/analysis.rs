@@ -1,9 +1,14 @@
 //! Analysis-pipeline benchmarks: points-to, branch decomposition, the
-//! full vulnerability report and the overflow-reach fixpoint over a large
+//! full vulnerability report, the overflow-reach fixpoint and the two
+//! per-function dataflow solves (intervals, reaching stores) over a large
 //! generated benchmark.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pythia_analysis::{OverflowReach, PointsTo, SliceContext, SliceMode, VulnerabilityReport};
+use pythia_analysis::{
+    value_ranges, value_ranges_seeded, Interval, OverflowReach, PointsTo, ReachingStores,
+    SliceContext, SliceMode, VulnerabilityReport,
+};
+use pythia_ir::{FuncId, ValueId};
 use pythia_workloads::{generate, profile_by_name};
 
 fn bench_analysis(c: &mut Criterion) {
@@ -66,9 +71,65 @@ fn bench_reach(c: &mut Criterion) {
     g.finish();
 }
 
+/// The interval fixpoint over every gcc function: unseeded, and under
+/// each distinct seed list the pruner's in-bounds proofs solve with.
+fn bench_intervals(c: &mut Criterion) {
+    let m = generate(profile_by_name("gcc").unwrap());
+    let ctx = SliceContext::new(&m);
+    OverflowReach::compute(&ctx);
+    let mut seeded: Vec<(FuncId, Vec<(ValueId, Interval)>)> = Vec::new();
+    for a in ctx.proof_answers() {
+        let key = (a.func, a.seeds);
+        if !seeded.contains(&key) {
+            seeded.push(key);
+        }
+    }
+    seeded.sort_by_key(|(fid, _)| *fid);
+    let mut g = c.benchmark_group("intervals");
+    g.bench_function("value_ranges_gcc", |b| {
+        b.iter(|| {
+            for f in m.functions() {
+                std::hint::black_box(value_ranges(f));
+            }
+        })
+    });
+    g.bench_function("value_ranges_seeded_gcc", |b| {
+        b.iter(|| {
+            for (fid, seeds) in &seeded {
+                std::hint::black_box(value_ranges_seeded(m.func(*fid), seeds));
+            }
+        })
+    });
+    g.finish();
+}
+
+/// Reaching stores over every gcc function, with the points-to sets as
+/// the store-to-object map (the dead-store pass's question).
+fn bench_reaching(c: &mut Criterion) {
+    let m = generate(profile_by_name("gcc").unwrap());
+    let pt = PointsTo::analyze(&m);
+    let mut g = c.benchmark_group("reaching");
+    g.bench_function("compute_gcc", |b| {
+        b.iter(|| {
+            for (i, f) in m.functions().iter().enumerate() {
+                let fid = FuncId(i as u32);
+                std::hint::black_box(ReachingStores::compute(f, |v| {
+                    let p = pt.points_to(fid, v);
+                    if p.unknown {
+                        Vec::new()
+                    } else {
+                        p.objects.iter().copied().collect()
+                    }
+                }));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_analysis, bench_reach
+    targets = bench_analysis, bench_reach, bench_intervals, bench_reaching
 }
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Functions, basic blocks and the per-function value table.
 
-use crate::instr::{BlockId, FuncId, GlobalId, Inst, ValueId};
+use crate::instr::{BlockId, FuncId, GlobalId, Inst, Successors, ValueId};
 use crate::types::Ty;
 
 /// What a [`ValueId`] refers to.
@@ -183,10 +183,9 @@ impl Function {
     }
 
     /// Successor blocks of `bb` (empty for return/unreachable blocks).
-    pub fn successors(&self, bb: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, bb: BlockId) -> Successors {
         self.terminator(bb)
-            .map(Inst::successors)
-            .unwrap_or_default()
+            .map_or(Successors::NONE, Inst::successors)
     }
 
     /// Predecessor map: `preds[b]` lists blocks that branch to `b`.
@@ -315,7 +314,7 @@ mod tests {
     #[test]
     fn successors_and_predecessors() {
         let f = two_block_fn();
-        assert_eq!(f.successors(BlockId(0)), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*f.successors(BlockId(0)), [BlockId(1), BlockId(2)]);
         let preds = f.predecessors();
         assert_eq!(preds[1], vec![BlockId(0)]);
         assert_eq!(preds[2], vec![BlockId(0)]);

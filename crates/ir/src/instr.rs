@@ -21,6 +21,40 @@ pub struct FuncId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalId(pub u32);
 
+/// The successor blocks of a terminator, held inline: PIR terminators
+/// have at most two, so CFG walks never allocate a list per block.
+/// Derefs to the successor slice and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl Successors {
+    /// No successors (return, unreachable, or not a terminator).
+    pub const NONE: Successors = Successors {
+        blocks: [BlockId(0); 2],
+        len: 0,
+    };
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(self.len as usize)
+    }
+}
+
 impl fmt::Display for ValueId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "%{}", self.0)
@@ -339,13 +373,19 @@ impl Inst {
     }
 
     /// Successor blocks if this is a terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Successors {
         match self {
             Inst::Br {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Inst::Jmp { target } => vec![*target],
-            _ => vec![],
+            } => Successors {
+                blocks: [*then_bb, *else_bb],
+                len: 2,
+            },
+            Inst::Jmp { target } => Successors {
+                blocks: [*target; 2],
+                len: 1,
+            },
+            _ => Successors::NONE,
         }
     }
 
@@ -522,8 +562,13 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Inst::Ret { value: None }.successors(), vec![]);
+        assert_eq!(*br.successors(), [BlockId(1), BlockId(2)]);
+        assert!(Inst::Ret { value: None }.successors().is_empty());
+        let jmp = Inst::Jmp { target: BlockId(3) };
+        assert_eq!(
+            jmp.successors().into_iter().collect::<Vec<_>>(),
+            [BlockId(3)]
+        );
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub use builder::FunctionBuilder;
 pub use error::{DetectionKind, ErrorContext, PythiaError};
 pub use function::{Block, Function, Placement, ValueData, ValueKind};
 pub use instr::{
-    dfi_def_id, BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, GlobalId, Inst, PaKey, ValueId,
+    dfi_def_id, BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, GlobalId, Inst, PaKey,
+    Successors, ValueId,
 };
 pub use intrinsics::{IcCategory, Intrinsic, IntrinsicSignature};
 pub use module::{Global, GlobalInit, Module};

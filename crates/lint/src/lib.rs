@@ -1295,15 +1295,14 @@ impl DataflowAnalysis for CanaryChecked<'_> {
     fn top(&self, _f: &Function) -> Self::Fact {
         self.canaries.clone()
     }
-    fn meet(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.intersection(b).copied().collect()
+    fn meet_into(&self, acc: &mut Self::Fact, other: &Self::Fact) {
+        acc.retain(|c| other.contains(c));
     }
-    fn transfer(&self, f: &Function, bb: BlockId, fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
+    fn transfer_into(&self, f: &Function, bb: BlockId, fact: &Self::Fact, out: &mut Self::Fact) {
+        out.clone_from(fact);
         for &iv in f.block(bb).insts.iter().rev() {
-            checked_step(f, self.canaries, iv, &mut out);
+            checked_step(f, self.canaries, iv, out);
         }
-        out
     }
 }
 
@@ -1366,15 +1365,14 @@ impl DataflowAnalysis for CanaryFresh<'_> {
     fn top(&self, _f: &Function) -> Self::Fact {
         self.canaries.clone()
     }
-    fn meet(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.intersection(b).copied().collect()
+    fn meet_into(&self, acc: &mut Self::Fact, other: &Self::Fact) {
+        acc.retain(|c| other.contains(c));
     }
-    fn transfer(&self, f: &Function, bb: BlockId, fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
+    fn transfer_into(&self, f: &Function, bb: BlockId, fact: &Self::Fact, out: &mut Self::Fact) {
+        out.clone_from(fact);
         for &iv in &f.block(bb).insts {
-            fresh_step(f, self.canaries, iv, &mut out);
+            fresh_step(f, self.canaries, iv, out);
         }
-        out
     }
 }
 

@@ -376,25 +376,58 @@ impl Memory {
         Ok(())
     }
 
+    /// Length of the NUL-terminated C string starting at `addr`, capped
+    /// at `max`: the length of what [`Memory::read_cstr`] returns, without
+    /// building it.
+    ///
+    /// # Errors
+    ///
+    /// Faults at the first invalid address the scan reaches, like a
+    /// byte-by-byte [`Memory::read_u8`] walk.
+    pub fn cstr_len(&self, addr: u64, max: u64) -> Result<u64, MemoryFault> {
+        if max == 0 {
+            return Ok(0);
+        }
+        // Page-chunked, like `read_bytes`: the valid range is contiguous
+        // and ends at `1 << VA_BITS`, so a byte walk either stops inside
+        // the valid prefix or faults at its end (the end comes before any
+        // `u64` wrap). An unwritten page reads as zeros, ending the string
+        // at its first byte.
+        let valid = if (NULL_GUARD..(1 << VA_BITS)).contains(&addr) {
+            max.min((1 << VA_BITS) - addr)
+        } else {
+            0
+        };
+        let mut i = 0u64;
+        while i < valid {
+            let a = addr + i;
+            let off = (a % PAGE_SIZE) as usize;
+            let take = (PAGE_SIZE as usize - off).min((valid - i) as usize);
+            let Some(p) = self.page(a / PAGE_SIZE) else {
+                return Ok(i);
+            };
+            if let Some(n) = p[off..off + take].iter().position(|&b| b == 0) {
+                return Ok(i + n as u64);
+            }
+            i += take as u64;
+        }
+        if valid < max {
+            return Err(MemoryFault {
+                addr: addr + valid,
+                write: false,
+            });
+        }
+        Ok(max)
+    }
+
     /// Read a NUL-terminated C string starting at `addr`, capped at `max`.
     ///
     /// # Errors
     ///
-    /// Faults like [`Memory::read_u8`].
+    /// Faults like [`Memory::cstr_len`].
     pub fn read_cstr(&self, addr: u64, max: u64) -> Result<Vec<u8>, MemoryFault> {
-        let mut out = Vec::new();
-        for i in 0..max {
-            let a = addr.checked_add(i).ok_or(MemoryFault {
-                addr: u64::MAX,
-                write: false,
-            })?;
-            let b = self.read_u8(a)?;
-            if b == 0 {
-                break;
-            }
-            out.push(b);
-        }
-        Ok(out)
+        let n = self.cstr_len(addr, max)?;
+        self.read_bytes(addr, n)
     }
 
     /// Number of resident pages (for memory accounting in tests).
@@ -464,6 +497,77 @@ mod tests {
         m.write_bytes(0x6000, b"admin\0junk").unwrap();
         assert_eq!(m.read_cstr(0x6000, 64).unwrap(), b"admin");
         assert_eq!(m.read_cstr(0x6000, 3).unwrap(), b"adm");
+    }
+
+    /// The byte-at-a-time scan `cstr_len`/`read_cstr` must reproduce.
+    fn cstr_bytewise(m: &Memory, addr: u64, max: u64) -> Result<Vec<u8>, MemoryFault> {
+        let mut out = Vec::new();
+        for i in 0..max {
+            let a = addr.checked_add(i).ok_or(MemoryFault {
+                addr: u64::MAX,
+                write: false,
+            })?;
+            let b = m.read_u8(a)?;
+            if b == 0 {
+                break;
+            }
+            out.push(b);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn cstr_scan_matches_a_byte_walk() {
+        let mut m = Memory::new();
+        let top = 1u64 << VA_BITS;
+        // Straddles a page boundary, NUL on the second page.
+        m.write_bytes(3 * PAGE_SIZE - 4, b"straddle\0").unwrap();
+        // Runs to the end of its page; the next page is unwritten.
+        m.write_bytes(6 * PAGE_SIZE - 5, b"edge!").unwrap();
+        // Fills two whole pages with no NUL.
+        m.write_bytes(8 * PAGE_SIZE, &[b'x'; 2 * PAGE_SIZE as usize])
+            .unwrap();
+        // Runs into the end of the address space.
+        m.write_bytes(top - 3, b"end").unwrap();
+        let cases = [
+            (3 * PAGE_SIZE - 4, 64),
+            (3 * PAGE_SIZE - 4, 6),
+            (6 * PAGE_SIZE - 5, 64),
+            (8 * PAGE_SIZE, 2 * PAGE_SIZE + 7),
+            (8 * PAGE_SIZE + 9, PAGE_SIZE),
+            (top - 3, 2),
+            (top - 3, 3),
+            (top - 3, 64),
+            (top - 3, u64::MAX),
+            (top, 4),
+            (NULL_GUARD - 1, 4),
+            (0, 0),
+            (u64::MAX - 2, 16),
+            (u64::MAX, u64::MAX),
+            (0x5000, 0),
+            (0x5000, 8),
+        ];
+        for (addr, max) in cases {
+            let want = cstr_bytewise(&m, addr, max);
+            assert_eq!(m.read_cstr(addr, max), want, "read_cstr({addr:#x}, {max})");
+            assert_eq!(
+                m.cstr_len(addr, max),
+                want.map(|s| s.len() as u64),
+                "cstr_len({addr:#x}, {max})"
+            );
+        }
+        assert_eq!(m.read_cstr(3 * PAGE_SIZE - 4, 64).unwrap(), b"straddle");
+        assert_eq!(
+            m.cstr_len(8 * PAGE_SIZE, 2 * PAGE_SIZE + 7),
+            Ok(2 * PAGE_SIZE)
+        );
+        assert_eq!(
+            m.cstr_len(top - 3, 64),
+            Err(MemoryFault {
+                addr: top,
+                write: false
+            })
+        );
     }
 
     #[test]

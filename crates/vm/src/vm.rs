@@ -1256,9 +1256,9 @@ impl<'m> Vm<'m> {
                 } else {
                     uarg(0)
                 };
-                let s = self.mem.read_cstr(fmt_addr, 256)?;
-                self.charge(self.cost.bulk_per_byte * s.len() as u64);
-                Ok(s.len() as i64)
+                let n = self.mem.cstr_len(fmt_addr, 256)?;
+                self.charge(self.cost.bulk_per_byte * n);
+                Ok(n as i64)
             }
             // ---- scan class ----
             Intrinsic::Scanf | Intrinsic::Sscanf => {
@@ -1368,7 +1368,7 @@ impl<'m> Vm<'m> {
                 let dst = uarg(0);
                 let src = uarg(1);
                 let n = next_ic(self);
-                let existing = self.mem.read_cstr(dst, 1 << 16)?;
+                let existing = self.mem.cstr_len(dst, 1 << 16)?;
                 let mut bytes = match self.plan.attack_for(n) {
                     Some(a) => a.payload.clone(),
                     None => self.mem.read_cstr(src, 1 << 16)?,
@@ -1376,7 +1376,7 @@ impl<'m> Vm<'m> {
                 if i == Intrinsic::Strncat && self.plan.attack_for(n).is_none() {
                     bytes.truncate(uarg(2) as usize);
                 }
-                bulk_write!(dst + existing.len() as u64, &bytes, true);
+                bulk_write!(dst + existing, &bytes, true);
                 Ok(dst as i64)
             }
             Intrinsic::Sprintf => {
@@ -1458,11 +1458,11 @@ impl<'m> Vm<'m> {
             // ---- string helpers ----
             Intrinsic::Strlen => {
                 let p = uarg(0);
-                let s = self.mem.read_cstr(p, 1 << 20)?;
-                self.charge(self.cost.bulk_per_byte * s.len() as u64);
-                let extra = self.cache_range(p, s.len() as u64 + 1);
+                let n = self.mem.cstr_len(p, 1 << 20)?;
+                self.charge(self.cost.bulk_per_byte * n);
+                let extra = self.cache_range(p, n + 1);
                 self.charge(extra);
-                Ok(s.len() as i64)
+                Ok(n as i64)
             }
             Intrinsic::Strcmp | Intrinsic::Strncmp => {
                 let a = self.mem.read_cstr(uarg(0), 1 << 16)?;
