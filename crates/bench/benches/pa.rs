@@ -1,7 +1,10 @@
 //! Micro-benchmarks of the software PA substrate: the QARMA-like cipher,
-//! signing, and authentication throughput. `pa/sign` signs a new value
-//! each time and so always misses `PaContext`'s PAC memo; the two
-//! sign-then-auth cases time the hit path.
+//! signing, and authentication throughput. `pa/mac24` is the cipher call
+//! every PAC cache miss pays; `pa/sign` signs a new value each time and
+//! so misses both `PaContext`'s PAC memo and the per-thread cache behind
+//! it; the two sign-then-auth cases time the memo's hit path, and
+//! `pa/request_pattern` a server request's: a fresh context whose PACs
+//! earlier requests on the thread already computed.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pythia_pa::{cipher, Key128, PaContext, PaKey};
@@ -57,9 +60,31 @@ fn bench_sign_auth(c: &mut Criterion) {
     });
 }
 
+/// One server request's PA traffic: a fresh `PaContext` (a request VM
+/// builds its own) signs each of 200 `(value, slot)` pairs and
+/// authenticates it back. Every request uses the same keys and pairs, as
+/// requests of one epoch do, so after the first iteration the thread's
+/// cache is warm while each context's memo starts cold.
+fn bench_request_pattern(c: &mut Criterion) {
+    let pairs: Vec<(u64, u64)> = (0..200u64)
+        .map(|i| (cipher::splitmix64(i) & 0xff_ffff_ffff, 0x7fff_0000 + 8 * i))
+        .collect();
+    c.bench_function("pa/request_pattern", |b| {
+        b.iter(|| {
+            let ctx = PaContext::from_seed(1);
+            let mut acc = 0u64;
+            for &(v, slot) in &pairs {
+                let signed = ctx.sign(PaKey::Da, v, slot);
+                acc ^= ctx.auth(PaKey::Da, signed, slot).unwrap_or(0);
+            }
+            std::hint::black_box(acc)
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_cipher, bench_sign_auth
+    targets = bench_cipher, bench_sign_auth, bench_request_pattern
 }
 criterion_main!(benches);

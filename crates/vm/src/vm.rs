@@ -854,11 +854,20 @@ impl<'m> Vm<'m> {
     /// Mark PA site `site` ([`DecodedModule::pa_site`]) executed. The
     /// bitset is allocated by the first PA op, so a PA-free run never
     /// pays for it.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn mark_pa_site(&mut self, site: usize) {
-        if self.pa_site_bits.is_empty() {
-            self.pa_site_bits = vec![0; self.decoded.site_words()];
+        match self.pa_site_bits.get_mut(site / 64) {
+            Some(word) => *word |= 1 << (site % 64),
+            None => self.mark_first_pa_site(site),
         }
+    }
+
+    /// [`Self::mark_pa_site`] for the run's first PA op: allocate the
+    /// bitset, then mark.
+    #[cold]
+    #[inline(never)]
+    fn mark_first_pa_site(&mut self, site: usize) {
+        self.pa_site_bits = vec![0; self.decoded.site_words()];
         self.pa_site_bits[site / 64] |= 1 << (site % 64);
     }
 

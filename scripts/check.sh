@@ -324,7 +324,11 @@ echo "OK: ref-tier lbm proves gep bounds and prunes obligations"
 # errors; the greps keep the gate honest against exit-code regressions.
 # It runs at pool widths 1 and 4: the event loops go through the worker
 # pool, and BENCH_server.json must not depend on its width. A third run
-# on the legacy engine must give the same bytes as the block engine.
+# on the legacy engine must give the same bytes as the block engine, and
+# all three must equal the committed scripts/golden/BENCH_server-8x4000.json,
+# so a change that alters every run the same way fails too. A change that
+# alters what a request charges on purpose regenerates the golden file
+# and says why.
 echo "== server scenario smoke gate (event loop, timed window attacks) =="
 for threads in 1 4; do
     PYTHIA_THREADS=$threads target/release/reproduce --scenario server \
@@ -348,6 +352,10 @@ if [ ! -f "$SRVJSON" ]; then
     exit 1
 fi
 require_json "$SRVJSON"
+if ! diff -u scripts/golden/BENCH_server-8x4000.json "$SRVJSON"; then
+    echo "FAIL: BENCH_server.json differs from scripts/golden/BENCH_server-8x4000.json" >&2
+    exit 1
+fi
 if grep -qE '"internal_errors": [1-9]' "$SRVJSON"; then
     echo "FAIL: server scenario recorded internal errors:" >&2
     grep '"internal_errors"' "$SRVJSON" >&2
@@ -390,6 +398,6 @@ if [ -n "$rate_failures" ]; then
     echo "$rate_failures" >&2
     exit 1
 fi
-echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, cpa and dfi detect every attack at every offset and vanilla none, zero internal errors, same JSON at 1 and 4 threads and on both engines"
+echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, cpa and dfi detect every attack at every offset and vanilla none, zero internal errors, same JSON at 1 and 4 threads, on both engines and as the golden file"
 
 echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, profiler, pruning, ref-tier and server-scenario gates are clean ($JSON)"

@@ -2,9 +2,10 @@
 //! values, modifiers and PAC widths. Every PAC the VM computes, and so
 //! every detection result and digest, rests on these values; a change to
 //! the cipher, the key derivation or `PaContext`'s PAC memo that alters
-//! any PAC fails here.
+//! any PAC fails here, and so does a PAC cache that answers one
+//! context with another's PAC.
 
-use pythia::pa::{PaContext, PaKey, PacConfig};
+use pythia::pa::{cipher, Key128, PaContext, PaKey, PacConfig};
 
 const KEYS: [PaKey; 5] = [PaKey::Ia, PaKey::Ib, PaKey::Da, PaKey::Db, PaKey::Ga];
 
@@ -45,5 +46,56 @@ fn sign_matches_golden_vectors() {
             );
             assert_eq!(c.auth(key, want, md), Ok(v));
         }
+    }
+}
+
+/// Many contexts interleaved on one thread, as a server's request VMs
+/// are: every `sign` and `auth` must give the cipher's own answer,
+/// whichever context computed a PAC first and whatever its geometry. The
+/// values and modifiers come from small pools, so contexts ask for one
+/// another's PACs and each context's memo evicts its own.
+#[test]
+fn interleaved_contexts_agree_with_the_cipher() {
+    let geometries = [
+        geometry(40, 8),
+        geometry(40, 12),
+        geometry(40, 16),
+        geometry(40, 24),
+        geometry(32, 32),
+    ];
+    let seeds = [1u64, 2, 7, 42];
+    // Two contexts per seed and geometry, like two requests of one epoch.
+    let contexts: Vec<(u64, PacConfig, PaContext)> = seeds
+        .iter()
+        .flat_map(|&seed| geometries.map(|g| (seed, g)))
+        .flat_map(|(seed, g)| [0, 1].map(|_| (seed, g, PaContext::from_seed(seed).with_config(g))))
+        .collect();
+    let values: Vec<u64> = (0..48)
+        .map(|i| cipher::splitmix64(i) & 0xffff_ffff)
+        .collect();
+    let modifiers: Vec<u64> = (0..12)
+        .map(|i| 0x7fff_0000 + 8 * (cipher::splitmix64(i ^ 0x55) % 4096))
+        .collect();
+    let mut x = 0u64;
+    for round in 0..40_000u64 {
+        x = cipher::splitmix64(x ^ round);
+        let (seed, cfg, c) = &contexts[x as usize % contexts.len()];
+        let k = (x >> 8) as usize % KEYS.len();
+        let v = values[(x >> 16) as usize % values.len()] & cfg.va_mask();
+        let md = modifiers[(x >> 32) as usize % modifiers.len()];
+        // `PaContext::from_seed` derives key `k` from `seed + k * 0x1000`.
+        let key = Key128::from_seed(seed.wrapping_add(k as u64 * 0x1000));
+        let want = cfg.pack(v, cipher::mac(key, md, v, cfg.pac_bits));
+        assert_eq!(
+            c.sign(KEYS[k], v, md),
+            want,
+            "seed {seed} {cfg:?} {:?} {v:#x} {md:#x}",
+            KEYS[k]
+        );
+        assert_eq!(c.auth(KEYS[k], want, md), Ok(v));
+        // A wrong modifier passes exactly when the cipher gives it the
+        // same PAC (about 2^-bits of the time).
+        let forged = cipher::mac(key, md ^ 8, v, cfg.pac_bits) == cfg.unpack(want).1;
+        assert_eq!(c.auth(KEYS[k], want, md ^ 8).is_ok(), forged);
     }
 }
