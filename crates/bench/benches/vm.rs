@@ -12,6 +12,12 @@
 //! one thread: building a fresh `Vm` over the server module alone, and
 //! building it plus running one `handle_request`, per scheme.
 //!
+//! `vm_fork` prices what a campaign smash no longer pays: cloning a
+//! block-engine VM paused halfway through mcf under Pythia, against
+//! building a fresh VM and re-running it to the same pause. Its
+//! `run_campaign` cases time a whole Pythia campaign on mcf (analysis
+//! included), forked on the block engine and replayed on the legacy one.
+//!
 //! `vm_ops` runs op-class micro-kernels written in textual PIR, each a
 //! loop dominated by one class of operation: an ALU chain, calls and
 //! returns, a load/store stream over two arrays, a phi-heavy loop, a
@@ -21,7 +27,7 @@
 //! ns/op on each engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pythia_core::{instrument, Scheme};
+use pythia_core::{instrument, run_campaign, Scheme};
 use pythia_ir::parser::parse_module;
 use pythia_vm::{DecodedModule, Engine, InputPlan, Vm, VmConfig};
 use pythia_workloads::{generate, profile_by_name, server_module};
@@ -203,8 +209,9 @@ fn bench_vm_ops(c: &mut Criterion) {
         let m = parse_module(src).expect("kernel parses");
         let decoded = DecodedModule::eager(&m);
         for engine in [Engine::Legacy, Engine::Block] {
-            // On the calling thread: a per-run interpreter thread spawn
-            // would be timed with every run.
+            // Both engines on the calling thread (the block engine always
+            // is): a legacy per-run interpreter thread spawn would be
+            // timed with every run.
             let cfg = VmConfig {
                 inline_exec: true,
                 ..cfg_for(engine)
@@ -313,9 +320,48 @@ fn bench_vm_construct(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_vm_fork(c: &mut Criterion) {
+    let p = profile_by_name("505.mcf_r").expect("profile");
+    let m = generate(p);
+    let inst = instrument(&m, Scheme::Pythia);
+    let decoded = DecodedModule::eager(&inst.module);
+    let cfg = cfg_for(Engine::Block);
+    let channels = Vm::with_decoded(
+        &inst.module,
+        Arc::clone(&decoded),
+        cfg.clone(),
+        InputPlan::benign(p.seed),
+    )
+    .run("main", &[])
+    .unwrap()
+    .metrics
+    .ic_writes;
+    let paused_at = |n| {
+        let mut vm = Vm::with_decoded(
+            &inst.module,
+            Arc::clone(&decoded),
+            cfg.clone(),
+            InputPlan::benign(p.seed),
+        );
+        vm.start("main", &[]).unwrap();
+        assert!(vm.run_to_channel(n).unwrap().is_none(), "mcf pauses");
+        vm
+    };
+    let paused = paused_at(channels / 2);
+    let mut g = c.benchmark_group("vm_fork");
+    g.bench_function("clone_paused", |b| b.iter(|| paused.clone()));
+    g.bench_function("replay_to_pause", |b| b.iter(|| paused_at(channels / 2)));
+    for engine in [Engine::Legacy, Engine::Block] {
+        g.bench_function(format!("run_campaign_mcf_{}", engine.name()), |b| {
+            b.iter(|| run_campaign(&m, Scheme::Pythia, p.seed, 64, 32, &cfg_for(engine)).unwrap())
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_retirement, bench_decode, bench_vm_construct, bench_vm_ops
+    targets = bench_retirement, bench_decode, bench_vm_construct, bench_vm_ops, bench_vm_fork
 }
 criterion_main!(benches);

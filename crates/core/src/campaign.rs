@@ -156,28 +156,43 @@ pub fn run_campaign_with(
 
     // Reference run: how many writing-channel executions are there, and
     // what does benign behaviour look like?
-    let benign = {
-        let mut vm = Vm::with_decoded(
-            &inst.module,
-            Arc::clone(&decoded),
-            cfg.clone(),
-            InputPlan::benign(seed),
-        );
-        vm.run("main", &[])
-            .map_err(|e| e.with_function(module.name.clone()))?
-    };
+    let in_module = |e: PythiaError| e.with_function(module.name.clone());
+    let benign = Vm::with_decoded(
+        &inst.module,
+        Arc::clone(&decoded),
+        cfg.clone(),
+        InputPlan::benign(seed),
+    )
+    .run("main", &[])
+    .map_err(in_module)?;
     let total_channels = benign.metrics.ic_writes;
     let step = (total_channels / max_attacks.max(1)).max(1);
 
+    // The smashes fork from one benign driver run: it pauses before each
+    // target channel execution, and a clone armed with the smash runs on
+    // from there. Everything before the target is the benign run, so the
+    // clone returns what a fresh attacked run would, without re-executing
+    // that prefix (DESIGN.md §5f). The legacy engine cannot pause: its
+    // driver never leaves the start, and each clone replays the run.
+    let mut driver = Vm::with_decoded(
+        &inst.module,
+        Arc::clone(&decoded),
+        cfg.clone(),
+        InputPlan::benign(seed),
+    );
+    driver.start("main", &[]).map_err(in_module)?;
     let mut outcomes: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut attacks = 0;
     let mut target = 0u64;
     while target < total_channels && attacks < max_attacks {
-        let plan = InputPlan::with_attack(seed, AttackSpec::smash(target, payload_len));
-        let mut vm = Vm::with_decoded(&inst.module, Arc::clone(&decoded), cfg.clone(), plan);
-        let r = vm
-            .run("main", &[])
-            .map_err(|e| e.with_function(module.name.clone()))?;
+        if driver.run_to_channel(target).map_err(in_module)?.is_some() {
+            return Err(in_module(PythiaError::internal(format!(
+                "the benign run ended before channel execution {target} of {total_channels}"
+            ))));
+        }
+        let mut smash = driver.clone();
+        smash.arm(AttackSpec::smash(target, payload_len));
+        let r = smash.resume().map_err(in_module)?;
         let outcome = match r.detected() {
             Some(mech) => AttackOutcome::Detected(mech),
             None => match (&r.exit, &benign.exit) {

@@ -462,6 +462,9 @@ pub struct DecodedModule {
     pub(crate) funcs: Vec<DecodedFunction>,
     /// Values across all functions: the number of PA-site numbers.
     sites: usize,
+    /// The module's static `(signs, auths, strips)`, counted by the first
+    /// profiled run.
+    static_pa: OnceLock<(u64, u64, u64)>,
 }
 
 /// Chain-length bound for superblock formation (incl. the head block).
@@ -516,7 +519,11 @@ impl DecodedModule {
                 blocks: (0..f.num_blocks()).map(|_| OnceLock::new()).collect(),
             })
             .collect();
-        DecodedModule { funcs, sites }
+        DecodedModule {
+            funcs,
+            sites,
+            static_pa: OnceLock::new(),
+        }
     }
 
     /// The decoded superblock headed at `(fid, bb)`, decoding it on first
@@ -557,6 +564,15 @@ impl DecodedModule {
     /// distinct per `(fid, iv)`, and less than 64 × [`Self::site_words`].
     pub(crate) fn pa_site(&self, fid: FuncId, iv: ValueId) -> usize {
         self.funcs[fid.0 as usize].site_base + iv.0 as usize
+    }
+
+    /// [`static_pa_counts`](crate::profile::static_pa_counts) of
+    /// `module`, counted once per cache. `module` must be the module this
+    /// cache was built from.
+    pub(crate) fn static_pa(&self, module: &Module) -> (u64, u64, u64) {
+        *self
+            .static_pa
+            .get_or_init(|| crate::profile::static_pa_counts(module))
     }
 
     /// `u64` words of a bitset with one bit per site number.

@@ -74,8 +74,15 @@ impl InputPlan {
     /// A plan with one attack.
     pub fn with_attack(seed: u64, attack: AttackSpec) -> Self {
         let mut p = InputPlan::benign(seed);
-        p.attacks.push(attack);
+        p.arm(attack);
         p
+    }
+
+    /// Add an attack to the plan. Every answer is keyed by the channel
+    /// execution it is for, so arming a plan partway through a run
+    /// changes nothing before `attack.ic_execution`.
+    pub fn arm(&mut self, attack: AttackSpec) {
+        self.attacks.push(attack);
     }
 
     /// Set the value range benign `scanf`-class inputs draw from.

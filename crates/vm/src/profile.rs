@@ -97,14 +97,6 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Scan `module` and fill the static PA instruction counters.
-    pub fn scan_static_pa(&mut self, module: &Module) {
-        let (signs, auths, strips) = static_pa_counts(module);
-        self.pa.static_signs = signs;
-        self.pa.static_auths = auths;
-        self.pa.static_strips = strips;
-    }
-
     /// The `n` most-executed opcodes, most frequent first (ties break by
     /// mnemonic, so the order is deterministic).
     pub fn top_opcodes(&self, n: usize) -> Vec<(&'static str, u64)> {
@@ -166,8 +158,5 @@ mod tests {
         b.ret(Some(a));
         m.add_function(b.finish());
         assert_eq!(static_pa_counts(&m), (1, 1, 0));
-        let mut p = Profile::default();
-        p.scan_static_pa(&m);
-        assert_eq!(p.pa.static_sign_auth(), 2);
     }
 }

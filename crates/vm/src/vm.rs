@@ -20,7 +20,8 @@ use crate::decode::{
     cost_table, op_class, DecodedModule, FrameLayout, MNEMONICS, MN_BR, MN_CALL, MN_CHKDEF,
     MN_LOAD, MN_PACAUTH, MN_PACSIGN, MN_PACSTRIP, MN_PHI, MN_SETDEF, MN_STORE, N_MNEMONICS,
 };
-use crate::input::{InputPlan, IntOrPayload};
+use crate::engine::{BlockFrame, Stop};
+use crate::input::{AttackSpec, InputPlan, IntOrPayload};
 use crate::memory::{layout, FastMap, Memory, MemoryError, MemoryFault};
 use crate::profile::Profile;
 use pythia_heap::{AllocStats, Section, SectionedHeap};
@@ -344,11 +345,13 @@ pub struct VmConfig {
     /// metrics, profile and exit reason never change. The server
     /// scenario's attack injector uses this to model an in-epoch leak.
     pub record_witness: bool,
-    /// Run the entry function on the caller's stack instead of a
-    /// dedicated 32 MiB interpreter thread. For fleets of tiny runs
-    /// (the event-loop server retires ~10⁶ request VMs per scenario)
-    /// the per-run thread spawn dominates; callers opting in must keep
-    /// `max_call_depth` small enough for their own stack.
+    /// Legacy engine only: run the entry function on the caller's stack
+    /// instead of a dedicated 32 MiB interpreter thread. For fleets of
+    /// tiny runs (the event-loop server retires ~10⁶ request VMs per
+    /// scenario) the per-run thread spawn dominates; callers opting in
+    /// must keep `max_call_depth` small enough for their own stack. The
+    /// block engine keeps guest frames on its own stack and always runs
+    /// on the caller's thread.
     pub inline_exec: bool,
 }
 
@@ -389,6 +392,29 @@ struct Frame {
     base: u64,
 }
 
+/// Buffers the VM reuses instead of allocating per call: pure
+/// allocation savings, fully re-initialized on reuse, so a clone starts
+/// with none.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Parallel-copy phi prologues of more than four copies (block
+    /// engine).
+    pub(crate) phi: Vec<i64>,
+    /// Retired frame value arrays: a call costs a memset instead of a
+    /// malloc + memset (block engine).
+    pub(crate) frames: Vec<Vec<i64>>,
+    /// Intrinsic call arguments (block engine).
+    pub(crate) argv: Vec<i64>,
+    /// Zero bytes for frame clearing.
+    zeros: Vec<u8>,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
 /// One recorded instruction execution (see [`VmConfig::trace_limit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -405,6 +431,13 @@ pub struct TraceEvent {
 /// Fields are `pub(crate)` so the block engine (`engine.rs`) shares the
 /// exact same machine state — memory, cache, heap, PA context, shadow
 /// table, metrics — as the legacy interpreter.
+///
+/// A block-engine run can also be driven in steps: [`Vm::start`], then
+/// [`Vm::run_to_channel`] pauses it before an input-channel execution.
+/// A paused `Vm` is plain data: its [`Clone`] resumes ([`Vm::resume`])
+/// exactly as the original would, and [`Vm::arm`] aims an attack at a
+/// channel execution the clone has not reached yet (DESIGN.md §5f).
+#[derive(Clone)]
 pub struct Vm<'m> {
     pub(crate) module: &'m Module,
     pub(crate) cfg: VmConfig,
@@ -425,6 +458,17 @@ pub struct Vm<'m> {
     pub(crate) frames: Vec<(u64, FuncId)>,
     pub(crate) ic_write_counter: u64,
     pub(crate) halted: Option<i64>,
+    /// The entry call [`Vm::start`] set up and no engine has opened yet.
+    pub(crate) entry: Option<(FuncId, Vec<i64>)>,
+    /// Suspended block-engine frames, outermost first: every caller of
+    /// the running frame, plus the running frame itself while paused.
+    pub(crate) stack: Vec<BlockFrame>,
+    /// The block engine pauses before metering an intrinsic call once
+    /// `ic_write_counter >= pause_at` (`u64::MAX`: never).
+    pub(crate) pause_at: u64,
+    /// One past the highest shadow granule ever tagged and not yet
+    /// cleared: [`Vm::pop_frame`] clears no granule at or above it.
+    shadow_top: u64,
     /// Executed PA sites, one bit per [`DecodedModule::pa_site`] number;
     /// empty until the first PA op runs.
     pub(crate) pa_site_bits: Vec<u64>,
@@ -454,17 +498,8 @@ pub struct Vm<'m> {
     /// `trace_limit > 0` and is flipped off once the limit is reached, so
     /// a disabled/full trace costs one boolean test per instruction.
     pub(crate) trace_on: bool,
-    /// Scratch for parallel-copy phi prologues of more than four copies
-    /// (block engine).
-    pub(crate) phi_scratch: Vec<i64>,
-    /// Retired frame value arrays, reused by the block engine so a call
-    /// costs a memset instead of a malloc + memset (pure optimization:
-    /// frames are fully re-initialized on reuse).
-    pub(crate) frame_pool: Vec<Vec<i64>>,
-    /// Retired call-argument buffers, same idea.
-    pub(crate) argv_pool: Vec<Vec<i64>>,
-    /// Reusable zero buffer for frame clearing.
-    zeros: Vec<u8>,
+    /// Reusable buffers (never observable; a clone starts without).
+    pub(crate) scratch: Scratch,
     /// Disclosure record (populated only under
     /// [`VmConfig::record_witness`]).
     pub(crate) witness: Witness,
@@ -516,6 +551,10 @@ impl<'m> Vm<'m> {
             frames: Vec::new(),
             ic_write_counter: 0,
             halted: None,
+            entry: None,
+            stack: Vec::new(),
+            pause_at: u64::MAX,
+            shadow_top: 0,
             pa_site_bits: Vec::new(),
             profile: Profile::default(),
             trace: Vec::new(),
@@ -527,10 +566,7 @@ impl<'m> Vm<'m> {
             pa_key_counts: [0; 5],
             intrinsic_counts: [0; N_INTRINSICS],
             trace_on: cfg.trace_limit > 0,
-            phi_scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            argv_pool: Vec::new(),
-            zeros: Vec::new(),
+            scratch: Scratch::default(),
             witness: Witness::default(),
             cfg,
         };
@@ -633,6 +669,17 @@ impl<'m> Vm<'m> {
     /// heap geometry, oversized globals). Traps are *not* errors: they
     /// surface as [`ExitReason::Trapped`] in the `Ok` result.
     pub fn run(&mut self, entry: &str, args: &[i64]) -> Result<RunResult, PythiaError> {
+        self.start(entry, args)?;
+        self.resume()
+    }
+
+    /// Set up a run of `entry` with integer `args` without executing
+    /// anything: [`Vm::run_to_channel`] and [`Vm::resume`] execute it.
+    ///
+    /// # Errors
+    ///
+    /// The setup errors of [`Vm::run`].
+    pub fn start(&mut self, entry: &str, args: &[i64]) -> Result<(), PythiaError> {
         if let Some(e) = self.setup_error.take() {
             return Err(e);
         }
@@ -653,14 +700,79 @@ impl<'m> Vm<'m> {
                 PythiaError::setup(format!("no function named `{entry}`")).with_function(entry)
             );
         };
-        let exit = match self.exec_entry(fid, args) {
-            Ok(v) => match self.halted {
+        self.entry = Some((fid, args.to_vec()));
+        self.stack.clear();
+        Ok(())
+    }
+
+    /// Execute the started or paused run until just before it meters the
+    /// first intrinsic call made once `n` memory-writing input-channel
+    /// executions have happened — the call that delivers channel
+    /// execution `n`, or one before it — and pause there. Returns
+    /// `Ok(None)` when paused and the run's result when it ended first.
+    ///
+    /// Up to that point a run is the same whatever attack its plan aims
+    /// at execution `n` or later, so a [`Clone`] of the paused VM,
+    /// [`armed`](Vm::arm) with such an attack and [resumed](Vm::resume),
+    /// returns exactly the [`RunResult`] of a fresh run planned with that
+    /// attack. The legacy engine recurses on the host stack and cannot
+    /// stop mid-run: it pauses where it stands, without executing, so
+    /// its clones replay the run from the start.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::resume`].
+    pub fn run_to_channel(&mut self, n: u64) -> Result<Option<RunResult>, PythiaError> {
+        match self.cfg.engine {
+            Engine::Block => self.advance(n),
+            Engine::Legacy if self.entry.is_some() => Ok(None),
+            Engine::Legacy => Err(no_run()),
+        }
+    }
+
+    /// Execute the started or paused run to its end.
+    ///
+    /// # Errors
+    ///
+    /// [`PythiaError::Setup`] when there is no started or paused run;
+    /// [`PythiaError::Internal`] when the interpreter panicked; any
+    /// [`PythiaError`] the run itself raised (e.g. an unverified module's
+    /// setup error).
+    pub fn resume(&mut self) -> Result<RunResult, PythiaError> {
+        self.advance(u64::MAX)
+            .map(|r| r.expect("a run with no pause point runs to its end"))
+    }
+
+    /// Aim `attack` at a channel execution of the run. For a VM that has
+    /// not yet reached `attack.ic_execution`, the rest of the run is the
+    /// run of a plan that carried the attack from the start.
+    pub fn arm(&mut self, attack: AttackSpec) {
+        debug_assert!(attack.ic_execution >= self.ic_write_counter);
+        self.plan.arm(attack);
+    }
+
+    /// Run the engine until it pauses at `pause_at` or the run ends, and
+    /// build the result of an ended run.
+    fn advance(&mut self, pause_at: u64) -> Result<Option<RunResult>, PythiaError> {
+        if self.entry.is_none() && self.stack.is_empty() {
+            return Err(no_run());
+        }
+        self.pause_at = pause_at;
+        let stop = self.exec();
+        self.pause_at = u64::MAX;
+        let exit = match stop {
+            Ok(Stop::Paused) => return Ok(None),
+            Ok(Stop::Returned(v)) => match self.halted {
                 Some(code) => ExitReason::Exited(code),
                 None => ExitReason::Returned(v),
             },
             Err(Halt::Trap(t)) => ExitReason::Trapped(t),
-            Err(Halt::Error(e)) => return Err(*e),
+            Err(Halt::Error(e)) => {
+                self.stack.clear();
+                return Err(*e);
+            }
         };
+        self.stack.clear();
         // Every counter below equals an op-class or intrinsic count: each
         // was bumped right after its instruction was metered, before
         // anything that could fail, so deriving it here is exact.
@@ -720,44 +832,58 @@ impl<'m> Vm<'m> {
             self.profile.pa.auth_failures =
                 u64::from(matches!(trap, Some(Trap::PacAuthFailure { .. })));
             self.profile.mem_faults = u64::from(matches!(trap, Some(Trap::MemoryFault { .. })));
-            self.profile.scan_static_pa(self.module);
+            let (signs, auths, strips) = self.decoded.static_pa(self.module);
+            self.profile.pa.static_signs = signs;
+            self.profile.pa.static_auths = auths;
+            self.profile.pa.static_strips = strips;
             self.profile.resident_bytes = self.mem.resident_bytes();
         }
-        Ok(RunResult {
+        Ok(Some(RunResult {
             exit,
             metrics: self.metrics,
             profile: std::mem::take(&mut self.profile),
-        })
+        }))
     }
 
     // ---- helpers -------------------------------------------------------
 
-    /// Run the entry function on a dedicated thread with an explicit
-    /// stack. Debug-build interpreter frames are large enough that the
-    /// maximum call depth (400) can overflow a caller's default thread
-    /// stack (scoped workers get 2 MiB); the explicit 32 MiB stack makes
-    /// the depth limit the only recursion bound. A panic on the
-    /// interpreter thread is converted into [`PythiaError::Internal`]
-    /// instead of unwinding into the caller.
-    fn exec_entry(&mut self, fid: FuncId, args: &[i64]) -> Result<i64, Halt> {
+    /// Run the configured engine. The block engine keeps guest frames on
+    /// its own stack, so it runs on the caller's thread; a panic in it is
+    /// converted into [`PythiaError::Internal`] instead of unwinding into
+    /// the caller.
+    fn exec(&mut self) -> Result<Stop, Halt> {
+        match self.cfg.engine {
+            Engine::Block => {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.exec_block_engine()))
+                    .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref()).into()))
+            }
+            Engine::Legacy => {
+                let (fid, args) = self.entry.take().ok_or_else(no_run)?;
+                self.exec_legacy(fid, &args).map(Stop::Returned)
+            }
+        }
+    }
+
+    /// Run the entry function on the legacy interpreter, on a dedicated
+    /// thread with an explicit stack. Debug-build interpreter frames are
+    /// large enough that the maximum call depth (400) can overflow a
+    /// caller's default thread stack (scoped workers get 2 MiB); the
+    /// explicit 32 MiB stack makes the depth limit the only recursion
+    /// bound. A panic on the interpreter thread is converted into
+    /// [`PythiaError::Internal`] instead of unwinding into the caller.
+    fn exec_legacy(&mut self, fid: FuncId, args: &[i64]) -> Result<i64, Halt> {
         const INTERP_STACK: usize = 32 << 20;
-        let engine = self.cfg.engine;
-        let exec = move |this: &mut Self| match engine {
-            Engine::Legacy => this.exec_function(fid, args, 0),
-            Engine::Block => this.exec_function_block(fid, args, 0),
-        };
         // Opt-in fast path: no interpreter thread. The caller vouches
-        // that its own stack holds `max_call_depth` frames; the server
-        // event loop uses this to avoid ~10⁶ spawns per scenario.
+        // that its own stack holds `max_call_depth` frames.
         if self.cfg.inline_exec {
-            return exec(self);
+            return self.exec_function(fid, args, 0);
         }
         let this = &mut *self;
         let spawned = std::thread::scope(|s| {
             let worker = std::thread::Builder::new()
                 .name("pythia-interp".into())
                 .stack_size(INTERP_STACK)
-                .spawn_scoped(s, move || exec(this));
+                .spawn_scoped(s, move || this.exec_function(fid, args, 0));
             worker.ok().map(|h| {
                 h.join()
                     .unwrap_or_else(|p| Err(PythiaError::from_panic(p.as_ref()).into()))
@@ -765,7 +891,7 @@ impl<'m> Vm<'m> {
         });
         // Spawn failure (resource exhaustion): degrade to running on the
         // caller's stack rather than refusing outright.
-        spawned.unwrap_or_else(|| exec(self))
+        spawned.unwrap_or_else(|| self.exec_function(fid, args, 0))
     }
 
     pub(crate) fn charge(&mut self, mc: u64) {
@@ -789,10 +915,10 @@ impl<'m> Vm<'m> {
     /// happen on every call; a fresh `vec![0; size]` per frame is not).
     pub(crate) fn write_zeros(&mut self, addr: u64, len: u64) -> Result<(), MemoryFault> {
         let n = len as usize;
-        if self.zeros.len() < n {
-            self.zeros.resize(n, 0);
+        if self.scratch.zeros.len() < n {
+            self.scratch.zeros.resize(n, 0);
         }
-        self.mem.write_bytes(addr, &self.zeros[..n])
+        self.mem.write_bytes(addr, &self.scratch.zeros[..n])
     }
 
     fn cache_access(&mut self, addr: u64) -> u64 {
@@ -839,16 +965,33 @@ impl<'m> Vm<'m> {
     /// Close the innermost frame, opened at `base` with `size` bytes:
     /// drop the shadow tags of its granules and reset the stack pointer
     /// (both engines).
+    ///
+    /// Only granules below [`Self::shadow_top`] can hold a tag, so the
+    /// removal stops there: a scheme that tags no stack granule (every
+    /// scheme but DFI, and DFI in frames that take no input) pays one
+    /// compare. Once the frame's granules are gone, the mark drops to the
+    /// frame's first granule unless tags above the frame survive (an
+    /// overflow past the stack pointer leaves some).
     pub(crate) fn pop_frame(&mut self, base: u64, size: u64) {
         self.frames.pop();
-        // Removing granules from an empty shadow map is a no-op; skipping
-        // it keeps the non-DFI schemes off the hash path entirely.
-        if size > 0 && !self.shadow.is_empty() {
-            for g in (base >> 3)..=((base + size - 1) >> 3) {
+        if size > 0 {
+            let (lo, end) = (base >> 3, ((base + size - 1) >> 3) + 1);
+            let hi = end.min(self.shadow_top);
+            for g in lo..hi {
                 self.shadow.remove(&g);
+            }
+            if self.shadow_top <= end {
+                self.shadow_top = self.shadow_top.min(lo);
             }
         }
         self.sp = base;
+    }
+
+    /// Tag shadow granule `g` with last writer `def_id` (both engines).
+    #[inline]
+    pub(crate) fn shadow_set(&mut self, g: u64, def_id: u32) {
+        self.shadow.insert(g, def_id);
+        self.shadow_top = self.shadow_top.max(g + 1);
     }
 
     /// Mark PA site `site` ([`DecodedModule::pa_site`]) executed. The
@@ -913,7 +1056,7 @@ impl<'m> Vm<'m> {
             self.profile.shadow.bulk_tags += granules;
         }
         for g in (addr >> 3)..=(addr.saturating_add(len - 1) >> 3) {
-            self.shadow.insert(g, def_id);
+            self.shadow_set(g, def_id);
         }
     }
 
@@ -1141,7 +1284,7 @@ impl<'m> Vm<'m> {
                     }
                     Inst::SetDef { ptr, def_id } => {
                         let addr = self.value_of(f, &frame.values, *ptr) as u64;
-                        self.shadow.insert(addr >> 3, *def_id);
+                        self.shadow_set(addr >> 3, *def_id);
                     }
                     Inst::ChkDef { ptr, allowed } => {
                         let addr = self.value_of(f, &frame.values, *ptr) as u64;
@@ -1522,6 +1665,11 @@ impl<'m> Vm<'m> {
             _ => Ok(0),
         }
     }
+}
+
+/// The error of stepping a VM that has no started or paused run.
+fn no_run() -> PythiaError {
+    PythiaError::setup("no run to resume: start one with `Vm::start`")
 }
 
 /// Slots of the dense intrinsic histogram: one per [`Intrinsic`]
@@ -2122,6 +2270,56 @@ mod tests {
     }
 
     #[test]
+    fn frame_pops_stay_exact_when_an_overflow_tags_above_the_stack_pointer() {
+        // Reference rule: a pop drops the tag of every granule its frame
+        // touches, and nothing else.
+        let m = Module::new("m");
+        let mut vm = Vm::new(&m, VmConfig::default(), InputPlan::benign(1));
+        let mut model = std::collections::BTreeSet::new();
+        let fid = FuncId(0);
+        macro_rules! pop {
+            ($base:expr, $size:expr) => {
+                vm.pop_frame($base, $size);
+                for g in ($base >> 3)..=(($base + $size - 1) >> 3) {
+                    model.remove(&g);
+                }
+                let tags: std::collections::BTreeSet<u64> = vm.shadow.keys().copied().collect();
+                assert_eq!(tags, model);
+            };
+        }
+        // A caller frame with a tag of its own, and an odd-sized callee
+        // whose channel write runs 100 bytes past its 12-byte frame.
+        let caller = vm.push_frame(fid, 20).ok().unwrap();
+        vm.shadow_set(caller >> 3, 1);
+        model.insert(caller >> 3);
+        let callee = vm.push_frame(fid, 12).ok().unwrap();
+        vm.shadow_tag(callee, 112, 7);
+        model.extend((callee >> 3)..=((callee + 111) >> 3));
+        pop!(callee, 12);
+        assert!(
+            model.iter().any(|&g| g << 3 >= vm.sp),
+            "tags survive above sp"
+        );
+        // A larger frame over part of the stale tags clears what it
+        // covers; the rest survives its pop too.
+        let next = vm.push_frame(fid, 40).ok().unwrap();
+        pop!(next, 40);
+        let next = vm.push_frame(fid, 8).ok().unwrap();
+        vm.shadow_set((next >> 3) + 1, 3);
+        model.insert((next >> 3) + 1);
+        pop!(next, 8);
+        pop!(caller, 20);
+        let wide = vm.push_frame(fid, 256).ok().unwrap();
+        pop!(wide, 256);
+        assert!(vm.shadow.is_empty());
+        assert_eq!(
+            vm.shadow_top,
+            caller >> 3,
+            "the mark drops once no tag is left above"
+        );
+    }
+
+    #[test]
     fn missing_entry_is_a_setup_error_not_a_panic() {
         let mut m = Module::new("m");
         let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
@@ -2360,6 +2558,34 @@ mod trace_tests {
     #[test]
     fn trace_respects_the_limit() {
         assert_eq!(traced_run(2).len(), 2);
+    }
+
+    #[test]
+    fn a_trace_filled_inside_a_callee_stays_at_the_limit_on_both_engines() {
+        // `main` calls `leaf` (alloca, ret), then returns: the second
+        // event fills a two-event trace inside the callee, and the
+        // caller's remaining ops must not add a third.
+        let mut m = Module::new("m");
+        let mut l = FunctionBuilder::new("leaf", vec![], Ty::I64);
+        let slot = l.alloca(Ty::I64);
+        let v = l.load(slot);
+        l.ret(Some(v));
+        let leaf = m.add_function(l.finish());
+        let mut b = FunctionBuilder::new("main", vec![], Ty::I64);
+        let r = b.call(leaf, vec![], Ty::I64);
+        b.ret(Some(r));
+        m.add_function(b.finish());
+        for engine in [Engine::Legacy, Engine::Block] {
+            let cfg = VmConfig {
+                trace_limit: 2,
+                engine,
+                ..VmConfig::default()
+            };
+            let mut vm = Vm::new(&m, cfg, InputPlan::benign(1));
+            assert_eq!(vm.run("main", &[]).unwrap().exit, ExitReason::Returned(0));
+            let mnemonics: Vec<&str> = vm.trace().iter().map(|e| e.mnemonic).collect();
+            assert_eq!(mnemonics, ["call", "alloca"], "{}", engine.name());
+        }
     }
 }
 

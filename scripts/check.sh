@@ -191,6 +191,27 @@ if ! diff -u <(sed -E "$MASK_TIMING" "$OUT/engine-legacy/BENCH_suite.json") \
 fi
 echo "OK: legacy and block engine reports and masked BENCH_suite.json are byte-identical"
 
+# Campaign fork gate: on the block engine every smash forks from the
+# paused benign run; on the legacy engine, which cannot pause, every
+# smash replays the run from the start (DESIGN.md §5f). The smoke gate
+# above never renders the campaign section, so render it at the
+# standard tier on both engines: the two must be byte-identical, and
+# equal to the committed scripts/golden/campaign.md, so a change that
+# bends fork and replay alike fails too.
+echo "== campaign gate (fork vs replay, golden) =="
+target/release/reproduce --engine legacy campaign > "$OUT/campaign-legacy.md"
+target/release/reproduce --engine block campaign > "$OUT/campaign-block.md"
+if ! cmp "$OUT/campaign-legacy.md" "$OUT/campaign-block.md"; then
+    echo "FAIL: the campaign section differs between replay (legacy) and fork (block)" >&2
+    diff -u "$OUT/campaign-legacy.md" "$OUT/campaign-block.md" | head -30 >&2
+    exit 1
+fi
+if ! diff -u scripts/golden/campaign.md "$OUT/campaign-block.md"; then
+    echo "FAIL: the campaign section differs from scripts/golden/campaign.md" >&2
+    exit 1
+fi
+echo "OK: forked and replayed campaigns render the golden section"
+
 # Precision-stage gate: the field-sensitive points-to + bounds-proof
 # pruner must drop at least one obligation on at least one smoke
 # benchmark (mcf prunes; lbm and nginx legitimately don't). A zero
@@ -400,4 +421,4 @@ if [ -n "$rate_failures" ]; then
 fi
 echo "OK: server scenario retires requests, pythia detects $pythia_hits in-window attacks, cpa and dfi detect every attack at every offset and vanilla none, zero internal errors, same JSON at 1 and 4 threads, on both engines and as the golden file"
 
-echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, profiler, pruning, ref-tier and server-scenario gates are clean ($JSON)"
+echo "OK: build, clippy, docs, tests, certification, smoke suite, engine differential, campaign fork, profiler, pruning, ref-tier and server-scenario gates are clean ($JSON)"
