@@ -41,9 +41,6 @@
 use crate::cfg::reverse_postorder;
 use pythia_ir::{BlockId, Function};
 
-#[cfg(test)]
-pub(crate) mod reference;
-
 /// Which way facts flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {

@@ -59,9 +59,6 @@ use crate::dataflow::{solve, DataflowAnalysis, Direction, SolveResult};
 use pythia_ir::{BinOp, BlockId, CmpPred, Function, Inst, Placement, ValueId, ValueKind};
 use std::collections::BTreeMap;
 
-#[cfg(test)]
-mod reference;
-
 /// Largest |k| kept in a relational fact `v ≤ w + k`. Clamping the offset
 /// bounds the relational lattice height (the join takes the max offset, so
 /// a loop can only creep an offset upward `2·REL_K_MAX` times before the
@@ -707,11 +704,6 @@ impl ValueRanges {
         }
         RangeAnalysis::resolved_range(f, &env, v)
     }
-
-    /// Whether block `bb` is reachable under the analysis.
-    pub fn block_reachable(&self, bb: BlockId) -> bool {
-        self.result.input(bb).is_some() || !self.result.converged
-    }
 }
 
 /// Proof query used by the pruner: is the `gep` at `(f, gep_inst)` with
@@ -735,6 +727,70 @@ mod tests {
     use super::*;
     use pythia_ir::{CmpPred, FunctionBuilder, Ty};
 
+    /// Whether `outer` over-approximates `inner`: every interval `outer`
+    /// tracks contains `inner`'s (absent = full), and every relation
+    /// `outer` keeps, `inner` keeps with an offset no larger.
+    fn contains(outer: &Fact, inner: &Fact) -> bool {
+        let (Some(o), Some(i)) = (outer, inner) else {
+            return inner.is_none();
+        };
+        o.iv.iter().all(|&(v, ov)| {
+            let iv = i.get(v).unwrap_or(Interval::FULL);
+            ov.lo <= iv.lo && iv.hi <= ov.hi
+        }) && o.ub.iter().all(|&(v, w, ok)| {
+            i.ub.iter()
+                .any(|&(iv, iw, ik)| (iv, iw) == (v, w) && ik <= ok)
+        })
+    }
+
+    /// Solve `f` under `seeds` and check the solution against the
+    /// fixpoint equations, stated with [`contains`] rather than the
+    /// analysis's join: each block's input contains the boundary fact
+    /// (entry) and every predecessor's output carried across its edge,
+    /// is reachable only if one of those is, and each output is the
+    /// block's transfer of its input.
+    fn solved(f: &Function, seeds: &[(ValueId, Interval)]) -> ValueRanges {
+        let r = value_ranges_seeded(f, seeds);
+        assert!(r.converged());
+        let (a, sol) = (&r.analysis, &r.result);
+        let preds = f.predecessors();
+        for bb in f.block_ids() {
+            let mut incoming: Vec<Fact> = preds[bb.0 as usize]
+                .iter()
+                .map(|&p| {
+                    let mut fact = sol.output(p).clone();
+                    a.edge(f, p, bb, &mut fact);
+                    fact
+                })
+                .collect();
+            if bb == f.entry() {
+                incoming.push(a.boundary(f, bb));
+            }
+            for fact in &incoming {
+                assert!(contains(sol.input(bb), fact), "input of {bb}");
+            }
+            assert_eq!(
+                sol.input(bb).is_some(),
+                incoming.iter().any(Option::is_some),
+                "reachability of {bb}"
+            );
+            let mut out = None;
+            a.transfer_into(f, bb, sol.input(bb), &mut out);
+            assert_eq!(sol.output(bb), &out, "output of {bb}");
+        }
+        r
+    }
+
+    #[test]
+    fn within_bounds_needs_both_ends_inside() {
+        let r = |lo, hi| Interval { lo, hi };
+        assert!(r(0, 7).within_bounds(8));
+        assert!(!r(0, 8).within_bounds(8));
+        assert!(!r(-1, 7).within_bounds(8));
+        assert!(!r(0, 0).within_bounds(0));
+        assert!(!Interval::FULL.within_bounds(u64::MAX));
+    }
+
     #[test]
     fn constants_and_arithmetic_have_exact_ranges() {
         let mut b = FunctionBuilder::new("f", vec![], Ty::I64);
@@ -744,8 +800,7 @@ mod tests {
         let d = b.sub(s, x);
         b.ret(Some(d));
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert_eq!(r.range_before(&f, d, s), Interval::exact(12));
         // Before `ret`, d = s - x = 7.
         let ret = *f.block(f.entry()).insts.last().unwrap();
@@ -770,66 +825,27 @@ mod tests {
         let ev = b.add(n, one);
         b.ret(Some(ev));
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         // In the then-arm, n ≤ 7; in the else-arm, n ≥ 8.
         assert_eq!(r.range_before(&f, tv, n).hi, 7);
         assert!(r.range_before(&f, tv, n).lo == i64::MIN);
         assert_eq!(r.range_before(&f, ev, n).lo, 8);
     }
 
-    #[test]
-    fn counted_loop_index_is_proven_in_bounds() {
-        // i = 0; while (i < 16) { access buf[i]; i = i + 1; }
+    /// `i = 0; while (i < n) { buf[i] = 0; i = i + 1; }` over an
+    /// `n`-element buffer, after `extra` unused constants: the function
+    /// and the loop's gep.
+    fn counted_loop(n: i64, extra: impl IntoIterator<Item = i64>) -> (Function, ValueId, ValueId) {
         let mut b = FunctionBuilder::new("f", vec![], Ty::Void);
         let head = b.new_block("head");
         let body = b.new_block("body");
         let exit = b.new_block("exit");
-        let buf = b.alloca_n(Ty::I64, 16);
-        let zero = b.const_i64(0);
-        let sixteen = b.const_i64(16);
-        let one = b.const_i64(1);
-        b.jmp(head);
-        b.switch_to(head);
-        let entry = b.func().entry();
-        let i = b.phi(vec![(entry, zero)]);
-        let c = b.icmp(CmpPred::Slt, i, sixteen);
-        b.br(c, body, exit);
-        b.switch_to(body);
-        let p = b.gep(buf, i);
-        b.store(zero, p);
-        let inext = b.add(i, one);
-        b.jmp(head);
-        b.switch_to(exit);
-        b.ret(None);
-        let mut f = b.finish();
-        // Wire the back-edge incoming: body -> inext.
-        let body_bb = f.block_of(p).unwrap();
-        if let Some(pythia_ir::Inst::Phi { incomings }) = f.inst_mut(i) {
-            incomings.push((body_bb, inext));
-        }
-        let r = value_ranges(&f);
-        assert!(r.converged());
-        assert!(index_in_bounds(&f, &r, p, i, 16), "i ∈ [0, 15] at the gep");
-        assert!(!index_in_bounds(&f, &r, p, i, 15), "15 is reachable");
-    }
-
-    #[test]
-    fn a_loop_climbing_hundreds_of_thresholds_converges() {
-        // The same loop as above bounded by 1000, in a function whose 200
-        // constants 3, 6, .., 600 make every integer in 2..=601 a
-        // threshold: the head's upper bound climbs them one per visit,
-        // about 600 visits, before the guard's 999 stops it.
-        let mut b = FunctionBuilder::new("f", vec![], Ty::Void);
-        let head = b.new_block("head");
-        let body = b.new_block("body");
-        let exit = b.new_block("exit");
-        let buf = b.alloca_n(Ty::I64, 1000);
-        for k in 1..=200 {
-            b.const_i64(3 * k);
+        let buf = b.alloca_n(Ty::I64, n as u32);
+        for k in extra {
+            b.const_i64(k);
         }
         let zero = b.const_i64(0);
-        let bound = b.const_i64(1000);
+        let bound = b.const_i64(n);
         let one = b.const_i64(1);
         b.jmp(head);
         b.switch_to(head);
@@ -845,13 +861,29 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let mut f = b.finish();
-        let body_bb = f.block_of(p).unwrap();
         if let Some(pythia_ir::Inst::Phi { incomings }) = f.inst_mut(i) {
-            incomings.push((body_bb, inext));
+            incomings.push((body, inext));
         }
+        (f, p, i)
+    }
+
+    #[test]
+    fn counted_loop_index_is_proven_in_bounds() {
+        let (f, p, i) = counted_loop(16, []);
+        let r = solved(&f, &[]);
+        assert!(index_in_bounds(&f, &r, p, i, 16), "i ∈ [0, 15] at the gep");
+        assert!(!index_in_bounds(&f, &r, p, i, 15), "15 is reachable");
+    }
+
+    #[test]
+    fn a_loop_climbing_hundreds_of_thresholds_converges() {
+        // The same loop bounded by 1000, in a function whose 200
+        // constants 3, 6, .., 600 make every integer in 2..=601 a
+        // threshold: the head's upper bound climbs them one per visit,
+        // about 600 visits, before the guard's 999 stops it.
+        let (f, p, i) = counted_loop(1000, (1..=200).map(|k| 3 * k));
         assert!(RangeAnalysis::for_function(&f, &[]).thresholds.len() > 600);
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert_eq!(r.range_before(&f, p, i), Interval { lo: 0, hi: 999 });
         assert!(index_in_bounds(&f, &r, p, i, 1000));
     }
@@ -866,7 +898,7 @@ mod tests {
         b.store(zero, p);
         b.ret(None);
         let f = b.finish();
-        let r = value_ranges(&f);
+        let r = solved(&f, &[]);
         assert!(!index_in_bounds(&f, &r, p, n, 8));
     }
 
@@ -893,8 +925,7 @@ mod tests {
         b.switch_to(bad);
         b.ret(None);
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert!(index_in_bounds(&f, &r, p, n, 8));
         assert!(!index_in_bounds(&f, &r, p, n, 4));
     }
@@ -920,8 +951,7 @@ mod tests {
         b.switch_to(bad);
         b.ret(None);
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert!(index_in_bounds(&f, &r, p, n, 8), "ult alone pins [0, 7]");
         assert!(!index_in_bounds(&f, &r, p, n, 7), "7 is reachable");
     }
@@ -946,8 +976,7 @@ mod tests {
         b.store(zero, p);
         b.ret(None);
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert!(
             !index_in_bounds(&f, &r, p, n, 1 << 40),
             "n may be negative on the uge edge"
@@ -974,8 +1003,7 @@ mod tests {
         b.switch_to(bad);
         b.ret(None);
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert!(!index_in_bounds(&f, &r, p, n, 8));
     }
 
@@ -1010,30 +1038,29 @@ mod tests {
         b.switch_to(bad);
         b.ret(None);
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let r = solved(&f, &[]);
         assert!(index_in_bounds(&f, &r, p, i, 8), "i ≤ len − 1 ≤ 7");
         assert!(!index_in_bounds(&f, &r, p, i, 7));
     }
 
-    /// Relational facts survive a phi join when every incoming arm
-    /// carries one: j = phi(i, i + 1) keeps j ≤ len (from i ≤ len − 1).
-    #[test]
-    fn relational_bounds_join_through_phi() {
+    /// `if (i ult len) { j = sel > 0 ? i : i + 1; if (len <= 8) buf[j] }`
+    /// over a 9-element `buf`, `j` a phi, and with `len sge 0` checked
+    /// first when `sign_known`: the function, the gep and `j`.
+    fn guarded_phi_index(sign_known: bool) -> (Function, ValueId, ValueId) {
         let mut b = FunctionBuilder::new("f", vec![Ty::I64, Ty::I64, Ty::I64], Ty::Void);
-        let guarded = b.new_block("guarded");
-        let tbb = b.new_block("t");
-        let ebb = b.new_block("e");
-        let join = b.new_block("join");
-        let lenok = b.new_block("lenok");
-        let bad = b.new_block("bad");
+        let [guarded, tbb, ebb, join, lenok, bad] =
+            ["guarded", "t", "e", "join", "lenok", "bad"].map(|n| b.new_block(n));
         let buf = b.alloca_n(Ty::I64, 9);
-        let i = b.func().arg(0);
-        let len = b.func().arg(1);
-        let sel = b.func().arg(2);
+        let (i, len, sel) = (b.func().arg(0), b.func().arg(1), b.func().arg(2));
         let zero = b.const_i64(0);
         let one = b.const_i64(1);
         let eight = b.const_i64(8);
+        if sign_known {
+            let sgn = b.new_block("sgn");
+            let csgn = b.icmp(CmpPred::Sge, len, zero);
+            b.br(csgn, sgn, bad);
+            b.switch_to(sgn);
+        }
         let c0 = b.icmp(CmpPred::Ult, i, len);
         b.br(c0, guarded, bad);
         b.switch_to(guarded);
@@ -1054,60 +1081,27 @@ mod tests {
         b.ret(None);
         b.switch_to(bad);
         b.ret(None);
-        let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
-        // len's sign is unknown at the ult guard, so no relation may be
-        // recorded (a negative len is a huge unsigned bound): unproven.
+        (b.finish(), p, j)
+    }
+
+    /// Without the sign pre-guard, len's sign is unknown at the ult
+    /// guard, so no relation may be recorded (a negative len is a huge
+    /// unsigned bound): unproven.
+    #[test]
+    fn relational_bounds_join_through_phi() {
+        let (f, p, j) = guarded_phi_index(false);
+        let r = solved(&f, &[]);
         assert!(!index_in_bounds(&f, &r, p, j, 9));
     }
 
-    /// Same shape as above but with the bound's sign established first
-    /// (`len sge 0`), so `i ult len` both refines and relates; the phi
-    /// join then keeps j ≤ len ≤ 8 and j ≥ 0.
+    /// With `len sge 0` first, `i ult len` both refines and relates.
+    /// Relational facts survive a phi join when every incoming arm
+    /// carries one: j = phi(i, i + 1) keeps j ≤ len (from i ≤ len − 1),
+    /// so j ≤ len ≤ 8 and j ≥ 0.
     #[test]
     fn relational_bounds_join_through_phi_with_known_sign() {
-        let mut b = FunctionBuilder::new("f", vec![Ty::I64, Ty::I64, Ty::I64], Ty::Void);
-        let sgn = b.new_block("sgn");
-        let guarded = b.new_block("guarded");
-        let tbb = b.new_block("t");
-        let ebb = b.new_block("e");
-        let join = b.new_block("join");
-        let lenok = b.new_block("lenok");
-        let bad = b.new_block("bad");
-        let buf = b.alloca_n(Ty::I64, 9);
-        let i = b.func().arg(0);
-        let len = b.func().arg(1);
-        let sel = b.func().arg(2);
-        let zero = b.const_i64(0);
-        let one = b.const_i64(1);
-        let eight = b.const_i64(8);
-        let csgn = b.icmp(CmpPred::Sge, len, zero);
-        b.br(csgn, sgn, bad);
-        b.switch_to(sgn);
-        let c0 = b.icmp(CmpPred::Ult, i, len);
-        b.br(c0, guarded, bad);
-        b.switch_to(guarded);
-        let cs = b.icmp(CmpPred::Sgt, sel, zero);
-        b.br(cs, tbb, ebb);
-        b.switch_to(tbb);
-        b.jmp(join);
-        b.switch_to(ebb);
-        let i1 = b.add(i, one);
-        b.jmp(join);
-        b.switch_to(join);
-        let j = b.phi(vec![(tbb, i), (ebb, i1)]);
-        let cl = b.icmp(CmpPred::Sle, len, eight);
-        b.br(cl, lenok, bad);
-        b.switch_to(lenok);
-        let p = b.gep(buf, j);
-        b.store(zero, p);
-        b.ret(None);
-        b.switch_to(bad);
-        b.ret(None);
-        let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(r.converged());
+        let (f, p, j) = guarded_phi_index(true);
+        let r = solved(&f, &[]);
         assert!(index_in_bounds(&f, &r, p, j, 9), "j ≤ len ≤ 8, j ≥ 0");
         assert!(!index_in_bounds(&f, &r, p, j, 8), "j = len = 8 reachable");
     }
@@ -1135,17 +1129,17 @@ mod tests {
         let f = b.finish();
 
         // Unseeded: len's sign is unknown, nothing proves.
-        let r0 = value_ranges(&f);
+        let r0 = solved(&f, &[]);
         assert!(!index_in_bounds(&f, &r0, q, i, 8));
 
         // Seeded with len = 8 (a callsite passing a constant): proven.
-        let r8 = value_ranges_seeded(&f, &[(len, Interval::exact(8))]);
+        let r8 = solved(&f, &[(len, Interval::exact(8))]);
         assert!(r8.converged());
         assert!(index_in_bounds(&f, &r8, q, i, 8));
         assert!(!index_in_bounds(&f, &r8, q, i, 7));
 
         // Seeded with a larger capacity than the proof needs: unproven.
-        let r16 = value_ranges_seeded(&f, &[(len, Interval::exact(16))]);
+        let r16 = solved(&f, &[(len, Interval::exact(16))]);
         assert!(!index_in_bounds(&f, &r16, q, i, 8));
         assert!(index_in_bounds(&f, &r16, q, i, 16));
     }
@@ -1161,8 +1155,28 @@ mod tests {
         let s = b.add(two, two);
         b.ret(Some(s));
         let f = b.finish();
-        let r = value_ranges(&f);
-        assert!(!r.block_reachable(f.block_of(s).unwrap()));
-        assert!(r.range_before(&f, s, two).is_full() || !r.converged());
+        let r = solved(&f, &[]);
+        assert!(r.result.input(dead).is_none());
+        assert!(r.range_before(&f, s, two).is_full());
+    }
+
+    /// Over [`REL_MAX_TERMS`], a value keeps its relations against the
+    /// smallest `w`s and drops the largest, whatever the order they were
+    /// derived in.
+    #[test]
+    fn the_term_cap_drops_the_largest_w() {
+        let n = REL_MAX_TERMS as u32;
+        let v = ValueId(0);
+        let kept: Vec<(ValueId, ValueId, i64)> = (1..=n).map(|w| (v, ValueId(w), 0)).collect();
+        for order in [(1..=n + 1).collect::<Vec<_>>(), (1..=n + 1).rev().collect()] {
+            let mut env = Env {
+                iv: Vec::new(),
+                ub: Vec::new(),
+            };
+            for w in order {
+                env.bound(v, ValueId(w), 0);
+            }
+            assert_eq!(env.ub, kept);
+        }
     }
 }

@@ -1,14 +1,231 @@
-//! Property tests for the relational (difference-bounds) layer of the
-//! interval domain: `v ≤ w + k` facts must survive phi joins with the
-//! weaker offset, compose with signed and unsigned guards, and never
-//! under-approximate a concretely reachable value.
+//! Property tests for the interval domain: every range it reports must
+//! contain the values a concrete run computes there, and its relational
+//! (difference-bounds) layer — `v ≤ w + k` facts — must survive phi
+//! joins with the weaker offset and compose with signed and unsigned
+//! guards.
 
 use proptest::prelude::*;
-use pythia_analysis::value_ranges;
-use pythia_ir::{CmpPred, FunctionBuilder, Ty};
+use pythia_analysis::{value_ranges, ValueRanges};
+use pythia_ir::{BinOp, BlockId, CmpPred, Function, FunctionBuilder, Inst, Ty, ValueId, ValueKind};
+use std::collections::HashMap;
+
+/// Xorshift draws for [`random_function`] and its arguments.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+    fn small(&mut self) -> i64 {
+        self.below(33) as i64 - 16
+    }
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+/// A function of three `i64` arguments: a chain of up to eight segments,
+/// each `add`/`sub`/`mul`/`srem` work, an `icmp` + `br` guard whose
+/// failing edge returns, a diamond whose then-arm guards an argument
+/// (so only one arm's fact bounds it), a diamond joining two values in a
+/// phi, or a counting loop bounded by a constant or an argument. Every
+/// operand is an argument, a constant or a value defined earlier on
+/// every path.
+fn random_function(d: &mut Draw) -> Function {
+    let mut b = FunctionBuilder::new("r", vec![Ty::I64; 3], Ty::I64);
+    let args: Vec<ValueId> = (0..3).map(|i| b.func().arg(i)).collect();
+    let mut pool = args.clone();
+    for _ in 0..=d.below(8) {
+        let x = d.pick(&pool);
+        let y = if d.below(2) == 0 {
+            b.const_i64(d.small())
+        } else {
+            d.pick(&pool)
+        };
+        let pred = d.pick(&CmpPred::ALL);
+        match d.below(5) {
+            0 => {
+                let op = d.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Srem]);
+                let y = if op == BinOp::Srem {
+                    b.const_i64(d.small() | 1)
+                } else {
+                    y
+                };
+                pool.push(b.bin(op, x, y));
+            }
+            1 => {
+                let c = b.icmp(pred, x, y);
+                let (cont, out) = (b.new_block("cont"), b.new_block("out"));
+                if d.below(2) == 0 {
+                    b.br(c, cont, out);
+                } else {
+                    b.br(c, out, cont);
+                }
+                b.switch_to(out);
+                b.ret(Some(x));
+                b.switch_to(cont);
+            }
+            2 => {
+                let c = b.icmp(pred, x, y);
+                let [t, t_ok, e, j] = ["t", "t_ok", "e", "j"].map(|n| b.new_block(n));
+                b.br(c, t, e);
+                b.switch_to(t);
+                let a = d.pick(&args);
+                let k = b.const_i64(d.small());
+                let g = b.icmp(d.pick(&CmpPred::ALL), a, k);
+                b.br(g, t_ok, e);
+                b.switch_to(t_ok);
+                let va = b.add(a, k);
+                b.jmp(j);
+                b.switch_to(e);
+                let vb = b.sub(x, a);
+                b.jmp(j);
+                b.switch_to(j);
+                let p = b.phi(vec![(t_ok, va), (e, vb)]);
+                pool.push(b.add(p, a));
+            }
+            3 => {
+                let pre = b.current_block();
+                let [head, body, after] = ["head", "body", "after"].map(|n| b.new_block(n));
+                let init = b.const_i64(d.below(7) as i64 - 3);
+                let (pred, bound) = match d.below(3) {
+                    0 => (CmpPred::Ult, b.const_i64(d.below(13) as i64)),
+                    1 => (CmpPred::Slt, b.const_i64(d.below(13) as i64)),
+                    _ => (CmpPred::Sle, d.pick(&args)),
+                };
+                let step = b.const_i64(1 + d.below(3) as i64);
+                b.jmp(head);
+                b.switch_to(head);
+                let i = b.phi(vec![(pre, init)]);
+                let acc = b.phi(vec![(pre, x)]);
+                let c = b.icmp(pred, i, bound);
+                b.br(c, body, after);
+                b.switch_to(body);
+                let i2 = b.add(i, step);
+                let acc2 = b.bin(d.pick(&[BinOp::Add, BinOp::Sub]), acc, i);
+                b.jmp(head);
+                for (phi, next) in [(i, i2), (acc, acc2)] {
+                    if let Some(Inst::Phi { incomings }) = b.func_mut().inst_mut(phi) {
+                        incomings.push((body, next));
+                    }
+                }
+                b.switch_to(after);
+                pool.extend([i, acc]);
+            }
+            _ => {
+                let c = b.icmp(pred, x, y);
+                let [t, e, j] = ["t", "e", "j"].map(|n| b.new_block(n));
+                b.br(c, t, e);
+                b.switch_to(t);
+                b.jmp(j);
+                b.switch_to(e);
+                b.jmp(j);
+                b.switch_to(j);
+                pool.push(b.phi(vec![(t, x), (e, y)]));
+            }
+        }
+    }
+    let last = *pool.last().expect("arguments");
+    b.ret(Some(last));
+    b.finish()
+}
+
+/// Run `f` on `args`, asserting before each instruction that every
+/// operand it reads (for a phi, the one its incoming edge selects) lies
+/// in the range `ranges` reports there. Returns whether the run
+/// finished inside what the domain models: the interval arithmetic
+/// saturates where the machine wraps, so a run whose arithmetic leaves
+/// `i64` stops unchecked.
+fn run_checked(f: &Function, ranges: &ValueRanges, args: &[i64]) -> bool {
+    let mut vals: HashMap<ValueId, i64> = (0..args.len()).map(|i| (f.arg(i), args[i])).collect();
+    let (mut bb, mut from) = (f.entry(), None::<BlockId>);
+    let check = |vals: &HashMap<ValueId, i64>, at: ValueId, v: ValueId| {
+        let x = match f.value(v).kind {
+            ValueKind::ConstInt(c) => c,
+            _ => vals[&v],
+        };
+        let r = ranges.range_before(f, at, v);
+        assert!(
+            r.lo <= x && x <= r.hi,
+            "{v} = {x} before {at}, outside [{}, {}]",
+            r.lo,
+            r.hi
+        );
+        x
+    };
+    loop {
+        // Phis read their operands on entry, all before any is written.
+        let mut bound = Vec::new();
+        for &iv in &f.block(bb).insts {
+            if let Some(Inst::Phi { incomings }) = f.inst(iv) {
+                let (_, v) = incomings
+                    .iter()
+                    .find(|(p, _)| Some(*p) == from)
+                    .expect("edge");
+                bound.push((iv, check(&vals, iv, *v)));
+            }
+        }
+        vals.extend(bound);
+        for &iv in &f.block(bb).insts {
+            let mut ops = Vec::new();
+            match f.inst(iv).expect("instruction") {
+                Inst::Phi { .. } => continue,
+                inst => inst.for_each_operand(|v| ops.push(check(&vals, iv, v))),
+            }
+            let result = match f.inst(iv).expect("instruction") {
+                Inst::Bin { op, .. } => match op {
+                    BinOp::Add => ops[0].checked_add(ops[1]),
+                    BinOp::Sub => ops[0].checked_sub(ops[1]),
+                    BinOp::Mul => ops[0].checked_mul(ops[1]),
+                    _ => ops[0].checked_rem(ops[1]),
+                },
+                Inst::Icmp { pred, .. } => Some(i64::from(pred.eval(ops[0], ops[1]))),
+                Inst::Br {
+                    then_bb, else_bb, ..
+                } => {
+                    (from, bb) = (Some(bb), if ops[0] != 0 { *then_bb } else { *else_bb });
+                    break;
+                }
+                Inst::Jmp { target } => {
+                    (from, bb) = (Some(bb), *target);
+                    break;
+                }
+                Inst::Ret { .. } => return true,
+                other => panic!("unexpected {other:?}"),
+            };
+            match result {
+                Some(x) => vals.insert(iv, x),
+                None => return false,
+            };
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Soundness: on random functions, every operand's concrete value
+    /// on every run lies in the range reported just before its use.
+    #[test]
+    fn every_concrete_value_lies_in_its_reported_range(seed in 1u64..u64::MAX) {
+        let mut d = Draw(seed);
+        let f = random_function(&mut d);
+        let mut errs = Vec::new();
+        pythia_ir::verify::verify_function(&pythia_ir::Module::new("x"), &f, &mut errs);
+        prop_assert!(errs.is_empty(), "{:?}", errs);
+        let r = value_ranges(&f);
+        prop_assert!(r.converged());
+        let checked = (0..16)
+            .filter(|_| {
+                let args: Vec<i64> = (0..3).map(|_| d.below(161) as i64 - 80).collect();
+                run_checked(&f, &r, &args)
+            })
+            .count();
+        prop_assert!(checked > 0, "every run of seed {} left the domain", seed);
+    }
 
     /// A diamond writes `v = w + c1` on one arm and `v = w + c2` on the
     /// other; after the join only the *weaker* bound `v ≤ w + max(c1,c2)`

@@ -328,8 +328,8 @@ fn retirement_of(ev: &BenchEvaluation) -> f64 {
 /// Aggregate retirement rate of a suite: instructions retired across
 /// every scheme of every successful benchmark, per second of summed
 /// execute-phase wall-clock, in Minsts/s. The headline number of the
-/// block-cached engine (ISSUE 6 demands ≥10× over the legacy
-/// interpreter on the suite aggregate).
+/// block-cached engine; `scripts/bench.sh` compares it against the
+/// legacy interpreter's.
 pub fn retirement_minsts_per_sec(suite: &[SuiteEntry]) -> f64 {
     let evs: Vec<&BenchEvaluation> = suite.iter().filter_map(|e| e.evaluation()).collect();
     let insts: u64 = evs.iter().map(|e| retired_insts(e)).sum();

@@ -41,8 +41,8 @@ pub enum AttackOutcome {
     Harmless,
 }
 
-// Manual ordering key for DetectionMechanism so the enum can be a map key.
 impl AttackOutcome {
+    /// The outcome's key in [`CampaignResult`]'s outcome counts.
     fn label(self) -> &'static str {
         match self {
             AttackOutcome::Detected(DetectionMechanism::Canary) => "detected-canary",

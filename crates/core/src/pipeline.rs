@@ -2,7 +2,7 @@
 //! protection scheme from the same analysis, execute each variant, and
 //! aggregate the numbers the paper's figures report.
 
-use pythia_analysis::{CtxPolicy, InputChannels, PrunedObligations};
+use pythia_analysis::{CtxPolicy, PrunedObligations};
 use pythia_ir::{verify, IcCategory, Module, PythiaError};
 use pythia_lint::VariantBuilder;
 use pythia_passes::{InstrumentationStats, Scheme};
@@ -344,7 +344,6 @@ pub fn evaluate_with(
     // Every variant below instruments (and is linted) from the pruned
     // report; the unpruned one is kept for the before/after accounting.
     let build = VariantBuilder::new(module, run.ctx_policy);
-    let channels = InputChannels::find(module);
     let span = |phase, scheme, start: Instant| PhaseSpan {
         phase,
         scheme,
@@ -443,8 +442,8 @@ pub fn evaluate_with(
         cpa_value_fraction: report.cpa_value_fraction(),
         pythia_value_fraction: report.pythia_value_fraction(),
         slice_pointer_fraction: report.mean_slice_pointer_fraction(),
-        ic_histogram: channels.histogram(),
-        ic_total: channels.total(),
+        ic_histogram: ctx.channels.histogram(),
+        ic_total: ctx.channels.total(),
         stack_vulns: report.num_stack_vulns(),
         heap_vulns: report.heap_vulns.len(),
         insts: module.num_insts(),

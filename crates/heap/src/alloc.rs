@@ -41,31 +41,6 @@ impl fmt::Display for FreeError {
 
 impl std::error::Error for FreeError {}
 
-/// An invalid allocator/heap geometry (rejected before any allocation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeapConfigError {
-    /// The base address is not [`GRANULE`]-aligned.
-    UnalignedBase(u64),
-    /// A section capacity is zero.
-    ZeroCapacity,
-    /// The described range wraps around the address space.
-    RangeOverflow,
-}
-
-impl fmt::Display for HeapConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HeapConfigError::UnalignedBase(b) => {
-                write!(f, "heap base {b:#x} is not {GRANULE}-byte aligned")
-            }
-            HeapConfigError::ZeroCapacity => write!(f, "heap section capacity is zero"),
-            HeapConfigError::RangeOverflow => write!(f, "heap range wraps the address space"),
-        }
-    }
-}
-
-impl std::error::Error for HeapConfigError {}
-
 /// Usage counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -113,32 +88,19 @@ impl Allocator {
     ///
     /// # Panics
     ///
-    /// Panics if `base` is not granule-aligned or `capacity` is zero; use
-    /// [`Allocator::try_new`] to reject bad geometry with a typed error.
+    /// Panics if `base` is not granule-aligned, `capacity` is zero, or
+    /// the range wraps the address space.
     pub fn new(base: u64, capacity: u64) -> Self {
-        match Self::try_new(base, capacity) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`Allocator::new`].
-    ///
-    /// # Errors
-    ///
-    /// [`HeapConfigError`] when `base` is unaligned, `capacity` is zero,
-    /// or `base + capacity` wraps the address space.
-    pub fn try_new(base: u64, capacity: u64) -> Result<Self, HeapConfigError> {
-        if !base.is_multiple_of(GRANULE) {
-            return Err(HeapConfigError::UnalignedBase(base));
-        }
-        if capacity == 0 {
-            return Err(HeapConfigError::ZeroCapacity);
-        }
-        if base.checked_add(capacity).is_none() {
-            return Err(HeapConfigError::RangeOverflow);
-        }
-        Ok(Allocator {
+        assert!(
+            base.is_multiple_of(GRANULE),
+            "heap base {base:#x} is not {GRANULE}-byte aligned"
+        );
+        assert!(capacity > 0, "heap section capacity is zero");
+        assert!(
+            base.checked_add(capacity).is_some(),
+            "heap range wraps the address space"
+        );
+        Allocator {
             base,
             capacity,
             top: base,
@@ -146,7 +108,7 @@ impl Allocator {
             free: BTreeMap::new(),
             fastbins: vec![Vec::new(); (FASTBIN_MAX / GRANULE) as usize],
             stats: AllocStats::default(),
-        })
+        }
     }
 
     /// Lowest managed address.
@@ -368,6 +330,24 @@ impl Allocator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    #[should_panic(expected = "is not 16-byte aligned")]
+    fn unaligned_base_panics() {
+        Allocator::new(0x1001, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity is zero")]
+    fn zero_capacity_panics() {
+        Allocator::new(0x1000, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps the address space")]
+    fn wrapping_range_panics() {
+        Allocator::new(u64::MAX - 0xf, 1 << 20);
+    }
 
     #[test]
     fn alloc_returns_aligned_in_range() {

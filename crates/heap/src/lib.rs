@@ -25,5 +25,5 @@
 pub mod alloc;
 pub mod section;
 
-pub use alloc::{AllocStats, Allocator, FreeError, HeapConfigError, FASTBIN_MAX, GRANULE};
-pub use section::{Section, SectionConfig, SectionedHeap};
+pub use alloc::{AllocStats, Allocator, FreeError, FASTBIN_MAX, GRANULE};
+pub use section::{Section, SectionedHeap, ISOLATED_CAPACITY, SHARED_CAPACITY};

@@ -6,7 +6,7 @@
 //! ranges, an overflow that starts inside a shared object can never run
 //! into an isolated object — the paper's core heap-defense property.
 
-use crate::alloc::{AllocStats, Allocator, FreeError, HeapConfigError};
+use crate::alloc::{AllocStats, Allocator, FreeError, GRANULE};
 
 /// Which section an address belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,32 +17,25 @@ pub enum Section {
     Isolated,
 }
 
-/// Layout parameters for [`SectionedHeap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionConfig {
-    /// Base address of the heap region.
-    pub base: u64,
-    /// Capacity of the shared section in bytes.
-    pub shared_capacity: u64,
-    /// Guard gap between the sections in bytes (never mapped).
-    pub guard_gap: u64,
-    /// Capacity of the isolated section in bytes.
-    pub isolated_capacity: u64,
-}
+// The heap's one geometry: 16 MiB shared + 64 KiB guard + 4 MiB
+// isolated, matching the paper's note that the isolated share is sized by
+// the (small) number of vulnerable heap variables and "is scalable".
+const HEAP_BASE: u64 = 0x10_0000_0000;
+/// Capacity of the shared section in bytes.
+pub const SHARED_CAPACITY: u64 = 16 << 20;
+/// Guard gap between the sections in bytes (never mapped).
+const GUARD_GAP: u64 = 64 << 10;
+/// Capacity of the isolated section in bytes.
+pub const ISOLATED_CAPACITY: u64 = 4 << 20;
 
-impl Default for SectionConfig {
-    fn default() -> Self {
-        // 16 MiB shared + 64 KiB guard + 4 MiB isolated, matching the
-        // paper's note that the isolated share is sized by the (small)
-        // number of vulnerable heap variables and "is scalable".
-        SectionConfig {
-            base: 0x10_0000_0000,
-            shared_capacity: 16 << 20,
-            guard_gap: 64 << 10,
-            isolated_capacity: 4 << 20,
-        }
-    }
-}
+const _: () = {
+    assert!(HEAP_BASE.is_multiple_of(GRANULE) && GUARD_GAP.is_multiple_of(GRANULE));
+    assert!(SHARED_CAPACITY.is_multiple_of(GRANULE));
+    assert!(SHARED_CAPACITY > 0 && ISOLATED_CAPACITY > 0);
+    assert!(HEAP_BASE
+        .checked_add(SHARED_CAPACITY + GUARD_GAP + ISOLATED_CAPACITY)
+        .is_some());
+};
 
 /// A heap split into shared and isolated sections.
 #[derive(Debug, Clone)]
@@ -55,55 +48,15 @@ pub struct SectionedHeap {
     init_calls: u64,
 }
 
-impl SectionConfig {
-    /// Check the geometry without building allocators.
-    ///
-    /// # Errors
-    ///
-    /// [`HeapConfigError`] for an unaligned base, a zero capacity, or a
-    /// layout that wraps the address space.
-    pub fn validate(&self) -> Result<(), HeapConfigError> {
-        let iso_base = self
-            .base
-            .checked_add(self.shared_capacity)
-            .and_then(|v| v.checked_add(self.guard_gap))
-            .ok_or(HeapConfigError::RangeOverflow)?;
-        Allocator::try_new(self.base, self.shared_capacity)?;
-        Allocator::try_new(iso_base, self.isolated_capacity)?;
-        Ok(())
-    }
-}
-
 impl SectionedHeap {
-    /// Build a sectioned heap from `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid geometry; use [`SectionedHeap::try_new`] to get
-    /// a typed error instead.
-    pub fn new(config: SectionConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(h) => h,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`SectionedHeap::new`].
-    ///
-    /// # Errors
-    ///
-    /// [`HeapConfigError`] when the geometry is invalid (see
-    /// [`SectionConfig::validate`]).
-    pub fn try_new(config: SectionConfig) -> Result<Self, HeapConfigError> {
-        config.validate()?;
-        let shared = Allocator::try_new(config.base, config.shared_capacity)?;
-        let iso_base = config.base + config.shared_capacity + config.guard_gap;
-        let isolated = Allocator::try_new(iso_base, config.isolated_capacity)?;
-        Ok(SectionedHeap {
-            shared,
-            isolated,
+    /// The sections `[base, base + shared)` and, after a `gap`,
+    /// `isolated` bytes.
+    fn with_geometry(base: u64, shared: u64, gap: u64, isolated: u64) -> Self {
+        SectionedHeap {
+            shared: Allocator::new(base, shared),
+            isolated: Allocator::new(base + shared + gap, isolated),
             init_calls: 0,
-        })
+        }
     }
 
     /// Record a sectioning setup call (the linked-library initialization).
@@ -185,7 +138,7 @@ impl SectionedHeap {
 
 impl Default for SectionedHeap {
     fn default() -> Self {
-        SectionedHeap::new(SectionConfig::default())
+        SectionedHeap::with_geometry(HEAP_BASE, SHARED_CAPACITY, GUARD_GAP, ISOLATED_CAPACITY)
     }
 }
 
@@ -193,13 +146,9 @@ impl Default for SectionedHeap {
 mod tests {
     use super::*;
 
+    /// 4 KiB sections with a 4 KiB guard gap.
     fn small() -> SectionedHeap {
-        SectionedHeap::new(SectionConfig {
-            base: 0x1_0000,
-            shared_capacity: 4096,
-            guard_gap: 4096,
-            isolated_capacity: 4096,
-        })
+        SectionedHeap::with_geometry(0x1_0000, 4096, 4096, 4096)
     }
 
     #[test]
@@ -253,36 +202,6 @@ mod tests {
         h.record_init_call();
         h.record_init_call();
         assert_eq!(h.init_calls(), 2);
-    }
-
-    #[test]
-    fn invalid_geometry_rejected_with_typed_errors() {
-        let ok = SectionConfig::default();
-        assert!(ok.validate().is_ok());
-        assert!(SectionedHeap::try_new(ok).is_ok());
-
-        let unaligned = SectionConfig {
-            base: 0x1_0001,
-            ..ok
-        };
-        assert_eq!(
-            unaligned.validate(),
-            Err(HeapConfigError::UnalignedBase(0x1_0001))
-        );
-
-        let zero = SectionConfig {
-            shared_capacity: 0,
-            ..ok
-        };
-        assert_eq!(zero.validate(), Err(HeapConfigError::ZeroCapacity));
-
-        let wrapping = SectionConfig {
-            base: u64::MAX - 0xf,
-            shared_capacity: 1 << 20,
-            ..ok
-        };
-        assert_eq!(wrapping.validate(), Err(HeapConfigError::RangeOverflow));
-        assert!(SectionedHeap::try_new(wrapping).is_err());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! - **Setup** — the harness was asked to do something impossible: a
 //!   missing or duplicate entry function, a module that fails
-//!   verification, an invalid heap geometry. The input is at fault.
+//!   verification, globals that do not fit the address space. The input
+//!   is at fault.
 //! - **Fault** — a benign machine fault on adversarial-but-legal input: a
 //!   wild address, an unsupported access width. The *program* is at
 //!   fault; the harness behaved correctly.

@@ -7,7 +7,6 @@
 
 use crate::cipher::{self, Key128};
 use pythia_ir::PaKey;
-use rand::Rng;
 use std::cell::Cell;
 use std::fmt;
 
@@ -261,19 +260,6 @@ fn key_index(key: PaKey) -> usize {
 }
 
 impl PaContext {
-    /// Fresh random keys (what the kernel does at `exec`).
-    pub fn random(rng: &mut impl Rng) -> Self {
-        let mut keys = [Key128::new(0, 0); 5];
-        for k in &mut keys {
-            *k = Key128::new(rng.gen(), rng.gen());
-        }
-        PaContext {
-            keys,
-            config: PacConfig::default(),
-            memo: PacMemo::new(),
-        }
-    }
-
     /// Deterministic keys for reproducible experiments.
     pub fn from_seed(seed: u64) -> Self {
         let mut keys = [Key128::new(0, 0); 5];
@@ -364,7 +350,7 @@ impl PaContext {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn ctx() -> PaContext {
         PaContext::from_seed(1)

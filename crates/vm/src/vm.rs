@@ -665,8 +665,8 @@ impl<'m> Vm<'m> {
     /// # Errors
     ///
     /// [`PythiaError::Setup`] when `entry` names zero or several functions
-    /// of the module, or when construction recorded a problem (invalid
-    /// heap geometry, oversized globals). Traps are *not* errors: they
+    /// of the module, or when construction recorded a problem (globals
+    /// that do not fit the address space). Traps are *not* errors: they
     /// surface as [`ExitReason::Trapped`] in the `Ok` result.
     pub fn run(&mut self, entry: &str, args: &[i64]) -> Result<RunResult, PythiaError> {
         self.start(entry, args)?;

@@ -33,7 +33,7 @@
 pub mod sched;
 
 use crate::server::sched::{attack_timetable, AttackSlot, EpochClock};
-use pythia_heap::{AllocStats, Section, SectionConfig, SectionedHeap, GRANULE};
+use pythia_heap::{AllocStats, Section, SectionedHeap, GRANULE, ISOLATED_CAPACITY};
 use pythia_ir::{
     BinOp, CastKind, CmpPred, FunctionBuilder, Inst, Intrinsic, Module, PythiaError, Ty,
 };
@@ -257,7 +257,7 @@ impl EventLoopConfig {
     /// headroom for the holes churn leaves (DESIGN.md §5i).
     pub fn max_connections() -> usize {
         let chunk = (SCRATCH_BASE + SCRATCH_SPREAD).next_multiple_of(GRANULE);
-        (SectionConfig::default().isolated_capacity / chunk).div_ceil(2) as usize
+        (ISOLATED_CAPACITY / chunk).div_ceil(2) as usize
     }
 
     /// Check the configuration before any work: one loop needs between

@@ -1,10 +1,13 @@
 //! Property tests for the analysis crate: reverse-postorder laws over
-//! randomly-shaped CFGs, and points-to soundness on randomly wired
-//! pointer programs.
+//! randomly-shaped CFGs, points-to soundness on randomly wired pointer
+//! programs, and reaching stores checked against their path meaning on
+//! random CFGs and on the generated suite.
 
 use proptest::prelude::*;
-use pythia::analysis::{reverse_postorder, PointsTo};
-use pythia::ir::{CmpPred, Function, FunctionBuilder, Module, Ty, ValueId};
+use pythia::analysis::{reverse_postorder, PointsTo, ReachingStores};
+use pythia::ir::{BlockId, CmpPred, FuncId, Function, FunctionBuilder, Inst, Module, Ty, ValueId};
+use pythia::workloads::{generate, nginx_module, SizeTier, SPEC_PROFILES};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Build a function whose CFG is a chain of `shape` segments, each either
 /// a straight block, a diamond, or a bounded loop.
@@ -140,4 +143,217 @@ proptest! {
             prop_assert!(!pt.points_to(fid, target).may_overlap(pt.points_to(fid, s)));
         }
     }
+}
+
+/// Check `ReachingStores` on `f` against what reaching means, for every
+/// block and every object a store writes (plus one none does). Reaching stores is a gen/kill
+/// problem, so its fixpoint is the meet over all paths: store `s` of
+/// object `o` reaches block `C`'s entry iff no later one-object store to
+/// `o` follows `s` in its block, and some CFG path from `s`'s block to
+/// `C` passes through no block that strongly stores `o`. A store whose
+/// object list is longer than one (a repeated object included) is weak.
+/// Returns how many sets were compared and how many were non-empty.
+fn check_reaching_stores(
+    f: &Function,
+    objects_of: &dyn Fn(ValueId) -> Vec<u32>,
+    what: &str,
+) -> (u64, u64) {
+    let rs = ReachingStores::compute(f, objects_of);
+    // Per block, its stores in order with the objects each writes.
+    let stores: Vec<Vec<(ValueId, Vec<u32>)>> = f
+        .block_ids()
+        .map(|bb| {
+            f.block(bb)
+                .insts
+                .iter()
+                .filter_map(|&iv| match f.inst(iv) {
+                    Some(Inst::Store { ptr, .. }) => Some((iv, objects_of(*ptr))),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    let strong = |objs: &[u32], o: u32| objs == [o];
+    let mut want: HashMap<(BlockId, u32), HashSet<ValueId>> = HashMap::new();
+    for home in f.block_ids() {
+        let in_block = &stores[home.0 as usize];
+        for (i, (s, objs)) in in_block.iter().enumerate() {
+            let objs: BTreeSet<u32> = objs.iter().copied().collect();
+            for o in objs {
+                if in_block[i + 1..].iter().any(|(_, later)| strong(later, o)) {
+                    continue;
+                }
+                let mut seen = vec![false; f.num_blocks()];
+                let mut queue: Vec<BlockId> = f.successors(home).into_iter().collect();
+                while let Some(bb) = queue.pop() {
+                    if std::mem::replace(&mut seen[bb.0 as usize], true) {
+                        continue;
+                    }
+                    want.entry((bb, o)).or_default().insert(*s);
+                    if !stores[bb.0 as usize].iter().any(|(_, w)| strong(w, o)) {
+                        queue.extend(f.successors(bb));
+                    }
+                }
+            }
+        }
+    }
+    let objects: BTreeSet<u32> = stores
+        .iter()
+        .flatten()
+        .flat_map(|(_, objs)| objs.iter().copied())
+        .chain([u32::MAX])
+        .collect();
+    let (mut compared, mut nonempty) = (0, 0);
+    for bb in f.block_ids() {
+        for &o in &objects {
+            let want = want.remove(&(bb, o)).unwrap_or_default();
+            assert_eq!(
+                rs.reaching(bb, o),
+                want,
+                "{what}: stores of object {o} reaching {bb}"
+            );
+            compared += 1;
+            nonempty += u64::from(!want.is_empty());
+        }
+    }
+    (compared, nonempty)
+}
+
+/// The objects of [`random_store_cfg`]'s four slots: two strong (one
+/// object each), one weak over two objects, one weak with a repeated
+/// object; any other pointer writes nothing.
+fn slot_objects(slots: &[ValueId], p: ValueId) -> Vec<u32> {
+    match slots.iter().position(|&s| s == p) {
+        Some(0) => vec![0],
+        Some(1) => vec![1, 2],
+        Some(2) => vec![2],
+        Some(3) => vec![0, 0],
+        _ => Vec::new(),
+    }
+}
+
+/// A function of `2..10` blocks wired at random (jumps, two-way
+/// branches, returns; back edges and unreachable blocks included), each
+/// storing to random slots, drawn from `seed`.
+fn random_store_cfg(seed: u64) -> (Function, Vec<ValueId>) {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let mut b = FunctionBuilder::new("r", vec![Ty::I64], Ty::Void);
+    let nb = 2 + next(8) as u32;
+    let blocks: Vec<BlockId> = std::iter::once(b.current_block())
+        .chain((1..nb).map(|i| b.new_block(format!("b{i}"))))
+        .collect();
+    let slots: Vec<ValueId> = (0..4).map(|_| b.alloca(Ty::I64)).collect();
+    let x = b.func().arg(0);
+    for &bb in &blocks {
+        b.switch_to(bb);
+        for _ in 0..next(4) {
+            let v = b.const_i64(next(100) as i64);
+            b.store(v, slots[next(4) as usize]);
+        }
+        let pick = |r: u64| blocks[r as usize];
+        match next(5) {
+            0 => {
+                b.ret(None);
+            }
+            1 | 2 => {
+                let t = pick(next(u64::from(nb)));
+                b.jmp(t);
+            }
+            _ => {
+                let zero = b.const_i64(0);
+                let c = b.icmp(CmpPred::Sgt, x, zero);
+                let (t, e) = (pick(next(u64::from(nb))), pick(next(u64::from(nb))));
+                b.br(c, t, e);
+            }
+        }
+    }
+    (b.finish(), slots)
+}
+
+/// Strong updates across blocks, weak updates, repeats, loops and
+/// unreachable blocks, which the generated suite exercises too rarely:
+/// 400 random functions, every block × object.
+#[test]
+fn reaching_stores_on_random_cfgs_follow_their_paths() {
+    let mut killed = 0;
+    for seed in 0..400 {
+        let (f, slots) = random_store_cfg(seed);
+        let objects_of = |p: ValueId| slot_objects(&slots, p);
+        check_reaching_stores(&f, &objects_of, &format!("seed {seed}"));
+        // Count functions where a strong update hides an earlier store
+        // from some block: with every store made weak, the sets differ.
+        let (exact, weak) = (
+            ReachingStores::compute(&f, objects_of),
+            ReachingStores::compute(&f, |p| {
+                let mut objs = objects_of(p);
+                objs.push(u32::MAX);
+                objs
+            }),
+        );
+        killed += usize::from(
+            f.block_ids()
+                .any(|bb| (0..4).any(|o| weak.reaching(bb, o) != exact.reaching(bb, o))),
+        );
+    }
+    assert!(
+        killed > 50,
+        "only {killed} functions exercise a strong update"
+    );
+}
+
+/// The same check on every function of the smoke-tier suite plus nginx,
+/// under two store-to-object maps: the points-to sets (as the liveness
+/// pass asks) and a per-store list with repeats (as the DFI linter
+/// builds it, where a repeat makes a one-object store weak).
+#[test]
+fn reaching_stores_on_the_suite_follow_their_paths() {
+    let mut modules: Vec<Module> = SPEC_PROFILES
+        .iter()
+        .map(|p| generate(&p.at_tier(SizeTier::Smoke)))
+        .collect();
+    modules.push(nginx_module(SizeTier::Smoke.scale_volume(60)));
+    let (mut compared, mut nonempty) = (0, 0);
+    for m in &modules {
+        let pt = PointsTo::analyze(m);
+        for (i, f) in m.functions().iter().enumerate() {
+            let fid = FuncId(i as u32);
+            let by_points_to = |p: ValueId| -> Vec<u32> {
+                let s = pt.points_to(fid, p);
+                if s.unknown {
+                    Vec::new()
+                } else {
+                    s.objects.iter().copied().collect()
+                }
+            };
+            let mut by_store: BTreeMap<ValueId, Vec<u32>> = BTreeMap::new();
+            for v in f.value_ids() {
+                if let Some(Inst::Store { ptr, .. }) = f.inst(v) {
+                    by_store
+                        .entry(*ptr)
+                        .or_default()
+                        .extend(by_points_to(*ptr).into_iter().filter(|o| o % 2 == 0));
+                }
+            }
+            let by_store = |p: ValueId| by_store.get(&p).cloned().unwrap_or_default();
+            for (map, objects_of) in [
+                ("points-to", &by_points_to as &dyn Fn(ValueId) -> Vec<u32>),
+                ("per-store", &by_store),
+            ] {
+                let what = format!("{}/{} ({map})", m.name, f.name);
+                let (c, n) = check_reaching_stores(f, objects_of, &what);
+                compared += c;
+                nonempty += n;
+            }
+        }
+    }
+    assert!(
+        nonempty > 0 && compared > nonempty,
+        "{compared} sets, {nonempty} non-empty"
+    );
 }

@@ -4,7 +4,7 @@
 //! canaries adjacent to the buffers they guard.
 
 use pythia::core::Scheme;
-use pythia::heap::{Section, SectionConfig, SectionedHeap};
+use pythia::heap::{Section, SectionedHeap, SHARED_CAPACITY};
 use pythia::ir::{CmpPred, FunctionBuilder, Inst, Intrinsic, Module, Ty};
 use pythia::vm::{AttackSpec, ExitReason, InputPlan, Vm, VmConfig};
 
@@ -52,17 +52,12 @@ fn overflow_reach_is_byte_accurate() {
 
 #[test]
 fn sectioned_heap_blocks_cross_section_overflow() {
-    let mut h = SectionedHeap::new(SectionConfig {
-        base: 0x10_0000,
-        shared_capacity: 1 << 16,
-        guard_gap: 1 << 16,
-        isolated_capacity: 1 << 16,
-    });
+    let mut h = SectionedHeap::default();
     let attacker_chunk = h.alloc(Section::Shared, 64).unwrap();
     let secret = h.alloc(Section::Isolated, 64).unwrap();
     // Even overflowing the entire shared section cannot reach the secret.
-    assert!(!h.overflow_reaches_isolated(attacker_chunk, 1 << 16));
-    assert!(secret > attacker_chunk + (1 << 16));
+    assert!(!h.overflow_reaches_isolated(attacker_chunk, SHARED_CAPACITY));
+    assert!(secret > attacker_chunk + SHARED_CAPACITY);
 }
 
 #[test]
