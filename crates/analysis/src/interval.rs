@@ -42,7 +42,15 @@
 //! [`DataflowAnalysis::edge`] hook: crossing `pred → target` first clamps
 //! the ranges of the compared operands according to the branch condition's
 //! outcome on that edge, then binds each phi in `target` to its
-//! edge-specific operand range (intervals and relations alike).
+//! edge-specific operand range (intervals and relations alike). An edge
+//! whose condition no value in the ranges satisfies carries no fact.
+//!
+//! # Wrapping
+//!
+//! The machine wraps `i64` arithmetic, so `add`/`sub`/`mul` give the full
+//! range whenever an end of the result overflows, and `v = w + c` with
+//! `c < 0` records `v ≤ w + c` only when no `w` in range wraps below
+//! `i64::MIN` (a wrap up only lowers `v`, so the bound holds).
 //!
 //! # Unsigned guards
 //!
@@ -71,8 +79,8 @@ pub const REL_K_MAX: i64 = 4096;
 pub const REL_MAX_TERMS: usize = 8;
 
 /// A closed interval `[lo, hi]` over `i64`. Empty intervals are never
-/// constructed (refinement that would empty a range leaves it untouched —
-/// the edge is then infeasible but still modeled conservatively).
+/// constructed: a refinement that would empty a range marks its edge
+/// infeasible, and the edge carries no fact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
     /// Inclusive lower bound.
@@ -103,31 +111,39 @@ impl Interval {
         self.lo >= 0 && u64::try_from(self.hi).map(|h| h < count).unwrap_or(false)
     }
 
-    fn add(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_add(other.lo),
-            hi: self.hi.saturating_add(other.hi),
+    /// `[lo, hi]`, or the full range when either end overflowed: the
+    /// machine wraps, so a result that leaves `i64` at one end can be
+    /// anything. When neither end overflows, no value between them does.
+    fn of_ends(lo: Option<i64>, hi: Option<i64>) -> Interval {
+        match (lo, hi) {
+            (Some(lo), Some(hi)) => Interval { lo, hi },
+            _ => Self::FULL,
         }
+    }
+
+    fn add(self, other: Interval) -> Interval {
+        Self::of_ends(self.lo.checked_add(other.lo), self.hi.checked_add(other.hi))
     }
 
     fn sub(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_sub(other.hi),
-            hi: self.hi.saturating_sub(other.lo),
-        }
+        Self::of_ends(self.lo.checked_sub(other.hi), self.hi.checked_sub(other.lo))
     }
 
+    /// A product's extremes over a box are at its corners, so when no
+    /// corner overflows no product inside does.
     fn mul(self, other: Interval) -> Interval {
-        let candidates = [
-            self.lo.saturating_mul(other.lo),
-            self.lo.saturating_mul(other.hi),
-            self.hi.saturating_mul(other.lo),
-            self.hi.saturating_mul(other.hi),
+        let corners = [
+            self.lo.checked_mul(other.lo),
+            self.lo.checked_mul(other.hi),
+            self.hi.checked_mul(other.lo),
+            self.hi.checked_mul(other.hi),
         ];
-        Interval {
-            lo: *candidates.iter().min().unwrap(),
-            hi: *candidates.iter().max().unwrap(),
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for c in corners {
+            let Some(c) = c else { return Self::FULL };
+            (lo, hi) = (lo.min(c), hi.max(c));
         }
+        Interval { lo, hi }
     }
 }
 
@@ -209,7 +225,7 @@ impl Env {
     /// Record `v ≤ w + k`, clamping the offset and the per-value term
     /// count (both for lattice-height reasons, both weakening-only).
     fn bound(&mut self, v: ValueId, w: ValueId, k: i64) {
-        if k.abs() > REL_K_MAX {
+        if k.unsigned_abs() > REL_K_MAX as u64 {
             return;
         }
         let mut run = self.run(v);
@@ -328,6 +344,9 @@ impl RangeAnalysis {
         let mut hi = base.hi;
         for &(_, w, k) in &env.ub[env.run(v)] {
             let wr = Self::range_of(f, env, w);
+            // Relations hold over the integers (see `transfer_inst`), so
+            // `hi(w) + k` saturating up is no bound and saturating down
+            // marks an infeasible point, which the check below catches.
             if wr.hi != i64::MAX {
                 hi = hi.min(wr.hi.saturating_add(k));
             }
@@ -349,15 +368,18 @@ impl RangeAnalysis {
                 let r = Self::range_of(f, env, *rhs);
                 // `v = w ± c` inherits w's relational bounds shifted by c
                 // (and `v ≤ w ± c` itself): the exact-arithmetic cases the
-                // guard patterns produce.
+                // guard patterns produce. Upper bounds survive a wrap up
+                // (it only lowers `v`); a wrap down raises `v`, so a
+                // negative shift counts only when no `w` in range wraps.
                 let shifted = match (op, &f.value(*lhs).kind, &f.value(*rhs).kind) {
                     (BinOp::Add, _, ValueKind::ConstInt(c)) => Some((*lhs, *c)),
                     (BinOp::Add, ValueKind::ConstInt(c), _) => Some((*rhs, *c)),
-                    (BinOp::Sub, _, ValueKind::ConstInt(c)) => Some((*lhs, -*c)),
+                    (BinOp::Sub, _, ValueKind::ConstInt(c)) => c.checked_neg().map(|c| (*lhs, c)),
                     _ => None,
                 };
                 if let Some((w, c)) = shifted {
-                    if !matches!(f.value(w).kind, ValueKind::ConstInt(_)) {
+                    let wraps_down = c < 0 && Self::range_of(f, env, w).lo.checked_add(c).is_none();
+                    if !wraps_down && !matches!(f.value(w).kind, ValueKind::ConstInt(_)) {
                         let (inherited, n) = env.terms(w);
                         env.bound(iv, w, c);
                         for &(u, k) in &inherited[..n] {
@@ -397,39 +419,35 @@ impl RangeAnalysis {
     }
 
     /// Clamp `(lhs, rhs)` ranges under the assumption `lhs pred rhs` holds.
-    /// Returns `None` when the predicate supports no interval refinement.
-    fn refine(pred: CmpPred, l: Interval, r: Interval) -> Option<(Interval, Interval)> {
-        let clamp = |iv: Interval, lo: i64, hi: i64| -> Interval {
+    /// Returns `None` when the predicate supports no interval refinement,
+    /// and `Some(None)` when no values in the ranges satisfy it: the edge
+    /// cannot be taken. (Keeping the unrefined ranges there instead would
+    /// make the transfer non-monotone: a wider range could refine to a
+    /// narrower one, and loops whose ranges overflow to the full range
+    /// would then never settle.)
+    fn refine(pred: CmpPred, l: Interval, r: Interval) -> Option<Option<(Interval, Interval)>> {
+        let clamp = |iv: Interval, lo: i64, hi: i64| -> Option<Interval> {
             let nl = iv.lo.max(lo);
             let nh = iv.hi.min(hi);
-            if nl <= nh {
-                Interval { lo: nl, hi: nh }
-            } else {
-                // Infeasible edge; keep the unrefined range (sound).
-                iv
-            }
+            (nl <= nh).then_some(Interval { lo: nl, hi: nh })
         };
+        let both = |a: Option<Interval>, b: Option<Interval>| Some(a.zip(b));
         match pred {
             CmpPred::Eq => {
-                let lo = l.lo.max(r.lo);
-                let hi = l.hi.min(r.hi);
-                if lo <= hi {
-                    Some((Interval { lo, hi }, Interval { lo, hi }))
-                } else {
-                    None
-                }
+                let both = clamp(l, r.lo, r.hi);
+                Some(both.map(|iv| (iv, iv)))
             }
             CmpPred::Ne => None,
-            CmpPred::Slt => Some((
+            CmpPred::Slt => both(
                 clamp(l, i64::MIN, r.hi.saturating_sub(1)),
                 clamp(r, l.lo.saturating_add(1), i64::MAX),
-            )),
-            CmpPred::Sle => Some((clamp(l, i64::MIN, r.hi), clamp(r, l.lo, i64::MAX))),
-            CmpPred::Sgt => Some((
+            ),
+            CmpPred::Sle => both(clamp(l, i64::MIN, r.hi), clamp(r, l.lo, i64::MAX)),
+            CmpPred::Sgt => both(
                 clamp(l, r.lo.saturating_add(1), i64::MAX),
                 clamp(r, i64::MIN, l.hi.saturating_sub(1)),
-            )),
-            CmpPred::Sge => Some((clamp(l, r.lo, i64::MAX), clamp(r, i64::MIN, l.hi))),
+            ),
+            CmpPred::Sge => both(clamp(l, r.lo, i64::MAX), clamp(r, i64::MIN, l.hi)),
             CmpPred::Ult | CmpPred::Ule | CmpPred::Ugt | CmpPred::Uge => {
                 // Normalize to `small ≤u bound` (strict or not). When the
                 // bound side is statically non-negative, the comparison
@@ -447,7 +465,11 @@ impl RangeAnalysis {
                 let off = i64::from(strict);
                 let na = clamp(a, 0, bnd.hi.saturating_sub(off));
                 let nb = clamp(bnd, a.lo.max(0).saturating_add(off), i64::MAX);
-                Some(if small_first { (na, nb) } else { (nb, na) })
+                if small_first {
+                    both(na, nb)
+                } else {
+                    both(nb, na)
+                }
             }
         }
     }
@@ -595,12 +617,21 @@ impl DataflowAnalysis for RangeAnalysis {
                     };
                     let l = Self::range_of(f, out, *lhs);
                     let r = Self::range_of(f, out, *rhs);
-                    if let Some((nl, nr)) = Self::refine(effective, l, r) {
-                        for (v, iv) in [(*lhs, nl), (*rhs, nr)] {
-                            if !matches!(f.value(v).kind, ValueKind::ConstInt(_)) && !iv.is_full() {
-                                out.set(v, iv);
+                    match Self::refine(effective, l, r) {
+                        Some(Some((nl, nr))) => {
+                            for (v, iv) in [(*lhs, nl), (*rhs, nr)] {
+                                if !matches!(f.value(v).kind, ValueKind::ConstInt(_))
+                                    && !iv.is_full()
+                                {
+                                    out.set(v, iv);
+                                }
                             }
                         }
+                        Some(None) => {
+                            *fact = None;
+                            return;
+                        }
+                        None => {}
                     }
                     Self::relate(effective, out, f, *lhs, *rhs);
                 }
@@ -805,6 +836,65 @@ mod tests {
         // Before `ret`, d = s - x = 7.
         let ret = *f.block(f.entry()).insts.last().unwrap();
         assert_eq!(r.range_before(&f, ret, d), Interval::exact(7));
+    }
+
+    #[test]
+    fn arithmetic_that_can_wrap_proves_nothing() {
+        // if (x > i64::MAX - 2) { z = (x + 10) - (i64::MAX - 3); buf4[z] = 0 }
+        // x = i64::MAX - 1 wraps x + 10 and makes z = 12.
+        let mut b = FunctionBuilder::new("f", vec![Ty::I64], Ty::I64);
+        let t = b.new_block("t");
+        let e = b.new_block("e");
+        let x = b.func().arg(0);
+        let buf = b.alloca_n(Ty::I64, 4);
+        let lim = b.const_i64(i64::MAX - 2);
+        let c = b.icmp(CmpPred::Sgt, x, lim);
+        b.br(c, t, e);
+        b.switch_to(t);
+        let ten = b.const_i64(10);
+        let y = b.add(x, ten);
+        let k = b.const_i64(i64::MAX - 3);
+        let z = b.sub(y, k);
+        let p = b.gep(buf, z);
+        let zero = b.const_i64(0);
+        b.store(zero, p);
+        b.ret(Some(z));
+        b.switch_to(e);
+        b.ret(Some(zero));
+        let f = b.finish();
+        let r = solved(&f, &[]);
+        assert_eq!(
+            r.range_before(&f, y, x),
+            Interval {
+                lo: i64::MAX - 1,
+                hi: i64::MAX
+            }
+        );
+        assert!(r.range_before(&f, p, y).is_full());
+        let wrapped = (i64::MAX - 1).wrapping_add(10).wrapping_sub(i64::MAX - 3);
+        assert_eq!(wrapped, 12);
+        let zr = r.range_before(&f, p, z);
+        assert!(
+            zr.lo <= wrapped && wrapped <= zr.hi,
+            "[{}, {}]",
+            zr.lo,
+            zr.hi
+        );
+        assert!(!index_in_bounds(&f, &r, p, z, 4));
+    }
+
+    #[test]
+    fn interval_ends_that_overflow_give_the_full_range() {
+        let r = |lo, hi| Interval { lo, hi };
+        assert_eq!(r(1, 2).add(r(3, 4)), r(4, 6));
+        assert!(r(0, i64::MAX).add(r(0, 1)).is_full());
+        assert!(r(i64::MIN, 0).add(r(-1, 0)).is_full());
+        assert_eq!(r(5, 9).sub(r(1, 2)), r(3, 8));
+        assert!(r(i64::MIN, 0).sub(r(0, 1)).is_full());
+        assert!(r(0, 1).sub(r(i64::MIN, 0)).is_full());
+        assert_eq!(r(-3, 2).mul(r(4, 5)), r(-15, 10));
+        assert!(r(0, i64::MAX).mul(r(2, 2)).is_full());
+        assert!(r(-1, 0).mul(r(i64::MIN, i64::MIN)).is_full());
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! the suite pays: the pipeline and campaigns decode once per
 //! instrumented module and share the cache across every run.
 //!
-//! `vm_construct` times what the server scenario pays per request on
-//! one thread: building a fresh `Vm` over the server module alone, and
-//! building it plus running one `handle_request`, per scheme.
+//! `vm_construct` times the request VM of the server scenario per
+//! scheme: building a fresh `Vm` over the server module alone, building
+//! one and running one `handle_request`, and what the event loop pays
+//! per request — resetting its one VM in place (`Vm::reset`) and
+//! running one `handle_request` on it.
 //!
 //! `vm_fork` prices what a campaign smash no longer pays: cloning a
 //! block-engine VM paused halfway through mcf under Pythia, against
@@ -21,7 +23,8 @@
 //! `vm_ops` runs op-class micro-kernels written in textual PIR, each a
 //! loop dominated by one class of operation: an ALU chain, calls and
 //! returns, a load/store stream over two arrays, a phi-heavy loop, a
-//! CPA-style sign/store/load/auth pair and a DFI-style
+//! CPA-style sign/store/load/auth pair, CPA's SSA sign→auth pair (which
+//! the block engine runs as one fused op) and a DFI-style
 //! store/setdef/chkdef/load. Each kernel prints its retired
 //! instructions per run once, so time per run over that count is its
 //! ns/op on each engine.
@@ -149,6 +152,28 @@ bb2:
 }
 "#;
 
+/// CPA's signed SSA value: each value is signed and at once
+/// authenticated again under the same key and modifier, 20,000 times.
+const PAC_PAIR: &str = r#"
+module "vm_ops_pac_pair"
+
+func @main() -> i64 {
+bb0:
+  %0 = alloca i64 x 1
+  %1 = ptrtoint %0 to i64
+  jmp bb1
+bb1:
+  %2 = phi i64 [bb0: 0:i64], [bb1: %5]
+  %3 = pacsign %2, da, %1 : i64
+  %4 = pacauth %3, da, %1 : i64
+  %5 = add %4, 1:i64 : i64
+  %6 = icmp slt %5, 20000:i64
+  br %6, bb1, bb2
+bb2:
+  ret %5
+}
+"#;
+
 /// An ALU chain: four dependent ops per iteration, 20,000 iterations.
 const ALU: &str = r#"
 module "vm_ops_alu"
@@ -194,12 +219,13 @@ bb2:
 }
 "#;
 
-const KERNELS: [(&str, &str); 6] = [
+const KERNELS: [(&str, &str); 7] = [
     ("alu", ALU),
     ("callret", CALLRET),
     ("stream", STREAM),
     ("phi", PHI),
     ("pac", PAC),
+    ("pac_pair", PAC_PAIR),
     ("dfi", DFI),
 ];
 
@@ -313,6 +339,13 @@ fn bench_vm_construct(c: &mut Criterion) {
         g.bench_function(format!("request_{}", scheme.name()), |b| {
             b.iter(|| {
                 let mut vm = new_vm();
+                vm.run("handle_request", &[3, 1]).unwrap().metrics.insts
+            })
+        });
+        let mut vm = new_vm();
+        g.bench_function(format!("reset_{}", scheme.name()), |b| {
+            b.iter(|| {
+                vm.reset(cfg.clone(), InputPlan::benign(7));
                 vm.run("handle_request", &[3, 1]).unwrap().metrics.insts
             })
         });

@@ -23,17 +23,39 @@ const CHUNK_SETS: usize = 64;
 /// One set-associative level with LRU replacement.
 ///
 /// Sets are grouped in chunks of [`CHUNK_SETS`], each allocated on the
-/// first access that maps into it. A level is built fresh for every VM
-/// run, and a short run touches few of an LLC's 32k sets, so the level
-/// costs what the run touches rather than its `sets × ways` geometry. Inside a chunk each set is one contiguous `1 + ways` word
-/// stripe: the live way count, then the tags (LRU first, MRU last
-/// within the live prefix).
-#[derive(Debug, Clone)]
+/// first access that maps into it. A short run touches few of an LLC's
+/// 32k sets, so the level costs what the run touches rather than its
+/// `sets × ways` geometry. Inside a chunk each set is one contiguous
+/// `1 + ways` word stripe: the live way count, then the tags (LRU first,
+/// MRU last within the live prefix).
+///
+/// [`Level::reset`] empties the level without freeing: the chunks
+/// touched since the last reset are zeroed and kept as spares, which
+/// later first touches take before allocating.
+#[derive(Debug)]
 struct Level {
     chunks: Vec<Option<Box<[u64]>>>,
+    /// Indices of the chunks present in `chunks`, in allocation order.
+    touched: Vec<usize>,
+    /// Zeroed chunks a reset took out of `chunks`.
+    spare: Vec<Box<[u64]>>,
     ways: usize,
     set_shift: u32,
     set_mask: u64,
+}
+
+/// A clone holds the same sets; spare chunks are storage, not state.
+impl Clone for Level {
+    fn clone(&self) -> Self {
+        Level {
+            chunks: self.chunks.clone(),
+            touched: self.touched.clone(),
+            spare: Vec::new(),
+            ways: self.ways,
+            set_shift: self.set_shift,
+            set_mask: self.set_mask,
+        }
+    }
 }
 
 /// `(sets, ways)` for a level of `capacity` bytes in `line`-byte lines.
@@ -53,6 +75,8 @@ impl Level {
         let (sets, ways) = geometry(capacity, line, ways_hint);
         Level {
             chunks: vec![None; sets.div_ceil(CHUNK_SETS)],
+            touched: Vec::new(),
+            spare: Vec::new(),
             ways,
             set_shift: line.trailing_zeros(),
             set_mask: sets as u64 - 1,
@@ -64,8 +88,18 @@ impl Level {
         let line = addr >> self.set_shift;
         let set = (line & self.set_mask) as usize;
         let stride = 1 + self.ways;
-        let chunk = self.chunks[set / CHUNK_SETS]
-            .get_or_insert_with(|| vec![0; CHUNK_SETS * stride].into_boxed_slice());
+        let Level {
+            chunks,
+            touched,
+            spare,
+            ..
+        } = self;
+        let chunk = chunks[set / CHUNK_SETS].get_or_insert_with(|| {
+            touched.push(set / CHUNK_SETS);
+            spare
+                .pop()
+                .unwrap_or_else(|| vec![0; CHUNK_SETS * stride].into_boxed_slice())
+        });
         let (live, tags) = chunk[(set % CHUNK_SETS) * stride..][..stride]
             .split_first_mut()
             .expect("a set stripe starts with its live way count");
@@ -90,6 +124,16 @@ impl Level {
                 *live += 1;
             }
             false
+        }
+    }
+
+    /// Empty every set, as a fresh level would be.
+    fn reset(&mut self) {
+        for c in self.touched.drain(..) {
+            if let Some(mut chunk) = self.chunks[c].take() {
+                chunk.fill(0);
+                self.spare.push(chunk);
+            }
         }
     }
 
@@ -166,6 +210,15 @@ impl CacheSim {
             line,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Empty both levels and zero the counters: afterwards the
+    /// simulator behaves exactly like a fresh one of its geometry.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.llc.reset();
+        self.l1_mru.fill(0);
+        self.stats = CacheStats::default();
     }
 
     /// Cache line size.
@@ -297,6 +350,44 @@ mod tests {
         // Far-apart lines land in different chunks; nothing else appears.
         c.access(0x70_0000_0000 + 0x40 * CHUNK_SETS as u64);
         assert_eq!((c.l1.allocated_chunks(), c.llc.allocated_chunks()), (2, 2));
+    }
+
+    #[test]
+    fn reset_sim_matches_a_fresh_one() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut addrs = |n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    [0x10_0000u64, 0x70_0000_0000][rng.gen_range(0..2)] + rng.gen_range(0..1 << 22)
+                })
+                .collect()
+        };
+        let (before, after) = (addrs(5_000), addrs(5_000));
+        let mut reused = CacheSim::m1_like();
+        for &a in &before {
+            reused.access(a);
+        }
+        let chunks = (reused.l1.allocated_chunks(), reused.llc.allocated_chunks());
+        reused.reset();
+        assert_eq!(reused.stats(), CacheStats::default());
+        assert_eq!(
+            (reused.l1.allocated_chunks(), reused.llc.allocated_chunks()),
+            (0, 0)
+        );
+        assert_eq!((reused.l1.spare.len(), reused.llc.spare.len()), chunks);
+        let mut fresh = CacheSim::m1_like();
+        for &a in &after {
+            assert_eq!(reused.access(a), fresh.access(a), "{a:#x}");
+        }
+        assert_eq!(reused.stats(), fresh.stats());
+        // A clone keeps the sets and none of the spares.
+        let c = reused.clone();
+        assert_eq!(
+            (c.l1.spare.len(), c.llc.touched.len()),
+            (0, reused.llc.touched.len())
+        );
     }
 
     /// The flat `sets × ways` level the chunked [`Level`] replaced, kept

@@ -35,6 +35,7 @@
 //! op-by-op in DESIGN.md §5f and enforced by the differential tests.
 
 use crate::cost::CostModel;
+use pythia_ir::layout::Slot;
 use pythia_ir::{
     BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, Function, Inst, Intrinsic, Module, PaKey,
     Ty, ValueId, ValueKind,
@@ -314,6 +315,19 @@ pub(crate) enum OpKind {
         key: PaKey,
         modifier: Operand,
     },
+    /// A `pacsign` (this op's `iv` and class) fused with the `pacauth`
+    /// right after it that authenticates its result under the same key
+    /// and modifier operand ([`fused_auth`]). Both instructions are
+    /// metered in order, each under its own value id and class; the PAC
+    /// is computed once, by the sign. The auth would find it in the memo
+    /// slot the sign just filled and could not fail, so skipping it
+    /// changes nothing observable (DESIGN.md §5f).
+    PacSignAuth {
+        value: Operand,
+        key: PaKey,
+        modifier: Operand,
+        auth: ValueId,
+    },
     PacStrip {
         value: Operand,
     },
@@ -460,6 +474,8 @@ pub struct DecodedFunction {
 #[derive(Debug)]
 pub struct DecodedModule {
     pub(crate) funcs: Vec<DecodedFunction>,
+    /// Every global's place in the address space, by global id.
+    globals: Box<[Slot]>,
     /// Values across all functions: the number of PA-site numbers.
     sites: usize,
     /// The module's static `(signs, auths, strips)`, counted by the first
@@ -479,11 +495,8 @@ impl DecodedModule {
         // materializes from the same layout. Overflow is not checked
         // here: a layout that does not fit is a setup error that prevents
         // any execution, so the folded constants are never observed.
-        let globals_addr: Vec<u64> =
-            pythia_ir::layout::global_slots(module, crate::memory::layout::GLOBALS_BASE)
-                .iter()
-                .map(|s| s.start)
-                .collect();
+        let globals: Box<[Slot]> =
+            pythia_ir::layout::global_slots(module, crate::memory::layout::GLOBALS_BASE).into();
         // Site numbers: each function's values follow the values of the
         // functions before it.
         let site_bases = module.functions().iter().scan(0, |next, f| {
@@ -507,7 +520,7 @@ impl DecodedModule {
                         let c = match &f.value(ValueId(i)).kind {
                             ValueKind::ConstInt(c) => *c,
                             ValueKind::ConstNull => 0,
-                            ValueKind::GlobalAddr(g) => globals_addr[g.0 as usize] as i64,
+                            ValueKind::GlobalAddr(g) => globals[g.0 as usize].start as i64,
                             ValueKind::FuncAddr(t) => (0x4000 + t.0 as u64 * 16) as i64,
                             ValueKind::Arg(_) | ValueKind::Inst(_) => return None,
                         };
@@ -521,6 +534,7 @@ impl DecodedModule {
             .collect();
         DecodedModule {
             funcs,
+            globals,
             sites,
             static_pa: OnceLock::new(),
         }
@@ -553,6 +567,12 @@ impl DecodedModule {
                 self.block(module, fid, bb);
             }
         }
+    }
+
+    /// Every global's address and size, by global id
+    /// ([`pythia_ir::layout::global_slots`] from the globals base).
+    pub(crate) fn global_slots(&self) -> &[Slot] {
+        &self.globals
     }
 
     /// Per-function frame layout (shared with the legacy interpreter).
@@ -674,6 +694,32 @@ fn has_barrier(f: &Function, bb: BlockId) -> bool {
     })
 }
 
+/// The `pacauth` that the `pacsign` `iv` (under `key` and `modifier`)
+/// fuses with, when `next` is one: it authenticates `iv`'s result under
+/// the same key and modifier operand, the key is not `Ga` (canary signs
+/// feed the witness and canary auths end superblocks), and the modifier
+/// is not the sign's own result (which the sign overwrites before the
+/// auth reads it).
+fn fused_auth(
+    f: &Function,
+    iv: ValueId,
+    key: PaKey,
+    modifier: ValueId,
+    next: Option<ValueId>,
+) -> Option<ValueId> {
+    let next = next?;
+    match f.inst(next)? {
+        Inst::PacAuth {
+            value,
+            key: k,
+            modifier: m,
+        } if *value == iv && *k == key && *m == modifier && key != PaKey::Ga && modifier != iv => {
+            Some(next)
+        }
+        _ => None,
+    }
+}
+
 /// Emit the phase-2 ops of one block (leading phis excluded — they live
 /// in prologues). Returns the buffer index of a trailing chainable
 /// `Jmp` op and its target, if the block ends in one.
@@ -687,7 +733,8 @@ fn emit_block(
     let insts = &f.block(bb).insts;
     let skip = leading_phis(f, bb).len();
     let preds = &dm.funcs[fid.0 as usize].preds;
-    for &iv in &insts[skip..] {
+    let mut members = insts[skip..].iter().copied().peekable();
+    while let Some(iv) = members.next() {
         let Some(inst) = f.inst(iv) else {
             // Execution stops at the runtime error; anything after is
             // unreachable and deliberately not decoded.
@@ -776,10 +823,21 @@ fn emit_block(
                 value,
                 key,
                 modifier,
-            } => OpKind::PacSign {
-                value: slot(*value),
-                key: *key,
-                modifier: slot(*modifier),
+            } => match fused_auth(f, iv, *key, *modifier, members.peek().copied()) {
+                Some(auth) => {
+                    members.next();
+                    OpKind::PacSignAuth {
+                        value: slot(*value),
+                        key: *key,
+                        modifier: slot(*modifier),
+                        auth,
+                    }
+                }
+                None => OpKind::PacSign {
+                    value: slot(*value),
+                    key: *key,
+                    modifier: slot(*modifier),
+                },
             },
             Inst::PacAuth {
                 value,
@@ -1013,6 +1071,149 @@ mod tests {
             }
         }
         assert!(checked > 100_000, "only {checked} instructions checked");
+    }
+
+    /// `main(x)`: a stack slot's address as the modifier, one sign of `x`
+    /// and then `auth` (a `pacauth` line, or any other line) before the
+    /// return of `%4 + 1`.
+    fn pair_module(sign_key: &str, auth: &str) -> Module {
+        let src = format!(
+            "module \"pair\"\n\nfunc @main(i64) -> i64 {{\nbb0:\n  \
+             %1 = alloca i64 x 1\n  %2 = ptrtoint %1 to i64\n  \
+             %3 = pacsign %0, {sign_key}, %2 : i64\n  {auth}\n  \
+             %5 = add %4, 1:i64 : i64\n  ret %5\n}}\n"
+        );
+        pythia_ir::parser::parse_module(&src).expect("pair module parses")
+    }
+
+    /// The decoded ops of `main`'s entry superblock.
+    fn entry_ops(m: &Module) -> Vec<OpKind> {
+        let dm = DecodedModule::eager(m);
+        dm.block(m, FuncId(0), BlockId(0))
+            .ops
+            .iter()
+            .map(|o| o.kind.clone())
+            .collect()
+    }
+
+    fn fused(m: &Module) -> bool {
+        entry_ops(m)
+            .iter()
+            .any(|k| matches!(k, OpKind::PacSignAuth { .. }))
+    }
+
+    /// `m`'s run of `main(41)` under `cfg` on both engines, which must
+    /// agree on the result, the trace and the PA context's memo-visible
+    /// answers; returns the block engine's result and trace.
+    fn run_both(m: &Module, cfg: &crate::VmConfig) -> (crate::RunResult, Vec<crate::TraceEvent>) {
+        let runs: Vec<_> = [crate::Engine::Legacy, crate::Engine::Block]
+            .into_iter()
+            .map(|engine| {
+                let cfg = crate::VmConfig {
+                    engine,
+                    inline_exec: true,
+                    ..cfg.clone()
+                };
+                let mut vm = crate::Vm::new(m, cfg, crate::InputPlan::benign(1));
+                let r = vm.run("main", &[41]).expect("pair module runs");
+                (r, vm.trace().to_vec())
+            })
+            .collect();
+        let [(lr, lt), (br, bt)] = <[_; 2]>::try_from(runs).expect("two engines");
+        assert_eq!(lr.exit, br.exit, "exit");
+        assert_eq!(lr.metrics, br.metrics, "metrics");
+        assert_eq!(lr.profile, br.profile, "profile");
+        assert_eq!(lt, bt, "trace");
+        (br, bt)
+    }
+
+    fn traced() -> crate::VmConfig {
+        crate::VmConfig {
+            trace_limit: 100,
+            ..crate::VmConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_sign_and_the_auth_of_its_result_fuse_and_trace_both() {
+        let m = pair_module("da", "%4 = pacauth %3, da, %2 : i64");
+        assert!(fused(&m));
+        let (r, trace) = run_both(&m, &traced());
+        assert_eq!(r.exit, crate::ExitReason::Returned(42));
+        let pa: Vec<(u32, &str)> = trace
+            .iter()
+            .filter(|e| e.mnemonic.starts_with("pac"))
+            .map(|e| (e.value.0, e.mnemonic))
+            .collect();
+        assert_eq!(pa, [(3, "pacsign"), (4, "pacauth")]);
+        assert_eq!((r.metrics.pa_insts, r.metrics.pa_sites), (2, 2));
+        assert_eq!((r.profile.pa.signs, r.profile.pa.auths), (1, 1));
+        assert_eq!(r.profile.pa.by_key.get("da"), Some(&2));
+    }
+
+    #[test]
+    fn a_budget_that_ends_between_the_fused_sign_and_auth_traps_at_the_auth() {
+        let m = pair_module("da", "%4 = pacauth %3, da, %2 : i64");
+        // alloca, ptrtoint, pacsign: the auth is the fourth instruction.
+        for max_insts in [2, 3, 4] {
+            let cfg = crate::VmConfig {
+                max_insts,
+                ..traced()
+            };
+            let (r, trace) = run_both(&m, &cfg);
+            assert_eq!(
+                r.exit,
+                crate::ExitReason::Trapped(crate::Trap::InstBudgetExhausted)
+            );
+            assert_eq!(r.metrics.insts, max_insts);
+            assert_eq!(trace.len() as u64, max_insts);
+            assert_eq!(r.metrics.pa_insts, max_insts.saturating_sub(2));
+        }
+    }
+
+    #[test]
+    fn pairs_that_differ_in_modifier_value_key_or_place_do_not_fuse() {
+        let cases = [
+            ("da", "%4 = pacauth %3, da, 7:i64 : i64"),
+            ("da", "%4 = pacauth %0, da, %2 : i64"),
+            ("da", "%4 = pacauth %3, db, %2 : i64"),
+            ("ga", "%4 = pacauth %3, ga, %2 : i64"),
+            (
+                "da",
+                "%6 = add %3, 0:i64 : i64\n  %4 = pacauth %3, da, %2 : i64",
+            ),
+            ("da", "%4 = pacstrip %3 : i64"),
+        ];
+        for (key, auth) in cases {
+            let m = pair_module(key, auth);
+            assert!(!fused(&m), "{key} / {auth}");
+            run_both(&m, &traced());
+        }
+        // A sign whose modifier is its own result: decode never fuses it.
+        let mut m = pair_module("da", "%4 = pacauth %3, da, %3 : i64");
+        let f = m.func_mut(FuncId(0));
+        if let Some(Inst::PacSign { modifier, .. }) = f.inst_mut(ValueId(3)) {
+            *modifier = ValueId(3);
+        }
+        assert!(!fused(&m));
+    }
+
+    #[test]
+    fn the_fused_pair_runs_like_the_legacy_engine_under_every_config() {
+        let m = pair_module("da", "%4 = pacauth %3, da, %2 : i64");
+        for profile in [false, true] {
+            for trace_limit in [0, 3, 4, 100] {
+                let cfg = crate::VmConfig {
+                    seed: 5 + trace_limit,
+                    profile,
+                    trace_limit,
+                    ..crate::VmConfig::default()
+                };
+                let (r, trace) = run_both(&m, &cfg);
+                assert_eq!(r.exit, crate::ExitReason::Returned(42));
+                assert_eq!(trace.len() as u64, trace_limit.min(6));
+            }
+        }
     }
 
     /// Every `br`/`jmp` of every decoded superblock of the 17 standard

@@ -22,7 +22,7 @@
 //! where the original would (DESIGN.md §5f).
 
 use crate::decode::{
-    wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PHI, NO_PROLOGUE,
+    wrap_val, DecodedCallee, DecodedModule, OpKind, PhiPrologue, MN_PACAUTH, MN_PHI, NO_PROLOGUE,
 };
 use crate::vm::{eval_bin, Halt, Trap, Vm};
 use pythia_ir::{BlockId, FuncId, PythiaError};
@@ -198,23 +198,29 @@ impl<'m> Vm<'m> {
                 // op-class count), expanded at the top of every
                 // instruction arm so the loop dispatches each op exactly
                 // once. `Enter` (a superblock boundary, not an
-                // instruction) is the only unmetered arm.
-                macro_rules! meter {
-                    ($op:expr) => {
+                // instruction) is the only unmetered arm; a fused op
+                // meters each instruction it stands for (`meter_at`).
+                macro_rules! meter_at {
+                    ($iv:expr, $mn:expr) => {
                         if k >= remaining {
                             flush!();
                             return Err(Trap::InstBudgetExhausted.into());
                         }
                         k += 1;
                         if trace_on {
-                            self.push_trace(fid, $op.iv, crate::decode::MNEMONICS[$op.mn as usize]);
+                            self.push_trace(fid, $iv, crate::decode::MNEMONICS[$mn as usize]);
                             #[allow(unused_assignments)]
                             {
                                 trace_on = self.trace_on;
                             }
                         }
-                        cyc += self.cost_tbl[$op.mn as usize];
-                        self.op_counts[$op.mn as usize] += 1;
+                        cyc += self.cost_tbl[$mn as usize];
+                        self.op_counts[$mn as usize] += 1;
+                    };
+                }
+                macro_rules! meter {
+                    ($op:expr) => {
+                        meter_at!($op.iv, $op.mn)
                     };
                 }
                 let vals = &mut values[..];
@@ -366,6 +372,28 @@ impl<'m> Vm<'m> {
                                     return Err(Trap::PacAuthFailure { key: *key }.into());
                                 }
                             }
+                        }
+                        OpKind::PacSignAuth {
+                            value,
+                            key,
+                            modifier,
+                            auth,
+                        } => {
+                            // The sign, as `PacSign` runs it (never `Ga`:
+                            // no witness)...
+                            meter!(op);
+                            self.mark_pa_site(site_base + op.iv.0 as usize);
+                            self.pa_key_counts[*key as usize] += 1;
+                            let v = read(vals, *value) as u64;
+                            let md = read(vals, *modifier) as u64;
+                            let signed = self.pa.sign(*key, v, md);
+                            vals[op.iv.0 as usize] = signed as i64;
+                            // ...then the auth of its result, which
+                            // succeeds with the PAC the sign computed.
+                            meter_at!(*auth, MN_PACAUTH);
+                            self.mark_pa_site(site_base + auth.0 as usize);
+                            self.pa_key_counts[*key as usize] += 1;
+                            vals[auth.0 as usize] = self.pa.strip(signed) as i64;
                         }
                         OpKind::PacStrip { value } => {
                             meter!(op);

@@ -142,17 +142,37 @@ fn empty_node<T>() -> Node<T> {
 /// beat any hash. Only the 8 KiB root is built with the memory; every
 /// other node is allocated on first touch, so a fresh `Memory` costs
 /// what its run touches: two 4 KiB nodes per touched region.
-#[derive(Debug, Clone)]
+///
+/// [`Memory::reset`] unmaps every page but keeps the storage: radix
+/// nodes stay in place and unmapped pages wait, zeroed, on a free list
+/// that the next first touch takes from before it allocates.
+#[derive(Debug)]
 pub struct Memory {
     root: Box<[Option<Mid>; ROOT_LEN]>,
-    resident: u64,
+    /// Page numbers of the mapped pages, in mapping order.
+    mapped: Vec<u64>,
+    /// Zeroed pages [`Memory::reset`] unmapped, ready for reuse.
+    free: Vec<Page>,
 }
 
 impl Default for Memory {
     fn default() -> Self {
         Memory {
             root: Box::new([const { None }; ROOT_LEN]),
-            resident: 0,
+            mapped: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+/// A clone maps what the original maps; the free list is spare storage,
+/// not state, and stays behind.
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Memory {
+            root: self.root.clone(),
+            mapped: self.mapped.clone(),
+            free: Vec::new(),
         }
     }
 }
@@ -172,18 +192,35 @@ impl Memory {
         leaf[pn & (NODE_LEN - 1)].as_deref()
     }
 
-    /// The page backing `pn`, mapped in (zeroed) on first touch.
+    /// The page backing `pn`, mapped in (zeroed) on first touch: a page
+    /// from the free list if there is one, else a new one.
     #[inline]
     fn page_mut(&mut self, pn: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let pn = pn as usize;
-        let mid = self.root[pn >> (2 * NODE_BITS)].get_or_insert_with(empty_node);
-        let leaf = mid[(pn >> NODE_BITS) & (NODE_LEN - 1)].get_or_insert_with(empty_node);
-        let slot = &mut leaf[pn & (NODE_LEN - 1)];
-        if slot.is_none() {
-            *slot = Some(Box::new([0u8; PAGE_SIZE as usize]));
-            self.resident += 1;
+        let Memory { root, mapped, free } = self;
+        let i = pn as usize;
+        let mid = root[i >> (2 * NODE_BITS)].get_or_insert_with(empty_node);
+        let leaf = mid[(i >> NODE_BITS) & (NODE_LEN - 1)].get_or_insert_with(empty_node);
+        leaf[i & (NODE_LEN - 1)].get_or_insert_with(|| {
+            mapped.push(pn);
+            free.pop()
+                .unwrap_or_else(|| Box::new([0u8; PAGE_SIZE as usize]))
+        })
+    }
+
+    /// Unmap every page, as a fresh [`Memory`] would have none. The
+    /// pages go, zeroed, onto the free list; radix nodes stay allocated.
+    pub fn reset(&mut self) {
+        for pn in self.mapped.drain(..) {
+            let i = pn as usize;
+            let page = self.root[i >> (2 * NODE_BITS)]
+                .as_mut()
+                .and_then(|mid| mid[(i >> NODE_BITS) & (NODE_LEN - 1)].as_mut())
+                .and_then(|leaf| leaf[i & (NODE_LEN - 1)].take());
+            if let Some(mut page) = page {
+                page.fill(0);
+                self.free.push(page);
+            }
         }
-        slot.as_deref_mut().expect("page just mapped")
     }
 
     /// Radix nodes allocated below the root.
@@ -432,13 +469,13 @@ impl Memory {
 
     /// Number of resident pages (for memory accounting in tests).
     pub fn resident_pages(&self) -> usize {
-        self.resident as usize
+        self.mapped.len()
     }
 
     /// Bytes of simulated memory touched so far (page granularity) — the
     /// run's resident footprint, reported by the execution profile.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident * PAGE_SIZE
+        self.mapped.len() as u64 * PAGE_SIZE
     }
 }
 
@@ -641,6 +678,31 @@ mod tests {
         // Reads never allocate.
         assert_eq!(m.read_scalar(layout::HEAP_BASE + (1 << 30), 8).unwrap(), 0);
         assert_eq!(m.allocated_nodes(), 6);
+    }
+
+    #[test]
+    fn reset_unmaps_every_page_and_reuses_them_zeroed() {
+        let mut m = Memory::new();
+        for base in [layout::GLOBALS_BASE, layout::STACK_BASE, layout::HEAP_BASE] {
+            m.write_bytes(base + 100, &[0xa5; 5000]).unwrap();
+        }
+        assert_eq!((m.resident_pages(), m.allocated_nodes()), (6, 6));
+        m.reset();
+        assert_eq!((m.resident_pages(), m.resident_bytes()), (0, 0));
+        assert_eq!(m.allocated_nodes(), 6, "radix nodes stay allocated");
+        assert_eq!(m.free.len(), 6);
+        for base in [layout::GLOBALS_BASE, layout::STACK_BASE, layout::HEAP_BASE] {
+            assert_eq!(m.read_bytes(base, 6000).unwrap(), vec![0; 6000]);
+        }
+        // A first touch after the reset maps a free-list page, zeroed.
+        m.write_u8(layout::HEAP_BASE + 7, 1).unwrap();
+        assert_eq!((m.resident_pages(), m.free.len()), (1, 5));
+        let page = m.read_bytes(layout::HEAP_BASE, PAGE_SIZE).unwrap();
+        assert_eq!(page.iter().filter(|&&b| b != 0).count(), 1);
+        // A clone maps the same pages and takes no spare storage.
+        let c = m.clone();
+        assert_eq!((c.resident_pages(), c.free.len()), (1, 0));
+        assert_eq!(c.read_u8(layout::HEAP_BASE + 7).unwrap(), 1);
     }
 
     #[test]

@@ -32,7 +32,6 @@ use pythia_ir::{
 use pythia_pa::PaContext;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -450,8 +449,10 @@ pub struct Vm<'m> {
     pub(crate) shadow: FastMap<u32>,
     pub(crate) metrics: RunMetrics,
     pub(crate) sp: u64,
+    /// Address of every global, by [`pythia_ir::GlobalId`].
     pub(crate) globals_addr: Vec<u64>,
-    pub(crate) globals_map: BTreeMap<u64, u64>,
+    /// `(address, size)` of every materialized global, in address order.
+    pub(crate) globals_map: Vec<(u64, u64)>,
     /// Live call frames, outermost first: `(frame base, function)`.
     /// Pushed and popped by both engines; only [`Vm::capacity_at`] reads
     /// it, through the function's [`FrameLayout`].
@@ -528,6 +529,8 @@ impl<'m> Vm<'m> {
         Self::new_inner(module, Some(decoded), cfg, plan)
     }
 
+    /// An empty shell, then [`Vm::reset`]: the one definition of a
+    /// fresh VM.
     fn new_inner(
         module: &'m Module,
         decoded: Option<Arc<DecodedModule>>,
@@ -537,17 +540,17 @@ impl<'m> Vm<'m> {
         let cost = CostModel::default();
         let mut vm = Vm {
             module,
-            pa: PaContext::from_seed(cfg.seed ^ 0x5041_5041),
+            pa: PaContext::from_seed(0),
             heap: SectionedHeap::default(),
             cache: CacheSim::m1_like(),
             mem: Memory::new(),
-            plan,
-            rng: SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15)),
+            plan: InputPlan::benign(0),
+            rng: SmallRng::seed_from_u64(0),
             shadow: FastMap::default(),
             metrics: RunMetrics::default(),
             sp: layout::STACK_BASE,
             globals_addr: Vec::new(),
-            globals_map: BTreeMap::new(),
+            globals_map: Vec::new(),
             frames: Vec::new(),
             ic_write_counter: 0,
             halted: None,
@@ -565,15 +568,51 @@ impl<'m> Vm<'m> {
             op_counts: [0; 256],
             pa_key_counts: [0; 5],
             intrinsic_counts: [0; N_INTRINSICS],
-            trace_on: cfg.trace_limit > 0,
+            trace_on: false,
             scratch: Scratch::default(),
             witness: Witness::default(),
-            cfg,
+            cfg: VmConfig::default(),
         };
-        if let Err(e) = vm.init_globals() {
-            vm.setup_error.get_or_insert(e);
-        }
+        vm.reset(cfg, plan);
         vm
+    }
+
+    /// Return the VM to exactly the state [`Vm::with_decoded`] builds for
+    /// its module and decode cache under `cfg` and `plan`, whatever ran
+    /// or paused on it before, keeping its allocations: memory pages and
+    /// cache sets are emptied into spare storage, and every buffer keeps
+    /// its capacity. A server event loop runs each request on one VM
+    /// this way instead of building and dropping one per request.
+    pub fn reset(&mut self, cfg: VmConfig, plan: InputPlan) {
+        self.pa = PaContext::from_seed(cfg.seed ^ 0x5041_5041);
+        self.heap = SectionedHeap::default();
+        self.cache.reset();
+        self.mem.reset();
+        self.plan = plan;
+        self.rng = SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0x9e3779b97f4a7c15));
+        self.shadow.clear();
+        self.metrics = RunMetrics::default();
+        self.sp = layout::STACK_BASE;
+        self.globals_addr.clear();
+        self.globals_map.clear();
+        self.frames.clear();
+        self.ic_write_counter = 0;
+        self.halted = None;
+        self.entry = None;
+        self.stack.clear();
+        self.pause_at = u64::MAX;
+        self.shadow_top = 0;
+        self.pa_site_bits.clear();
+        self.profile = Profile::default();
+        self.trace.clear();
+        self.op_counts = [0; 256];
+        self.pa_key_counts = [0; 5];
+        self.intrinsic_counts = [0; N_INTRINSICS];
+        self.trace_on = cfg.trace_limit > 0;
+        self.witness.ga_signs.clear();
+        self.witness.ic_writes.clear();
+        self.cfg = cfg;
+        self.setup_error = self.init_globals().err();
     }
 
     /// The PA context (for tests that want to forge/check values).
@@ -588,8 +627,8 @@ impl<'m> Vm<'m> {
     }
 
     fn init_globals(&mut self) -> Result<(), PythiaError> {
-        let slots = pythia_ir::layout::global_slots(self.module, layout::GLOBALS_BASE);
-        for (gid, slot) in self.module.global_ids().zip(slots) {
+        let decoded = Arc::clone(&self.decoded);
+        for (gid, slot) in self.module.global_ids().zip(decoded.global_slots()) {
             let g = self.module.global(gid);
             let (addr, size) = (slot.start, slot.size);
             if addr.saturating_add(size) > (1u64 << crate::memory::VA_BITS) {
@@ -619,7 +658,7 @@ impl<'m> Vm<'m> {
                 PythiaError::setup(format!("global `{}` initializer faulted", g.name))
                     .with_address(f.addr)
             })?;
-            self.globals_map.insert(addr, size);
+            self.globals_map.push((addr, size));
         }
         Ok(())
     }
@@ -1010,7 +1049,7 @@ impl<'m> Vm<'m> {
     #[cold]
     #[inline(never)]
     fn mark_first_pa_site(&mut self, site: usize) {
-        self.pa_site_bits = vec![0; self.decoded.site_words()];
+        self.pa_site_bits.resize(self.decoded.site_words(), 0);
         self.pa_site_bits[site / 64] |= 1 << (site % 64);
     }
 
@@ -1023,7 +1062,10 @@ impl<'m> Vm<'m> {
         if let Some((base, size)) = self.heap.find_containing(addr) {
             return base + size - addr;
         }
-        if let Some((&base, &size)) = self.globals_map.range(..=addr).next_back() {
+        // Globals are laid out in rising address order; of several at
+        // one address (zero-sized ones) the last placed counts.
+        let next = self.globals_map.partition_point(|&(base, _)| base <= addr);
+        if let Some(&(base, size)) = next.checked_sub(1).map(|i| &self.globals_map[i]) {
             if addr < base + size {
                 return base + size - addr;
             }
@@ -1736,6 +1778,7 @@ mod tests {
     use super::*;
     use crate::input::AttackSpec;
     use pythia_ir::{CmpPred, FunctionBuilder};
+    use std::collections::BTreeMap;
 
     fn run_module(m: &Module, entry: &str, args: &[i64]) -> RunResult {
         let mut vm = Vm::new(m, VmConfig::default(), InputPlan::benign(1));
@@ -2411,6 +2454,7 @@ mod capacity_tests {
     use pythia_ir::FunctionBuilder;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     /// `capacity_at` as it was with a live-object map: the greatest
     /// stack object start `<= addr` across every live frame, then the
@@ -2424,7 +2468,8 @@ mod capacity_tests {
         if let Some((base, size)) = vm.heap.find_containing(addr) {
             return base + size - addr;
         }
-        if let Some((&base, &size)) = vm.globals_map.range(..=addr).next_back() {
+        let globals: BTreeMap<u64, u64> = vm.globals_map.iter().copied().collect();
+        if let Some((&base, &size)) = globals.range(..=addr).next_back() {
             if addr < base + size {
                 return base + size - addr;
             }

@@ -419,11 +419,7 @@ pub fn run_event_loop(
     cfg: &EventLoopConfig,
 ) -> Result<ServerRunStats, PythiaError> {
     cfg.validate()?;
-    let handler = Handler {
-        module,
-        decoded,
-        engine: cfg.engine,
-    };
+    let mut handler = Handler::new(module, decoded, cfg.engine);
     let clock = EpochClock {
         epoch_len: cfg.epoch_len(),
         base_seed: cfg.seed,
@@ -551,11 +547,12 @@ pub fn run_event_loop(
     Ok(stats)
 }
 
-/// The instrumented handler module every request of one loop runs.
+/// The instrumented handler module every request of one loop runs, and
+/// the one VM the loop runs them on: every request, recon probe and
+/// delivery resets it ([`Vm::reset`]) to the fresh VM it needs.
 struct Handler<'m> {
-    module: &'m Module,
-    decoded: Arc<DecodedModule>,
     engine: Engine,
+    vm: Vm<'m>,
 }
 
 /// A background request's inputs, all fixed when it is admitted.
@@ -567,19 +564,36 @@ struct Request {
 }
 
 impl<'m> Handler<'m> {
-    /// A request VM with canary seed `seed` and budget `max_insts`.
-    fn vm(&self, seed: u64, max_insts: u64, witness: bool, plan: InputPlan) -> Vm<'m> {
-        let cfg = VmConfig {
+    fn new(module: &'m Module, decoded: Arc<DecodedModule>, engine: Engine) -> Self {
+        let vm = Vm::with_decoded(
+            module,
+            decoded,
+            Self::cfg(engine, 0, 0, false),
+            InputPlan::benign(0),
+        );
+        Handler { engine, vm }
+    }
+
+    /// A request VM's config: canary seed `seed`, budget `max_insts`.
+    fn cfg(engine: Engine, seed: u64, max_insts: u64, witness: bool) -> VmConfig {
+        VmConfig {
             seed,
             max_insts,
             max_call_depth: 64,
             profile: false,
-            engine: self.engine,
+            engine,
             record_witness: witness,
             inline_exec: true,
             ..VmConfig::default()
-        };
-        Vm::with_decoded(self.module, Arc::clone(&self.decoded), cfg, plan)
+        }
+    }
+
+    /// The loop's VM, reset to a fresh request VM with canary seed
+    /// `seed` and budget `max_insts`.
+    fn vm(&mut self, seed: u64, max_insts: u64, witness: bool, plan: InputPlan) -> &mut Vm<'m> {
+        let cfg = Self::cfg(self.engine, seed, max_insts, witness);
+        self.vm.reset(cfg, plan);
+        &mut self.vm
     }
 
     /// Run an admitted request's handler once, charge the run to `stats`,
@@ -587,13 +601,13 @@ impl<'m> Handler<'m> {
     /// `insts` instructions finishes exactly when its budget is at least
     /// `insts`, so it needs `ceil(insts / SLICE_INSTS)` turns (DESIGN.md
     /// §5i).
-    fn serve(&self, req: &Request, stats: &mut ServerRunStats) -> (Outcome, u64) {
+    fn serve(&mut self, req: &Request, stats: &mut ServerRunStats) -> (Outcome, u64) {
         let budget = if req.cancel_marked {
             SLICE_INSTS
         } else {
             MAX_SLICES * SLICE_INSTS
         };
-        let mut vm = self.vm(
+        let vm = self.vm(
             req.vm_seed,
             budget,
             false,
@@ -623,7 +637,7 @@ impl<'m> Handler<'m> {
     /// connection (it takes no turns). `None` when a VM fails or the recon
     /// cannot place the payload.
     fn attack(
-        &self,
+        &mut self,
         seed: u64,
         clock: &EpochClock,
         slot: AttackSlot,
@@ -638,8 +652,10 @@ impl<'m> Handler<'m> {
         // stream with witness recording on — what an intra-epoch
         // disclosure primitive would have shown the attacker.
         let leak_seed = clock.epoch_seed(leak_epoch);
-        let mut probe = self.vm(leak_seed, 10_000_000, true, InputPlan::benign(input_seed));
+        let probe = self.vm(leak_seed, 10_000_000, true, InputPlan::benign(input_seed));
         probe.run("handle_request", &args).ok()?;
+        // The witness lives in the VM: everything read from it is read
+        // before the delivery resets the VM.
         let w = probe.witness();
         let a_base = w.ic_writes.iter().find(|e| e.0 == 1)?.1;
         let role_addr = w.ic_writes.iter().find(|e| e.0 == 0)?.1;
@@ -666,7 +682,7 @@ impl<'m> Handler<'m> {
             payload,
         };
         let plan = InputPlan::with_attack(input_seed, attack);
-        let mut vm = self.vm(clock.epoch_seed(del_epoch), 10_000_000, false, plan);
+        let vm = self.vm(clock.epoch_seed(del_epoch), 10_000_000, false, plan);
         vm.run("handle_request", &args).ok()
     }
 }
@@ -682,11 +698,7 @@ mod tests {
 
     /// `module`'s handler, decoded ahead.
     fn handler_for(module: &Module, engine: Engine) -> Handler<'_> {
-        Handler {
-            module,
-            decoded: DecodedModule::eager(module),
-            engine,
-        }
+        Handler::new(module, DecodedModule::eager(module), engine)
     }
 
     /// `handle_request(conn, req)` that adds `req` to `conn` `adds` times
@@ -860,11 +872,11 @@ mod tests {
             // The first turn at which the restart model's re-run finishes.
             let restart_turn = |adds: u64| {
                 let m = straight_line_handler(adds);
-                let handler = handler_for(&m, engine);
+                let mut handler = handler_for(&m, engine);
                 (1..)
                     .find(|turn| {
                         let plan = InputPlan::benign(2);
-                        let mut vm = handler.vm(1, turn * SLICE_INSTS, false, plan);
+                        let vm = handler.vm(1, turn * SLICE_INSTS, false, plan);
                         let r = vm.run("handle_request", &[0, 1]).unwrap();
                         r.exit != ExitReason::Trapped(Trap::InstBudgetExhausted)
                     })

@@ -56,6 +56,10 @@ echo "== cargo test -q --workspace =="
 # test` from the root only tests the root package.
 cargo test -q --workspace
 
+echo "== long tests: cargo test --release --test vm_reset -- --ignored =="
+# The long variants of tier-1 tests: more seeds than the tier-1 run.
+cargo test -q --release --test vm_reset -- --ignored
+
 echo "== benchmark adapter: build + test =="
 # The benchmark is its own package outside the workspace and calls the
 # library crates directly (lint_instrumented, instrument_with,
