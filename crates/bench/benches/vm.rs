@@ -24,8 +24,9 @@
 //! loop dominated by one class of operation: an ALU chain, calls and
 //! returns, a load/store stream over two arrays, a phi-heavy loop, a
 //! CPA-style sign/store/load/auth pair, CPA's SSA sign→auth pair (which
-//! the block engine runs as one fused op) and a DFI-style
-//! store/setdef/chkdef/load. Each kernel prints its retired
+//! the block engine runs as one fused op that computes no PAC), the same
+//! pair with its signed value also stored (which runs unfused) and a
+//! DFI-style store/setdef/chkdef/load. Each kernel prints its retired
 //! instructions per run once, so time per run over that count is its
 //! ns/op on each engine.
 
@@ -174,6 +175,30 @@ bb2:
 }
 "#;
 
+/// `PAC_PAIR` with the signed value also stored: it escapes to memory,
+/// so the block engine runs the sign and the auth apart and computes
+/// both PACs, as the legacy engine does.
+const PAC_PAIR_ESCAPES: &str = r#"
+module "vm_ops_pac_pair_escapes"
+
+func @main() -> i64 {
+bb0:
+  %0 = alloca i64 x 1
+  %1 = ptrtoint %0 to i64
+  jmp bb1
+bb1:
+  %2 = phi i64 [bb0: 0:i64], [bb1: %5]
+  %3 = pacsign %2, da, %1 : i64
+  %4 = pacauth %3, da, %1 : i64
+  store %3, %0
+  %5 = add %4, 1:i64 : i64
+  %6 = icmp slt %5, 20000:i64
+  br %6, bb1, bb2
+bb2:
+  ret %5
+}
+"#;
+
 /// An ALU chain: four dependent ops per iteration, 20,000 iterations.
 const ALU: &str = r#"
 module "vm_ops_alu"
@@ -219,13 +244,14 @@ bb2:
 }
 "#;
 
-const KERNELS: [(&str, &str); 7] = [
+const KERNELS: [(&str, &str); 8] = [
     ("alu", ALU),
     ("callret", CALLRET),
     ("stream", STREAM),
     ("phi", PHI),
     ("pac", PAC),
     ("pac_pair", PAC_PAIR),
+    ("pac_pair_escapes", PAC_PAIR_ESCAPES),
     ("dfi", DFI),
 ];
 

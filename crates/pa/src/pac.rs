@@ -111,10 +111,13 @@ pub struct PaContext {
     memo: PacMemo,
 }
 
-/// Slots in the PAC memo. CPA signs a value and authenticates it again a
-/// few instructions later with the same modifier, so few slots already
-/// hit often: 67% of CPA's PACs in the server scenario with 4 slots, 74%
-/// with 64, which also keep most store→load slot pairs.
+/// Slots in the PAC memo. A run asks for a PAC again when it
+/// authenticates a value it signed under the same modifier: a value
+/// stored to a slot and loaded back, a canary checked at return, and on
+/// the legacy engine each of CPA's SSA values, authenticated right after
+/// its sign (the block engine computes no PAC for those, DESIGN.md §5f).
+/// In the benchmark's 600-request server loops 48% of CPA's lookups and
+/// 33% of Pythia's canary lookups hit.
 const MEMO_SLOTS: usize = 64;
 // `PacMemo::slot_of` keeps the top `log2(MEMO_SLOTS)` bits of a 64-bit hash.
 const _: () = assert!(MEMO_SLOTS.is_power_of_two() && MEMO_SLOTS >= 2);
@@ -179,13 +182,13 @@ impl PacMemo {
     }
 }
 
-/// Slots in the per-thread PAC cache behind every context's memo. Server
-/// request VMs run one after another on one thread under the same keys,
-/// so a PAC one request computed is usually asked for again by a later
-/// one, or by the same VM after its memo evicted it. Of the 464k memo
-/// misses of a 600-request CPA loop only 80k are tuples the thread never
-/// computed before; 4096 slots of 40 bytes (160 KiB) leave 93k cipher
-/// calls, 2048 slots 123k and 1024 slots 145k.
+/// Slots in the per-thread PAC cache behind every context's memo. VMs
+/// run one after another on one thread under the same keys, so a PAC one
+/// VM computed is often asked for again by a later one, whose memo
+/// starts cold. 4096 slots of 40 bytes (160 KiB) turn the 3,828 memo
+/// misses of Pythia's 600-request server loop into 111 cipher calls,
+/// those of a campaign pass from 79,916 into 18,709 and those of the ref
+/// suite from 1.45M into 1.28M.
 const CACHE_SLOTS: usize = 4096;
 // `cached_mac` keeps the top `log2(CACHE_SLOTS)` bits of a 64-bit hash.
 const _: () = assert!(CACHE_SLOTS.is_power_of_two() && CACHE_SLOTS >= 2);

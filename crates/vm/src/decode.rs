@@ -317,15 +317,16 @@ pub(crate) enum OpKind {
     },
     /// A `pacsign` (this op's `iv` and class) fused with the `pacauth`
     /// right after it that authenticates its result under the same key
-    /// and modifier operand ([`fused_auth`]). Both instructions are
-    /// metered in order, each under its own value id and class; the PAC
-    /// is computed once, by the sign. The auth would find it in the memo
-    /// slot the sign just filled and could not fail, so skipping it
-    /// changes nothing observable (DESIGN.md §5f).
+    /// and modifier operand and is that result's only use
+    /// ([`fused_auth`]). Both instructions are metered in order, each
+    /// under its own value id and class, and the auth's slot gets the
+    /// stripped `value`. No PAC is computed: the signed value lives only
+    /// in a register the attacker cannot write, its one reader is the
+    /// auth, which would succeed, so the sign's slot is left unwritten
+    /// (DESIGN.md §5f).
     PacSignAuth {
         value: Operand,
         key: PaKey,
-        modifier: Operand,
         auth: ValueId,
     },
     PacStrip {
@@ -460,6 +461,9 @@ pub struct DecodedFunction {
     preds: Box<[Box<[BlockId]>]>,
     /// Per block: whether it holds a chain barrier ([`has_barrier`]).
     barrier: Box<[bool]>,
+    /// Per value: how many operands of block members name it
+    /// ([`use_counts`]).
+    uses: Box<[u32]>,
     blocks: Vec<OnceLock<DecodedBlock>>,
 }
 
@@ -529,6 +533,7 @@ impl DecodedModule {
                     .collect(),
                 preds: predecessors(f),
                 barrier: f.block_ids().map(|bb| has_barrier(f, bb)).collect(),
+                uses: use_counts(f),
                 blocks: (0..f.num_blocks()).map(|_| OnceLock::new()).collect(),
             })
             .collect();
@@ -694,14 +699,34 @@ fn has_barrier(f: &Function, bb: BlockId) -> bool {
     })
 }
 
+/// How many operands of block members name each value: every
+/// appearance counts (a phi incoming, a call argument, a return, both
+/// operands of a PA op), and so does every appearance of a member listed
+/// twice. Instructions outside every block never run and count nothing;
+/// operands that name no value are skipped, as in [`predecessors`].
+fn use_counts(f: &Function) -> Box<[u32]> {
+    let mut uses = vec![0u32; f.num_values()];
+    for bb in f.block_ids() {
+        for inst in f.block(bb).insts.iter().filter_map(|&iv| f.inst(iv)) {
+            inst.for_each_operand(|v| {
+                if let Some(n) = uses.get_mut(v.0 as usize) {
+                    *n = n.saturating_add(1);
+                }
+            });
+        }
+    }
+    uses.into()
+}
+
 /// The `pacauth` that the `pacsign` `iv` (under `key` and `modifier`)
 /// fuses with, when `next` is one: it authenticates `iv`'s result under
-/// the same key and modifier operand, the key is not `Ga` (canary signs
-/// feed the witness and canary auths end superblocks), and the modifier
-/// is not the sign's own result (which the sign overwrites before the
-/// auth reads it).
+/// the same key and modifier operand, it is the only use of that result
+/// in the function (`uses`), and the key is not `Ga` (canary signs feed
+/// the witness and canary auths end superblocks). A sign whose modifier
+/// is its own result has a second use there, so it never fuses.
 fn fused_auth(
     f: &Function,
+    uses: &[u32],
     iv: ValueId,
     key: PaKey,
     modifier: ValueId,
@@ -713,7 +738,12 @@ fn fused_auth(
             value,
             key: k,
             modifier: m,
-        } if *value == iv && *k == key && *m == modifier && key != PaKey::Ga && modifier != iv => {
+        } if *value == iv
+            && *k == key
+            && *m == modifier
+            && key != PaKey::Ga
+            && uses[iv.0 as usize] == 1 =>
+        {
             Some(next)
         }
         _ => None,
@@ -732,7 +762,8 @@ fn emit_block(
 ) -> Option<(usize, BlockId)> {
     let insts = &f.block(bb).insts;
     let skip = leading_phis(f, bb).len();
-    let preds = &dm.funcs[fid.0 as usize].preds;
+    let df = &dm.funcs[fid.0 as usize];
+    let preds = &df.preds;
     let mut members = insts[skip..].iter().copied().peekable();
     while let Some(iv) = members.next() {
         let Some(inst) = f.inst(iv) else {
@@ -823,13 +854,12 @@ fn emit_block(
                 value,
                 key,
                 modifier,
-            } => match fused_auth(f, iv, *key, *modifier, members.peek().copied()) {
+            } => match fused_auth(f, &df.uses, iv, *key, *modifier, members.peek().copied()) {
                 Some(auth) => {
                     members.next();
                     OpKind::PacSignAuth {
                         value: slot(*value),
                         key: *key,
-                        modifier: slot(*modifier),
                         auth,
                     }
                 }
@@ -962,7 +992,7 @@ mod tests {
     use super::*;
     use pythia_analysis::{SliceContext, VulnerabilityReport};
     use pythia_passes::{instrument_with, Scheme};
-    use pythia_workloads::{generate, nginx_module, SPEC_PROFILES};
+    use pythia_workloads::{generate, nginx_module, server_module, SPEC_PROFILES};
 
     /// `op_class` names each instruction's own mnemonic: one instance of
     /// every `Inst` variant (every `BinOp` and `CastKind`), then every
@@ -1073,17 +1103,24 @@ mod tests {
         assert!(checked > 100_000, "only {checked} instructions checked");
     }
 
-    /// `main(x)`: a stack slot's address as the modifier, one sign of `x`
-    /// and then `auth` (a `pacauth` line, or any other line) before the
-    /// return of `%4 + 1`.
-    fn pair_module(sign_key: &str, auth: &str) -> Module {
+    /// `main(x)`: a stack slot's address as the modifier and one sign of
+    /// `x` as `%3`, followed by the lines of `rest`.
+    fn sign_module(sign_key: &str, rest: &str) -> Module {
         let src = format!(
             "module \"pair\"\n\nfunc @main(i64) -> i64 {{\nbb0:\n  \
              %1 = alloca i64 x 1\n  %2 = ptrtoint %1 to i64\n  \
-             %3 = pacsign %0, {sign_key}, %2 : i64\n  {auth}\n  \
-             %5 = add %4, 1:i64 : i64\n  ret %5\n}}\n"
+             %3 = pacsign %0, {sign_key}, %2 : i64\n  {rest}\n}}\n"
         );
         pythia_ir::parser::parse_module(&src).expect("pair module parses")
+    }
+
+    /// [`sign_module`] with `auth` (a `pacauth` line, or any other line)
+    /// before the return of `%4 + 1`.
+    fn pair_module(sign_key: &str, auth: &str) -> Module {
+        sign_module(
+            sign_key,
+            &format!("{auth}\n  %5 = add %4, 1:i64 : i64\n  ret %5"),
+        )
     }
 
     /// The decoded ops of `main`'s entry superblock.
@@ -1196,6 +1233,114 @@ mod tests {
             *modifier = ValueId(3);
         }
         assert!(!fused(&m));
+    }
+
+    /// A signed value that some other instruction also reads — a store,
+    /// a phi, a return or a second auth — is not register-only: its sign
+    /// and auth run apart, and the sign computes the PAC the other reader
+    /// sees.
+    #[test]
+    fn a_sign_whose_result_escapes_does_not_fuse() {
+        // The lines after the pair, and the result when it is not the
+        // signed value with its PAC bits.
+        let cases: [(&str, Option<i64>); 4] = [
+            (
+                "store %3, %1\n  %6 = load %1 : i64\n  %5 = sub %6, %4 : i64\n  ret %5",
+                None,
+            ),
+            (
+                "jmp bb1\nbb1:\n  %5 = phi i64 [bb0: %3]\n  %6 = sub %5, %4 : i64\n  ret %6",
+                None,
+            ),
+            ("ret %3", None),
+            (
+                "%6 = pacauth %3, da, %2 : i64\n  %5 = add %4, %6 : i64\n  ret %5",
+                Some(82),
+            ),
+        ];
+        for (after, result) in cases {
+            let rest = format!("%4 = pacauth %3, da, %2 : i64\n  {after}");
+            let m = sign_module("da", &rest);
+            assert!(!fused(&m), "{rest}");
+            for cfg in [crate::VmConfig::default(), traced()] {
+                let (r, _) = run_both(&m, &cfg);
+                let crate::ExitReason::Returned(v) = r.exit else {
+                    panic!("{rest}: {:?}", r.exit);
+                };
+                match result {
+                    Some(want) => assert_eq!(v, want, "{rest}"),
+                    None => assert_ne!(v as u64 >> 40, 0, "{rest}: no PAC bits"),
+                }
+            }
+        }
+    }
+
+    /// CPA signs an SSA value and authenticates it at once; none of
+    /// those signed values escapes, so under CPA every sign of the 17
+    /// standard modules and the server module that the auth of its
+    /// result follows (same key and modifier, key not `Ga`) decodes
+    /// fused.
+    #[test]
+    fn every_cpa_sign_followed_by_the_auth_of_its_result_fuses() {
+        let modules = SPEC_PROFILES
+            .iter()
+            .map(generate)
+            .chain([nginx_module(60), server_module()]);
+        let (mut pairs, mut unfused) = (0, Vec::new());
+        for m in modules {
+            let ctx = SliceContext::new(&m);
+            let report = VulnerabilityReport::analyze(&ctx);
+            let inst = instrument_with(&m, &ctx, &report, Scheme::Cpa).module;
+            let dm = DecodedModule::eager(&inst);
+            for fid in inst.func_ids() {
+                let f = inst.func(fid);
+                let fused: std::collections::HashSet<ValueId> = f
+                    .block_ids()
+                    .flat_map(|bb| dm.block(&inst, fid, bb).ops.iter())
+                    .filter(|op| matches!(op.kind, OpKind::PacSignAuth { .. }))
+                    .map(|op| op.iv)
+                    .collect();
+                for bb in f.block_ids() {
+                    for w in f.block(bb).insts.windows(2) {
+                        let (
+                            Some(Inst::PacSign { key, modifier, .. }),
+                            Some(Inst::PacAuth {
+                                value,
+                                key: k,
+                                modifier: md,
+                            }),
+                        ) = (f.inst(w[0]), f.inst(w[1]))
+                        else {
+                            continue;
+                        };
+                        if *value == w[0] && k == key && md == modifier && *key != PaKey::Ga {
+                            pairs += 1;
+                            if !fused.contains(&w[0]) {
+                                unfused.push(format!("{}: {} %{}", m.name, f.name, w[0].0));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pairs > 0, "no sign is followed by the auth of its result");
+        assert_eq!(unfused, Vec::<String>::new(), "of {pairs} pairs");
+    }
+
+    /// The fused op gives the auth the sign's input cut to the 40-bit
+    /// VA, as the legacy sign and auth do: a negative value loses its
+    /// top bits.
+    #[test]
+    fn the_fused_pair_strips_a_value_wider_than_the_va() {
+        let m = pythia_ir::parser::parse_module(
+            "module \"wide\"\n\nfunc @main(i64) -> i64 {\nbb0:\n  \
+             %1 = sub 0:i64, %0 : i64\n  %2 = pacsign %1, da, %0 : i64\n  \
+             %3 = pacauth %2, da, %0 : i64\n  ret %3\n}\n",
+        )
+        .expect("wide module parses");
+        assert!(fused(&m));
+        let (r, _) = run_both(&m, &crate::VmConfig::default());
+        assert_eq!(r.exit, crate::ExitReason::Returned((1 << 40) - 41));
     }
 
     #[test]

@@ -373,27 +373,19 @@ impl<'m> Vm<'m> {
                                 }
                             }
                         }
-                        OpKind::PacSignAuth {
-                            value,
-                            key,
-                            modifier,
-                            auth,
-                        } => {
-                            // The sign, as `PacSign` runs it (never `Ga`:
-                            // no witness)...
+                        OpKind::PacSignAuth { value, key, auth } => {
+                            // The sign's metering (never `Ga`: no
+                            // witness), then the auth's. The signed value
+                            // has no reader but the auth, which succeeds:
+                            // no PAC, and the sign's slot stays unwritten.
                             meter!(op);
                             self.mark_pa_site(site_base + op.iv.0 as usize);
                             self.pa_key_counts[*key as usize] += 1;
-                            let v = read(vals, *value) as u64;
-                            let md = read(vals, *modifier) as u64;
-                            let signed = self.pa.sign(*key, v, md);
-                            vals[op.iv.0 as usize] = signed as i64;
-                            // ...then the auth of its result, which
-                            // succeeds with the PAC the sign computed.
                             meter_at!(*auth, MN_PACAUTH);
                             self.mark_pa_site(site_base + auth.0 as usize);
                             self.pa_key_counts[*key as usize] += 1;
-                            vals[auth.0 as usize] = self.pa.strip(signed) as i64;
+                            let v = read(vals, *value) as u64;
+                            vals[auth.0 as usize] = self.pa.strip(v) as i64;
                         }
                         OpKind::PacStrip { value } => {
                             meter!(op);

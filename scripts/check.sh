@@ -339,6 +339,18 @@ if ! grep -qE '"obligations_pruned": [1-9]' "$REFJSON"; then
     exit 1
 fi
 echo "OK: ref-tier lbm proves gep bounds and prunes obligations"
+# The same run on the legacy engine, which computes every PAC, must
+# record the same counters: this pins the block engine's fused CPA
+# sign→auth pairs, which compute none, where they run longest.
+target/release/reproduce --only 519.lbm_r --tier ref --engine legacy --bench-json --out "$OUT/ref-gate-legacy" fig4a >/dev/null
+require_json "$OUT/ref-gate-legacy/BENCH_suite.json"
+if ! diff -u <(sed -E "$MASK_TIMING" "$OUT/ref-gate-legacy/BENCH_suite.json") \
+    <(sed -E "$MASK_TIMING" "$REFJSON") > "$OUT/ref-gate-engines.diff"; then
+    echo "FAIL: legacy and block engines record different counters for ref-tier lbm" >&2
+    head -30 "$OUT/ref-gate-engines.diff" >&2
+    exit 1
+fi
+echo "OK: ref-tier lbm's masked BENCH_suite.json is the same on both engines"
 
 # Server-scenario gate: a short event-loop run (DESIGN.md §5i) must
 # retire requests, must detect at least one *in-window* attack under
